@@ -19,7 +19,6 @@ from .errors import (
     EquatorPoint,
     InvalidInput,
     NoConvergence,
-    NotInChart,
     RankDeficient,
     RealEigenvalue,
     SingularLastColumn,
@@ -30,9 +29,7 @@ from .grassmann import (
     AffinePlane,
     GreatSphere,
     OrientedPlane,
-    chart_inverse,
     embed_affine,
-    graph_plane,
     intersection_dim,
     skew_pair,
 )
@@ -45,14 +42,12 @@ from .fibration import (
     chart_to_dict,
     continuity_probe,
     extend_germ,
-    fiber_distance,
     fiber_plane,
     fiber_solve,
     from_bilinear,
     limiting_direction,
     sample_fibers,
     verify_nondegenerate,
-    verify_proper,
     verify_skew,
 )
 from .numeric import SampleStream, Tolerance

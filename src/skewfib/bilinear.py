@@ -17,7 +17,7 @@ import numpy as np
 from . import report as rp
 from .dims import rho
 from .errors import InvalidInput
-from .numeric import SampleStream, Tolerance
+from .numeric import SampleStream, Tolerance, is_singular, real_eigenvalue_mask
 
 # 2 x 2 generators: one complex structure and two anticommuting reflections.
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -51,16 +51,6 @@ class BilinearMap:
         if t.shape != (self.kp1,):
             raise InvalidInput(f"t shape {t.shape} != ({self.kp1},)")
         return np.einsum("j,jab->ab", t, np.stack(self.mats))
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "kp1": self.kp1, "mats": [m.tolist() for m in self.mats]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "BilinearMap":
-        try:
-            return BilinearMap(int(data["q"]), int(data["kp1"]), tuple(data["mats"]))
-        except KeyError as exc:
-            raise InvalidInput(f"bilinear map data missing key {exc}") from exc
 
 
 def _quat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -165,28 +155,27 @@ def hurwitz_radon_family(q: int, r: int) -> BilinearMap:
     return BilinearMap(q, r, tuple(mats))
 
 
-def _pencil_exact(a: BilinearMap, tol: Tolerance) -> tuple[str, float, list, dict]:
+def _pencil_exact(a: BilinearMap, tol: Tolerance) -> tuple[str, list, dict]:
     """Exact nonsingularity for kp1 = 2: the second matrix must be
     invertible and inv(M2) M1 must have no real eigenvalues."""
     m1, m2 = a.mats
     sv = np.linalg.svd(m2, compute_uv=False)
     details: dict = {"exact": True}
-    if sv[-1] <= tol.threshold(float(sv[0])):
+    if is_singular(sv, tol):
         details["reason"] = "second matrix is singular"
-        return rp.FAIL, 0.0, [{"t": [0.0, 1.0]}], details
+        return rp.FAIL, [{"t": [0.0, 1.0]}], details
     g = np.linalg.solve(m2, m1)
     eig = np.linalg.eigvals(g)
     details["pencil_eigenvalues"] = [complex(v) for v in eig]
-    imag_margin = float(np.min(np.abs(eig.imag)))
-    details["imag_margin"] = imag_margin
-    real_mask = np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
+    details["imag_margin"] = float(np.min(np.abs(eig.imag)))
+    real_mask = real_eigenvalue_mask(eig, tol)
     if np.any(real_mask):
         lam = float(eig.real[real_mask][0])
         t = np.array([1.0, -lam])
         t = t / np.linalg.norm(t)
         details["real_eigenvalue"] = lam
-        return rp.FAIL, 0.0, [{"t": t.tolist(), "eigenvalue": lam}], details
-    return rp.PASS, imag_margin, [], details
+        return rp.FAIL, [{"t": t.tolist(), "eigenvalue": lam}], details
+    return rp.PASS, [], details
 
 
 def verify_nonsingular(
@@ -210,36 +199,26 @@ def verify_nonsingular(
     if a.kp1 == 1:
         sv = np.linalg.svd(a.mats[0], compute_uv=False)
         margin = float(sv[-1])
-        if margin <= tol.threshold(float(sv[0])):
+        if is_singular(sv, tol):
             return rp.VerificationReport(
                 "nonsingular", rp.FAIL, margin, ({"t": [1.0]},), sampling, {"exact": True}
             )
         return rp.VerificationReport("nonsingular", rp.PASS, margin, (), sampling, {"exact": True})
 
     ts = stream.unit_vectors(samples, a.kp1)
-    combos = np.einsum("sj,jab->sab", ts, np.stack(a.mats))
-    sv = np.linalg.svd(combos, compute_uv=False)
-    smin, smax = sv[:, -1], sv[:, 0]
-    margins = smin.copy()
-    bad = smin <= tol.rel * smax + tol.abs
-    margin = float(np.min(margins)) if samples else float("inf")
-    worst = int(np.argmin(margins)) if samples else -1
-    details: dict = {"worst_t": ts[worst].tolist() if samples else None}
-
-    if a.kp1 == 2:
-        verdict, exact_margin, witnesses, exact_details = _pencil_exact(a, tol)
-        details.update(exact_details)
-        if verdict == rp.FAIL:
-            return rp.VerificationReport(
-                "nonsingular", rp.FAIL, 0.0, tuple(witnesses), sampling, details
-            )
-        details["sampled_margin"] = margin
-        return rp.VerificationReport("nonsingular", rp.PASS, margin, (), sampling, details)
-
-    if np.any(bad):
-        idx = np.argmin(np.where(bad, smin, np.inf))
-        witness = {"t": ts[int(idx)].tolist(), "sigma_min": float(smin[idx])}
-        return rp.VerificationReport(
-            "nonsingular", rp.FAIL, float(smin[idx]), (witness,), sampling, details
-        )
-    return rp.VerificationReport("nonsingular", rp.EVIDENCE, margin, (), sampling, details)
+    rep = rp.sampled_report(
+        "nonsingular",
+        np.einsum("sj,jab->sab", ts, np.stack(a.mats)),
+        sampling,
+        lambda i, smin: {"t": ts[i].tolist(), "sigma_min": smin},
+        lambda worst: {"worst_t": ts[worst].tolist()},
+        tol,
+    )
+    if a.kp1 != 2:
+        return rep
+    verdict, witnesses, exact_details = _pencil_exact(a, tol)
+    details = {**rep.details, **exact_details}
+    if verdict == rp.FAIL:
+        return rp.VerificationReport("nonsingular", rp.FAIL, 0.0, tuple(witnesses), sampling, details)
+    details["sampled_margin"] = rep.margin
+    return rp.VerificationReport("nonsingular", rp.PASS, rep.margin, (), sampling, details)

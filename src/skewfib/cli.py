@@ -317,6 +317,10 @@ def _sphere_probe(mat: np.ndarray, args) -> int:
     return 0 if ok else 1
 
 
+def _cmd_contact(args) -> int:
+    return _contact_run(_load_chart(args.chart), args)
+
+
 def _cmd_germ(args) -> int:
     c = _load_chart(args.chart)
     try:
@@ -347,6 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_dims = sub.add_parser("dims", help="dimension queries")
+    p_dims.set_defaults(handler=_cmd_dims)
     dims_sub = p_dims.add_subparsers(dest="what", required=True)
     p = dims_sub.add_parser("rho", help="Hurwitz-Radon function")
     p.add_argument("q", type=int)
@@ -357,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=24)
 
     p_build = sub.add_parser("build", help="construct charts")
+    p_build.set_defaults(handler=_cmd_build)
     build_sub = p_build.add_subparsers(dest="family", required=True)
     p = build_sub.add_parser("hopf")
     p.add_argument("--dim", type=int, required=True, choices=(3, 7, 15))
@@ -379,6 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="verification checks")
+    p_verify.set_defaults(handler=_cmd_verify)
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     for name in ("skew", "nondeg"):
         p = verify_sub.add_parser(name)
@@ -400,6 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fiber = sub.add_parser("fiber", help="solve the fiber through a point")
     p_fiber.add_argument("--chart", required=True)
     p_fiber.add_argument("--point", required=True)
+    p_fiber.set_defaults(handler=_cmd_fiber)
 
     p_sample = sub.add_parser("sample", help="export fiber samples as CSV")
     p_sample.add_argument("--chart", required=True)
@@ -408,8 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--steps", type=int, default=5)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True)
+    p_sample.set_defaults(handler=_cmd_sample)
 
     p_sphere = sub.add_parser("sphere", help="sphere-side checks")
+    p_sphere.set_defaults(handler=_cmd_sphere)
     sphere_sub = p_sphere.add_subparsers(dest="what", required=True)
     p = sphere_sub.add_parser("complete-check")
     p.add_argument("--chart", required=True)
@@ -430,11 +440,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=1e-3)
 
     p_contact = sub.add_parser("contact", help="contact-structure checks")
+    p_contact.set_defaults(handler=_cmd_contact)
     contact_sub = p_contact.add_subparsers(dest="what", required=True)
     p = contact_sub.add_parser("check")
     _add_contact_args(p)
 
     p_germ = sub.add_parser("germ", help="germ extension")
+    p_germ.set_defaults(handler=_cmd_germ)
     germ_sub = p_germ.add_subparsers(dest="what", required=True)
     p = germ_sub.add_parser("extend")
     p.add_argument("--chart", required=True)
@@ -463,32 +475,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        if args.verb == "dims":
-            return _cmd_dims(args)
-        if args.verb == "build":
-            return _cmd_build(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "fiber":
-            return _cmd_fiber(args)
-        if args.verb == "sample":
-            return _cmd_sample(args)
-        if args.verb == "sphere":
-            return _cmd_sphere(args)
-        if args.verb == "contact":
-            c = _load_chart(args.chart)
-            return _contact_run(c, args)
-        if args.verb == "germ":
-            return _cmd_germ(args)
-        parser.error(f"unknown verb {args.verb!r}")
+        return args.handler(args)
     except (SkewfibError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"skewfib: error: {exc}\n")
         return 2
-    return 2
-
-
-def console_main() -> None:
-    sys.exit(main())
 
 
 if __name__ == "__main__":

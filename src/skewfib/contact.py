@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bilinear import J2
 from .errors import InvalidInput
 from .fibration import Chart, fiber_solve
-from .numeric import Tolerance, jacobian, orthonormal_complement
-
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+from .numeric import Tolerance, jacobian, orthonormal_complement, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def gluck_yang_matrix(m: int) -> np.ndarray:
     out = np.kron(np.eye(m), d)
     out[0:2, 2 * m - 2 : 2 * m] += np.eye(2)
     eig = np.linalg.eigvals(out)
-    if np.any(np.abs(eig.imag) <= 1e-10 * (1.0 + np.abs(eig))):
+    if np.any(real_eigenvalue_mask(eig, Tolerance(rel=1e-10))):
         raise InvalidInput("construction produced a real eigenvalue")
     skew = out - out.T
     if np.linalg.svd(skew, compute_uv=False)[-1] > 1e-12:

@@ -21,10 +21,6 @@ class ConvergenceFailure(SkewfibError):
     """An iterative eigenvalue computation did not converge."""
 
 
-class NotInChart(SkewfibError):
-    """A plane cannot be written as a graph over the reference plane."""
-
-
 class SingularLastColumn(SkewfibError):
     """The last matrix of a bilinear map is singular, so the graph
     normalization dividing by it is unavailable."""

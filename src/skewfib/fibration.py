@@ -31,7 +31,15 @@ from .errors import (
     SingularSystem,
 )
 from .grassmann import AffinePlane, OrientedPlane, max_principal_angle, plane_from_columns
-from .numeric import SampleStream, Tolerance, eigenvalues, jacobian, spherical_distance
+from .numeric import (
+    SampleStream,
+    Tolerance,
+    eigenvalues,
+    is_singular,
+    jacobian,
+    real_eigenvalue_mask,
+    spherical_distance,
+)
 
 LINEAR = "linear"
 AFFINE = "affine"
@@ -141,7 +149,7 @@ def from_bilinear(a: BilinearMap, tol: Tolerance | None = None) -> Chart:
         raise InvalidInput("need kp1 >= 2 to form a chart")
     last = a.mats[-1]
     sv = np.linalg.svd(last, compute_uv=False)
-    if sv[-1] <= tol.threshold(float(sv[0])):
+    if is_singular(sv, tol):
         raise SingularLastColumn(f"last matrix has sigma_min={sv[-1]:.3e}")
     cs = tuple(np.linalg.solve(last, m) for m in a.mats[:-1])
     return Chart(a.kp1 - 1, a.q, LINEAR, C=cs)
@@ -280,7 +288,7 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
         mat = np.eye(c.q) + sum(t1[j] * c.C[j] for j in range(c.k))
         rhs = t2 - (c.B0 @ t1 if c.kind == AFFINE else 0.0)
         sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= tol.threshold(float(sv[0])):
+        if is_singular(sv, tol):
             raise SingularSystem(
                 f"chart system singular at t1={t1.tolist()}: sigma_min={sv[-1]:.3e}"
             )
@@ -299,7 +307,7 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
         r = y + c.B(y) @ t1 - t2
         jac = np.eye(c.q) + np.einsum("ijl,j->il", c.dB(y), t1)
         sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= tol.threshold(float(sv[0])):
+        if is_singular(sv, tol):
             raise SingularSystem(f"Newton Jacobian singular: sigma_min={sv[-1]:.3e}")
         step = -np.linalg.solve(jac, r)
         lam = 1.0
@@ -330,12 +338,6 @@ def fiber_plane(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> Affine
     p = np.concatenate([np.zeros(c.k), y])
     base = p - direction.frame @ (direction.frame.T @ p)
     return AffinePlane(direction, base)
-
-
-def fiber_distance(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> float:
-    """Distance from the origin to the fiber through x."""
-    y = fiber_solve(c, x, tol)
-    return float(np.linalg.norm(fiber_plane(c, y, tol).base))
 
 
 # ---------------------------------------------------------------------------
@@ -376,29 +378,16 @@ def verify_skew(
         stacks = np.stack(
             [np.column_stack([c.B(x) - c.B(y), x - y]) for x, y in zip(xs, ys)]
         )
-    sv = np.linalg.svd(stacks, compute_uv=False)
-    smin, smax = sv[:, -1], sv[:, 0]
-    margins = smin / norms
-    singular = smin <= tol.rel * smax + tol.abs
-    order = np.argsort(margins)
     sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": radius}
-    details = {"pairs_tested": int(xs.shape[0])}
-    if np.any(singular):
-        witnesses = tuple(
-            {"x": xs[i].tolist(), "y": ys[i].tolist(), "sigma_min": float(smin[i])}
-            for i in order[:3]
-            if singular[i]
-        )
-        return rp.VerificationReport(
-            "skew", rp.FAIL, float(margins[order[0]]), witnesses, sampling, details
-        )
-    return rp.VerificationReport(
-        "skew", rp.EVIDENCE, float(margins[order[0]]), (), sampling, details
+    return rp.sampled_report(
+        "skew",
+        stacks,
+        sampling,
+        lambda i, smin: {"x": xs[i].tolist(), "y": ys[i].tolist(), "sigma_min": smin},
+        lambda worst: {"pairs_tested": int(xs.shape[0])},
+        tol,
+        scale=norms,
     )
-
-
-def _real_eig_mask(eig: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
 
 
 def verify_nondegenerate(
@@ -424,8 +413,9 @@ def verify_nondegenerate(
         eig = eigenvalues(c.C[0])
         margin = float(np.min(np.abs(eig.imag)))
         details = {"exact": True, "eigenvalues": [complex(v) for v in eig]}
-        if np.any(_real_eig_mask(eig, tol)):
-            lam = float(eig.real[_real_eig_mask(eig, tol)][0])
+        real = real_eigenvalue_mask(eig, tol)
+        if np.any(real):
+            lam = float(eig.real[real][0])
             witness = {"y": [0.0] * c.q, "eigenvalue": lam}
             return rp.VerificationReport("nondegenerate", rp.FAIL, margin, (witness,), None, details)
         return rp.VerificationReport("nondegenerate", rp.PASS, margin, (), None, details)
@@ -437,6 +427,8 @@ def verify_nondegenerate(
             "nondegenerate", sub.verdict, sub.margin, sub.witnesses, sampling, sub.details
         )
 
+    if samples < 1:
+        raise InvalidInput(f"need samples >= 1, got {samples}")
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
         mats = np.stack([c.dB(y)[:, 0, :] for y in pts])
@@ -445,7 +437,7 @@ def verify_nondegenerate(
         margin = float(np.min(per_point))
         worst = int(np.argmin(per_point))
         details = {"exact": False, "worst_point": pts[worst].tolist()}
-        real_any = np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
+        real_any = real_eigenvalue_mask(eig, tol)
         bad_pts = np.any(real_any, axis=1)
         if np.any(bad_pts):
             i = int(np.argmax(bad_pts))
@@ -457,52 +449,16 @@ def verify_nondegenerate(
         return rp.VerificationReport("nondegenerate", rp.EVIDENCE, margin, (), sampling, details)
 
     ts = stream.unit_vectors(t_samples, c.k + 1)
-    margin = math.inf
-    worst_point = None
-    for y in pts:
-        mats = np.stack(c.dB_mats(y) + [np.eye(c.q)])
-        combos = np.einsum("sj,jab->sab", ts, mats)
-        sv = np.linalg.svd(combos, compute_uv=False)
-        smin, smax = sv[:, -1], sv[:, 0]
-        m = float(np.min(smin))
-        if m < margin:
-            margin, worst_point = m, y
-        bad = smin <= tol.rel * smax + tol.abs
-        if np.any(bad):
-            i = int(np.argmin(np.where(bad, smin, np.inf)))
-            witness = {"y": y.tolist(), "t": ts[i].tolist(), "sigma_min": float(smin[i])}
-            return rp.VerificationReport(
-                "nondegenerate", rp.FAIL, float(smin[i]), (witness,), sampling,
-                {"exact": False},
-            )
-    details = {"exact": False, "worst_point": None if worst_point is None else worst_point.tolist()}
-    return rp.VerificationReport("nondegenerate", rp.EVIDENCE, margin, (), sampling, details)
-
-
-def verify_proper(
-    c: Chart,
-    radii: tuple = (1e2, 1e3, 1e4),
-    rays: int = 16,
-    stream: SampleStream | None = None,
-    tol: Tolerance | None = None,
-) -> rp.VerificationReport:
-    """Sampled properness probe: along chart-plane rays the distance from
-    the origin to the fiber must grow, with the last radius at least ten
-    times the first."""
-    stream = stream or SampleStream()
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InvalidInput("radii must be increasing with at least two entries")
-    dirs = stream.unit_vectors(rays, c.q)
-    margin = math.inf
-    sampling = {"seed": stream.seed, "mode": stream.mode, "count": rays, "radius": radii[-1]}
-    for w in dirs:
-        ds = [fiber_distance(c, np.concatenate([np.zeros(c.k), r * w]), tol) for r in radii]
-        growth = ds[-1] / max(ds[0], 1e-300)
-        margin = min(margin, growth)
-        if any(b <= a for a, b in zip(ds, ds[1:])) or growth < 10.0:
-            witness = {"ray": w.tolist(), "distances": ds}
-            return rp.VerificationReport("proper", rp.FAIL, growth, (witness,), sampling, {})
-    return rp.VerificationReport("proper", rp.EVIDENCE, float(margin), (), sampling, {})
+    nt = len(ts)
+    mats = np.stack([np.stack(c.dB_mats(y) + [np.eye(c.q)]) for y in pts])
+    return rp.sampled_report(
+        "nondegenerate",
+        np.einsum("sj,njab->nsab", ts, mats).reshape(-1, c.q, c.q),
+        sampling,
+        lambda i, smin: {"y": pts[i // nt].tolist(), "t": ts[i % nt].tolist(), "sigma_min": smin},
+        lambda worst: {"exact": False, "worst_point": pts[worst // nt].tolist()},
+        tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -702,10 +658,11 @@ def extend_germ(
     t0 = local.dB(np.zeros(local.q))
     if local.k == 1:
         eig = np.linalg.eigvals(t0[:, 0, :])
-        if np.any(_real_eig_mask(eig, tol)):
+        real = real_eigenvalue_mask(eig, tol)
+        if np.any(real):
             raise InvalidInput(
                 "germ is degenerate at the origin: dB_0 has a real eigenvalue "
-                f"{float(eig.real[_real_eig_mask(eig, tol)][0]):.6g}"
+                f"{float(eig.real[real][0]):.6g}"
             )
     else:
         mats = [t0[:, j, :] for j in range(local.k)] + [np.eye(local.q)]

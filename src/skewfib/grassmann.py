@@ -13,8 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotInChart
-from .numeric import Tolerance, orthonormal_complement, orthonormalize
+from .errors import InvalidInput
+from .numeric import Tolerance, orthonormalize
+
+
+def _checked_frame(frame) -> np.ndarray:
+    """The frame as a float array, which must be orthonormal n x k, 1 <= k <= n."""
+    f = np.asarray(frame, dtype=float)
+    if f.ndim != 2 or not (1 <= f.shape[1] <= f.shape[0]):
+        raise InvalidInput(f"bad frame shape {f.shape}")
+    gram = f.T @ f
+    if np.max(np.abs(gram - np.eye(f.shape[1]))) > 1e-12:
+        raise InvalidInput("frame columns are not orthonormal to 1e-12")
+    return f
 
 
 @dataclass(frozen=True)
@@ -24,13 +35,7 @@ class OrientedPlane:
     frame: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frame, dtype=float)
-        object.__setattr__(self, "frame", f)
-        if f.ndim != 2 or not (1 <= f.shape[1] <= f.shape[0]):
-            raise InvalidInput(f"bad frame shape {f.shape}")
-        gram = f.T @ f
-        if np.max(np.abs(gram - np.eye(f.shape[1]))) > 1e-12:
-            raise InvalidInput("frame columns are not orthonormal to 1e-12")
+        object.__setattr__(self, "frame", _checked_frame(self.frame))
 
     @property
     def n(self) -> int:
@@ -73,13 +78,7 @@ class GreatSphere:
     frame: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frame, dtype=float)
-        object.__setattr__(self, "frame", f)
-        if f.ndim != 2 or not (1 <= f.shape[1] <= f.shape[0]):
-            raise InvalidInput(f"bad frame shape {f.shape}")
-        gram = f.T @ f
-        if np.max(np.abs(gram - np.eye(f.shape[1]))) > 1e-12:
-            raise InvalidInput("frame columns are not orthonormal to 1e-12")
+        object.__setattr__(self, "frame", _checked_frame(self.frame))
 
     @property
     def k(self) -> int:
@@ -93,38 +92,6 @@ class GreatSphere:
 def plane_from_columns(cols: np.ndarray, tol: Tolerance | None = None) -> OrientedPlane:
     """Oriented plane spanned by the given columns, in their orientation."""
     return OrientedPlane(orthonormalize(cols, tol))
-
-
-def graph_plane(u: OrientedPlane, bmat: np.ndarray, tol: Tolerance | None = None) -> OrientedPlane:
-    """Graph of a linear map from u to its orthocomplement.
-
-    bmat is (n-k) x k in the complement basis returned by
-    orthonormal_complement(u.frame); column j tilts the j-th frame vector.
-    Orientation is induced from u's column order.
-    """
-    bmat = np.asarray(bmat, dtype=float)
-    comp = orthonormal_complement(u.frame, tol)
-    if bmat.shape != (comp.shape[1], u.k):
-        raise InvalidInput(f"bmat shape {bmat.shape} != ({comp.shape[1]}, {u.k})")
-    return plane_from_columns(u.frame + comp @ bmat, tol)
-
-
-def chart_inverse(u: OrientedPlane, w: OrientedPlane, tol: Tolerance | None = None) -> np.ndarray:
-    """The unique bmat with graph_plane(u, bmat) spanning w.
-
-    Fails with NotInChart when w has a direction orthogonal to u, i.e.
-    when the projection of w's frame onto u is singular.
-    """
-    tol = tol or Tolerance.default()
-    if w.n != u.n or w.k != u.k:
-        raise InvalidInput("planes must share n and k")
-    comp = orthonormal_complement(u.frame, tol)
-    x = u.frame.T @ w.frame
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-1] <= tol.threshold(sv[0] if sv.size else 0.0):
-        raise NotInChart(f"projection onto the reference plane is singular: sigma_min={sv[-1]:.3e}")
-    y = comp.T @ w.frame
-    return y @ np.linalg.inv(x)
 
 
 def embed_affine(p: AffinePlane, tol: Tolerance | None = None) -> OrientedPlane:

@@ -150,8 +150,15 @@ def sigma_min(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def sigma_max(m: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)[0])
+def is_singular(sv: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Singularity test on singular values sorted descending along the last
+    axis: sigma_min <= rel * sigma_max + abs, one flag per matrix."""
+    return sv[..., -1] <= tol.threshold(sv[..., 0])
+
+
+def real_eigenvalue_mask(eig: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Which eigenvalues count as real: |Im| <= rel * (1 + |lambda|)."""
+    return np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
 
 
 def orthonormalize(frame: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:

@@ -10,9 +10,11 @@ least one concrete witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+
+from .numeric import Tolerance, is_singular
 
 PASS = "pass"
 FAIL = "fail"
@@ -64,3 +66,31 @@ class VerificationReport:
         if self.sampling is not None:
             out["sampling"] = _plain(self.sampling)
         return out
+
+
+def sampled_report(
+    check: str,
+    stack: np.ndarray,
+    sampling: dict,
+    witness: Callable[[int, float], dict],
+    details: Callable[[int], dict],
+    tol: Tolerance,
+    scale: np.ndarray | None = None,
+) -> VerificationReport:
+    """Verdict of a sampled search over an (N, r, c) stack of matrices.
+
+    A sample's margin is its sigma_min, divided by its scale when one is
+    given.  The report margin is the least margin, and details(i) gets the
+    first index i attaining it.  Any singular sample makes the verdict
+    "fail", with witness(i, sigma_min) for up to three singular samples of
+    least margin; otherwise the run is evidence-only.
+    """
+    sv = np.linalg.svd(stack, compute_uv=False)
+    smin = sv[:, -1]
+    singular = is_singular(sv, tol)
+    margins = smin if scale is None else smin / scale
+    worst = int(np.argmin(margins))
+    order = np.argsort(np.where(singular, margins, np.inf))[:3]
+    witnesses = tuple(witness(int(i), float(smin[i])) for i in order if singular[i])
+    verdict = FAIL if witnesses else EVIDENCE
+    return VerificationReport(check, verdict, float(margins[worst]), witnesses, sampling, details(worst))

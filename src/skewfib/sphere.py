@@ -26,7 +26,7 @@ from .dims import admissible_sphere
 from .errors import DimensionMismatch, EquatorPoint, InvalidInput, RealEigenvalue
 from .fibration import Chart, fiber_plane, fiber_solve
 from .grassmann import AffinePlane, GreatSphere, embed_affine
-from .numeric import SampleStream, Tolerance, orthonormalize
+from .numeric import SampleStream, Tolerance, orthonormalize, real_eigenvalue_mask
 
 EQUATOR_EPS = 1e-14
 
@@ -83,22 +83,21 @@ def completion_check(
         return rp.VerificationReport(
             "completion", sub.verdict, sub.margin, sub.witnesses, sub.sampling, sub.details
         )
+    if samples < 1:
+        raise InvalidInput(f"need samples >= 1, got {samples}")
     ys = stream.ball_points(samples, c.q, 10.0)
     ts = stream.unit_vectors(max(16, samples // 16), c.k)
-    margin = np.inf
+    nt = len(ts)
     sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": 10.0}
-    for y in ys:
-        jac = np.einsum("ijl,sj->sil", c.dB(y), ts)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        smin, smax = sv[:, -1], sv[:, 0]
-        i = int(np.argmin(smin))
-        margin = min(margin, float(smin[i]))
-        if smin[i] <= tol.rel * smax[i] + tol.abs:
-            witness = {"y": y.tolist(), "t": ts[i].tolist(), "sigma_min": float(smin[i])}
-            return rp.VerificationReport(
-                "completion", rp.FAIL, float(smin[i]), (witness,), sampling, {"exact": False}
-            )
-    return rp.VerificationReport("completion", rp.EVIDENCE, float(margin), (), sampling, {"exact": False})
+    jacs = np.einsum("nijl,sj->nsil", np.stack([c.dB(y) for y in ys]), ts)
+    return rp.sampled_report(
+        "completion",
+        jacs.reshape(-1, c.q, c.q),
+        sampling,
+        lambda i, smin: {"y": ys[i // nt].tolist(), "t": ts[i % nt].tolist(), "sigma_min": smin},
+        lambda worst: {"exact": False},
+        tol,
+    )
 
 
 def completion_report(
@@ -174,11 +173,20 @@ def invariant_on_planes(
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
     m = np.asarray(m, dtype=float)
+    is_invariant, a, b = _classify(m, tol)
+    us = stream.unit_vectors(samples, m.shape[0])
+    max_residual = max(plane_residual(m, u) for u in us)
+    return PlaneInvariantReport(is_invariant, a, b, max_residual)
+
+
+def _classify(m: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
+    """Exact part of the invariant-on-planes test: (is_invariant, a, b)
+    from the spectrum and the identity (M - aI)^2 + b^2 I = 0."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise InvalidInput(f"need an even square matrix, got shape {m.shape}")
     d = m.shape[0]
     eig = np.linalg.eigvals(m)
-    real = np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
+    real = real_eigenvalue_mask(eig, tol)
     if np.any(real):
         raise RealEigenvalue(f"real eigenvalue {float(eig.real[real][0]):.6g}")
 
@@ -196,16 +204,14 @@ def invariant_on_planes(
     )
     poly = (m - a * np.eye(d)) @ (m - a * np.eye(d)) + b * b * np.eye(d)
     poly_ok = float(np.linalg.norm(poly, 2)) <= tol.rel * scale * scale
-    us = stream.unit_vectors(samples, d)
-    max_residual = max(plane_residual(m, u) for u in us)
-    return PlaneInvariantReport(spectrum_ok and poly_ok, a, b, max_residual)
+    return spectrum_ok and poly_ok, a, b
 
 
 def _invariant_data(m: np.ndarray, tol: Tolerance) -> tuple[float, float]:
-    rep = invariant_on_planes(m, samples=64, stream=SampleStream(0), tol=tol)
-    if not rep.is_invariant:
+    is_invariant, a, b = _classify(m, tol)
+    if not is_invariant:
         raise InvalidInput("matrix is not invariant on planes")
-    return rep.a, rep.b
+    return a, b
 
 
 def sphere_fiber_direction(

@@ -207,19 +207,19 @@ def test_sampled_margin_never_increases_with_more_samples():
     assert r1.verdict == "evidence-only"  # sampling alone cannot certify
 
 
+def test_sampled_worst_is_first_least_margin():
+    """worst_t is the first sample of least sigma_min, also among ties."""
+    a = from_algebra("octonion", 5)
+    ts = SampleStream(seed=7).unit_vectors(1024, a.kp1)
+    combos = np.einsum("sj,jab->sab", ts, np.stack(a.mats))
+    smin = np.linalg.svd(combos, compute_uv=False)[:, -1]
+    assert np.sum(smin == smin.min()) > 1  # unit-norm combinations tie at 1
+    rep = verify_nonsingular(a, samples=1024, stream=SampleStream(seed=7))
+    assert rep.details["worst_t"] == ts[np.argmin(smin)].tolist()
+    assert rep.margin == smin.min()
+
+
 def test_sampling_metadata_recorded():
     rep = verify_nonsingular(from_algebra("quaternion", 4), samples=64,
                              stream=SampleStream(seed=11, mode="low-discrepancy"))
     assert rep.sampling == {"seed": 11, "mode": "low-discrepancy", "count": 64}
-
-
-def test_json_round_trip():
-    a = hurwitz_radon_family(12, 4)
-    data = a.to_dict()
-    assert data["q"] == 12 and data["kp1"] == 4
-    back = BilinearMap.from_dict(data)
-    assert back.q == a.q and back.kp1 == a.kp1
-    for m1, m2 in zip(a.mats, back.mats):
-        assert np.array_equal(m1, m2)
-    with pytest.raises(InvalidInput):
-        BilinearMap.from_dict({"q": 2, "mats": []})

@@ -127,6 +127,14 @@ def test_verify_skew_pass(capsys, tmp_path):
     assert abs(data["margin"] - 1.0) <= 1e-9
 
 
+def test_verify_skew_fail_exits_one_with_witnesses(capsys, tmp_path):
+    path = _write_chart_file(tmp_path, "hopf_line", m=1, a=0.0, b=0.5)
+    code, data = _run_json(capsys, ["verify", "skew", "--chart", path, "--radius=5e-12"])
+    assert code == 1
+    assert data["verdict"] == "fail"
+    assert data["witnesses"]
+
+
 def test_verify_nondeg_pass_and_fail(capsys, tmp_path):
     good = _write_chart_file(tmp_path, "hopf_line", m=2, a=1.0, b=2.0)
     code, data = _run_json(capsys, ["verify", "nondeg", "--chart", good])

@@ -20,17 +20,15 @@ from skewfib.fibration import (
     continuity_probe,
     extend_germ,
     fiber_containing_direction,
-    fiber_distance,
     fiber_plane,
     fiber_solve,
     from_bilinear,
     limiting_direction,
     sample_fibers,
     verify_nondegenerate,
-    verify_proper,
     verify_skew,
 )
-from skewfib.numeric import SampleStream
+from skewfib.numeric import SampleStream, Tolerance
 
 RNG_SEED = 424242
 
@@ -195,12 +193,17 @@ def test_fiber_plane_off_origin():
     assert abs(p.direction.frame[:, 0] @ p.base) <= 1e-12
 
 
+def _fiber_distance(c, x):
+    """Distance from the origin to the fiber through x."""
+    return float(np.linalg.norm(fiber_plane(c, fiber_solve(c, x)).base))
+
+
 def test_fiber_distance_values():
     c = builtin_chart("hopf3")
-    assert fiber_distance(c, np.zeros(3)) <= 1e-12
+    assert _fiber_distance(c, np.zeros(3)) <= 1e-12
     for h in (1.0, 10.0, 250.0):
         x = np.array([0.0, 0.0, h])
-        assert fiber_distance(c, x) == pytest.approx(h, rel=1e-10)
+        assert _fiber_distance(c, x) == pytest.approx(h, rel=1e-10)
 
 
 def test_fiber_distance_diverges():
@@ -210,7 +213,7 @@ def test_fiber_distance_diverges():
     w /= np.linalg.norm(w)
     prev = 0.0
     for r in (1e2, 1e3, 1e4):
-        d = fiber_distance(c, np.concatenate([np.zeros(3), r * w]))
+        d = _fiber_distance(c, np.concatenate([np.zeros(3), r * w]))
         assert d > prev
         prev = d
 
@@ -248,6 +251,21 @@ def test_skew_fails_for_parallel_fibers():
     assert "x" in w and "y" in w and w["sigma_min"] <= 1e-10
 
 
+def test_skew_fail_witnesses_are_singular():
+    """At a tiny radius about a tenth of the pairs fall under the absolute
+    tolerance, none of them among the three of least margin; the fail must
+    still name singular pairs."""
+    c = builtin_chart("hopf_line", m=1, a=0.0, b=0.5)
+    rep = verify_skew(c, radius=5e-12)
+    assert rep.verdict == "fail"
+    assert 1 <= len(rep.witnesses) <= 3
+    tol = Tolerance()
+    for w in rep.witnesses:
+        d = np.asarray(w["x"]) - np.asarray(w["y"])
+        sv = np.linalg.svd(np.column_stack([c.C[0] @ d, d]), compute_uv=False)
+        assert sv[-1] <= tol.rel * sv[0] + tol.abs
+
+
 def test_skew_rejects_single_sample():
     with pytest.raises(InvalidInput):
         verify_skew(builtin_chart("hopf3"), samples=1)
@@ -276,21 +294,54 @@ def test_nondegenerate_sampled_plane_chart():
     assert abs(rep.margin - 1.0) <= 1e-9
 
 
+def test_nondegenerate_sampled_failure_witnesses():
+    """Ill-conditioned k = 2 chart: every witness is singular, and the
+    margin is the least sampled sigma_min."""
+    c = Chart(2, 2, "linear", C=(np.diag([1e9, 1.0]), np.zeros((2, 2))))
+    rep = verify_nondegenerate(c, samples=256, stream=SampleStream(seed=3))
+    mats = np.stack([*c.C, np.eye(2)])
+    ts = SampleStream(seed=3).unit_vectors(256, 3)
+    smin = np.linalg.svd(np.einsum("sj,jab->sab", ts, mats), compute_uv=False)[:, -1]
+    assert rep.verdict == "fail"
+    assert rep.margin == smin.min()
+    assert 1 <= len(rep.witnesses) <= 3
+    sigmas = [w["sigma_min"] for w in rep.witnesses]
+    assert sigmas == sorted(sigmas)
+    tol = Tolerance()
+    for w in rep.witnesses:
+        sv = np.linalg.svd(np.einsum("j,jab->ab", np.asarray(w["t"]), mats), compute_uv=False)
+        assert sv[-1] <= tol.rel * sv[0] + tol.abs
+
+
+def test_nondegenerate_sampled_worst_point_is_first_least_margin():
+    """Smooth k >= 2: worst_point holds the first sample of least sigma_min.
+    The Clifford derivative is the same at every point, so the least
+    margin ties across all points and the first point must win."""
+    mats = builtin_chart("hopf7").C
+    c = Chart(
+        3, 4, "builtin",
+        b_func=lambda y: np.column_stack([m @ y for m in mats]),
+        db_func=lambda y: np.stack(mats, axis=1),
+    )
+    stream = SampleStream(seed=2)
+    pts = stream.ball_points(64, 4, 3.0)
+    ts = stream.unit_vectors(32, 4)
+    pencil = np.stack([*mats, np.eye(4)])
+    smin = np.concatenate([
+        np.linalg.svd(np.einsum("sj,jab->sab", ts, pencil), compute_uv=False)[:, -1] for _ in pts
+    ])
+    assert np.sum(smin == smin.min()) > 1
+    rep = verify_nondegenerate(c, radius=3.0, samples=64, stream=SampleStream(seed=2), t_samples=32)
+    assert rep.verdict == "evidence-only"
+    assert rep.details["worst_point"] == pts[np.argmin(smin) // len(ts)].tolist()
+    assert rep.margin == smin.min()
+
+
 def test_nondegenerate_smooth_chart():
     ext = extend_germ(builtin_chart("quad_germ", eps=0.05))
     rep = verify_nondegenerate(ext, radius=5.0, samples=256)
     assert rep.ok
     assert rep.margin > 0.5
-
-
-def test_proper_growth():
-    rep = verify_proper(builtin_chart("hopf3"))
-    assert rep.ok
-    assert rep.margin >= 10.0
-    with pytest.raises(InvalidInput):
-        verify_proper(builtin_chart("hopf3"), radii=(100.0,))
-    with pytest.raises(InvalidInput):
-        verify_proper(builtin_chart("hopf3"), radii=(100.0, 50.0))
 
 
 # ---------------------------------------------------------------------------

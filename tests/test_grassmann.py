@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from skewfib.errors import InvalidInput, NotInChart
+from skewfib.errors import InvalidInput
 from skewfib.grassmann import (
     AffinePlane,
     GreatSphere,
     OrientedPlane,
-    chart_inverse,
     embed_affine,
-    graph_plane,
     intersection_dim,
     max_principal_angle,
     orientation_sign,
@@ -55,33 +53,6 @@ def test_plane_from_columns_spans_input():
         p = plane_from_columns(cols)
         # arccos halves the usable precision near zero angle
         assert max_principal_angle(p.frame, np.linalg.qr(cols)[0]) <= 1e-6
-
-
-def test_graph_plane_tilts_into_complement():
-    u = OrientedPlane(np.array([[1.0], [0.0], [0.0]]))
-    # tilt e1 by one unit of the first complement direction
-    comp_coeff = np.array([[1.0], [0.0]])
-    w = graph_plane(u, comp_coeff)
-    target = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    assert np.allclose(np.abs(w.frame[:, 0] @ target), 1.0, atol=1e-12)
-
-
-def test_chart_inverse_round_trip():
-    rng = np.random.default_rng(RNG_SEED)
-    for n, k in [(3, 1), (5, 2), (8, 3)]:
-        u = _random_plane(rng, n, k)
-        for _ in range(10):
-            bmat = rng.standard_normal((n - k, k))
-            w = graph_plane(u, bmat)
-            back = chart_inverse(u, w)
-            assert np.max(np.abs(back - bmat)) <= 1e-9 * (1.0 + np.max(np.abs(bmat)))
-
-
-def test_chart_inverse_not_in_chart():
-    u = OrientedPlane(np.array([[1.0], [0.0]]))
-    w = OrientedPlane(np.array([[0.0], [1.0]]))
-    with pytest.raises(NotInChart):
-        chart_inverse(u, w)
 
 
 def test_embed_affine_line_through_origin():

@@ -11,7 +11,6 @@ from skewfib.numeric import (
     jacobian,
     orthonormal_complement,
     orthonormalize,
-    sigma_max,
     sigma_min,
     spherical_distance,
 )
@@ -87,7 +86,6 @@ def test_sigma_extremes():
     assert sigma_min(np.eye(4)) == pytest.approx(1.0, abs=1e-14)
     assert sigma_min(np.zeros((3, 3))) == 0.0
     assert sigma_min(np.diag([3.0, 0.5])) == pytest.approx(0.5, abs=1e-14)
-    assert sigma_max(np.diag([3.0, 0.5])) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_sigma_min_inverse_duality():
@@ -98,7 +96,7 @@ def test_sigma_min_inverse_duality():
         m = rng.standard_normal((5, 5))
         if np.linalg.cond(m) > 1e3:
             continue
-        product = sigma_min(m) * sigma_max(np.linalg.inv(m))
+        product = sigma_min(m) * np.linalg.svd(np.linalg.inv(m), compute_uv=False)[0]
         assert abs(product - 1.0) <= 1e-8
         checked += 1
 
