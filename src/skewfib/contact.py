@@ -50,16 +50,19 @@ def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
 
     The form annihilates the hyperplane orthogonal to the fiber
     direction (1, B(y)); coefficients are (1, B(y)) / (1 + |B(y)|^2),
-    parameter component first.
+    parameter component first.  An (N, q) stack of points gives an
+    (N, q + 1) stack of forms.
     """
     if c.k != 1:
         raise InvalidInput("the contact form is defined for line charts (k = 1)")
-    b = c.B(np.asarray(y, dtype=float))[:, 0]
-    return np.concatenate([[1.0], b]) / (1.0 + float(b @ b))
+    b = c.B(y)[..., 0]
+    one = np.ones(b.shape[:-1] + (1,))
+    return np.concatenate([one, b], axis=-1) / (1.0 + np.vecdot(b, b))[..., None]
 
 
-def _ambient_form(c: Chart, x: np.ndarray, tol: Tolerance) -> np.ndarray:
-    return contact_form(c, fiber_solve(c, x, tol))
+def _ambient_forms(c: Chart, xs: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The form of each ambient point's fiber, for an (N, n) stack."""
+    return contact_form(c, np.stack([fiber_solve(c, x, tol) for x in xs]))
 
 
 def _ambient_form_linear(c: Chart, x: np.ndarray) -> np.ndarray:
@@ -118,7 +121,7 @@ def contact_check(
         # even after the 1/m-th root.
         jac = _complex_step_jacobian(lambda x: _ambient_form_linear(c, x), x0)
     else:
-        jac = jacobian(lambda x: _ambient_form(c, x, tol), x0)
+        jac = jacobian(lambda xs: _ambient_forms(c, xs, tol), x0)
     dalpha = jac.T - jac
     alpha0 = contact_form(c, y)
     if basis is None:

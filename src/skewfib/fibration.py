@@ -5,6 +5,11 @@ the fiber through a chart point y is the graph {(t, B(y) t + y)}.  Linear
 charts store B as k matrices C_j with B(y) t = sum_j t_j C_j y, affine
 charts add a constant offset, and smooth charts evaluate a closed form.
 
+Evaluation is batch-first: Chart.B and Chart.dB take one point (q,) or a
+stack (N, q), and a smooth chart's b_func/db_func map an (N, q) stack to
+N values.  The sampled checks evaluate all their points in one call, and
+a single point runs the same code as a stack of one.
+
 The fibration is by pairwise skew planes exactly when the stacked
 difference [B(x) - B(y) | x - y] has trivial kernel for all x != y, and
 is nondegenerate when the derivative of y -> [B(y) | y] is a nonsingular
@@ -38,6 +43,7 @@ from .numeric import (
     is_singular,
     jacobian,
     real_eigenvalue_mask,
+    row_norms,
     spherical_distance,
 )
 
@@ -50,6 +56,18 @@ CHART_SCHEMA = "skewfib-chart-v1"
 
 @dataclass(frozen=True, eq=False)
 class Chart:
+    """A chart of a fibration of R^(k+q) by affine k-planes.
+
+    B and dB take one chart point, shape (q,), or a stack of them, shape
+    (N, q), and return B(y) as (q, k) or (N, q, k) and dB as (q, k, q) or
+    (N, q, k, q).  A single point is the N = 1 case of the stack path, so
+    row i of a stacked result equals the result for row i alone, bit for
+    bit.  A builtin chart's b_func and db_func follow the same stack
+    contract: they receive an (N, q) array and return N values of B
+    (anything reshapeable to (N, q, k)) and of dB ((N, q, k, q)).
+    Without db_func, dB is the central-difference Jacobian of B.
+    """
+
     k: int
     q: int
     kind: str
@@ -61,6 +79,8 @@ class Chart:
     verified_margin: float | None = None
     b_func: object = field(default=None, repr=False)
     db_func: object = field(default=None, repr=False)
+    # the linear part C as one (k, q, q) array; C holds views into it
+    _cs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1 or self.q < 1:
@@ -74,11 +94,17 @@ class Chart:
             for m in mats:
                 if m.shape != (self.q, self.q):
                     raise InvalidInput(f"chart matrix shape {m.shape} != ({self.q}, {self.q})")
-            object.__setattr__(self, "C", mats)
+            cs = np.stack(mats)
+            if not np.isfinite(cs).all():
+                raise InvalidInput("chart matrices must be finite")
+            object.__setattr__(self, "_cs", cs)
+            object.__setattr__(self, "C", tuple(cs))
         if self.kind == AFFINE:
             b0 = np.asarray(self.B0, dtype=float)
             if b0.shape != (self.q, self.k):
                 raise InvalidInput(f"offset shape {b0.shape} != ({self.q}, {self.k})")
+            if not np.isfinite(b0).all():
+                raise InvalidInput("chart offset must be finite")
             object.__setattr__(self, "B0", b0)
         if self.kind == BUILTIN and self.b_func is None:
             raise InvalidInput("builtin chart needs an evaluation function")
@@ -105,35 +131,53 @@ class Chart:
             raise InvalidInput("offsets only apply to linear charts")
         return Chart(self.k, self.q, AFFINE, C=self.C, B0=b0, name=self.name, params=self.params)
 
+    def _points(self, y: np.ndarray) -> np.ndarray:
+        """Chart points as an (N, q) stack; one point is N = 1."""
+        if y.ndim > 2 or y.shape[-1:] != (self.q,):
+            raise InvalidInput(f"chart point shape {y.shape} != ({self.q},) or (N, {self.q})")
+        return y.reshape(-1, self.q)
+
     def B(self, y: np.ndarray) -> np.ndarray:
-        """The q x k matrix B(y)."""
+        """The q x k matrix B(y), or an (N, q, k) stack for (N, q) points."""
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.q,):
-            raise InvalidInput(f"chart point shape {y.shape} != ({self.q},)")
+        out = self._b(self._points(y))
+        return out if y.ndim == 2 else out[0]
+
+    def _b(self, ys: np.ndarray) -> np.ndarray:
+        """B on an (N, q) stack of points, as an (N, q, k) array."""
         if self.kind == BUILTIN:
-            return np.asarray(self.b_func(y), dtype=float).reshape(self.q, self.k)
-        out = np.column_stack([c @ y for c in self.C])
+            return np.asarray(self.b_func(ys), dtype=float).reshape(len(ys), self.q, self.k)
+        # one matrix-vector product C_j y per point and j, rounded as for a single point
+        out = np.matmul(self._cs, ys[:, None, :, None])[..., 0].transpose(0, 2, 1)
+        out = np.ascontiguousarray(out)
         if self.kind == AFFINE:
-            out = out + self.B0
+            out += self.B0
         return out
 
     def A(self, y: np.ndarray) -> np.ndarray:
-        """The q x (k+1) matrix [B(y) | y]."""
-        return np.column_stack([self.B(y), np.asarray(y, dtype=float)])
+        """The q x (k+1) matrix [B(y) | y], or an (N, q, k+1) stack."""
+        y = np.asarray(y, dtype=float)
+        return np.concatenate([self.B(y), y[..., None]], axis=-1)
 
     def dB(self, y: np.ndarray) -> np.ndarray:
-        """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l."""
+        """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l,
+        or an (N, q, k, q) stack for (N, q) points."""
+        y = np.asarray(y, dtype=float)
+        ys = self._points(y)
+        shape = (len(ys), self.q, self.k, self.q)
         if self.is_linear:
-            return np.stack(self.C, axis=0).transpose(1, 0, 2)
-        if self.db_func is not None:
-            return np.asarray(self.db_func(y), dtype=float).reshape(self.q, self.k, self.q)
-        flat = jacobian(lambda z: self.B(z).ravel(), np.asarray(y, dtype=float))
-        return flat.reshape(self.q, self.k, self.q)
+            out = self._cs.transpose(1, 0, 2)[None].repeat(len(ys), axis=0)
+        elif self.db_func is not None:
+            out = np.asarray(self.db_func(ys), dtype=float).reshape(shape)
+        else:
+            flat = jacobian(lambda zs: self._b(zs).reshape(len(zs), -1), ys)
+            out = flat.reshape(shape)
+        return out if y.ndim == 2 else out[0]
 
     def dB_mats(self, y: np.ndarray) -> list[np.ndarray]:
         """dB at y as k matrices N_j with N_j xi = dB_y[xi] e_j."""
         t = self.dB(y)
-        return [t[:, j, :] for j in range(self.k)]
+        return [t[..., j, :] for j in range(self.k)]
 
 
 def from_bilinear(a: BilinearMap, tol: Tolerance | None = None) -> Chart:
@@ -160,14 +204,25 @@ def block_rotation(m: int) -> np.ndarray:
     return np.kron(np.eye(m), J2)
 
 
+_QUAD_DB = np.array([[2.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]])
+
+
 def _quad_germ_chart(eps: float) -> Chart:
     eps = float(eps)
 
-    def b(y):
-        return (J2 @ y + eps * np.array([y[0] ** 2, y[0] * y[1]])).reshape(2, 1)
+    def b(ys):
+        # J2 has entries 0 and +-1, so every row of ys @ J2.T is exact, equal to J2 @ y
+        out = ys @ J2.T
+        quad = ys[:, :1] * ys
+        # float_power is pow, which rounds like the scalar y0 ** 2; y0 * y0 does not
+        quad[:, 0] = np.float_power(ys[:, 0], 2)
+        quad *= eps
+        out += quad
+        return out[:, :, None]
 
-    def db(y):
-        return (J2 + eps * np.array([[2 * y[0], 0.0], [y[1], y[0]]])).reshape(2, 1, 2)
+    def db(ys):
+        # rows [[2 y0, 0], [y1, y0]]: each entry is one product by 0, 1 or 2, so exact
+        return J2 + eps * (ys @ _QUAD_DB).reshape(-1, 2, 2)
 
     return Chart(
         1, 2, BUILTIN, name="quad_germ", params={"eps": eps},
@@ -265,9 +320,8 @@ def chart_from_dict(data: dict) -> Chart:
 # fibers
 
 
-def _solve_residual(c: Chart, x: np.ndarray, y: np.ndarray) -> float:
-    t1, t2 = x[: c.k], x[c.k :]
-    return float(np.linalg.norm(y + c.B(y) @ t1 - t2))
+def _residual(c: Chart, y: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    return y + c.B(y) @ t1 - t2
 
 
 def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
@@ -281,6 +335,8 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     x = np.asarray(x, dtype=float)
     if x.shape != (c.n,):
         raise InvalidInput(f"point shape {x.shape} != ({c.n},)")
+    if not np.isfinite(x).all():
+        raise InvalidInput("point coordinates must be finite")
     t1, t2 = x[: c.k], x[c.k :]
     budget = 1e-10 * (1.0 + float(np.linalg.norm(x)))
 
@@ -295,16 +351,16 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
         y = np.linalg.solve(mat, rhs)
         # One refinement step guards against loss of accuracy at large |x|.
         y = y + np.linalg.solve(mat, rhs - mat @ y)
-        if _solve_residual(c, x, y) > budget:
+        if float(np.linalg.norm(_residual(c, y, t1, t2))) > budget:
             raise NoConvergence(f"linear solve residual above {budget:.3e}")
         return y
 
     y = t2.copy()
-    res = _solve_residual(c, x, y)
+    r = _residual(c, y, t1, t2)
+    res = float(np.linalg.norm(r))
     for _ in range(100):
         if res <= budget:
             return y
-        r = y + c.B(y) @ t1 - t2
         jac = np.eye(c.q) + np.einsum("ijl,j->il", c.dB(y), t1)
         sv = np.linalg.svd(jac, compute_uv=False)
         if is_singular(sv, tol):
@@ -313,9 +369,10 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
         lam = 1.0
         while lam > 1e-6:
             cand = y + lam * step
-            cand_res = _solve_residual(c, x, cand)
+            cand_r = _residual(c, cand, t1, t2)
+            cand_res = float(np.linalg.norm(cand_r))
             if cand_res < res:
-                y, res = cand, cand_res
+                y, r, res = cand, cand_r, cand_res
                 break
             lam *= 0.5
         else:
@@ -344,6 +401,11 @@ def fiber_plane(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> Affine
 # verification
 
 
+def _check_radius(radius: float) -> None:
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
+
+
 def verify_skew(
     c: Chart,
     radius: float = 10.0,
@@ -359,6 +421,7 @@ def verify_skew(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
+    _check_radius(radius)
     if samples < 2:
         raise InvalidInput(f"need samples >= 2, got {samples}")
     xs, ys = stream.pairs_in_ball(samples, c.q, radius)
@@ -375,9 +438,7 @@ def verify_skew(
             stacks[:, :, j] = diff @ c.C[j].T
         stacks[:, :, c.k] = diff
     else:
-        stacks = np.stack(
-            [np.column_stack([c.B(x) - c.B(y), x - y]) for x, y in zip(xs, ys)]
-        )
+        stacks = np.concatenate([c.B(xs) - c.B(ys), (xs - ys)[:, :, None]], axis=2)
     sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": radius}
     return rp.sampled_report(
         "skew",
@@ -407,6 +468,7 @@ def verify_nondegenerate(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
+    _check_radius(radius)
     sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": radius}
 
     if c.is_linear and c.k == 1:
@@ -431,8 +493,7 @@ def verify_nondegenerate(
         raise InvalidInput(f"need samples >= 1, got {samples}")
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
-        mats = np.stack([c.dB(y)[:, 0, :] for y in pts])
-        eig = np.linalg.eigvals(mats)
+        eig = np.linalg.eigvals(c.dB(pts)[:, :, 0, :])
         per_point = np.min(np.abs(eig.imag), axis=1)
         margin = float(np.min(per_point))
         worst = int(np.argmin(per_point))
@@ -450,7 +511,8 @@ def verify_nondegenerate(
 
     ts = stream.unit_vectors(t_samples, c.k + 1)
     nt = len(ts)
-    mats = np.stack([np.stack(c.dB_mats(y) + [np.eye(c.q)]) for y in pts])
+    eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))
+    mats = np.concatenate([c.dB(pts).transpose(0, 2, 1, 3), eye], axis=1)
     return rp.sampled_report(
         "nondegenerate",
         np.einsum("sj,njab->nsab", ts, mats).reshape(-1, c.q, c.q),
@@ -611,18 +673,28 @@ def _bump(s: float) -> float:
 
 
 def _make_extension(local: Chart, blend_r: float) -> Chart:
-    b0 = local.B(np.zeros(local.q))
-    t0 = local.dB(np.zeros(local.q))
+    zero = np.zeros(local.q)
+    t0 = local.dB(zero)
+    # the linearization B(0) + dB_0 y, as an affine chart
+    lin = Chart(local.k, local.q, AFFINE, C=tuple(t0.transpose(1, 0, 2)), B0=local.B(zero))
 
-    def b(y):
-        s = float(np.linalg.norm(y)) / blend_r
-        if s <= 0.5:
-            return local.B(y)
-        lin = b0 + np.einsum("ijl,l->ij", t0, y)
-        if s >= 1.0:
-            return lin
-        w = _bump(s)
-        return w * local.B(y) + (1.0 - w) * lin
+    def b(ys):
+        # rows with s <= 1/2 are the germ, rows with s >= 1 its linearization
+        s = row_norms(ys) / blend_r
+        far = s > 0.5
+        if not np.count_nonzero(far):
+            return local._b(ys)
+        out = lin._b(ys)
+        # rows with a NaN norm count as near, so they come out NaN
+        near = ~(s >= 1.0)
+        if np.count_nonzero(near):
+            idx = np.flatnonzero(near)
+            loc = local._b(ys[idx])
+            ring = far[idx]
+            w = np.array([_bump(v) for v in s[idx[ring]].tolist()])[:, None, None]
+            loc[ring] = w * loc[ring] + (1.0 - w) * out[idx[ring]]
+            out[idx] = loc
+        return out
 
     return Chart(
         local.k, local.q, BUILTIN, name="germ_extension",
@@ -715,8 +787,7 @@ def sample_fibers(
         [g.ravel() for g in np.meshgrid(*([np.arange(steps)] * c.k), indexing="ij")], axis=1
     )
     ids, indices, points = [], [], []
-    for fid, y in enumerate(base_points):
-        by = c.B(y)
+    for fid, (y, by) in enumerate(zip(base_points, c.B(base_points))):
         pts = np.hstack([tgrid, tgrid @ by.T + y])
         ids.append(np.full(tgrid.shape[0], fid))
         indices.append(idx)

@@ -271,23 +271,35 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=complex)
 
 
-def jacobian(f, y: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of f at y.
+def row_norms(ys: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (N, p) array.
 
-    Step defaults to 1e-5 * (1 + |y|).  f maps a p-vector to an r-vector
-    (or any fixed-shape array, which is flattened); the result is r x p.
+    Each norm is sqrt(y . y) from one dot product per row, the same
+    arithmetic as np.linalg.norm on a single vector, so the values agree
+    with per-row calls bit for bit (a reduction along axis 1 does not).
+    """
+    return np.sqrt(np.vecdot(ys, ys))
+
+
+def jacobian(f, y: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of f at y, or at every row of a stack.
+
+    f maps an (M, p) stack of points to M values (each any fixed-shape
+    array, flattened to r entries).  y is one point, shape (p,), giving an
+    r x p result, or an (N, p) stack giving (N, r, p).  All 2p perturbed
+    points of all rows go to f in one (N * 2p, p) stack; the step of a
+    row is 1e-5 * (1 + |y|).
     """
     y = np.asarray(y, dtype=float)
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(y)))
-    cols = []
-    for i in range(y.size):
-        step = np.zeros_like(y)
-        step[i] = h
-        fp = np.asarray(f(y + step), dtype=float).ravel()
-        fm = np.asarray(f(y - step), dtype=float).ravel()
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)
+    ys = y.reshape(-1, y.shape[-1])
+    count, p = ys.shape
+    h = 1e-5 * (1.0 + row_norms(ys))
+    steps = h[:, None, None] * np.eye(p)
+    pts = np.concatenate([ys[:, None, :] + steps, ys[:, None, :] - steps], axis=1)
+    vals = np.asarray(f(pts.reshape(-1, p)), dtype=float).reshape(count, 2, p, -1)
+    jac = (vals[:, 0] - vals[:, 1]) / (2.0 * h)[:, None, None]
+    jac = np.ascontiguousarray(jac.transpose(0, 2, 1))
+    return jac if y.ndim == 2 else jac[0]
 
 
 def spherical_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -89,7 +89,7 @@ def completion_check(
     ts = stream.unit_vectors(max(16, samples // 16), c.k)
     nt = len(ts)
     sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": 10.0}
-    jacs = np.einsum("nijl,sj->nsil", np.stack([c.dB(y) for y in ys]), ts)
+    jacs = np.einsum("nijl,sj->nsil", c.dB(ys), ts)
     return rp.sampled_report(
         "completion",
         jacs.reshape(-1, c.q, c.q),
@@ -195,8 +195,10 @@ def invariant_on_planes(
 def _classify(m: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
     """Exact part of the invariant-on-planes test: (is_invariant, a, b)
     from the spectrum and the identity (M - aI)^2 + b^2 I = 0."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise InvalidInput(f"need an even square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
+        raise InvalidInput(f"need a nonempty even square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix entries must be finite")
     d = m.shape[0]
     eig = np.linalg.eigvals(m)
     real = real_eigenvalue_mask(eig, tol)

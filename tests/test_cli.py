@@ -6,10 +6,15 @@ usage or input error.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewfib
 from skewfib.cli import main
 from skewfib.fibration import builtin_chart, chart_from_dict, chart_to_dict, fiber_solve
 
@@ -208,6 +213,22 @@ def test_verify_invariant_planes_zero_samples_is_input_error(capsys, tmp_path):
     assert "need samples >= 1" in err
 
 
+def test_verify_invariant_planes_non_finite_matrix_is_input_error(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"matrix": [[NaN, NaN], [NaN, NaN]]}')
+    code, out = _run(capsys, ["verify", "invariant-planes", "--matrix", str(path)])
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_eigen_non_finite_chart_is_input_error(capsys, tmp_path):
+    path = tmp_path / "nan_chart.json"
+    path.write_text('{"kind": "linear", "k": 1, "q": 2, "C": [[[0, NaN], [1, 0]]]}')
+    code, out = _run(capsys, ["verify", "eigen", "--chart", str(path)])
+    assert code == 2
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # fiber and sample
 
@@ -227,6 +248,13 @@ def test_fiber_bad_point_dimension(capsys, tmp_path):
     path = _write_chart_file(tmp_path, "hopf3")
     code, _ = _run(capsys, ["fiber", "--chart", path, "--point", "1 2"])
     assert code == 2
+
+
+def test_fiber_non_finite_point_is_input_error(capsys, tmp_path):
+    path = _write_chart_file(tmp_path, "hopf3")
+    code, out = _run(capsys, ["fiber", "--chart", path, "--point", "nan 0 0"])
+    assert code == 2
+    assert out == ""
 
 
 def test_sample_random_grid_csv(capsys, tmp_path):
@@ -422,3 +450,14 @@ def test_tolerance_env_flips_verdict(capsys, tmp_path, monkeypatch):
     code, data = _run_json(capsys, ["verify", "eigen", "--chart", path])
     assert code == 1
     assert data["verdict"] == "fail"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(skewfib.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "skewfib", "dims", "rho", "8"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"q": 8, "rho": 8}

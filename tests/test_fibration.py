@@ -1,6 +1,8 @@
 """Tests for charts, fiber solving, skewness and nondegeneracy checks,
 asymptotic probes, and germ extension."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,91 @@ def test_chart_derivative_tensor():
     assert np.max(np.abs(analytic - numeric)) <= 1e-6
 
 
+def test_quad_germ_stack_matches_closed_form():
+    """The stacked germ rounds exactly like its single-point closed form."""
+    rng = np.random.default_rng(RNG_SEED)
+    ys = rng.standard_normal((4000, 2)) * np.exp(rng.uniform(-5.0, 5.0, (4000, 1)))
+    for eps in (0.05, -0.3):
+        g = builtin_chart("quad_germ", eps=eps)
+        for y, b, d in zip(ys, g.B(ys), g.dB(ys)):
+            assert np.array_equal(b, (J2 @ y + eps * np.array([y[0] ** 2, y[0] * y[1]]))[:, None])
+            assert np.array_equal(d[:, 0, :], J2 + eps * np.array([[2 * y[0], 0.0], [y[1], y[0]]]))
+
+
+def test_chart_rejects_non_finite_entries():
+    with pytest.raises(InvalidInput):
+        Chart(1, 2, "linear", C=([[0.0, np.nan], [1.0, 0.0]],))
+    with pytest.raises(InvalidInput):
+        Chart(1, 2, "linear", C=([[0.0, -np.inf], [1.0, 0.0]],))
+    with pytest.raises(InvalidInput):
+        builtin_chart("hopf3").with_offset(np.array([[np.nan], [0.0]]))
+
+
+def _stack_charts():
+    germ = builtin_chart("quad_germ", eps=0.05)
+    return [
+        builtin_chart("hopf3"),
+        builtin_chart("hopf7"),
+        builtin_chart("hopf7").with_offset(np.arange(12.0).reshape(4, 3) / 7.0),
+        builtin_chart("quad_germ", eps=-0.3),
+        builtin_chart("germ_extension", base=germ, blend_r=0.5),
+        extend_germ(germ),
+    ]
+
+
+def _stack_points(c, rng):
+    """Points in every blend zone of an extension, the exact zone edges
+    s = 1/2 and s = 1, the origin and far points."""
+    r = c.params["blend_r"] if c.name == "germ_extension" else 1.0
+    pts = [np.zeros(c.q), 0.5 * r * np.eye(c.q)[0], -r * np.eye(c.q)[-1]]
+    for radius in (0.3 * r, 0.75 * r, 0.99 * r, 3.0 * r, 40.0):
+        for _ in range(6):
+            y = rng.standard_normal(c.q)
+            pts.append(y * rng.uniform(0.0, radius) / np.linalg.norm(y))
+    return np.stack(pts)
+
+
+def test_stacked_chart_evaluation_matches_single_points():
+    rng = np.random.default_rng(RNG_SEED)
+    for c in _stack_charts():
+        ys = _stack_points(c, rng)
+        bs, ds = c.B(ys), c.dB(ys)
+        assert bs.shape == (len(ys), c.q, c.k)
+        assert ds.shape == (len(ys), c.q, c.k, c.q)
+        for i, y in enumerate(ys):
+            assert np.array_equal(bs[i], c.B(y))
+            assert np.array_equal(ds[i], c.dB(y))
+        assert c.B(ys[:1]).shape == (1, c.q, c.k)
+
+
+def test_extension_blend_zones_row_by_row():
+    """Rows with s <= 1/2 are the germ, rows with s >= 1 the
+    linearization and rows in between the bump blend, bit for bit; the
+    zone edges s = 1/2 and s = 1 are exact."""
+    germ = builtin_chart("quad_germ", eps=0.05)
+    r = 0.5
+    ext = builtin_chart("germ_extension", base=germ, blend_r=r)
+    b0, t0 = germ.B(np.zeros(2)), germ.dB(np.zeros(2))
+    ys = _stack_points(ext, np.random.default_rng(RNG_SEED))
+    zones = set()
+    for y, got in zip(ys, ext.B(ys)):
+        s = float(np.linalg.norm(y)) / r
+        lin = b0 + np.einsum("ijl,l->ij", t0, y)
+        if s <= 0.5:
+            want, zone = germ.B(y), "germ"
+        elif s >= 1.0:
+            want, zone = lin, "linear"
+        else:
+            tau = 2.0 * (s - 0.5)
+            g1, g0 = math.exp(-1.0 / (1.0 - tau)), math.exp(-1.0 / tau)
+            w = g1 / (g1 + g0)
+            want, zone = w * germ.B(y) + (1.0 - w) * lin, "blend"
+        zones.add((zone, s))
+        assert np.array_equal(got, want)
+    assert {z for z, _ in zones} == {"germ", "linear", "blend"}
+    assert ("germ", 0.5) in zones and ("linear", 1.0) in zones
+
+
 # ---------------------------------------------------------------------------
 # fiber solving
 
@@ -172,6 +259,13 @@ def test_fiber_solve_singular_combination():
     c = Chart(1, 2, "linear", C=(-np.eye(2),))
     with pytest.raises(SingularSystem):
         fiber_solve(c, np.array([1.0, 0.3, 0.4]))
+
+
+def test_fiber_solve_rejects_non_finite_points():
+    for c in (builtin_chart("hopf3"), extend_germ(builtin_chart("quad_germ", eps=0.05))):
+        for bad in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+            with pytest.raises(InvalidInput):
+                fiber_solve(c, np.array(bad))
 
 
 def test_fiber_plane_through_origin():
@@ -271,6 +365,67 @@ def test_skew_rejects_single_sample():
         verify_skew(builtin_chart("hopf3"), samples=1)
 
 
+def test_sampled_checks_reject_bad_radius():
+    charts = (builtin_chart("hopf3"), builtin_chart("hopf7"),
+              builtin_chart("germ_extension", base=builtin_chart("quad_germ"), blend_r=0.5))
+    for c in charts:
+        for radius in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(InvalidInput):
+                verify_skew(c, radius=radius)
+            with pytest.raises(InvalidInput):
+                verify_nondegenerate(c, radius=radius)
+
+
+def _skew_reference(c, xs, ys, tol):
+    """verify_skew's margin and witnesses from one chart call per point."""
+    sv = [np.linalg.svd(np.column_stack([c.B(x) - c.B(y), x - y]), compute_uv=False)
+          for x, y in zip(xs, ys)]
+    margins = [s[-1] / d for s, d in zip(sv, np.linalg.norm(xs - ys, axis=1))]
+    bad = [i for i, s in enumerate(sv) if s[-1] <= tol.threshold(s[0])]
+    bad = sorted(bad, key=lambda i: margins[i])[:3]
+    return min(margins), [{"x": xs[i].tolist(), "y": ys[i].tolist(), "sigma_min": sv[i][-1]}
+                          for i in bad]
+
+
+def _nondeg_reference(c, pts, tol):
+    """Smooth k = 1 verify_nondegenerate from one chart call per point."""
+    eigs = [np.linalg.eigvals(c.dB(y)[:, 0, :]) for y in pts]
+    per_point = [np.min(np.abs(e.imag)) for e in eigs]
+    real = [np.abs(e.imag) <= tol.rel * (1.0 + np.abs(e)) for e in eigs]
+    bad = [i for i, r in enumerate(real) if r.any()][:1]
+    witnesses = [{"y": pts[i].tolist(), "eigenvalue": float(eigs[i].real[real[i]][0])} for i in bad]
+    return min(per_point), witnesses, pts[int(np.argmin(per_point))].tolist()
+
+
+def test_smooth_sampled_checks_match_per_point_reference():
+    """verify_skew and verify_nondegenerate on smooth charts evaluate the
+    chart on whole stacks; margins, witnesses and details equal a loop
+    over single points."""
+    tol = Tolerance()
+    charts = (
+        extend_germ(builtin_chart("quad_germ", eps=0.05)),
+        builtin_chart("quad_germ", eps=0.6),  # degenerate far from the origin
+        Chart(1, 2, "builtin", b_func=lambda ys: ys[:, :, None]),  # fibers not skew
+    )
+    for c in charts:
+        for seed, radius in ((0, 10.0), (7, 0.8)):
+            rep = verify_skew(c, radius=radius, samples=200, stream=SampleStream(seed), tol=tol)
+            xs, ys = SampleStream(seed).pairs_in_ball(200, 2, radius)
+            margin, witnesses = _skew_reference(c, xs, ys, tol)
+            assert rep.margin == margin
+            assert list(rep.witnesses) == witnesses
+            assert rep.verdict == ("fail" if witnesses else "evidence-only")
+
+            rep = verify_nondegenerate(c, radius=radius, samples=200, stream=SampleStream(seed),
+                                       tol=tol)
+            pts = SampleStream(seed).ball_points(200, 2, radius)
+            margin, witnesses, worst = _nondeg_reference(c, pts, tol)
+            assert rep.margin == margin
+            assert list(rep.witnesses) == witnesses
+            assert rep.details["worst_point"] == worst
+            assert rep.verdict == ("fail" if witnesses else "evidence-only")
+
+
 def test_nondegenerate_exact_line_charts():
     for a, b in [(0.0, 1.0), (1.0, 2.0), (-3.0, -0.5)]:
         c = builtin_chart("hopf_line", m=2, a=a, b=b)
@@ -320,8 +475,8 @@ def test_nondegenerate_sampled_worst_point_is_first_least_margin():
     mats = builtin_chart("hopf7").C
     c = Chart(
         3, 4, "builtin",
-        b_func=lambda y: np.column_stack([m @ y for m in mats]),
-        db_func=lambda y: np.stack(mats, axis=1),
+        b_func=lambda ys: np.stack([ys @ m.T for m in mats], axis=2),
+        db_func=lambda ys: np.broadcast_to(np.stack(mats, axis=1), (len(ys), 4, 3, 4)),
     )
     stream = SampleStream(seed=2)
     pts = stream.ball_points(64, 4, 3.0)
@@ -462,8 +617,8 @@ def test_extend_germ_blend_structure():
 
 
 def test_extend_germ_rejects_degenerate_origin():
-    def b(y):
-        return np.asarray(y, dtype=float).reshape(2, 1)  # dB_0 = identity
+    def b(ys):
+        return np.asarray(ys, dtype=float).reshape(-1, 2, 1)  # dB_0 = identity
 
     degenerate = Chart(1, 2, "builtin", name=None, b_func=b)
     with pytest.raises(InvalidInput):

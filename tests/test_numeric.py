@@ -11,6 +11,7 @@ from skewfib.numeric import (
     jacobian,
     orthonormal_complement,
     orthonormalize,
+    row_norms,
     sigma_min,
     spherical_distance,
 )
@@ -177,13 +178,13 @@ def test_jacobian_exact_on_linear_maps():
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(10):
         m = rng.standard_normal((4, 3))
-        jac = jacobian(lambda y: m @ y, rng.standard_normal(3))
+        jac = jacobian(lambda ys: ys @ m.T, rng.standard_normal(3))
         assert np.max(np.abs(jac - m)) <= 1e-10 * (1.0 + np.max(np.abs(m)))
 
 
 def test_jacobian_quadratic():
-    def f(y):
-        return np.array([y[0] ** 2, y[1]])
+    def f(ys):
+        return np.column_stack([ys[:, 0] ** 2, ys[:, 1]])
 
     jac = jacobian(f, np.array([1.0, 1.0]))
     assert np.allclose(jac, [[2.0, 0.0], [0.0, 1.0]], atol=1e-7)
@@ -191,11 +192,40 @@ def test_jacobian_quadratic():
 
 def test_jacobian_rows_are_outputs():
     # map from R^2 to R^3, so the jacobian must be 3 x 2
-    def f(y):
-        return np.array([y[0], y[1], y[0] + y[1]])
+    def f(ys):
+        return np.column_stack([ys[:, 0], ys[:, 1], ys[:, 0] + ys[:, 1]])
 
     jac = jacobian(f, np.zeros(2))
     assert jac.shape == (3, 2)
+
+
+def test_row_norms_match_single_vector_norms():
+    rng = np.random.default_rng(RNG_SEED)
+    for p in (2, 3, 8):
+        ys = rng.standard_normal((2000, p)) * np.exp(rng.uniform(-5.0, 5.0, (2000, 1)))
+        assert np.array_equal(row_norms(ys), [np.linalg.norm(y) for y in ys])
+
+
+def test_jacobian_stack_matches_single_rows():
+    rng = np.random.default_rng(RNG_SEED)
+
+    def f(ys):
+        # elementwise in each row, so a row's values do not depend on the stack
+        y0, y1 = ys[:, 0], ys[:, 1]
+        return np.stack([np.sin(y0) * y1, y0 ** 3, np.exp(0.1 * y1) - y0], axis=1)
+
+    ys = rng.standard_normal((9, 2)) * np.array([[1.0], [10.0], [1e-3]] * 3)
+    jac = jacobian(f, ys)
+    assert jac.shape == (9, 3, 2)
+    for i, y in enumerate(ys):
+        assert np.array_equal(jac[i], jacobian(f, y))
+        # one central difference per column, step 1e-5 (1 + |y|)
+        h = 1e-5 * (1.0 + np.linalg.norm(y))
+        for j in range(2):
+            step = np.zeros(2)
+            step[j] = h
+            col = (f((y + step)[None]).ravel() - f((y - step)[None]).ravel()) / (2.0 * h)
+            assert np.array_equal(jac[i][:, j], col)
 
 
 def test_spherical_distance():

@@ -12,7 +12,7 @@ from skewfib.errors import (
     RankDeficient,
     RealEigenvalue,
 )
-from skewfib.fibration import builtin_chart, extend_germ, fiber_plane, from_bilinear
+from skewfib.fibration import Chart, builtin_chart, extend_germ, fiber_plane, from_bilinear
 from skewfib.grassmann import AffinePlane, OrientedPlane, max_principal_angle
 from skewfib.numeric import SampleStream, Tolerance, spherical_distance
 from skewfib.sphere import (
@@ -140,6 +140,33 @@ def test_completion_smooth_chart():
     assert rep.verdict == "evidence-only"
 
 
+def test_completion_smooth_chart_matches_per_point_reference():
+    """The smooth completion check evaluates dB on one stack; margin,
+    verdict and witness values equal a loop over single points."""
+    tol = Tolerance()
+    charts = (
+        extend_germ(builtin_chart("quad_germ", eps=0.05)),
+        # B(y) depends on y_1 only, so every sampled Jacobian is singular
+        Chart(1, 2, "builtin", b_func=lambda ys: np.stack([np.sin(ys[:, 0]), ys[:, 0] ** 2], 1)),
+    )
+    for c in charts:
+        for seed in (0, 7):
+            rep = completion_check(c, samples=160, stream=SampleStream(seed), tol=tol)
+            stream = SampleStream(seed)
+            ys = stream.ball_points(160, 2, 10.0)
+            ts = stream.unit_vectors(16, 1)
+            sv = {
+                (tuple(y), tuple(t)): np.linalg.svd(
+                    np.einsum("ijl,j->il", c.dB(y), t), compute_uv=False)
+                for y in ys for t in ts
+            }
+            singular = [s[-1] <= tol.threshold(s[0]) for s in sv.values()]
+            assert rep.margin == min(s[-1] for s in sv.values())
+            assert rep.verdict == ("fail" if any(singular) else "evidence-only")
+            for w in rep.witnesses:
+                assert w["sigma_min"] == sv[(tuple(w["y"]), tuple(w["t"]))][-1]
+
+
 def test_completion_report_gates_on_fiber_dimension():
     c = from_bilinear(hurwitz_radon_family(4, 3))  # k = 2, n = 6
     rep = completion_report(c)
@@ -212,6 +239,19 @@ def test_invariant_rejects_empty_sample_count():
         invariant_on_planes(J4, samples=0)
     with pytest.raises(InvalidInput, match="samples"):
         invariant_on_planes(J4, samples=-3)
+
+
+def test_invariant_rejects_empty_matrix():
+    with pytest.raises(InvalidInput):
+        invariant_on_planes(np.zeros((0, 0)))
+
+
+def test_invariant_rejects_non_finite_matrix():
+    for bad in (np.full((2, 2), np.nan), np.array([[0.0, -np.inf], [1.0, 0.0]])):
+        with pytest.raises(InvalidInput):
+            invariant_on_planes(bad)
+        with pytest.raises(InvalidInput):
+            sphere_fiber_direction(bad, np.ones(2), 0.5)
 
 
 def test_plane_residual_rejects_zero_vector():
