@@ -41,9 +41,8 @@ class BilinearMap:
         for m in mats:
             if m.shape != (self.q, self.q):
                 raise InvalidInput(f"matrix shape {m.shape} != ({self.q}, {self.q})")
-
-    def apply(self, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self.matrix_at(t) @ np.asarray(y, dtype=float)
+            if not np.isfinite(m).all():
+                raise InvalidInput("bilinear map matrices must be finite")
 
     def matrix_at(self, t: np.ndarray) -> np.ndarray:
         """The combination sum_j t_j M_j."""

@@ -20,7 +20,7 @@ import numpy as np
 from .bilinear import J2
 from .errors import InvalidInput
 from .fibration import Chart, fiber_solve
-from .numeric import Tolerance, jacobian, orthonormal_complement, real_eigenvalue_mask
+from .numeric import Tolerance, finite_vector, jacobian, orthonormal_complement, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,7 @@ def contact_check(
     if c.q % 2:
         raise InvalidInput(f"chart plane dimension must be even, got {c.q}")
     m_half = c.q // 2
-    y = np.asarray(y, dtype=float)
-    if y.shape != (c.q,):
-        raise InvalidInput(f"point shape {y.shape} != ({c.q},)")
+    y = finite_vector(y, c.q)
     x0 = np.concatenate([[0.0], y])
 
     if c.is_linear:

@@ -40,6 +40,7 @@ from .numeric import (
     SampleStream,
     Tolerance,
     eigenvalues,
+    finite_vector,
     is_singular,
     jacobian,
     real_eigenvalue_mask,
@@ -53,6 +54,11 @@ BUILTIN = "builtin"
 
 CHART_SCHEMA = "skewfib-chart-v1"
 
+# Unit vectors t per chart point in the smooth k >= 2 nondegeneracy check.
+T_SAMPLES = 64
+# Distance along the ray at which limiting_direction evaluates the fiber.
+LIMIT_T = 1e8
+
 
 @dataclass(frozen=True, eq=False)
 class Chart:
@@ -65,13 +71,15 @@ class Chart:
     bit.  A builtin chart's b_func and db_func follow the same stack
     contract: they receive an (N, q) array and return N values of B
     (anything reshapeable to (N, q, k)) and of dB ((N, q, k, q)).
-    Without db_func, dB is the central-difference Jacobian of B.
+    Without db_func, dB is the central-difference Jacobian of B.  C holds
+    the linear part of a linear or affine chart as one (k, q, q) array;
+    the constructor takes any sequence of k matrices of shape (q, q).
     """
 
     k: int
     q: int
     kind: str
-    C: tuple | None = None
+    C: np.ndarray | None = None
     B0: np.ndarray | None = None
     name: str | None = None
     params: dict | None = None
@@ -79,8 +87,6 @@ class Chart:
     verified_margin: float | None = None
     b_func: object = field(default=None, repr=False)
     db_func: object = field(default=None, repr=False)
-    # the linear part C as one (k, q, q) array; C holds views into it
-    _cs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1 or self.q < 1:
@@ -97,8 +103,7 @@ class Chart:
             cs = np.stack(mats)
             if not np.isfinite(cs).all():
                 raise InvalidInput("chart matrices must be finite")
-            object.__setattr__(self, "_cs", cs)
-            object.__setattr__(self, "C", tuple(cs))
+            object.__setattr__(self, "C", cs)
         if self.kind == AFFINE:
             b0 = np.asarray(self.B0, dtype=float)
             if b0.shape != (self.q, self.k):
@@ -148,7 +153,7 @@ class Chart:
         if self.kind == BUILTIN:
             return np.asarray(self.b_func(ys), dtype=float).reshape(len(ys), self.q, self.k)
         # one matrix-vector product C_j y per point and j, rounded as for a single point
-        out = np.matmul(self._cs, ys[:, None, :, None])[..., 0].transpose(0, 2, 1)
+        out = np.matmul(self.C, ys[:, None, :, None])[..., 0].transpose(0, 2, 1)
         out = np.ascontiguousarray(out)
         if self.kind == AFFINE:
             out += self.B0
@@ -166,18 +171,13 @@ class Chart:
         ys = self._points(y)
         shape = (len(ys), self.q, self.k, self.q)
         if self.is_linear:
-            out = self._cs.transpose(1, 0, 2)[None].repeat(len(ys), axis=0)
+            out = self.C.transpose(1, 0, 2)[None].repeat(len(ys), axis=0)
         elif self.db_func is not None:
             out = np.asarray(self.db_func(ys), dtype=float).reshape(shape)
         else:
             flat = jacobian(lambda zs: self._b(zs).reshape(len(zs), -1), ys)
             out = flat.reshape(shape)
         return out if y.ndim == 2 else out[0]
-
-    def dB_mats(self, y: np.ndarray) -> list[np.ndarray]:
-        """dB at y as k matrices N_j with N_j xi = dB_y[xi] e_j."""
-        t = self.dB(y)
-        return [t[..., j, :] for j in range(self.k)]
 
 
 def from_bilinear(a: BilinearMap, tol: Tolerance | None = None) -> Chart:
@@ -320,48 +320,42 @@ def chart_from_dict(data: dict) -> Chart:
 # fibers
 
 
-def _residual(c: Chart, y: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    return y + c.B(y) @ t1 - t2
+def _solve(
+    c: Chart, s: float, t: np.ndarray, b: np.ndarray, y0: np.ndarray, budget: float, tol: Tolerance
+) -> np.ndarray:
+    """Chart point y with s y + B(y) t = b (s = 1 or 0) to a residual <= budget.
 
-
-def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Chart point y whose fiber passes through x = (t1, t2).
-
-    Solves y + B(y) t1 = t2: directly for linear and affine charts, by a
-    damped Newton iteration (at most 100 steps, started at t2) otherwise.
-    The result satisfies |y + B(y) t1 - t2| <= 1e-10 (1 + |x|).
+    Linear and affine charts: one direct solve and one refinement step.
+    Smooth charts: damped Newton from y0, at most 100 steps.  A singular
+    system matrix or Newton Jacobian raises SingularSystem; a residual
+    above the budget raises NoConvergence.
     """
-    tol = tol or Tolerance.default()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (c.n,):
-        raise InvalidInput(f"point shape {x.shape} != ({c.n},)")
-    if not np.isfinite(x).all():
-        raise InvalidInput("point coordinates must be finite")
-    t1, t2 = x[: c.k], x[c.k :]
-    budget = 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    # s y is added, not multiplied: for s = 1 the arithmetic is that of y + B(y) t = b
+    eye = np.eye(c.q) if s else 0.0
+
+    def residual(y):
+        return (y if s else 0.0) + c.B(y) @ t - b
 
     if c.is_linear:
-        mat = np.eye(c.q) + sum(t1[j] * c.C[j] for j in range(c.k))
-        rhs = t2 - (c.B0 @ t1 if c.kind == AFFINE else 0.0)
+        mat = eye + sum(t[j] * c.C[j] for j in range(c.k))
+        rhs = b - (c.B0 @ t if c.kind == AFFINE else 0.0)
         sv = np.linalg.svd(mat, compute_uv=False)
         if is_singular(sv, tol):
-            raise SingularSystem(
-                f"chart system singular at t1={t1.tolist()}: sigma_min={sv[-1]:.3e}"
-            )
+            raise SingularSystem(f"chart system singular at t1={t.tolist()}: sigma_min={sv[-1]:.3e}")
         y = np.linalg.solve(mat, rhs)
         # One refinement step guards against loss of accuracy at large |x|.
         y = y + np.linalg.solve(mat, rhs - mat @ y)
-        if float(np.linalg.norm(_residual(c, y, t1, t2))) > budget:
+        if float(np.linalg.norm(residual(y))) > budget:
             raise NoConvergence(f"linear solve residual above {budget:.3e}")
         return y
 
-    y = t2.copy()
-    r = _residual(c, y, t1, t2)
+    y = y0.copy()
+    r = residual(y)
     res = float(np.linalg.norm(r))
     for _ in range(100):
         if res <= budget:
             return y
-        jac = np.eye(c.q) + np.einsum("ijl,j->il", c.dB(y), t1)
+        jac = eye + np.einsum("ijl,j->il", c.dB(y), t)
         sv = np.linalg.svd(jac, compute_uv=False)
         if is_singular(sv, tol):
             raise SingularSystem(f"Newton Jacobian singular: sigma_min={sv[-1]:.3e}")
@@ -369,7 +363,7 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
         lam = 1.0
         while lam > 1e-6:
             cand = y + lam * step
-            cand_r = _residual(c, cand, t1, t2)
+            cand_r = residual(cand)
             cand_res = float(np.linalg.norm(cand_r))
             if cand_res < res:
                 y, r, res = cand, cand_r, cand_res
@@ -382,13 +376,27 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     raise NoConvergence(f"no convergence in 100 iterations, residual {res:.3e}")
 
 
+def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
+    """Chart point y whose fiber passes through x = (t1, t2).
+
+    Solves y + B(y) t1 = t2: directly for linear and affine charts, by a
+    damped Newton iteration (at most 100 steps, started at t2) otherwise.
+    The result satisfies |y + B(y) t1 - t2| <= 1e-10 (1 + |x|).
+    """
+    tol = tol or Tolerance.default()
+    x = finite_vector(x, c.n)
+    t1, t2 = x[: c.k], x[c.k :]
+    budget = 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    return _solve(c, 1.0, t1, t2, t2, budget, tol)
+
+
 def fiber_plane(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> AffinePlane:
     """The fiber through chart point y as an affine plane.
 
     Direction is the span of (e_j, B(y) e_j), oriented by parameter
     order; the base point is (0, y) projected off the direction.
     """
-    y = np.asarray(y, dtype=float)
+    y = finite_vector(y, c.q)
     by = c.B(y)
     cols = np.vstack([np.eye(c.k), by])
     direction = plane_from_columns(cols, tol)
@@ -457,14 +465,14 @@ def verify_nondegenerate(
     samples: int = 1024,
     stream: SampleStream | None = None,
     tol: Tolerance | None = None,
-    t_samples: int = 64,
 ) -> rp.VerificationReport:
     """Nondegeneracy: the derivative bilinear map must be nonsingular.
 
     For k = 1 the condition is that dB_y has no real eigenvalues; this is
     exact for linear charts (dB is constant) and sampled over chart
     points otherwise, with margin the least |Im eigenvalue|.  For k >= 2
-    the sampled pencil test runs on (dB_y, identity).
+    the sampled pencil test runs on (dB_y, identity), at T_SAMPLES unit
+    vectors t per chart point for smooth charts.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -509,7 +517,7 @@ def verify_nondegenerate(
             )
         return rp.VerificationReport("nondegenerate", rp.EVIDENCE, margin, (), sampling, details)
 
-    ts = stream.unit_vectors(t_samples, c.k + 1)
+    ts = stream.unit_vectors(T_SAMPLES, c.k + 1)
     nt = len(ts)
     eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))
     mats = np.concatenate([c.dB(pts).transpose(0, 2, 1, 3), eye], axis=1)
@@ -541,17 +549,17 @@ class ConeProbe:
     def __post_init__(self):
         ell = np.asarray(self.ell, dtype=float)
         object.__setattr__(self, "ell", ell)
-        if abs(float(np.linalg.norm(ell)) - 1.0) > 1e-10:
+        # NaN fails this comparison, so a non-finite ell is rejected too
+        if not abs(float(np.linalg.norm(ell)) - 1.0) <= 1e-10:
             raise InvalidInput("ell must be a unit vector")
         if not (0.0 < self.delta < math.pi / 2):
             raise InvalidInput(f"delta must lie in (0, pi/2), got {self.delta}")
         ts = tuple(float(t) for t in self.t_values)
-        if not ts or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise InvalidInput("t_values must be nonempty and increasing")
+        if not ts or not all(map(math.isfinite, ts)) or any(b <= a for a, b in zip(ts, ts[1:])):
+            raise InvalidInput("t_values must be finite, nonempty and increasing")
         object.__setattr__(self, "t_values", ts)
-        base = np.zeros_like(ell) if self.base is None else np.asarray(self.base, dtype=float)
-        if base.shape != ell.shape:
-            raise InvalidInput("base must match ell in shape")
+        base = np.zeros_like(ell) if self.base is None else self.base
+        base = finite_vector(base, ell.size, "base")
         object.__setattr__(self, "base", base)
         for t in ts:
             y = base + t * ell
@@ -567,28 +575,18 @@ class ConeProbe:
 def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Chart point whose fiber has ell among its directions.
 
-    Solves B(y) ell_t = ell_y; requires a nonzero parameter part.
+    Solves B(y) ell_t = ell_y with fiber_solve's solver (Newton from y = 0
+    on smooth charts) to a residual of 1e-12 (1 + |ell_y|); requires a
+    nonzero parameter part.  A singular system, as on a degenerate linear
+    chart, raises SingularSystem, and a missed budget NoConvergence.
     """
     tol = tol or Tolerance.default()
-    ell = np.asarray(ell, dtype=float)
+    ell = finite_vector(ell, c.n, "ell")
     lt, ly = ell[: c.k], ell[c.k :]
     if float(np.linalg.norm(lt)) <= 1e-12:
         raise InvalidInput("direction lies in the chart plane; no fiber contains it")
-    if c.is_linear:
-        mat = sum(lt[j] * c.C[j] for j in range(c.k))
-        rhs = ly - (c.B0 @ lt if c.kind == AFFINE else 0.0)
-        y, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        if float(np.linalg.norm(mat @ y - rhs)) > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
-            raise InvalidInput("no fiber contains the given direction")
-        return y
-    y = np.zeros(c.q)
-    for _ in range(100):
-        r = c.B(y) @ lt - ly
-        if float(np.linalg.norm(r)) <= 1e-12 * (1.0 + float(np.linalg.norm(ly))):
-            return y
-        jac = np.einsum("ijl,j->il", c.dB(y), lt)
-        y = y - np.linalg.solve(jac, r)
-    raise NoConvergence("could not locate a fiber with the given direction")
+    budget = 1e-12 * (1.0 + float(np.linalg.norm(ly)))
+    return _solve(c, 0.0, lt, ly, np.zeros(c.q), budget, tol)
 
 
 def continuity_probe(
@@ -605,9 +603,7 @@ def continuity_probe(
     the fiber containing ell; the returned angles quantify the rate.
     """
     tol = tol or Tolerance.default()
-    ell = np.asarray(ell, dtype=float)
-    if ell.shape != (c.n,):
-        raise InvalidInput(f"ell shape {ell.shape} != ({c.n},)")
+    ell = finite_vector(ell, c.n, "ell")
     if reference is None:
         y_ref = fiber_containing_direction(c, ell, tol)
         reference = fiber_plane(c, y_ref, tol).direction
@@ -623,21 +619,18 @@ def limiting_direction(
     c: Chart,
     u: np.ndarray,
     v: np.ndarray,
-    t: float = 1e8,
     tol: Tolerance | None = None,
 ) -> np.ndarray:
     """Limit of the fiber direction along v + s u as s grows, for line charts.
 
     u must be a unit vector in the chart plane (zero parameter part) and v
-    orthogonal to u.  Evaluated at s = t with one Richardson step, which
-    cancels the order-1/s error of the plain evaluation.
+    orthogonal to u.  Evaluated at s = LIMIT_T with one Richardson step,
+    which cancels the order-1/s error of the plain evaluation.
     """
     if c.k != 1:
         raise InvalidInput("limiting directions are defined for line charts (k = 1)")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (c.n,) or v.shape != (c.n,):
-        raise InvalidInput("u and v must be ambient vectors")
+    u = finite_vector(u, c.n, "u")
+    v = finite_vector(v, c.n, "v")
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")
     if float(np.abs(u[: c.k]).max()) > 1e-12:
@@ -650,8 +643,8 @@ def limiting_direction(
         d = np.concatenate([[1.0], c.B(y)[:, 0]])
         return d / np.linalg.norm(d)
 
-    d1 = direction(t)
-    d2 = direction(2.0 * t)
+    d1 = direction(LIMIT_T)
+    d2 = direction(2.0 * LIMIT_T)
     limit = 2.0 * d2 - d1
     return limit / np.linalg.norm(limit)
 
@@ -672,11 +665,14 @@ def _bump(s: float) -> float:
     return g1 / (g1 + g0)
 
 
-def _make_extension(local: Chart, blend_r: float) -> Chart:
+def _linearization(local: Chart) -> Chart:
+    """The affine chart B(0) + dB_0 y of a germ."""
     zero = np.zeros(local.q)
-    t0 = local.dB(zero)
-    # the linearization B(0) + dB_0 y, as an affine chart
-    lin = Chart(local.k, local.q, AFFINE, C=tuple(t0.transpose(1, 0, 2)), B0=local.B(zero))
+    return Chart(local.k, local.q, AFFINE, C=local.dB(zero).transpose(1, 0, 2), B0=local.B(zero))
+
+
+def _make_extension(local: Chart, blend_r: float) -> Chart:
+    lin = _linearization(local)
 
     def b(ys):
         # rows with s <= 1/2 are the germ, rows with s >= 1 its linearization
@@ -713,8 +709,9 @@ def extend_germ(
     """Extend a chart germ to all of R^q by blending into its linearization.
 
     Outside the blend zone the chart is the affine chart B(0) + dB_0 y,
-    whose nondegeneracy is the germ's nondegeneracy at the origin and is
-    checked first.  Inside radius blend_r/2 the germ is evaluated through
+    whose nondegeneracy is the germ's nondegeneracy at the origin; it is
+    checked first, by verify_nondegenerate on that chart with 512 samples
+    (exact for k = 1).  Inside radius blend_r/2 the germ is evaluated through
     the identical code path, so values agree bitwise.  The blend radius is
     halved (at most 20 times) until the blended chart passes the sampled
     nondegeneracy check on a ball of ten times the blend radius.
@@ -727,22 +724,13 @@ def extend_germ(
         raise InvalidInput(
             f"need 0 < blend_r <= domain radius {local.domain_radius}, got {blend_r}"
         )
-    t0 = local.dB(np.zeros(local.q))
-    if local.k == 1:
-        eig = np.linalg.eigvals(t0[:, 0, :])
-        real = real_eigenvalue_mask(eig, tol)
-        if np.any(real):
-            raise InvalidInput(
-                "germ is degenerate at the origin: dB_0 has a real eigenvalue "
-                f"{float(eig.real[real][0]):.6g}"
-            )
-    else:
-        mats = [t0[:, j, :] for j in range(local.k)] + [np.eye(local.q)]
-        sub = verify_nonsingular(
-            BilinearMap(local.q, local.k + 1, tuple(mats)), 512, SampleStream(seed), tol
+    lin = _linearization(local)
+    origin = verify_nondegenerate(lin, samples=512, stream=SampleStream(seed), tol=tol)
+    if not origin.ok:
+        raise InvalidInput(
+            "germ is degenerate at the origin: its linearization B(0) + dB_0 y fails "
+            f"the nondegeneracy check (margin {origin.margin:.3e})"
         )
-        if not sub.ok:
-            raise InvalidInput("germ is degenerate at the origin: derivative pencil is singular")
 
     r = float(blend_r)
     for attempt in range(21):
@@ -775,6 +763,8 @@ def sample_fibers(
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     if base_points.shape[1] != c.q:
         raise InvalidInput(f"base points must have {c.q} columns")
+    if not np.isfinite(base_points).all():
+        raise InvalidInput("base points must be finite")
     if steps < 1:
         raise InvalidInput("need steps >= 1")
     lo, hi = float(t_range[0]), float(t_range[1])

@@ -35,6 +35,8 @@ class Tolerance:
         # NaN fails both comparisons, so it is rejected here too
         if not (self.rel > 0.0 and self.abs > 0.0):
             raise InvalidInput(f"tolerances must be positive, got rel={self.rel} abs={self.abs}")
+        if not (math.isfinite(self.rel) and math.isfinite(self.abs)):
+            raise InvalidInput(f"tolerances must be finite, got rel={self.rel} abs={self.abs}")
 
     @staticmethod
     def default() -> "Tolerance":
@@ -82,7 +84,6 @@ class SampleStream:
             raise InvalidInput(f"unknown sample mode {mode!r}; expected one of {self.MODES}")
         self.seed = int(seed)
         self.mode = mode
-        self.counter = 0
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
         if mode == "low-discrepancy":
             # Per-seed phase plus square-root-of-prime increments.
@@ -117,7 +118,6 @@ class SampleStream:
             g, u = self._chunk(dims)
             gs.append(g)
             us.append(u)
-        self.counter += count
         if not count:
             return np.empty((0, dims)), np.empty(0)
         return np.vstack(gs)[:count], np.concatenate(us)[:count]
@@ -142,12 +142,19 @@ class SampleStream:
         return pts[0::2], pts[1::2]
 
 
-def sigma_min(m: np.ndarray) -> float:
-    """Smallest singular value."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise InvalidInput("sigma_min expects a nonempty 2-d array")
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+def finite_vector(v: np.ndarray, size: int, name: str = "point") -> np.ndarray:
+    """v as a float vector of the given length with finite entries.
+
+    Inputs are checked where they enter, so that NaN or inf never reaches
+    LAPACK or comes back as a silent result.  The test runs on a Python
+    list: for one point it costs a fraction of np.isfinite(v).all().
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise InvalidInput(f"{name} shape {v.shape} != ({size},)")
+    if not all(map(math.isfinite, v.tolist())):
+        raise InvalidInput(f"{name} coordinates must be finite")
+    return v
 
 
 def is_singular(sv: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -26,7 +26,7 @@ from .dims import admissible_sphere
 from .errors import DimensionMismatch, EquatorPoint, InvalidInput, RealEigenvalue
 from .fibration import Chart, fiber_plane, fiber_solve
 from .grassmann import AffinePlane, GreatSphere, embed_affine
-from .numeric import SampleStream, Tolerance, orthonormalize, real_eigenvalue_mask
+from .numeric import SampleStream, Tolerance, finite_vector, orthonormalize, real_eigenvalue_mask
 
 EQUATOR_EPS = 1e-14
 
@@ -241,8 +241,10 @@ def sphere_fiber_direction(
     """
     tol = tol or Tolerance.default()
     m = np.asarray(m, dtype=float)
-    z = np.asarray(z, dtype=float)
     a, b = _invariant_data(m, tol)
+    z = finite_vector(z, len(m), "z")
+    if not math.isfinite(z_t):
+        raise InvalidInput(f"z_t must be finite, got {z_t}")
     s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
     block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
     w = np.linalg.solve(np.eye(len(z)) + z_t * m, z)
@@ -271,9 +273,7 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     chart = Chart(1, d, "linear", C=(m,))
 
     def assign(p: np.ndarray) -> GreatSphere:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (d + 2,):
-            raise InvalidInput(f"sphere point shape {p.shape} != ({d + 2},)")
+        p = finite_vector(p, d + 2, "sphere point")
         if abs(float(np.linalg.norm(p)) - 1.0) > 1e-12:
             raise InvalidInput("sphere points must be unit vectors")
         p_t, p_e, p_proj = p[0], p[1:-1], p[-1]
@@ -303,7 +303,7 @@ def equator_restriction(
     tol = tol or Tolerance.default()
     m = np.asarray(m, dtype=float)
     _invariant_data(m, tol)
-    u = np.asarray(u, dtype=float)
+    u = finite_vector(u, len(m), "u")
     if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")
     return GreatSphere(orthonormalize(np.column_stack([u, m @ u]), tol))

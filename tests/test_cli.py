@@ -452,6 +452,27 @@ def test_tolerance_env_flips_verdict(capsys, tmp_path, monkeypatch):
     assert data["verdict"] == "fail"
 
 
+def test_tolerance_env_must_be_finite(capsys, tmp_path, monkeypatch):
+    path = _write_chart_file(tmp_path, "hopf3")
+    monkeypatch.setenv("SKEWFIB_TOL", "inf")
+    code, out = _run(capsys, ["verify", "eigen", "--chart", path])
+    assert code == 2
+    assert out == ""
+
+
+def test_contact_check_non_finite_point_is_one_line_error(tmp_path):
+    path = _write_chart_file(tmp_path, "hopf3")
+    src = str(Path(skewfib.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "skewfib", "contact", "check", "--chart", path, "--point", "nan 0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(skewfib.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,5 +1,7 @@
 """Tests for the fiber-orthogonal plane field and the contact dichotomy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,16 @@ def test_contact_check_validation():
     odd = Chart(1, 3, "linear", C=(np.eye(3),))
     with pytest.raises(InvalidInput):
         contact_check(odd, np.zeros(3))  # odd chart plane dimension
+
+
+def test_contact_check_rejects_non_finite_point():
+    """Rejected before the Jacobian is formed: no numpy warning either."""
+    c = builtin_chart("hopf3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInput):
+                contact_check(c, np.array([bad, 0.0]))
 
 
 def test_contact_report_serialization():

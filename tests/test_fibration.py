@@ -127,8 +127,8 @@ def test_chart_derivative_tensor():
     y = np.array([0.3, -0.2, 0.5, 0.1])
     t = c.dB(y)
     assert t.shape == (4, 3, 4)
-    for j, mat in enumerate(c.dB_mats(y)):
-        assert np.array_equal(mat, c.C[j])
+    for j in range(c.k):
+        assert np.array_equal(t[:, j, :], c.C[j])
     # finite differences agree on the smooth germ
     g = builtin_chart("quad_germ", eps=0.2)
     analytic = g.dB(np.array([0.1, 0.2]))
@@ -480,13 +480,13 @@ def test_nondegenerate_sampled_worst_point_is_first_least_margin():
     )
     stream = SampleStream(seed=2)
     pts = stream.ball_points(64, 4, 3.0)
-    ts = stream.unit_vectors(32, 4)
+    ts = stream.unit_vectors(64, 4)
     pencil = np.stack([*mats, np.eye(4)])
     smin = np.concatenate([
         np.linalg.svd(np.einsum("sj,jab->sab", ts, pencil), compute_uv=False)[:, -1] for _ in pts
     ])
     assert np.sum(smin == smin.min()) > 1
-    rep = verify_nondegenerate(c, radius=3.0, samples=64, stream=SampleStream(seed=2), t_samples=32)
+    rep = verify_nondegenerate(c, radius=3.0, samples=64, stream=SampleStream(seed=2))
     assert rep.verdict == "evidence-only"
     assert rep.details["worst_point"] == pts[np.argmin(smin) // len(ts)].tolist()
     assert rep.margin == smin.min()
@@ -527,6 +527,69 @@ def test_fiber_containing_direction():
     # a direction inside the chart plane belongs to no fiber
     with pytest.raises(InvalidInput):
         fiber_containing_direction(c, np.array([0.0, 1.0, 0.0]))
+
+
+def test_fiber_containing_direction_matches_lstsq():
+    rng = np.random.default_rng(RNG_SEED)
+    for name in ("hopf3", "hopf7", "hopf15"):
+        c = builtin_chart(name)
+        for _ in range(20):
+            ell = rng.standard_normal(c.n)
+            ell /= np.linalg.norm(ell)
+            lt, ly = ell[: c.k], ell[c.k:]
+            mat = sum(lt[j] * c.C[j] for j in range(c.k))
+            expected = np.linalg.lstsq(mat, ly, rcond=None)[0]
+            got = fiber_containing_direction(c, ell)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_fiber_containing_direction_on_extension():
+    ext = extend_germ(builtin_chart("quad_germ", eps=0.05))
+    for ell in ([1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.3, -2.0, 5.0]):
+        ell = np.asarray(ell)
+        y = fiber_containing_direction(ext, ell)
+        budget = 1e-12 * (1.0 + np.linalg.norm(ell[1:]))
+        assert np.linalg.norm(ext.B(y) @ ell[:1] - ell[1:]) <= budget
+
+
+def test_fiber_containing_direction_singular_system():
+    """A chart whose B does not move has a singular Jacobian, and a zero
+    linear chart a singular system: both raise SingularSystem, not a raw
+    numpy error."""
+    flat = Chart(1, 2, "builtin", b_func=lambda ys: np.ones((len(ys), 2, 1)))
+    with pytest.raises(SingularSystem):
+        fiber_containing_direction(flat, np.array([1.0, 0.0, 0.0]))
+    zero = Chart(1, 2, "linear", C=(np.zeros((2, 2)),))
+    with pytest.raises(SingularSystem):
+        fiber_containing_direction(zero, np.array([1.0, 0.0, 0.0]))
+
+
+def test_fiber_containing_direction_rejects_non_finite_direction(capfd):
+    c = builtin_chart("hopf3")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            fiber_containing_direction(c, np.array([1.0, bad, 0.0]))
+    with pytest.raises(InvalidInput):
+        fiber_containing_direction(c, np.array([1.0, 0.0]))  # wrong length
+    assert capfd.readouterr().err == ""
+
+
+def test_non_finite_chart_points_are_input_errors():
+    c = builtin_chart("hopf3")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            fiber_plane(c, np.array([bad, 0.0]))
+        with pytest.raises(InvalidInput):
+            sample_fibers(c, np.array([[1.0, 0.0], [bad, 0.0]]))
+        probe = ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2,))
+        with pytest.raises(InvalidInput):
+            continuity_probe(c, np.array([1.0, bad, 0.0]), probe)
+        with pytest.raises(InvalidInput):
+            ConeProbe(np.array([bad, 0.0, 0.0]), (1e2,))
+        with pytest.raises(InvalidInput):
+            ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2,), base=np.array([0.0, bad, 0.0]))
+        with pytest.raises(InvalidInput):
+            ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2, bad))
 
 
 def test_continuity_probe_decays():
@@ -623,6 +686,19 @@ def test_extend_germ_rejects_degenerate_origin():
     degenerate = Chart(1, 2, "builtin", name=None, b_func=b)
     with pytest.raises(InvalidInput):
         extend_germ(degenerate)
+
+
+def test_extend_germ_rejects_degenerate_origin_plane_germ():
+    """k = 2: dB_0 = (diag(1e9, 1), 0) makes the pencil (dB_0, identity)
+    singular, which the origin check finds on its 512 samples."""
+    d = np.diag([1e9, 1.0])
+
+    def b(ys):
+        return np.stack([ys @ d.T, np.zeros_like(ys)], axis=2)
+
+    germ = Chart(2, 2, "builtin", b_func=b)
+    with pytest.raises(InvalidInput, match="degenerate at the origin"):
+        extend_germ(germ)
 
 
 def test_extend_germ_blend_radius_cap():

@@ -464,6 +464,19 @@ def test_equator_restriction_same_circles_for_shifted_matrix():
         assert max_principal_angle(g1.frame, g2.frame) <= 1e-6
 
 
+def test_sphere_helpers_reject_non_finite_input():
+    with pytest.raises(InvalidInput):
+        sphere_fiber_direction(J2, np.array([np.nan, 0.0]), 0.5)
+    with pytest.raises(InvalidInput):
+        sphere_fiber_direction(J2, np.array([1.0, 0.0]), np.nan)
+    with pytest.raises(InvalidInput):
+        sphere_fiber_direction(J2, np.array([1.0, 0.0, 0.0]), 0.5)  # wrong length
+    with pytest.raises(InvalidInput):
+        equator_restriction(J2, np.array([np.nan, 0.0]))
+    with pytest.raises(InvalidInput):
+        assemble_great_circles(J2)(np.array([np.nan, 0.0, 0.0, 1.0]))
+
+
 def test_equator_restriction_needs_unit_vector():
     with pytest.raises(InvalidInput):
         equator_restriction(J2, np.array([2.0, 0.0]))
