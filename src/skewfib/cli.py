@@ -12,20 +12,26 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import bilinear, contact, dims, fibration, sphere
 from .errors import BlendFailure, SkewfibError
-from .numeric import SampleStream
+from .numeric import SampleStream, finite_vector
 
 REPORT_SCHEMA = "skewfib-report-v1"
 
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    # Strict JSON: a non-finite float raises ValueError, an input error,
+    # before anything reaches stdout.
+    sys.stdout.write(
+        json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    )
 
 
 def _report_payload(rep) -> dict:
@@ -255,7 +261,12 @@ def _sphere_points(mat: np.ndarray, args) -> list[np.ndarray]:
         p = _parse_point(args.point, d)
         if args.point.strip() == "0":
             p[-1] = 1.0  # the origin shorthand means the north pole here
-        return [p / np.linalg.norm(p)]
+        p = finite_vector(p, d, "sphere point")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(p))
+        if not 0.0 < norm < math.inf:
+            raise SkewfibError(f"sphere point must have a nonzero finite norm, got {norm}")
+        return [p / norm]
     raw = _stream(args).unit_vectors(args.samples, d)
     return [r for r in raw]
 
@@ -343,7 +354,10 @@ def _cmd_germ(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first main() call and reused: building the tree costs
+    # tens of times as much as parsing one command line with it.
     parser = argparse.ArgumentParser(
         prog="skewfib",
         description="Skew fibrations of R^n: build charts, verify, probe, export.",

@@ -72,7 +72,9 @@ def completion_check(
     k-sphere fibration of S^(2k+1).  For linear and affine charts the map
     is y -> (sum_j t_j C_j) y and the check runs the exact pencil tests
     where available; for smooth charts the Jacobian of y -> B(y)t is
-    sampled over (y, t) as evidence.
+    sampled over (y, t) as evidence.  The condition is homogeneous in t,
+    so t and -t are one test: for k = 1, where every unit t is +-1, only
+    t = 1 is tested, one Jacobian per sampled chart point y.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -86,7 +88,8 @@ def completion_check(
     if samples < 1:
         raise InvalidInput(f"need samples >= 1, got {samples}")
     ys = stream.ball_points(samples, c.q, 10.0)
-    ts = stream.unit_vectors(max(16, samples // 16), c.k)
+    # B(y)(-t) = -B(y)t has the same singular values, so a line needs one t.
+    ts = np.ones((1, 1)) if c.k == 1 else stream.unit_vectors(max(16, samples // 16), c.k)
     nt = len(ts)
     sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": 10.0}
     jacs = np.einsum("nijl,sj->nsil", c.dB(ys), ts)

@@ -5,16 +5,19 @@ parsed back as JSON.  Exit codes: 0 success/pass, 1 failed check, 2
 usage or input error.
 """
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skewfib
+from skewfib import cli
 from skewfib.cli import main
 from skewfib.fibration import builtin_chart, chart_from_dict, chart_to_dict, fiber_solve
 
@@ -351,6 +354,18 @@ def test_sphere_assemble(capsys, tmp_path):
         assert abs(np.linalg.norm(row) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("point, norm", [("0 0 0 0", "0.0"), ("1e308 1e308 0 0", "inf")])
+def test_sphere_assemble_point_without_finite_norm_is_one_line_error(capsys, tmp_path, point, norm):
+    mat = _write_matrix_file(tmp_path, J2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sphere", "assemble", "--matrix", mat, "--point", point])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"skewfib: error: sphere point must have a nonzero finite norm, got {norm}\n"
+
+
 def test_sphere_probe(capsys, tmp_path):
     mat = _write_matrix_file(tmp_path, np.kron(np.eye(2), np.asarray(J2)), "J4.json")
     code, data = _run_json(
@@ -432,6 +447,59 @@ def test_usage_errors(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["verify", "skew", "--chart", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_non_finite_report_value_is_input_error(capsys, tmp_path):
+    """Reports are strict JSON: a value that overflowed to inf ends in an
+    input error with nothing on stdout, never in a bare Infinity."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "linear", "k": 1, "q": 2, "C": [[[1e308, -1e308], [1e308, 1e308]]]}')
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["verify", "eigen", "--chart", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "skewfib: error: Out of range float values are not JSON compliant\n"
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
+    """main() builds its parser on the first call only, and every call
+    gives the output that a freshly built parser gives."""
+    hopf = _write_chart_file(tmp_path, "hopf3")
+    mat = _write_matrix_file(tmp_path, np.kron(np.eye(2), np.asarray(J2)), "J4.json")
+    calls = [
+        ["verify", "invariant-planes", "--matrix", mat, "--samples", "20"],  # sets chart=None
+        ["verify", "skew", "--chart", hopf, "--samples", "32"],
+        ["--help"],
+        ["verify", "skew", "--chart", hopf, "--samples", "many"],
+        ["verify", "invariant-planes", "--matrix", mat, "--seed", "3", "--samples", "20"],
+        ["sphere", "complete-check", "--chart", hopf, "--seed", "3"],
+        ["verify", "nondeg", "--chart", hopf, "--samples", "32"],
+        ["--help"],
+        ["verify", "contact", "--chart", hopf, "--point", "0"],
+    ]
+    build = cli._build_parser.__wrapped__
+    built = []
+
+    def counted_build():
+        built.append(1)
+        return build()
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        return results
+
+    monkeypatch.setattr(cli, "_build_parser", build)  # a new parser on every call
+    fresh = outcomes()
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(counted_build))
+    assert outcomes() == fresh
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert "invalid int value: 'many'" in fresh[3][2]
 
 
 def test_help_exits_zero(capsys):

@@ -142,8 +142,11 @@ def test_completion_smooth_chart():
 
 def test_completion_smooth_chart_matches_per_point_reference():
     """The smooth completion check evaluates dB on one stack; margin,
-    verdict and witness values equal a loop over single points."""
+    verdict and witness values equal a loop over single points with
+    t = 1, the only direction a line chart (k = 1) needs.  The margin
+    also equals, bit for bit, that of 16 sampled t = +-1."""
     tol = Tolerance()
+    t1 = np.ones(1)
     charts = (
         extend_germ(builtin_chart("quad_germ", eps=0.05)),
         # B(y) depends on y_1 only, so every sampled Jacobian is singular
@@ -154,17 +157,25 @@ def test_completion_smooth_chart_matches_per_point_reference():
             rep = completion_check(c, samples=160, stream=SampleStream(seed), tol=tol)
             stream = SampleStream(seed)
             ys = stream.ball_points(160, 2, 10.0)
-            ts = stream.unit_vectors(16, 1)
             sv = {
-                (tuple(y), tuple(t)): np.linalg.svd(
-                    np.einsum("ijl,j->il", c.dB(y), t), compute_uv=False)
-                for y in ys for t in ts
+                tuple(y): np.linalg.svd(np.einsum("ijl,j->il", c.dB(y), t1), compute_uv=False)
+                for y in ys
             }
             singular = [s[-1] <= tol.threshold(s[0]) for s in sv.values()]
             assert rep.margin == min(s[-1] for s in sv.values())
             assert rep.verdict == ("fail" if any(singular) else "evidence-only")
             for w in rep.witnesses:
-                assert w["sigma_min"] == sv[(tuple(w["y"]), tuple(w["t"]))][-1]
+                assert w["t"] == [1.0]
+                assert w["sigma_min"] == sv[tuple(w["y"])][-1]
+            ts = stream.unit_vectors(16, 1)
+            assert set(ts[:, 0]) == {-1.0, 1.0}
+            assert rep.margin == min(
+                np.linalg.svd(np.einsum("ijl,j->il", c.dB(y), t), compute_uv=False)[-1]
+                for y in ys for t in ts
+            )
+            if c is charts[1]:
+                assert rep.verdict == "fail"
+                assert len({tuple(w["y"]) for w in rep.witnesses}) == 3
 
 
 def test_completion_report_gates_on_fiber_dimension():
