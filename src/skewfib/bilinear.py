@@ -10,7 +10,8 @@ the tensor-product recursion behind the Hurwitz-Radon bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -154,27 +155,57 @@ def hurwitz_radon_family(q: int, r: int) -> BilinearMap:
     return BilinearMap(q, r, tuple(mats))
 
 
-def _pencil_exact(a: BilinearMap, tol: Tolerance) -> tuple[str, list, dict]:
-    """Exact nonsingularity for kp1 = 2: the second matrix must be
-    invertible and inv(M2) M1 must have no real eigenvalues."""
+def _pencil_exact(
+    a: BilinearMap, rep: rp.VerificationReport, tol: Tolerance
+) -> rp.VerificationReport:
+    """Exact nonsingularity for kp1 = 2, decided on top of the sampled
+    report rep: the second matrix must be invertible and inv(M2) M1 must
+    have no real eigenvalues."""
     m1, m2 = a.mats
-    sv = np.linalg.svd(m2, compute_uv=False)
-    details: dict = {"exact": True}
-    if is_singular(sv, tol):
+    details = {**rep.details, "exact": True}
+    if is_singular(np.linalg.svd(m2, compute_uv=False), tol):
         details["reason"] = "second matrix is singular"
-        return rp.FAIL, [{"t": [0.0, 1.0]}], details
-    g = np.linalg.solve(m2, m1)
-    eig = np.linalg.eigvals(g)
+        witness = {"t": [0.0, 1.0]}
+        return replace(rep, verdict=rp.FAIL, margin=0.0, witnesses=(witness,), details=details)
+    eig = np.linalg.eigvals(np.linalg.solve(m2, m1))
     details["pencil_eigenvalues"] = [complex(v) for v in eig]
     details["imag_margin"] = float(np.min(np.abs(eig.imag)))
     real_mask = real_eigenvalue_mask(eig, tol)
     if np.any(real_mask):
         lam = float(eig.real[real_mask][0])
         t = np.array([1.0, -lam])
-        t = t / np.linalg.norm(t)
         details["real_eigenvalue"] = lam
-        return rp.FAIL, [{"t": t.tolist(), "eigenvalue": lam}], details
-    return rp.PASS, [], details
+        witness = {"t": (t / np.linalg.norm(t)).tolist(), "eigenvalue": lam}
+        return replace(rep, verdict=rp.FAIL, margin=0.0, witnesses=(witness,), details=details)
+    details["sampled_margin"] = rep.margin
+    return replace(rep, verdict=rp.PASS, witnesses=(), details=details)
+
+
+def pencil_report(
+    check: str,
+    slots: np.ndarray,
+    ts: np.ndarray,
+    sampling: dict,
+    details: Callable[[int, int], dict],
+    tol: Tolerance,
+    ys: np.ndarray | None = None,
+) -> rp.VerificationReport:
+    """Sampled verdict on the pencils sum_j t_j M_j(y) at every chart point and t.
+
+    slots is an (N, m, q, q) stack of the m pencil matrices at N points ys
+    (N = 1 and no ys for a constant pencil), ts an (S, m) stack of unit t.
+    A fail witness carries y (given ys), t and sigma_min; details(n, s) gets
+    the point and t indices of the first sample of least sigma_min.
+    """
+    nt = len(ts)
+    stack = np.einsum("sj,njab->nsab", ts, slots).reshape(-1, *slots.shape[2:])
+
+    def witness(i: int, smin: float) -> dict:
+        n, s = divmod(i, nt)
+        at = {} if ys is None else {"y": ys[n].tolist()}
+        return {**at, "t": ts[s].tolist(), "sigma_min": smin}
+
+    return rp.sampled_report(check, stack, sampling, witness, lambda i: details(*divmod(i, nt)), tol)
 
 
 def verify_nonsingular(
@@ -193,31 +224,19 @@ def verify_nonsingular(
     stream = stream or SampleStream()
     if samples < 1:
         raise InvalidInput(f"need samples >= 1, got {samples}")
-    sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples}
+    sampling = stream.sampling(samples)
 
     if a.kp1 == 1:
         sv = np.linalg.svd(a.mats[0], compute_uv=False)
-        margin = float(sv[-1])
-        if is_singular(sv, tol):
-            return rp.VerificationReport(
-                "nonsingular", rp.FAIL, margin, ({"t": [1.0]},), sampling, {"exact": True}
-            )
-        return rp.VerificationReport("nonsingular", rp.PASS, margin, (), sampling, {"exact": True})
+        witnesses = ({"t": [1.0]},) if is_singular(sv, tol) else ()
+        verdict = rp.FAIL if witnesses else rp.PASS
+        return rp.VerificationReport(
+            "nonsingular", verdict, float(sv[-1]), witnesses, sampling, {"exact": True}
+        )
 
     ts = stream.unit_vectors(samples, a.kp1)
-    rep = rp.sampled_report(
-        "nonsingular",
-        np.einsum("sj,jab->sab", ts, np.stack(a.mats)),
-        sampling,
-        lambda i, smin: {"t": ts[i].tolist(), "sigma_min": smin},
-        lambda worst: {"worst_t": ts[worst].tolist()},
-        tol,
+    rep = pencil_report(
+        "nonsingular", np.stack(a.mats)[None], ts, sampling,
+        lambda n, s: {"worst_t": ts[s].tolist()}, tol,
     )
-    if a.kp1 != 2:
-        return rep
-    verdict, witnesses, exact_details = _pencil_exact(a, tol)
-    details = {**rep.details, **exact_details}
-    if verdict == rp.FAIL:
-        return rp.VerificationReport("nonsingular", rp.FAIL, 0.0, tuple(witnesses), sampling, details)
-    details["sampled_margin"] = rep.margin
-    return rp.VerificationReport("nonsingular", rp.PASS, rep.margin, (), sampling, details)
+    return _pencil_exact(a, rep, tol) if a.kp1 == 2 else rep

@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success or a passing check, 1 when a verification
 reports a failure (the JSON report carries the witness), 2 on usage or
-input errors.  Reports are JSON on standard output; sample exports are
-CSV.  Runs with the same --seed produce byte-identical reports.  The
-environment variable SKEWFIB_TOL ("REL" or "REL,ABS") overrides the
-default tolerances of every check.
+input errors, arithmetic overflow included.  Reports are JSON on standard
+output; sample exports are CSV.  Runs with the same --seed produce
+byte-identical reports.  The environment variable SKEWFIB_TOL ("REL" or
+"REL,ABS") overrides the default tolerances of every check.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ def _emit(obj: dict) -> None:
     )
 
 
-def _report_payload(rep) -> dict:
-    out = rep.to_dict()
-    out["schema"] = REPORT_SCHEMA
-    return out
+def _emit_report(payload: dict, ok: bool) -> int:
+    """Emit a report tagged with the schema; the exit code is 0 if ok, else 1."""
+    _emit({**payload, "schema": REPORT_SCHEMA})
+    return 0 if ok else 1
 
 
 def _load_json(path: str) -> dict:
@@ -142,31 +142,23 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     c = _load_chart(args.chart) if args.chart else None
+    if args.what == "contact":
+        return _contact_run(c, args)
+    if args.what == "invariant-planes":
+        mat = _load_matrix(args.matrix)
+        rep = sphere.invariant_on_planes(mat, samples=args.samples, stream=_stream(args))
+        return _emit_report(rep.to_dict(), rep.is_invariant)
     if args.what == "skew":
         rep = fibration.verify_skew(c, radius=args.radius, samples=args.samples, stream=_stream(args))
-        _emit(_report_payload(rep))
-        return 0 if rep.ok else 1
-    if args.what == "nondeg":
+    elif args.what == "nondeg":
         rep = fibration.verify_nondegenerate(
             c, radius=args.radius, samples=args.samples, stream=_stream(args)
         )
-        _emit(_report_payload(rep))
-        return 0 if rep.ok else 1
-    if args.what == "eigen":
+    else:
         if c.k != 1 or not c.is_linear:
             raise SkewfibError("verify eigen needs a linear chart with k = 1")
         rep = fibration.verify_nondegenerate(c)
-        _emit(_report_payload(rep))
-        return 0 if rep.ok else 1
-    if args.what == "contact":
-        return _contact_run(c, args)
-    # invariant-planes
-    mat = _load_matrix(args.matrix)
-    rep = sphere.invariant_on_planes(mat, samples=args.samples, stream=_stream(args))
-    payload = rep.to_dict()
-    payload["schema"] = REPORT_SCHEMA
-    _emit(payload)
-    return 0 if rep.is_invariant else 1
+    return _emit_report(rep.to_dict(), rep.ok)
 
 
 def _contact_run(c: fibration.Chart, args) -> int:
@@ -178,15 +170,14 @@ def _contact_run(c: fibration.Chart, args) -> int:
         points = list(_stream(args).ball_points(args.samples, c.q, args.radius))
     results = [contact.contact_check(c, y) for y in points]
     all_contact = all(r.is_contact for r in results)
-    _emit(
+    return _emit_report(
         {
-            "schema": REPORT_SCHEMA,
             "check": "contact",
             "results": [r.to_dict() for r in results],
             "all_contact": all_contact,
-        }
+        },
+        all_contact,
     )
-    return 0 if all_contact else 1
 
 
 def _cmd_fiber(args) -> int:
@@ -195,17 +186,16 @@ def _cmd_fiber(args) -> int:
     y = fibration.fiber_solve(c, x)
     plane = fibration.fiber_plane(c, y)
     residual = float(np.linalg.norm(y + c.B(y) @ x[: c.k] - x[c.k :]))
-    _emit(
+    return _emit_report(
         {
-            "schema": REPORT_SCHEMA,
             "chart_point": y.tolist(),
             "direction": plane.direction.frame.tolist(),
             "base": plane.base.tolist(),
             "distance": float(np.linalg.norm(plane.base)),
             "residual": residual,
-        }
+        },
+        True,
     )
-    return 0
 
 
 def _grid_points(spec: str, c: fibration.Chart, seed: int) -> np.ndarray:
@@ -247,8 +237,7 @@ def _cmd_sphere(args) -> int:
     if args.what == "complete-check":
         c = _load_chart(args.chart)
         rep = sphere.completion_report(c, samples=args.samples, stream=_stream(args))
-        _emit(_report_payload(rep))
-        return 0 if rep.ok else 1
+        return _emit_report(rep.to_dict(), rep.ok)
     mat = _load_matrix(args.matrix)
     if args.what == "assemble":
         return _sphere_assemble(mat, args)
@@ -286,15 +275,14 @@ def _sphere_assemble(mat: np.ndarray, args) -> int:
             for cid, circ in enumerate(circles):
                 for t, row in zip(theta, circ.points(params)):
                     writer.writerow([cid, repr(float(t))] + [repr(float(v)) for v in row])
-    _emit(
+    return _emit_report(
         {
-            "schema": REPORT_SCHEMA,
             "check": "assemble",
             "circles": [c.frame.tolist() for c in circles],
             "written": args.out,
-        }
+        },
+        True,
     )
-    return 0
 
 
 def _sphere_probe(mat: np.ndarray, args) -> int:
@@ -315,17 +303,16 @@ def _sphere_probe(mat: np.ndarray, args) -> int:
         angle = max_principal_angle(assign(p / np.linalg.norm(p)).frame, limit.frame)
         worst = max(worst, angle)
     ok = worst <= args.threshold
-    _emit(
+    return _emit_report(
         {
-            "schema": REPORT_SCHEMA,
             "check": "sphere-probe",
             "distance": args.distance,
             "max_angle": worst,
             "threshold": args.threshold,
             "converged": ok,
-        }
+        },
+        ok,
     )
-    return 0 if ok else 1
 
 
 def _cmd_contact(args) -> int:
@@ -337,15 +324,14 @@ def _cmd_germ(args) -> int:
     try:
         ext = fibration.extend_germ(c, blend_r=args.radius, samples=args.samples, seed=args.seed or 0)
     except BlendFailure as exc:
-        _emit(
+        return _emit_report(
             {
-                "schema": REPORT_SCHEMA,
                 "check": "germ-extend",
                 "verdict": "fail",
                 "witnesses": [{"blend_r": args.radius, "reason": str(exc)}],
-            }
+            },
+            False,
         )
-        return 1
     _write_chart(ext, args.out)
     return 0
 
@@ -489,8 +475,10 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except (SkewfibError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        # overflow is an input error, raised before a warning or an inf gets out
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except (SkewfibError, OSError, KeyError, ValueError, FloatingPointError) as exc:
         sys.stderr.write(f"skewfib: error: {exc}\n")
         return 2
 

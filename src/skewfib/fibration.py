@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import report as rp
-from .bilinear import BilinearMap, J2, from_algebra, verify_nonsingular
+from .bilinear import BilinearMap, J2, from_algebra, pencil_report, verify_nonsingular
 from .errors import (
     BlendFailure,
     InvalidInput,
@@ -35,7 +35,7 @@ from .errors import (
     SingularLastColumn,
     SingularSystem,
 )
-from .grassmann import AffinePlane, OrientedPlane, max_principal_angle, plane_from_columns
+from .grassmann import AffinePlane, max_principal_angle, plane_from_columns
 from .numeric import (
     SampleStream,
     Tolerance,
@@ -249,6 +249,9 @@ def builtin_chart(name: str, **params) -> Chart:
         return replace(from_bilinear(from_algebra("octonion", 8)), name="hopf15", params={})
     if name == "hopf_line":
         m, a, b = int(params["m"]), float(params["a"]), float(params["b"])
+        for key, v in (("a", a), ("b", b)):
+            if not math.isfinite(v):
+                raise InvalidInput(f"hopf_line parameter {key} must be finite, got {v}")
         if m < 1:
             raise InvalidInput(f"need m >= 1, got {m}")
         if b == 0.0:
@@ -409,11 +412,6 @@ def fiber_plane(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> Affine
 # verification
 
 
-def _check_radius(radius: float) -> None:
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
-
-
 def verify_skew(
     c: Chart,
     radius: float = 10.0,
@@ -429,7 +427,7 @@ def verify_skew(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    _check_radius(radius)
+    sampling = stream.sampling(samples, radius)
     if samples < 2:
         raise InvalidInput(f"need samples >= 2, got {samples}")
     xs, ys = stream.pairs_in_ball(samples, c.q, radius)
@@ -447,7 +445,6 @@ def verify_skew(
         stacks[:, :, c.k] = diff
     else:
         stacks = np.concatenate([c.B(xs) - c.B(ys), (xs - ys)[:, :, None]], axis=2)
-    sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": radius}
     return rp.sampled_report(
         "skew",
         stacks,
@@ -456,6 +453,30 @@ def verify_skew(
         lambda worst: {"pairs_tested": int(xs.shape[0])},
         tol,
         scale=norms,
+    )
+
+
+def _spectrum_report(
+    eig: np.ndarray, ys: np.ndarray, sampling: dict | None, tol: Tolerance
+) -> rp.VerificationReport:
+    """k = 1 verdict from an (N, q) stack of dB eigenvalues at chart points ys.
+
+    A real eigenvalue fails, witnessed at the first point that has one, and
+    margin is the least |Im eigenvalue|.  Without sampling, ys is the one
+    point of a linear chart, whose dB is constant, and a clean result passes.
+    """
+    per_point = np.min(np.abs(eig.imag), axis=1)
+    worst = int(np.argmin(per_point))
+    real = real_eigenvalue_mask(eig, tol)
+    bad = np.flatnonzero(np.any(real, axis=1))[:1]
+    witnesses = tuple({"y": ys[i].tolist(), "eigenvalue": float(eig[i].real[real[i]][0])} for i in bad)
+    if sampling is None:
+        clean, details = rp.PASS, {"exact": True, "eigenvalues": [complex(v) for v in eig[0]]}
+    else:
+        clean, details = rp.EVIDENCE, {"exact": False, "worst_point": ys[worst].tolist()}
+    verdict = rp.FAIL if witnesses else clean
+    return rp.VerificationReport(
+        "nondegenerate", verdict, float(per_point[worst]), witnesses, sampling, details
     )
 
 
@@ -471,63 +492,33 @@ def verify_nondegenerate(
     For k = 1 the condition is that dB_y has no real eigenvalues; this is
     exact for linear charts (dB is constant) and sampled over chart
     points otherwise, with margin the least |Im eigenvalue|.  For k >= 2
-    the sampled pencil test runs on (dB_y, identity), at T_SAMPLES unit
-    vectors t per chart point for smooth charts.
+    it builds the pencil (dB_y, identity), at samples unit t for a linear
+    chart's constant dB and at T_SAMPLES unit t per sampled chart point
+    otherwise, and leaves the verdict to bilinear.pencil_report.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    _check_radius(radius)
-    sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": radius}
+    sampling = stream.sampling(samples, radius)
 
     if c.is_linear and c.k == 1:
-        eig = eigenvalues(c.C[0])
-        margin = float(np.min(np.abs(eig.imag)))
-        details = {"exact": True, "eigenvalues": [complex(v) for v in eig]}
-        real = real_eigenvalue_mask(eig, tol)
-        if np.any(real):
-            lam = float(eig.real[real][0])
-            witness = {"y": [0.0] * c.q, "eigenvalue": lam}
-            return rp.VerificationReport("nondegenerate", rp.FAIL, margin, (witness,), None, details)
-        return rp.VerificationReport("nondegenerate", rp.PASS, margin, (), None, details)
+        return _spectrum_report(eigenvalues(c.C[0])[None], np.zeros((1, c.q)), None, tol)
 
     if c.is_linear:
-        bm = BilinearMap(c.q, c.k + 1, (*c.C, np.eye(c.q)))
-        sub = verify_nonsingular(bm, samples, stream, tol)
-        return rp.VerificationReport(
-            "nondegenerate", sub.verdict, sub.margin, sub.witnesses, sampling, sub.details
-        )
+        sub = verify_nonsingular(BilinearMap(c.q, c.k + 1, (*c.C, np.eye(c.q))), samples, stream, tol)
+        return replace(sub, check="nondegenerate", sampling=sampling)
 
     if samples < 1:
         raise InvalidInput(f"need samples >= 1, got {samples}")
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
-        eig = np.linalg.eigvals(c.dB(pts)[:, :, 0, :])
-        per_point = np.min(np.abs(eig.imag), axis=1)
-        margin = float(np.min(per_point))
-        worst = int(np.argmin(per_point))
-        details = {"exact": False, "worst_point": pts[worst].tolist()}
-        real_any = real_eigenvalue_mask(eig, tol)
-        bad_pts = np.any(real_any, axis=1)
-        if np.any(bad_pts):
-            i = int(np.argmax(bad_pts))
-            lam = float(eig[i].real[real_any[i]][0])
-            witness = {"y": pts[i].tolist(), "eigenvalue": lam}
-            return rp.VerificationReport(
-                "nondegenerate", rp.FAIL, margin, (witness,), sampling, details
-            )
-        return rp.VerificationReport("nondegenerate", rp.EVIDENCE, margin, (), sampling, details)
+        return _spectrum_report(np.linalg.eigvals(c.dB(pts)[:, :, 0, :]), pts, sampling, tol)
 
     ts = stream.unit_vectors(T_SAMPLES, c.k + 1)
-    nt = len(ts)
     eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))
-    mats = np.concatenate([c.dB(pts).transpose(0, 2, 1, 3), eye], axis=1)
-    return rp.sampled_report(
-        "nondegenerate",
-        np.einsum("sj,njab->nsab", ts, mats).reshape(-1, c.q, c.q),
-        sampling,
-        lambda i, smin: {"y": pts[i // nt].tolist(), "t": ts[i % nt].tolist(), "sigma_min": smin},
-        lambda worst: {"exact": False, "worst_point": pts[worst // nt].tolist()},
-        tol,
+    slots = np.concatenate([c.dB(pts).transpose(0, 2, 1, 3), eye], axis=1)
+    return pencil_report(
+        "nondegenerate", slots, ts, sampling,
+        lambda n, s: {"exact": False, "worst_point": pts[n].tolist()}, tol, pts,
     )
 
 
@@ -593,7 +584,6 @@ def continuity_probe(
     c: Chart,
     ell: np.ndarray,
     probe: ConeProbe,
-    reference: OrientedPlane | None = None,
     tol: Tolerance | None = None,
 ) -> list[float]:
     """Largest principal angle between the fiber through each probe point
@@ -604,9 +594,7 @@ def continuity_probe(
     """
     tol = tol or Tolerance.default()
     ell = finite_vector(ell, c.n, "ell")
-    if reference is None:
-        y_ref = fiber_containing_direction(c, ell, tol)
-        reference = fiber_plane(c, y_ref, tol).direction
+    reference = fiber_plane(c, fiber_containing_direction(c, ell, tol), tol).direction
     angles = []
     for pt in probe.points():
         y = fiber_solve(c, pt, tol)
@@ -756,9 +744,9 @@ def sample_fibers(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample points of the fibers through the given chart points.
 
-    Returns (fiber_ids, grid_indices, points): for each base point, a
-    grid of steps**k parameter values over t_range per axis, with the
-    ambient point (t, B(y) t + y) for each.
+    Returns (fiber_ids, grid_indices, points): for each base point, a grid
+    of steps**k parameter values over t_range per axis, with the ambient
+    point (t, B(y) t + y) for each.  Non-finite points raise InvalidInput.
     """
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     if base_points.shape[1] != c.q:
@@ -782,4 +770,7 @@ def sample_fibers(
         ids.append(np.full(tgrid.shape[0], fid))
         indices.append(idx)
         points.append(pts)
-    return np.concatenate(ids), np.vstack(indices), np.vstack(points)
+    points = np.vstack(points)
+    if not np.isfinite(points).all():
+        raise InvalidInput("sampled fiber points are not finite: the chart overflows")
+    return np.concatenate(ids), np.vstack(indices), points

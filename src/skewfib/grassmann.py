@@ -94,7 +94,7 @@ def plane_from_columns(cols: np.ndarray, tol: Tolerance | None = None) -> Orient
     return OrientedPlane(orthonormalize(cols, tol))
 
 
-def embed_affine(p: AffinePlane, tol: Tolerance | None = None) -> OrientedPlane:
+def embed_affine(p: AffinePlane) -> OrientedPlane:
     """Linearize an affine k-plane to a (k+1)-plane in R^(n+1).
 
     The frame is the direction columns padded with a zero last coordinate,
@@ -132,7 +132,7 @@ def skew_pair(p: AffinePlane, q: AffinePlane, tol: Tolerance | None = None) -> t
     Skew iff their linearized (k+1)-planes intersect trivially; the gap is
     the smallest singular value of the concatenated embedded frames.
     """
-    dim, gap = intersection_dim(embed_affine(p, tol), embed_affine(q, tol), tol)
+    dim, gap = intersection_dim(embed_affine(p), embed_affine(q), tol)
     return dim == 0, gap
 
 

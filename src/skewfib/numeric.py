@@ -141,6 +141,15 @@ class SampleStream:
         pts = self.ball_points(2 * count, dims, radius)
         return pts[0::2], pts[1::2]
 
+    def sampling(self, count: int, radius: float | None = None) -> dict:
+        """The report record of a search that draws count samples from this
+        stream; a search over chart points adds the radius of their ball,
+        which must be finite and positive."""
+        if radius is not None and not (math.isfinite(radius) and radius > 0.0):
+            raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
+        ball = {} if radius is None else {"radius": radius}
+        return {"seed": self.seed, "mode": self.mode, "count": count, **ball}
+
 
 def finite_vector(v: np.ndarray, size: int, name: str = "point") -> np.ndarray:
     """v as a float vector of the given length with finite entries.

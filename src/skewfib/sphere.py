@@ -16,12 +16,12 @@ the chart plane) and append the projective coordinate last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import report as rp
-from .bilinear import BilinearMap, verify_nonsingular
+from .bilinear import BilinearMap, pencil_report, verify_nonsingular
 from .dims import admissible_sphere
 from .errors import DimensionMismatch, EquatorPoint, InvalidInput, RealEigenvalue
 from .fibration import Chart, fiber_plane, fiber_solve
@@ -51,13 +51,13 @@ def inverse_project(x: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def great_sphere_of(p: AffinePlane, tol: Tolerance | None = None) -> GreatSphere:
+def great_sphere_of(p: AffinePlane) -> GreatSphere:
     """The great k-sphere cut out by the linearization of an affine plane.
 
     Upper-hemisphere points of the result centrally project back onto
     the plane.
     """
-    return GreatSphere(embed_affine(p, tol).frame)
+    return GreatSphere(embed_affine(p).frame)
 
 
 def completion_check(
@@ -71,10 +71,11 @@ def completion_check(
     Passing means the chart's fibration of R^(2k+1) completes to a great
     k-sphere fibration of S^(2k+1).  For linear and affine charts the map
     is y -> (sum_j t_j C_j) y and the check runs the exact pencil tests
-    where available; for smooth charts the Jacobian of y -> B(y)t is
-    sampled over (y, t) as evidence.  The condition is homogeneous in t,
-    so t and -t are one test: for k = 1, where every unit t is +-1, only
-    t = 1 is tested, one Jacobian per sampled chart point y.
+    where available; for smooth charts it stacks the pencils sum_j t_j
+    dB_j(y), the Jacobians of y -> B(y)t, over sampled (y, t) and leaves
+    the verdict to bilinear.pencil_report.  The condition is homogeneous
+    in t, so t and -t are one test: for k = 1, where every unit t is +-1,
+    only t = 1 is tested, one Jacobian per sampled chart point y.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -82,24 +83,15 @@ def completion_check(
         raise DimensionMismatch(f"need n = 2k+1, got n={c.n} k={c.k}")
     if c.is_linear:
         sub = verify_nonsingular(BilinearMap(c.q, c.k, c.C), samples, stream, tol)
-        return rp.VerificationReport(
-            "completion", sub.verdict, sub.margin, sub.witnesses, sub.sampling, sub.details
-        )
+        return replace(sub, check="completion")
     if samples < 1:
         raise InvalidInput(f"need samples >= 1, got {samples}")
     ys = stream.ball_points(samples, c.q, 10.0)
     # B(y)(-t) = -B(y)t has the same singular values, so a line needs one t.
     ts = np.ones((1, 1)) if c.k == 1 else stream.unit_vectors(max(16, samples // 16), c.k)
-    nt = len(ts)
-    sampling = {"seed": stream.seed, "mode": stream.mode, "count": samples, "radius": 10.0}
-    jacs = np.einsum("nijl,sj->nsil", c.dB(ys), ts)
-    return rp.sampled_report(
-        "completion",
-        jacs.reshape(-1, c.q, c.q),
-        sampling,
-        lambda i, smin: {"y": ys[i // nt].tolist(), "t": ts[i % nt].tolist(), "sigma_min": smin},
-        lambda worst: {"exact": False},
-        tol,
+    return pencil_report(
+        "completion", c.dB(ys).transpose(0, 2, 1, 3), ts, stream.sampling(samples, 10.0),
+        lambda n, s: {"exact": False}, tol, ys,
     )
 
 
@@ -282,10 +274,10 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
         p_t, p_e, p_proj = p[0], p[1:-1], p[-1]
         if abs(p_proj) > EQUATOR_EPS:
             y = fiber_solve(chart, p[:-1] / p_proj, tol)
-            return great_sphere_of(fiber_plane(chart, y, tol), tol)
+            return great_sphere_of(fiber_plane(chart, y, tol))
         if abs(p_t) > EQUATOR_EPS:
             y = np.linalg.solve(m, p_e / p_t)
-            return great_sphere_of(fiber_plane(chart, y, tol), tol)
+            return great_sphere_of(fiber_plane(chart, y, tol))
         cols = np.zeros((d + 2, 2))
         cols[1:-1, 0] = p_e
         cols[1:-1, 1] = m @ p_e

@@ -449,17 +449,70 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+HUGE_CHART = '{"kind": "linear", "k": 1, "q": 2, "C": [[[1e308, -1e308], [1e308, 1e308]]]}'
+
+
 def test_non_finite_report_value_is_input_error(capsys, tmp_path):
-    """Reports are strict JSON: a value that overflowed to inf ends in an
-    input error with nothing on stdout, never in a bare Infinity."""
+    """A value that would overflow to inf ends in an input error with
+    nothing on stdout, never in a bare Infinity; a non-finite value that
+    reaches a report anyway is refused by the strict JSON writer."""
     path = tmp_path / "huge.json"
-    path.write_text('{"kind": "linear", "k": 1, "q": 2, "C": [[[1e308, -1e308], [1e308, 1e308]]]}')
-    with np.errstate(over="ignore", invalid="ignore"):
+    path.write_text(HUGE_CHART)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["verify", "eigen", "--chart", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
+    assert err == "skewfib: error: overflow encountered in scalar add\n"
+    mat = _write_matrix_file(tmp_path, J2)
+    code = main(["sphere", "probe", "--matrix", mat, "--samples", "2", "--threshold", "inf"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
     assert err == "skewfib: error: Out of range float values are not JSON compliant\n"
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["sample", "--grid", "random:4:2"],
+        ["contact", "check"],
+        ["verify", "contact"],
+        ["verify", "skew"],
+        ["verify", "nondeg"],
+        ["verify", "eigen"],
+    ],
+    ids=["sample", "contact-check", "verify-contact", "verify-skew", "verify-nondeg", "verify-eigen"],
+)
+def test_overflowing_chart_is_one_line_error(capsys, tmp_path, verb):
+    """A finite chart whose products overflow: exit 2, one stderr line,
+    no warning, nothing on stdout and no file written."""
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_CHART)
+    argv = verb + ["--chart", str(path)]
+    if verb[0] == "sample":
+        argv += ["--out", str(tmp_path / "fibers.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("skewfib: error: overflow encountered in ")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+def test_build_hopf_line_non_finite_parameter_is_one_line_error(capsys):
+    for flag, value in (("--a", "inf"), ("--b", "nan")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["build", "hopf-line", "--m", "1", flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"skewfib: error: hopf_line parameter {flag[2:]} must be finite, got {value}\n"
 
 
 def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 asymptotic probes, and germ extension."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ def test_builtin_rejects_bad_params():
         builtin_chart("hopf_line", m=2, a=1.0, b=0.0)
     with pytest.raises(InvalidInput):
         builtin_chart("perelman")
+
+
+def test_hopf_line_rejects_non_finite_parameters():
+    """a and b are checked before any arithmetic, so no warning comes first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for key in ("a", "b"):
+            for bad in (math.inf, -math.inf, math.nan):
+                params = {"m": 1, "a": 0.0, "b": 1.0, key: bad}
+                with pytest.raises(InvalidInput, match=f"parameter {key} must be finite"):
+                    builtin_chart("hopf_line", **params)
 
 
 def test_chart_status_lifecycle():
@@ -492,6 +504,19 @@ def test_nondegenerate_sampled_worst_point_is_first_least_margin():
     assert rep.margin == smin.min()
 
 
+def test_nondegenerate_sampling_records():
+    """Every sampled nondegeneracy path records seed, mode, count and
+    radius, linear k >= 2 included; the exact k = 1 test on a linear
+    chart samples nothing."""
+    stream = SampleStream(5, "low-discrepancy")
+    linear = verify_nondegenerate(builtin_chart("hopf7"), radius=3.0, samples=64, stream=stream)
+    assert linear.sampling == {"seed": 5, "mode": "low-discrepancy", "count": 64, "radius": 3.0}
+    assert verify_nondegenerate(builtin_chart("hopf3")).sampling is None
+    ext = extend_germ(builtin_chart("quad_germ", eps=0.05))
+    smooth = verify_nondegenerate(ext, radius=2.0, samples=32, stream=SampleStream(1))
+    assert smooth.sampling == {"seed": 1, "mode": "pseudo-random", "count": 32, "radius": 2.0}
+
+
 def test_nondegenerate_smooth_chart():
     ext = extend_germ(builtin_chart("quad_germ", eps=0.05))
     rep = verify_nondegenerate(ext, radius=5.0, samples=256)
@@ -590,6 +615,13 @@ def test_non_finite_chart_points_are_input_errors():
             ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2,), base=np.array([0.0, bad, 0.0]))
         with pytest.raises(InvalidInput):
             ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2, bad))
+
+
+def test_sample_fibers_rejects_overflowing_points():
+    c = Chart(1, 2, "linear", C=(np.array([[1e308, -1e308], [1e308, 1e308]]),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="not finite"):
+            sample_fibers(c, np.array([[1.0, 1.0]]))
 
 
 def test_continuity_probe_decays():

@@ -178,6 +178,81 @@ def test_completion_smooth_chart_matches_per_point_reference():
                 assert len({tuple(w["y"]) for w in rep.witnesses}) == 3
 
 
+def _closure_chart(mats, scales):
+    """k = 3, q = 4 chart with B(y) t = sum_j t_j C_j (f_j(y_0), y_1, y_2, y_3),
+    where f_j' = scales[j] (1 + y_0^2); scales None keeps y_0 itself."""
+
+    def b(ys):
+        cols = []
+        for j, m in enumerate(mats):
+            zs = ys.copy()
+            if scales is not None:
+                zs[:, 0] = scales[j] * (ys[:, 0] + ys[:, 0] ** 3 / 3.0)
+            cols.append(zs @ m.T)
+        return np.stack(cols, axis=2)
+
+    def db(ys):
+        out = np.broadcast_to(np.stack(mats, axis=1), (len(ys), 4, 3, 4)).copy()
+        if scales is not None:
+            for j, m in enumerate(mats):
+                out[:, :, j, 0] = np.outer(scales[j] * (1.0 + ys[:, 0] ** 2), m[:, 0])
+        return out
+
+    return Chart(3, 4, "builtin", b_func=b, db_func=db)
+
+
+def test_completion_smooth_k3_matches_per_point_reference():
+    """Smooth k >= 2: margin, verdict, witnesses and details equal a loop
+    over single chart points y and sampled unit t.  The Clifford chart has
+    the same dB at every point; the second chart scales the y_0 column of
+    each C_j by a tiny factor, so sigma_min is about sum_j t_j^2 d_j(y),
+    distinct for every sample and below the singularity threshold."""
+    tol = Tolerance()
+    mats = builtin_chart("hopf7").C
+    charts = (_closure_chart(mats, None), _closure_chart(mats, (1e-11, 3e-11, 9e-11)))
+    for c in charts:
+        for seed in (0, 7):
+            rep = completion_check(c, samples=160, stream=SampleStream(seed), tol=tol)
+            stream = SampleStream(seed)
+            ys = stream.ball_points(160, 4, 10.0)
+            ts = stream.unit_vectors(16, 3)
+            ref = [
+                (np.linalg.svd(np.einsum("ijl,j->il", c.dB(y), t), compute_uv=False), n, s)
+                for n, y in enumerate(ys) for s, t in enumerate(ts)
+            ]
+            smins = [sv[-1] for sv, _, _ in ref]
+            assert rep.margin == min(smins)
+            assert rep.details == {"exact": False}
+            singular = sorted(
+                (sv[-1], n, s) for sv, n, s in ref if sv[-1] <= tol.threshold(sv[0])
+            )
+            expected = [
+                {"y": ys[n].tolist(), "t": ts[s].tolist(), "sigma_min": smin}
+                for smin, n, s in singular[:3]
+            ]
+            assert list(rep.witnesses) == expected
+            assert rep.verdict == ("fail" if singular else "evidence-only")
+            if c is charts[0]:
+                assert rep.verdict == "evidence-only"
+                assert abs(rep.margin - 1.0) <= 1e-12
+            else:
+                assert rep.verdict == "fail"
+                assert len(set(smins)) == len(smins)
+
+
+def test_completion_sampling_records():
+    """Linear completion records the pencil test's sampling, without a
+    radius; smooth completion samples chart points in a ball of radius 10."""
+    linear = completion_check(builtin_chart("hopf7"), samples=64, stream=SampleStream(5))
+    assert linear.sampling == {"seed": 5, "mode": "pseudo-random", "count": 64}
+    assert completion_check(builtin_chart("hopf3")).sampling == {
+        "seed": 0, "mode": "pseudo-random", "count": 1024,
+    }
+    ext = extend_germ(builtin_chart("quad_germ", eps=0.05))
+    smooth = completion_check(ext, samples=32, stream=SampleStream(3, "low-discrepancy"))
+    assert smooth.sampling == {"seed": 3, "mode": "low-discrepancy", "count": 32, "radius": 10.0}
+
+
 def test_completion_report_gates_on_fiber_dimension():
     c = from_bilinear(hurwitz_radon_family(4, 3))  # k = 2, n = 6
     rep = completion_report(c)
