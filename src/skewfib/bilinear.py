@@ -166,7 +166,7 @@ def _pencil_exact(
     if is_singular(np.linalg.svd(m2, compute_uv=False), tol):
         details["reason"] = "second matrix is singular"
         witness = {"t": [0.0, 1.0]}
-        return replace(rep, verdict=rp.FAIL, margin=0.0, witnesses=(witness,), details=details)
+        return replace(rep, margin=0.0, witnesses=(witness,), details=details)
     eig = np.linalg.eigvals(np.linalg.solve(m2, m1))
     details["pencil_eigenvalues"] = [complex(v) for v in eig]
     details["imag_margin"] = float(np.min(np.abs(eig.imag)))
@@ -176,9 +176,9 @@ def _pencil_exact(
         t = np.array([1.0, -lam])
         details["real_eigenvalue"] = lam
         witness = {"t": (t / np.linalg.norm(t)).tolist(), "eigenvalue": lam}
-        return replace(rep, verdict=rp.FAIL, margin=0.0, witnesses=(witness,), details=details)
+        return replace(rep, margin=0.0, witnesses=(witness,), details=details)
     details["sampled_margin"] = rep.margin
-    return replace(rep, verdict=rp.PASS, witnesses=(), details=details)
+    return replace(rep, witnesses=(), details=details)
 
 
 def pencil_report(
@@ -222,16 +222,13 @@ def verify_nonsingular(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    if samples < 1:
-        raise InvalidInput(f"need samples >= 1, got {samples}")
     sampling = stream.sampling(samples)
 
     if a.kp1 == 1:
         sv = np.linalg.svd(a.mats[0], compute_uv=False)
         witnesses = ({"t": [1.0]},) if is_singular(sv, tol) else ()
-        verdict = rp.FAIL if witnesses else rp.PASS
         return rp.VerificationReport(
-            "nonsingular", verdict, float(sv[-1]), witnesses, sampling, {"exact": True}
+            "nonsingular", float(sv[-1]), witnesses, sampling, {"exact": True}
         )
 
     ts = stream.unit_vectors(samples, a.kp1)

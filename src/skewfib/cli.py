@@ -229,7 +229,7 @@ def _cmd_sample(args) -> int:
         )
         for fid, ind, row in zip(ids, idx, pts):
             writer.writerow([int(fid)] + [int(v) for v in ind] + [repr(float(v)) for v in row])
-    _emit({"written": args.out, "fibers": int(ids.max()) + 1 if len(ids) else 0, "rows": len(ids)})
+    _emit({"written": args.out, "fibers": len(grid), "rows": len(ids)})
     return 0
 
 

@@ -80,8 +80,9 @@ def _ambient_form_linear(c: Chart, x: np.ndarray) -> np.ndarray:
     return np.concatenate([one, b]) / (1.0 + b @ b)
 
 
-def _complex_step_jacobian(f, x: np.ndarray, h: float = 1e-20) -> np.ndarray:
+def _complex_step_jacobian(f, x: np.ndarray) -> np.ndarray:
     """Machine-precision Jacobian of an analytic map, rows = outputs."""
+    h = 1e-20  # no subtraction, so no cancellation: the step can be this small
     cols = []
     for j in range(x.size):
         xp = x.astype(complex)

@@ -285,9 +285,8 @@ def chart_to_dict(c: Chart) -> dict:
             out["builtin"] = {"name": c.name, "params": c.params or {}}
         return out
     if c.name == "germ_extension":
-        base = c.params["base"]
-        base_dict = base if isinstance(base, dict) else chart_to_dict(base)
-        out["builtin"] = {"name": c.name, "params": {"blend_r": c.params["blend_r"], "base": base_dict}}
+        base = chart_to_dict(c.params["base"])
+        out["builtin"] = {"name": c.name, "params": {"blend_r": c.params["blend_r"], "base": base}}
         return out
     if c.name:
         out["builtin"] = {"name": c.name, "params": c.params or {}}
@@ -303,12 +302,11 @@ def chart_from_dict(data: dict) -> Chart:
         raise InvalidInput(f"chart data missing key {exc}") from exc
     meta = data.get("builtin") or {}
     if kind in (LINEAR, AFFINE):
-        c = Chart(
+        return Chart(
             k, q, kind, C=tuple(data["C"]),
             B0=data.get("B0") if kind == AFFINE else None,
             name=meta.get("name"), params=meta.get("params"),
         )
-        return c
     if kind == BUILTIN:
         if "name" not in meta:
             raise InvalidInput("builtin chart data needs builtin.name")
@@ -427,9 +425,9 @@ def verify_skew(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    sampling = stream.sampling(samples, radius)
     if samples < 2:
         raise InvalidInput(f"need samples >= 2, got {samples}")
+    sampling = stream.sampling(samples, radius)
     xs, ys = stream.pairs_in_ball(samples, c.q, radius)
     norms = np.linalg.norm(xs - ys, axis=1)
     keep = norms > 1e-12 * max(radius, 1.0)
@@ -471,12 +469,11 @@ def _spectrum_report(
     bad = np.flatnonzero(np.any(real, axis=1))[:1]
     witnesses = tuple({"y": ys[i].tolist(), "eigenvalue": float(eig[i].real[real[i]][0])} for i in bad)
     if sampling is None:
-        clean, details = rp.PASS, {"exact": True, "eigenvalues": [complex(v) for v in eig[0]]}
+        details = {"exact": True, "eigenvalues": [complex(v) for v in eig[0]]}
     else:
-        clean, details = rp.EVIDENCE, {"exact": False, "worst_point": ys[worst].tolist()}
-    verdict = rp.FAIL if witnesses else clean
+        details = {"exact": False, "worst_point": ys[worst].tolist()}
     return rp.VerificationReport(
-        "nondegenerate", verdict, float(per_point[worst]), witnesses, sampling, details
+        "nondegenerate", float(per_point[worst]), witnesses, sampling, details
     )
 
 
@@ -507,8 +504,6 @@ def verify_nondegenerate(
         sub = verify_nonsingular(BilinearMap(c.q, c.k + 1, (*c.C, np.eye(c.q))), samples, stream, tol)
         return replace(sub, check="nondegenerate", sampling=sampling)
 
-    if samples < 1:
-        raise InvalidInput(f"need samples >= 1, got {samples}")
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
         return _spectrum_report(np.linalg.eigvals(c.dB(pts)[:, :, 0, :]), pts, sampling, tol)
@@ -746,11 +741,14 @@ def sample_fibers(
 
     Returns (fiber_ids, grid_indices, points): for each base point, a grid
     of steps**k parameter values over t_range per axis, with the ambient
-    point (t, B(y) t + y) for each.  Non-finite points raise InvalidInput.
+    point (t, B(y) t + y) for each, all fibers in one stacked product.
+    An empty or non-finite stack of points raises InvalidInput.
     """
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     if base_points.shape[1] != c.q:
         raise InvalidInput(f"base points must have {c.q} columns")
+    if not len(base_points):
+        raise InvalidInput("need at least one base point")
     if not np.isfinite(base_points).all():
         raise InvalidInput("base points must be finite")
     if steps < 1:
@@ -759,18 +757,12 @@ def sample_fibers(
     if hi <= lo:
         raise InvalidInput("t_range must be increasing")
     axis = np.linspace(lo, hi, steps)
-    grids = np.meshgrid(*([axis] * c.k), indexing="ij")
-    tgrid = np.stack([g.ravel() for g in grids], axis=1)
-    idx = np.stack(
-        [g.ravel() for g in np.meshgrid(*([np.arange(steps)] * c.k), indexing="ij")], axis=1
-    )
-    ids, indices, points = [], [], []
-    for fid, (y, by) in enumerate(zip(base_points, c.B(base_points))):
-        pts = np.hstack([tgrid, tgrid @ by.T + y])
-        ids.append(np.full(tgrid.shape[0], fid))
-        indices.append(idx)
-        points.append(pts)
-    points = np.vstack(points)
+    idx = np.indices((steps,) * c.k).reshape(c.k, -1).T
+    tgrid = axis[idx]
+    count, size = len(base_points), len(tgrid)
+    planes = np.matmul(tgrid, c.B(base_points).transpose(0, 2, 1)) + base_points[:, None, :]
+    points = np.concatenate([np.broadcast_to(tgrid, (count, size, c.k)), planes], axis=2)
+    points = points.reshape(count * size, c.n)
     if not np.isfinite(points).all():
         raise InvalidInput("sampled fiber points are not finite: the chart overflows")
-    return np.concatenate(ids), np.vstack(indices), points
+    return np.repeat(np.arange(count), size), np.tile(idx, (count, 1)), points

@@ -75,6 +75,11 @@ class SampleStream:
     "low-discrepancy" uses an additive Kronecker lattice pushed onto the
     sphere through Box-Muller pairs.  Both modes are prefix-stable: the
     points of a batch of size N are the first N points of any larger batch.
+
+    This is the one place that checks a sample count (>= 1) and a
+    sampling radius (finite, > 0): every draw checks its own, and so does
+    sampling(), where every sampled verdict builds its record, so no check
+    or CLI verb keeps a copy of the test.
     """
 
     MODES = ("pseudo-random", "low-discrepancy")
@@ -109,17 +114,22 @@ class SampleStream:
         g[:, 1::2] = radial * np.sin(2 * np.pi * u2)
         return g[:, :dims], lattice[:, ncols]
 
+    @staticmethod
+    def _check(count: int, radius: float | None = None) -> None:
+        if radius is not None and not (math.isfinite(radius) and radius > 0.0):
+            raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
+        if count < 1:
+            raise InvalidInput(f"need samples >= 1, got {count}")
+
     def _points(self, count: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
-        if count < 0 or dims < 1:
-            raise InvalidInput("need count >= 0 and dims >= 1")
-        chunks = max(1, -(-count // _CHUNK)) if count else 0
+        self._check(count)
+        if dims < 1:
+            raise InvalidInput(f"need dims >= 1, got {dims}")
         gs, us = [], []
-        for _ in range(chunks):
+        for _ in range(-(-count // _CHUNK)):
             g, u = self._chunk(dims)
             gs.append(g)
             us.append(u)
-        if not count:
-            return np.empty((0, dims)), np.empty(0)
         return np.vstack(gs)[:count], np.concatenate(us)[:count]
 
     def unit_vectors(self, count: int, dims: int) -> np.ndarray:
@@ -131,6 +141,7 @@ class SampleStream:
 
     def ball_points(self, count: int, dims: int, radius: float) -> np.ndarray:
         """count points uniform in the ball of the given radius."""
+        self._check(count, radius)
         g, u = self._points(count, dims)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -138,15 +149,14 @@ class SampleStream:
 
     def pairs_in_ball(self, count: int, dims: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """count pairs (x, y) of ball points, drawn as consecutive samples."""
+        self._check(count, radius)
         pts = self.ball_points(2 * count, dims, radius)
         return pts[0::2], pts[1::2]
 
     def sampling(self, count: int, radius: float | None = None) -> dict:
         """The report record of a search that draws count samples from this
-        stream; a search over chart points adds the radius of their ball,
-        which must be finite and positive."""
-        if radius is not None and not (math.isfinite(radius) and radius > 0.0):
-            raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
+        stream; a search over chart points adds the radius of their ball."""
+        self._check(count, radius)
         ball = {} if radius is None else {"radius": radius}
         return {"seed": self.seed, "mode": self.mode, "count": count, **ball}
 

@@ -3,8 +3,11 @@
 Verdicts: "pass" for exact certificates (pencil and eigenvalue tests),
 "fail" for any detected violation, and "evidence-only" when a sampled
 search found no violation.  Sampling can refute but never certify, so a
-clean sampled run is evidence, not proof.  A "fail" always carries at
-least one concrete witness.
+clean sampled run is evidence, not proof.  No check states its verdict:
+VerificationReport.verdict derives it from the report's own evidence, so
+a "fail" always carries a witness and a "pass" always comes from a test
+that recorded details["exact"].  Sample counts and radii are checked
+where samples are drawn, in numeric.SampleStream.
 """
 
 from __future__ import annotations
@@ -39,21 +42,22 @@ def _plain(obj: Any) -> Any:
 @dataclass(frozen=True)
 class VerificationReport:
     check: str
-    verdict: str
     margin: float
     witnesses: tuple = ()
     sampling: dict | None = None
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.verdict not in (PASS, FAIL, EVIDENCE):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == FAIL and not self.witnesses:
-            raise ValueError("fail verdict requires at least one witness")
+    @property
+    def verdict(self) -> str:
+        """fail with a witness, else pass from an exact test, else evidence-only."""
+        if self.witnesses:
+            return FAIL
+        return PASS if self.details.get("exact") is True else EVIDENCE
 
     @property
     def ok(self) -> bool:
-        return self.verdict != FAIL
+        """No witness: the check found no violation."""
+        return not self.witnesses
 
     def to_dict(self) -> dict:
         out = {
@@ -83,7 +87,8 @@ def sampled_report(
     given.  The report margin is the least margin, and details(i) gets the
     first index i attaining it.  Any singular sample makes the verdict
     "fail", with witness(i, sigma_min) for up to three singular samples of
-    least margin; otherwise the run is evidence-only.
+    least margin; otherwise the run is evidence-only, unless details
+    records an exact test.
     """
     sv = np.linalg.svd(stack, compute_uv=False)
     smin = sv[:, -1]
@@ -92,5 +97,4 @@ def sampled_report(
     worst = int(np.argmin(margins))
     order = np.argsort(np.where(singular, margins, np.inf))[:3]
     witnesses = tuple(witness(int(i), float(smin[i])) for i in order if singular[i])
-    verdict = FAIL if witnesses else EVIDENCE
-    return VerificationReport(check, verdict, float(margins[worst]), witnesses, sampling, details(worst))
+    return VerificationReport(check, float(margins[worst]), witnesses, sampling, details(worst))

@@ -504,6 +504,58 @@ def test_overflowing_chart_is_one_line_error(capsys, tmp_path, verb):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
 
+_ZERO = "need samples >= 1, got 0"
+_RADIUS = "need a finite sampling radius > 0, got {}"
+
+_INPUT_ERRORS = [
+    (["verify", "nondeg", "--chart", "@hopf3", "--samples", "0"], _ZERO),
+    (["verify", "nondeg", "--chart", "@hopf3", "--samples=-5"], "need samples >= 1, got -5"),
+    (["contact", "check", "--chart", "@hopf3", "--samples", "0"], _ZERO),
+    (["contact", "check", "--chart", "@hopf3", "--samples=-3"], "need samples >= 1, got -3"),
+    (["contact", "check", "--chart", "@hopf3", "--radius=-1"], _RADIUS.format(-1.0)),
+    (["contact", "check", "--chart", "@hopf3", "--radius", "0"], _RADIUS.format(0.0)),
+    (["contact", "check", "--chart", "@hopf3", "--radius", "nan"], _RADIUS.format("nan")),
+    (["verify", "contact", "--chart", "@hopf3", "--samples", "0"], _ZERO),
+    (["verify", "contact", "--chart", "@hopf3", "--radius=-1"], _RADIUS.format(-1.0)),
+    (["verify", "contact", "--chart", "@hopf3", "--radius", "0"], _RADIUS.format(0.0)),
+    (["verify", "contact", "--chart", "@hopf3", "--radius", "inf"], _RADIUS.format("inf")),
+    (["sphere", "probe", "--matrix", "@J4", "--samples", "0"], _ZERO),
+    (["sphere", "probe", "--matrix", "@J4", "--samples=-1"], "need samples >= 1, got -1"),
+    (["sphere", "assemble", "--matrix", "@J4", "--samples", "0", "--out", "!"], _ZERO),
+    (["sphere", "assemble", "--matrix", "@J4", "--samples=-2"], "need samples >= 1, got -2"),
+    (["sample", "--chart", "@hopf3", "--grid", "random:0:1", "--out", "!"], _ZERO),
+    (["sample", "--chart", "@hopf3", "--grid", "random:-2:1", "--out", "!"],
+     "need samples >= 1, got -2"),
+    (["sample", "--chart", "@hopf3", "--grid", "random:4:-1", "--out", "!"], _RADIUS.format(-1.0)),
+    (["sample", "--chart", "@hopf3", "--grid", "random:4:0", "--out", "!"], _RADIUS.format(0.0)),
+    (["sample", "--chart", "@hopf3", "--grid", "circle:1:0", "--out", "!"],
+     "need at least one base point"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", _INPUT_ERRORS, ids=["_".join(argv) for argv, _ in _INPUT_ERRORS]
+)
+def test_sample_count_and_radius_errors_are_one_line(capsys, tmp_path, argv, message):
+    """A sample count below 1, a radius that is not finite and > 0, or an
+    empty grid: exit 2 with one stderr line, nothing on stdout and no
+    file written, never a verdict on no samples."""
+    files = {
+        "@hopf3": _write_chart_file(tmp_path, "hopf3"),
+        "@J4": _write_matrix_file(tmp_path, np.kron(np.eye(2), np.asarray(J2)), "J4.json"),
+        "!": str(tmp_path / "out.csv"),
+    }
+    before = sorted(p.name for p in tmp_path.iterdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"skewfib: error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_build_hopf_line_non_finite_parameter_is_one_line_error(capsys):
     for flag, value in (("--a", "inf"), ("--b", "nan")):
         with warnings.catch_warnings():

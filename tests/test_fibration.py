@@ -751,6 +751,8 @@ def test_sample_fibers_line_chart():
     assert set(ids.tolist()) == {0, 1}
     for fid, x in zip(ids, pts):
         assert _on_fiber_residual(c, bases[fid], x) <= 1e-12
+    with pytest.raises(InvalidInput, match="need at least one base point"):
+        sample_fibers(c, np.zeros((0, 2)))
 
 
 def test_sample_fibers_plane_chart():
@@ -762,6 +764,50 @@ def test_sample_fibers_plane_chart():
         sample_fibers(c, np.zeros((1, 3)))
     with pytest.raises(InvalidInput):
         sample_fibers(c, np.zeros((1, 4)), t_range=(1.0, -1.0))
+    with pytest.raises(InvalidInput, match="need at least one base point"):
+        sample_fibers(c, np.zeros((0, 4)))
+
+
+def _sample_fibers_loop(c, base_points, t_range, steps):
+    """The per-fiber loop sample_fibers ran before it became one stacked
+    product: a reference for its values, indices and dtypes."""
+    axis = np.linspace(t_range[0], t_range[1], steps)
+    grids = np.meshgrid(*([axis] * c.k), indexing="ij")
+    tgrid = np.stack([g.ravel() for g in grids], axis=1)
+    idx = np.stack(
+        [g.ravel() for g in np.meshgrid(*([np.arange(steps)] * c.k), indexing="ij")], axis=1
+    )
+    ids, indices, points = [], [], []
+    for fid, (y, by) in enumerate(zip(base_points, c.B(base_points))):
+        ids.append(np.full(tgrid.shape[0], fid))
+        indices.append(idx)
+        points.append(np.hstack([tgrid, tgrid @ by.T + y]))
+    return np.concatenate(ids), np.vstack(indices), np.vstack(points)
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        builtin_chart("hopf3"),
+        builtin_chart("hopf7"),
+        builtin_chart("hopf15"),
+        builtin_chart("hopf_line", m=2, a=0.5, b=1.5),
+        from_bilinear(hurwitz_radon_family(8, 5)),
+        builtin_chart("hopf7").with_offset(np.arange(12.0).reshape(4, 3) / 7.0),
+        extend_germ(builtin_chart("quad_germ", eps=0.2), samples=200),
+    ],
+    ids=["hopf3", "hopf7", "hopf15", "hopf_line", "hr-8-5", "affine-hopf7", "extension"],
+)
+def test_sample_fibers_matches_per_fiber_loop(chart):
+    bases = SampleStream(RNG_SEED).ball_points(6, chart.q, 3.0)
+    bases[0] = 0.0
+    # 5**7 parameter values per fiber of hopf15 would only slow the test down
+    for steps in (1, 3, 5) if chart.k < 7 else (1, 2, 3):
+        got = sample_fibers(chart, bases, (-1.5, 2.0), steps)
+        want = _sample_fibers_loop(chart, bases, (-1.5, 2.0), steps)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
 
 
 def test_chart_json_round_trip_linear():

@@ -92,6 +92,25 @@ def test_sample_stream_rejects_unknown_mode():
         SampleStream(seed=0, mode="sobol")
 
 
+def test_sample_stream_checks_every_count_and_radius():
+    stream = SampleStream(seed=0)
+    with pytest.raises(InvalidInput, match=r"need samples >= 1, got 0"):
+        stream.unit_vectors(0, 3)
+    with pytest.raises(InvalidInput, match=r"need samples >= 1, got -2"):
+        stream.pairs_in_ball(-2, 3, 1.0)
+    with pytest.raises(InvalidInput, match=r"need a finite sampling radius > 0, got -1.0"):
+        stream.ball_points(5, 3, -1.0)
+    for radius in (0.0, np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="sampling radius"):
+            stream.pairs_in_ball(5, 3, radius)
+    with pytest.raises(InvalidInput, match=r"need samples >= 1, got 0"):
+        stream.sampling(0)
+    with pytest.raises(InvalidInput, match="sampling radius"):
+        stream.sampling(5, 0.0)
+    # a rejected request draws nothing, so the stream stays where it was
+    assert np.array_equal(stream.unit_vectors(4, 3), SampleStream(seed=0).unit_vectors(4, 3))
+
+
 def test_orthonormalize_plain_cases():
     q = orthonormalize(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(q.T @ q, np.eye(2), atol=1e-14)

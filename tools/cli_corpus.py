@@ -1,0 +1,342 @@
+"""Compare the command line of two checkouts on one fixed-seed corpus.
+
+    python3 tools/cli_corpus.py OLD NEW
+
+OLD and NEW are checkouts of this repository.  Each runs the whole
+corpus in its own subprocess, importing skewfib from its own src/ and
+calling skewfib.cli.main once per command, in a working directory of its
+own under a temporary directory (nothing is written anywhere else).  The
+corpus covers every verb on the chart families below, seeds 0 and 7 and
+both sample modes, and the input-error paths of the sampled verbs:
+
+- charts built by the `build` verbs: hopf3/7/15, two hopf_line,
+  Glück–Yang, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
+  quaternion and octonion maps;
+- chart files written here: zero charts (k = 1 and k = 3), a real
+  eigenvalue, an ill-conditioned k = 2 chart, two affine charts, an
+  overflowing chart, `quad_germ` with two eps, smooth extensions of a
+  linear k = 3 chart and of the zero k = 3 chart, and the extensions that
+  `germ extend` writes.
+
+For every command it compares stdout, stderr, the exit code and every
+file the command wrote or changed (by content), then prints how many
+commands are identical and each one that differs.  The exit code is 0
+when all are identical and 1 otherwise.  It is not part of the test
+suite, and a run takes about fifteen seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+
+# Left multiplication by the quaternion units i, j, k: anticommuting
+# orthogonal complex structures on R^4.
+_LI = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+_LJ = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+_LK = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+_J2 = [[0.0, -1.0], [1.0, 0.0]]
+_ZERO4 = [[0.0] * 4 for _ in range(4)]
+
+
+def _linear(k, q, mats, b0=None):
+    out = {"schema": "skewfib-chart-v1", "kind": "linear" if b0 is None else "affine",
+           "k": k, "q": q, "C": mats}
+    if b0 is not None:
+        out["B0"] = b0
+    return out
+
+
+def _builtin(k, q, name, params):
+    return {"schema": "skewfib-chart-v1", "kind": "builtin", "k": k, "q": q,
+            "builtin": {"name": name, "params": params}}
+
+
+# Input files written into each working directory before the corpus runs.
+FILES = {
+    "zero-k1.json": _linear(1, 2, [[[0.0, 0.0], [0.0, 0.0]]]),
+    "zero-k3.json": _linear(3, 4, [_ZERO4, _ZERO4, _ZERO4]),
+    "real-eig.json": _linear(1, 2, [[[1.0, 2.0], [0.0, 3.0]]]),
+    "ill-k2.json": _linear(2, 4, [_LI, [[v * 1e-7 for v in _LJ[0]]] + _LJ[1:]]),
+    "affine-k1.json": _linear(1, 2, [_J2], [[0.25], [-0.5]]),
+    "affine-k3.json": _linear(
+        3, 4, [_LI, _LJ, _LK], [[0.5, 0, -1], [0, 0.25, 0], [1, 0, 0], [0, 0, 2]]
+    ),
+    "huge.json": _linear(1, 2, [[[1e308, -1e308], [1e308, 1e308]]]),
+    "quad-005.json": _builtin(1, 2, "quad_germ", {"eps": 0.05}),
+    "quad-02.json": _builtin(1, 2, "quad_germ", {"eps": 0.2}),
+    "ext-quat.json": _builtin(3, 4, "germ_extension",
+                              {"blend_r": 0.5, "base": _linear(3, 4, [_LI, _LJ, _LK])}),
+    "ext-zero-k3.json": _builtin(3, 4, "germ_extension",
+                                 {"blend_r": 0.5, "base": _linear(3, 4, [_ZERO4] * 3)}),
+    "J2.json": {"matrix": _J2},
+    "J4.json": {"matrix": _LI},
+    "scaled.json": {"matrix": [[0.5, -2.0], [2.0, 0.5]]},
+    "mixed.json": {"matrix": [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]]},
+    "real.json": {"matrix": [[1.0, 0.0], [0.0, 2.0]]},
+    "odd.json": {"matrix": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+    "gy.json": {"matrix": [[0, 0.5, 1, 0], [-0.5, 0, 0, 1], [0, 0, 0, 0.5], [0, 0, -0.5, 0]]},
+    "pts-q2.txt": "# chart points\n0 0\n0.5 -0.25\n1.5 2\n",
+    "pts-q4.txt": "0 0 0 0\n0.5 -0.25 1 0\n",
+}
+
+# Charts built through the CLI, by output file.
+BUILDS = {
+    "hopf3.json": ["build", "hopf", "--dim", "3"],
+    "hopf7.json": ["build", "hopf", "--dim", "7"],
+    "hopf15.json": ["build", "hopf", "--dim", "15"],
+    "line-m1.json": ["build", "hopf-line", "--m", "1", "--a", "0.5", "--b", "1.5"],
+    "line-m2.json": ["build", "hopf-line", "--m", "2", "--a=-0.25", "--b", "2"],
+    "gy-m2.json": ["build", "gluck-yang", "--m", "2"],
+    "hr-4-3.json": ["build", "bilinear", "--hr", "4", "3"],
+    "hr-8-5.json": ["build", "bilinear", "--hr", "8", "5"],
+    "hr-16-9.json": ["build", "bilinear", "--hr", "16", "9"],
+    "complex-2.json": ["build", "bilinear", "--algebra", "complex", "--kp1", "2"],
+    "quat-3.json": ["build", "bilinear", "--algebra", "quaternion", "--kp1", "3"],
+    "oct-5.json": ["build", "bilinear", "--algebra", "octonion", "--kp1", "5"],
+}
+
+# (k, q) of every chart the checks run on, including the germ extensions
+# that the corpus writes itself.
+CHARTS = {
+    "hopf3.json": (1, 2), "hopf7.json": (3, 4), "hopf15.json": (7, 8),
+    "line-m1.json": (1, 2), "line-m2.json": (1, 4), "gy-m2.json": (1, 4),
+    "hr-4-3.json": (2, 4), "hr-8-5.json": (4, 8), "hr-16-9.json": (8, 16),
+    "complex-2.json": (1, 2), "quat-3.json": (2, 4), "oct-5.json": (4, 8),
+    "zero-k1.json": (1, 2), "zero-k3.json": (3, 4), "real-eig.json": (1, 2),
+    "ill-k2.json": (2, 4), "affine-k1.json": (1, 2), "affine-k3.json": (3, 4),
+    "huge.json": (1, 2), "quad-005.json": (1, 2), "quad-02.json": (1, 2),
+    "ext-005.json": (1, 2), "ext-02.json": (1, 2),
+    "ext-quat.json": (3, 4), "ext-zero-k3.json": (3, 4),
+}
+
+MATRICES = ("J2.json", "J4.json", "scaled.json", "mixed.json", "real.json", "odd.json", "gy.json")
+
+
+def _point(dim: int) -> str:
+    return ",".join(repr(0.5 * ((-1) ** i) * (1 + i % 3)) for i in range(dim))
+
+
+def corpus() -> list[dict]:
+    """Every command as {"argv": [...]} plus an optional "env" override."""
+    cmds: list[dict] = []
+
+    def add(*argv, env=None):
+        cmds.append({"argv": [str(a) for a in argv], **({"env": env} if env else {})})
+
+    for q in range(1, 17):
+        add("dims", "rho", q)
+    for k, n in ((1, 3), (3, 7), (7, 15), (2, 6), (1, 4), (8, 24)):
+        add("dims", "admissible", k, n)
+    add("dims", "table")
+    add("dims", "table", "--max-n", 9)
+
+    for out, argv in BUILDS.items():
+        add(*argv)
+        add(*argv, "--out", out)
+        add("build", "from-json", "--in", out)
+    for name in ("quad-005.json", "ext-quat.json", "affine-k3.json", "zero-k3.json"):
+        add("build", "from-json", "--in", name, "--out", "copy-" + name)
+    for flag in ("--a", "--b"):
+        for value in ("inf", "-inf", "nan", "1e308"):
+            add("build", "hopf-line", "--m", 1, f"{flag}={value}")
+    add("build", "hopf-line", "--m", 0)
+    add("build", "hopf-line", "--m", 1, "--b", 0)
+    add("build", "gluck-yang", "--m", 1)
+    add("build", "bilinear", "--hr", 6, 3)
+    add("build", "bilinear", "--algebra", "octonion", "--kp1", 9)
+    add("build", "bilinear")
+
+    for base in ("quad-005", "quad-02"):
+        out = base.replace("quad", "ext") + ".json"
+        add("germ", "extend", "--chart", f"{base}.json", "--out", out)
+        add("germ", "extend", "--chart", f"{base}.json", "--radius", 0.3, "--seed", 7)
+        add("germ", "extend", "--chart", f"{base}.json", "--samples", 300)
+    for chart in CHARTS:
+        add("germ", "extend", "--chart", chart, "--samples", 200, "--out", "germ-" + chart)
+
+    for chart, (k, q) in CHARTS.items():
+        for what in ("skew", "nondeg"):
+            for seed in (0, 7):
+                for samples in (64, 300):
+                    for mode in ("pseudo-random", "low-discrepancy"):
+                        add("verify", what, "--chart", chart, "--samples", samples,
+                            "--seed", seed, "--mode", mode)
+            add("verify", what, "--chart", chart, "--samples", 64, "--radius", 2.5)
+            add("verify", what, "--chart", chart, "--samples", 1)
+            add("verify", what, "--chart", chart, "--samples", 0)
+            add("verify", what, "--chart", chart, "--samples", 64, "--radius", 0)
+            add("verify", what, "--chart", chart, "--samples", 64, "--radius", "nan")
+        add("verify", "eigen", "--chart", chart)
+        for seed in (0, 7):
+            for samples in (64, 300):
+                add("sphere", "complete-check", "--chart", chart, "--samples", samples,
+                    "--seed", seed)
+        add("sphere", "complete-check", "--chart", chart, "--samples", 0)
+        add("fiber", "--chart", chart, "--point", "0")
+        add("fiber", "--chart", chart, "--point", _point(k + q))
+        add("sample", "--chart", chart, "--grid", "random:4:2", "--steps", 3,
+            "--out", "s-" + chart + ".csv")
+        add("sample", "--chart", chart, "--grid", "circle:1.5:5", "--steps", 2, "--seed", 7,
+            "--t-range=-2:0.5", "--out", "c-" + chart + ".csv")
+        pts = "pts-q2.txt" if q == 2 else "pts-q4.txt" if q == 4 else None
+        if pts:
+            add("sample", "--chart", chart, "--grid", "file:" + pts, "--out", "f-" + chart + ".csv")
+        if k == 1:
+            for verb in (("verify", "contact"), ("contact", "check")):
+                add(*verb, "--chart", chart, "--point", "0")
+                add(*verb, "--chart", chart, "--point", _point(q))
+                for seed in (0, 7):
+                    add(*verb, "--chart", chart, "--samples", 3, "--radius", 1.5, "--seed", seed)
+                if pts:
+                    add(*verb, "--chart", chart, "--points", pts)
+
+    for mat in MATRICES:
+        for seed in (0, 7):
+            add("verify", "invariant-planes", "--matrix", mat, "--samples", 50, "--seed", seed)
+        add("verify", "invariant-planes", "--matrix", mat, "--samples", 0)
+        add("sphere", "assemble", "--matrix", mat, "--point", "0", "--theta-steps", 8,
+            "--out", "a-" + mat + ".csv")
+        add("sphere", "assemble", "--matrix", mat, "--samples", 3, "--seed", 7)
+        for distance, threshold in (("1e-4", "1e-3"), ("1e-1", "1e-9")):
+            add("sphere", "probe", "--matrix", mat, "--samples", 4, "--distance", distance,
+                "--threshold", threshold)
+
+    # the sampled verbs' input-error paths
+    for verb in (("contact", "check"), ("verify", "contact")):
+        for extra in (["--samples", 0], ["--samples=-3"], ["--radius=-1"], ["--radius", 0],
+                      ["--radius", "nan"], ["--radius", "inf"], ["--samples", 0, "--radius=-1"]):
+            add(*verb, "--chart", "hopf3.json", *extra)
+    both_bad = (["--samples", 0, "--radius", 0], ["--samples", 1, "--radius=-1"])
+    for extra in (["--samples=-5"], *both_bad):
+        for what in ("skew", "nondeg"):
+            add("verify", what, "--chart", "hopf3.json", *extra)
+            add("verify", what, "--chart", "quad-005.json", *extra)
+    for verb in ("probe", "assemble"):
+        add("sphere", verb, "--matrix", "J4.json", "--samples", 0)
+        add("sphere", verb, "--matrix", "J4.json", "--samples=-1")
+    add("sphere", "assemble", "--matrix", "J4.json", "--samples", 0, "--out", "bad.csv")
+    add("sphere", "assemble", "--matrix", "J4.json", "--samples", 0, "--point", "0")
+    for grid in ("random:0:1", "random:-2:1", "random:4:-1", "random:4:0", "random:4:nan",
+                 "circle:1:0", "circle:0:4", "random:4", "hexagon:3"):
+        add("sample", "--chart", "hopf3.json", "--grid", grid, "--out", "bad.csv")
+    add("sample", "--chart", "hopf3.json", "--grid", "random:4:1", "--steps", 0, "--out", "bad.csv")
+    add("sphere", "complete-check", "--chart", "quad-005.json", "--samples=-2")
+    add("verify", "invariant-planes", "--matrix", "odd.json", "--samples", 0)
+    add("germ", "extend", "--chart", "quad-005.json", "--samples", 0)
+    add("germ", "extend", "--chart", "quad-005.json", "--radius", 0)
+
+    # tolerance overrides and usage errors
+    for tol in ("1e-3", "1e-12,1e-15", "abc", "inf"):
+        add("verify", "nondeg", "--chart", "ill-k2.json", "--samples", 64, env={"SKEWFIB_TOL": tol})
+        add("verify", "eigen", "--chart", "line-m1.json", env={"SKEWFIB_TOL": tol})
+    add()
+    add("frobnicate")
+    add("verify", "skew")
+    add("verify", "skew", "--chart", "missing.json")
+    add("fiber", "--chart", "hopf3.json", "--point", "1,2")
+    add("sphere", "assemble", "--matrix", "J2.json", "--point", "0 0 0 0")
+    return cmds
+
+
+def _snapshot(root: str) -> dict:
+    """Modification time of every file, so that a file rewritten with the
+    same bytes still counts as written."""
+    return {name: os.stat(os.path.join(root, name)).st_mtime_ns for name in os.listdir(root)}
+
+
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def worker(src: str, workdir: str) -> None:
+    """Run the corpus from stdin with skewfib imported from src; print the
+    results as JSON lines, one per command."""
+    sys.path.insert(0, src)
+    import skewfib.cli
+
+    here = os.path.dirname(os.path.abspath(skewfib.cli.__file__))
+    if os.path.commonpath([here, os.path.abspath(src)]) != os.path.abspath(src):
+        raise SystemExit(f"skewfib imported from {here}, not from {src}")
+    warnings.simplefilter("always")
+    os.chdir(workdir)
+    for name, data in FILES.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(data if isinstance(data, str) else json.dumps(data))
+    for cmd in json.load(sys.stdin):
+        before = _snapshot(".")
+        saved = {key: os.environ.get(key) for key in cmd.get("env", {})}
+        os.environ.update(cmd.get("env", {}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = skewfib.cli.main(cmd["argv"])
+            except Exception as exc:  # a crash is an outcome to compare, too
+                code = f"raised {type(exc).__name__}: {exc}"
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key)
+            else:
+                os.environ[key] = value
+        after = _snapshot(".")
+        files = {name: _digest(name) for name in sorted(after) if before.get(name) != after[name]}
+        stderr = err.getvalue().replace(os.path.abspath(src), "<src>")
+        result = {"stdout": out.getvalue(), "stderr": stderr, "exit": code, "files": files}
+        print(json.dumps(result))
+
+
+def _run(checkout: str, workdir: str, cmds: list[dict]) -> list[dict]:
+    src = os.path.join(os.path.abspath(checkout), "src")
+    env = {key: v for key, v in os.environ.items() if key not in ("PYTHONPATH", "SKEWFIB_TOL")}
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", src, workdir],
+        input=json.dumps(cmds), capture_output=True, text=True, env=env, check=False,
+    )
+    if done.returncode:
+        raise SystemExit(f"corpus run in {checkout} failed:\n{done.stderr}")
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def _short(text) -> str:
+    text = json.dumps(text)
+    return text if len(text) <= 160 else text[:157] + "..."
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--worker":
+        worker(argv[1], argv[2])
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    cmds = corpus()
+    with tempfile.TemporaryDirectory(prefix="cli-corpus-") as tmp:
+        results = []
+        for side, checkout in zip(("old", "new"), argv):
+            workdir = os.path.join(tmp, side)
+            os.mkdir(workdir)
+            results.append(_run(checkout, workdir, cmds))
+    old, new = results
+    differ = [(c, a, b) for c, a, b in zip(cmds, old, new) if a != b]
+    nfiles = sum(len(r["files"]) for r in old)
+    print(f"{len(cmds)} commands, {nfiles} files written: "
+          f"{len(cmds) - len(differ)} identical, {len(differ)} differ")
+    for cmd, a, b in differ:
+        env = " ".join(f"{k}={v}" for k, v in cmd.get("env", {}).items())
+        print(f"\n{env + ' ' if env else ''}skewfib {' '.join(cmd['argv'])}")
+        for key in ("exit", "stdout", "stderr", "files"):
+            if a[key] != b[key]:
+                print(f"  {key}: {_short(a[key])}\n    -> {_short(b[key])}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
