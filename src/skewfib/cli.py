@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -324,14 +325,9 @@ def _cmd_germ(args) -> int:
     try:
         ext = fibration.extend_germ(c, blend_r=args.radius, samples=args.samples, seed=args.seed or 0)
     except BlendFailure as exc:
-        return _emit_report(
-            {
-                "check": "germ-extend",
-                "verdict": "fail",
-                "witnesses": [{"blend_r": args.radius, "reason": str(exc)}],
-            },
-            False,
-        )
+        witness = {"blend_r": args.radius, "reason": str(exc)}
+        rep = replace(exc.report, check="germ-extend", witnesses=(witness,))
+        return _emit_report(rep.to_dict(), rep.ok)
     _write_chart(ext, args.out)
     return 0
 

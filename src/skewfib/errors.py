@@ -37,7 +37,12 @@ class SingularSystem(SkewfibError):
 
 class BlendFailure(SkewfibError):
     """Germ extension failed to produce a nondegenerate blend after
-    the full halving schedule."""
+    the full halving schedule; `report` is the nondegeneracy report of
+    the last blend tried."""
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class DimensionMismatch(SkewfibError):

@@ -429,20 +429,20 @@ def verify_skew(
         raise InvalidInput(f"need samples >= 2, got {samples}")
     sampling = stream.sampling(samples, radius)
     xs, ys = stream.pairs_in_ball(samples, c.q, radius)
-    norms = np.linalg.norm(xs - ys, axis=1)
+    diff = xs - ys
+    norms = np.linalg.norm(diff, axis=1)
     keep = norms > 1e-12 * max(radius, 1.0)
-    xs, ys, norms = xs[keep], ys[keep], norms[keep]
+    xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
     if xs.shape[0] == 0:
         raise InvalidInput("all sampled pairs were coincident; increase samples or radius")
 
     if c.is_linear:
-        diff = xs - ys
         stacks = np.empty((diff.shape[0], c.q, c.k + 1))
         for j in range(c.k):
             stacks[:, :, j] = diff @ c.C[j].T
         stacks[:, :, c.k] = diff
     else:
-        stacks = np.concatenate([c.B(xs) - c.B(ys), (xs - ys)[:, :, None]], axis=2)
+        stacks = np.concatenate([c.B(xs) - c.B(ys), diff[:, :, None]], axis=2)
     return rp.sampled_report(
         "skew",
         stacks,
@@ -724,7 +724,7 @@ def extend_germ(
         if repn.ok:
             return ext.mark_verified(repn.margin)
         r *= 0.5
-    raise BlendFailure(f"no nondegenerate blend found down to radius {r:.3e}")
+    raise BlendFailure(f"no nondegenerate blend found down to radius {r:.3e}", repn)
 
 
 # ---------------------------------------------------------------------------

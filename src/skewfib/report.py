@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numeric import Tolerance, is_singular
+from .numeric import Tolerance, is_singular, singular_values
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,14 +83,16 @@ def sampled_report(
 ) -> VerificationReport:
     """Verdict of a sampled search over an (N, r, c) stack of matrices.
 
-    A sample's margin is its sigma_min, divided by its scale when one is
-    given.  The report margin is the least margin, and details(i) gets the
+    The singular values come from numeric.singular_values, which spreads
+    a large stack over the process's CPUs with the same values, bit for
+    bit, as one np.linalg.svd call.  A sample's margin is its sigma_min,
+    divided by its scale when one is given.  The report margin is the least margin, and details(i) gets the
     first index i attaining it.  Any singular sample makes the verdict
     "fail", with witness(i, sigma_min) for up to three singular samples of
     least margin; otherwise the run is evidence-only, unless details
     records an exact test.
     """
-    sv = np.linalg.svd(stack, compute_uv=False)
+    sv = singular_values(stack)
     smin = sv[:, -1]
     singular = is_singular(sv, tol)
     margins = smin if scale is None else smin / scale

@@ -416,6 +416,29 @@ def test_germ_extend(capsys, tmp_path):
                       base=builtin_chart("quad_germ", eps=0.05)), x)) <= 1e-12
 
 
+def test_germ_extend_failure_is_a_report(capsys, tmp_path):
+    """A failed blend schedule is a germ-extend report whose verdict derives
+    from its one witness; the rest comes from the last blend tried."""
+    wide = builtin_chart("germ_extension", blend_r=1e6, base=builtin_chart("quad_germ", eps=100.0))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(chart_to_dict(wide)))
+    out = tmp_path / "ext.json"
+    argv = ["germ", "extend", "--chart", str(path), "--radius", "1e6", "--samples", "500",
+            "--out", str(out)]
+    code, data = _run_json(capsys, argv)
+    assert code == 1
+    assert not out.exists()
+    assert data["check"] == "germ-extend" and data["verdict"] == "fail"
+    assert data["witnesses"] == [
+        {"blend_r": 1e6, "reason": "no nondegenerate blend found down to radius 4.768e-01"}
+    ]
+    assert data["margin"] == 0.0
+    assert data["details"]["exact"] is False
+    assert data["sampling"] == {"count": 500, "mode": "pseudo-random", "radius": 10.0 * 1e6 / 2**20,
+                                "seed": 20}
+    assert data["schema"] == cli.REPORT_SCHEMA
+
+
 # ---------------------------------------------------------------------------
 # process behavior
 

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from skewfib import report as rp
 from skewfib.bilinear import BilinearMap, from_algebra, hurwitz_radon_family
 from skewfib.errors import (
+    BlendFailure,
     InvalidInput,
     SingularLastColumn,
     SingularSystem,
@@ -341,6 +343,27 @@ def test_skew_kernel_margin_matches_direct_svd():
     rep = verify_skew(c, radius=10.0, samples=64, stream=stream)
     assert rep.margin == pytest.approx(direct, rel=1e-12)
     assert rep.verdict == "evidence-only"
+
+
+@pytest.mark.parametrize("cpus_seen", [2, 3])
+@pytest.mark.parametrize(
+    "chart, verdict",
+    [
+        (builtin_chart("hopf15"), "evidence-only"),
+        (Chart(3, 4, "linear", C=(np.zeros((4, 4)),) * 3), "fail"),
+    ],
+    ids=["hopf15", "zero-k3"],
+)
+def test_large_skew_report_equals_one_svd_call(cpus, monkeypatch, chart, verdict, cpus_seen):
+    """10k pairs take the threaded SVD; the report equals the one computed
+    with a single np.linalg.svd call on the whole stack."""
+    cpus(cpus_seen)
+    threaded = verify_skew(chart, radius=100.0, samples=10_000, stream=SampleStream(seed=5))
+    monkeypatch.setattr(rp, "singular_values", lambda stack: np.linalg.svd(stack, compute_uv=False))
+    serial = verify_skew(chart, radius=100.0, samples=10_000, stream=SampleStream(seed=5))
+    assert threaded.to_dict() == serial.to_dict()
+    assert threaded.margin == serial.margin and threaded.verdict == verdict
+    assert len(threaded.witnesses) == (3 if verdict == "fail" else 0)
 
 
 def test_skew_margin_of_unit_rotation_is_one():
@@ -731,6 +754,19 @@ def test_extend_germ_rejects_degenerate_origin_plane_germ():
     germ = Chart(2, 2, "builtin", b_func=b)
     with pytest.raises(InvalidInput, match="degenerate at the origin"):
         extend_germ(germ)
+
+
+def test_extend_germ_failure_carries_last_report():
+    """quad_germ(100) has real eigenvalues of dB at |y| ~ 0.1, so every blend
+    from radius 1e6 down to 1e6 / 2^20 fails; the error carries the report
+    of the last one, whose ball has ten times its blend radius."""
+    wide = builtin_chart("germ_extension", blend_r=1e6, base=builtin_chart("quad_germ", eps=100.0))
+    with pytest.raises(BlendFailure, match="no nondegenerate blend found") as failure:
+        extend_germ(wide, blend_r=1e6, samples=500)
+    last = failure.value.report
+    assert last.check == "nondegenerate" and last.verdict == "fail"
+    assert last.sampling == {"seed": 20, "mode": "pseudo-random", "count": 500,
+                             "radius": 10.0 * 1e6 / 2**20}
 
 
 def test_extend_germ_blend_radius_cap():

@@ -1,10 +1,17 @@
 """Tests for the shared numeric kernel: tolerances, sampling, linear algebra helpers."""
 
+import concurrent.futures
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from skewfib import numeric
 from skewfib.errors import InvalidInput, RankDeficient
 from skewfib.numeric import (
+    MIN_CHUNK,
     SampleStream,
     Tolerance,
     eigenvalues,
@@ -12,6 +19,7 @@ from skewfib.numeric import (
     orthonormal_complement,
     orthonormalize,
     row_norms,
+    singular_values,
     spherical_distance,
 )
 
@@ -243,3 +251,102 @@ def test_spherical_distance():
     assert spherical_distance(e1, e2) == pytest.approx(np.pi / 2.0, abs=1e-12)
     assert spherical_distance(e1, -e1) == pytest.approx(np.pi, abs=1e-12)
     assert spherical_distance(e1, e1) <= 1e-12
+
+
+def _svd(stack):
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (8, 8), (16, 9)])
+@pytest.mark.parametrize(
+    "count, cpus_seen, threaded",
+    [
+        (2 * MIN_CHUNK - 1, 2, False),  # just below the split
+        (2 * MIN_CHUNK, 2, True),  # at the split: two chunks of MIN_CHUNK
+        (2 * MIN_CHUNK + 1, 2, True),  # odd length, uneven chunks
+        (3 * MIN_CHUNK + 1, 3, True),  # three chunks, length not a multiple of 3
+        (3 * MIN_CHUNK + 1, 1, False),  # one CPU: one call, no pool
+    ],
+)
+def test_singular_values_equal_one_svd_call(cpus, monkeypatch, shape, count, cpus_seen, threaded):
+    cpus(cpus_seen)
+    pools = []
+    build = numeric._executor
+    monkeypatch.setattr(numeric, "_executor", lambda: pools.append(1) or build())
+    stack = np.random.default_rng(RNG_SEED).standard_normal((count, *shape))
+    assert np.array_equal(singular_values(stack), _svd(stack))
+    assert bool(pools) == threaded
+
+
+@pytest.mark.parametrize("bad", [17, 3 * MIN_CHUNK + 17], ids=["calling-thread", "pool-thread"])
+def test_singular_values_raise_the_serial_error(cpus, bad):
+    """A NaN matrix deep in either chunk fails that chunk's svd call with
+    the message of the one-call svd, also under the CLI's overflow setting."""
+    cpus(2)
+    stack = np.random.default_rng(RNG_SEED).standard_normal((4 * MIN_CHUNK, 4, 4))
+    stack[bad, 2, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as serial:
+        _svd(stack)
+    with np.errstate(over="raise"), pytest.raises(np.linalg.LinAlgError) as threaded:
+        singular_values(stack)
+    assert str(threaded.value) == str(serial.value) == "SVD did not converge"
+
+
+def test_singular_values_pool_is_built_once_under_concurrent_calls(cpus, monkeypatch):
+    """Eight threads take the threaded path at once on two pretended CPUs;
+    each gets the one-call result and the process builds one pool."""
+    cpus(2)
+    built = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    stacks = [np.random.default_rng(seed).standard_normal((2 * MIN_CHUNK, 3, 3)) for seed in range(8)]
+    results = [None] * len(stacks)
+
+    def work(i):
+        results[i] = singular_values(stacks[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 1
+    for stack, result in zip(stacks, results):
+        assert np.array_equal(result, _svd(stack))
+
+
+def _child_singular_values(stack, expected, done):
+    done.put(bool(np.array_equal(singular_values(stack), expected)))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_singular_values_after_fork(cpus):
+    """A child forked after the pool has threads builds a pool of its own
+    instead of queueing work to threads it does not have."""
+    cpus(2)
+    stack = np.random.default_rng(RNG_SEED).standard_normal((2 * MIN_CHUNK, 3, 3))
+    expected = singular_values(stack)
+    ctx = multiprocessing.get_context("fork")
+    done = ctx.Queue()
+    child = ctx.Process(target=_child_singular_values, args=(stack, expected, done))
+    child.start()
+    try:
+        assert done.get(timeout=60) is True
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0

@@ -6,7 +6,7 @@ OLD and NEW are checkouts of this repository.  Each runs the whole
 corpus in its own subprocess, importing skewfib from its own src/ and
 calling skewfib.cli.main once per command, in a working directory of its
 own under a temporary directory (nothing is written anywhere else).  The
-corpus covers every verb on the chart families below, seeds 0 and 7 and
+corpus covers every verb on the inputs below, seeds 0 and 7 and
 both sample modes, and the input-error paths of the sampled verbs:
 
 - charts built by the `build` verbs: hopf3/7/15, two hopf_line,
@@ -15,8 +15,11 @@ both sample modes, and the input-error paths of the sampled verbs:
 - chart files written here: zero charts (k = 1 and k = 3), a real
   eigenvalue, an ill-conditioned k = 2 chart, two affine charts, an
   overflowing chart, `quad_germ` with two eps, smooth extensions of a
-  linear k = 3 chart and of the zero k = 3 chart, and the extensions that
-  `germ extend` writes.
+  linear k = 3 chart and of the zero k = 3 chart, a wide extension of
+  `quad_germ` on which `germ extend` fails, and the extensions that
+  `germ extend` writes;
+- stacks large enough for the threaded SVD: 10,000-pair `verify skew`
+  runs and a 4,096-sample `verify nondeg`.
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
@@ -76,6 +79,9 @@ FILES = {
                               {"blend_r": 0.5, "base": _linear(3, 4, [_LI, _LJ, _LK])}),
     "ext-zero-k3.json": _builtin(3, 4, "germ_extension",
                                  {"blend_r": 0.5, "base": _linear(3, 4, [_ZERO4] * 3)}),
+    # real eigenvalues of dB at |y| ~ 0.1: `germ extend --radius 1e6` fails
+    "ext-wide.json": _builtin(1, 2, "germ_extension",
+                              {"blend_r": 1e6, "base": _builtin(1, 2, "quad_germ", {"eps": 100.0})}),
     "J2.json": {"matrix": _J2},
     "J4.json": {"matrix": _LI},
     "scaled.json": {"matrix": [[0.5, -2.0], [2.0, 0.5]]},
@@ -161,6 +167,14 @@ def corpus() -> list[dict]:
         add("germ", "extend", "--chart", f"{base}.json", "--samples", 300)
     for chart in CHARTS:
         add("germ", "extend", "--chart", chart, "--samples", 200, "--out", "germ-" + chart)
+    for seed in (0, 7):
+        add("germ", "extend", "--chart", "ext-wide.json", "--radius", "1e6", "--samples", 500,
+            "--seed", seed, "--out", "wide-out.json")
+
+    # stacks large enough for the threaded SVD
+    for chart in ("hopf15.json", "hr-16-9.json", "zero-k3.json"):
+        add("verify", "skew", "--chart", chart, "--samples", 10000, "--radius", 100)
+    add("verify", "nondeg", "--chart", "hr-16-9.json", "--samples", 4096)
 
     for chart, (k, q) in CHARTS.items():
         for what in ("skew", "nondeg"):
