@@ -5,10 +5,13 @@ fibration is the kernel of the 1-form with coefficients
 (1, B(y)) / (1 + |B(y)|^2): the fiber direction rescaled so the
 parameter component is constant.  The field is contact at a point when
 the exterior derivative restricted to the kernel hyperplane is
-nondegenerate.  For a linear chart at the origin that restriction is
-represented by M - M^T up to scale, which decides the dichotomy: block
-rotations give contact structures, while the shifted-block construction
-of gluck_yang_matrix makes M - M^T singular.
+nondegenerate.  contact_check computes that derivative in closed form
+from B(y) and Chart.dB(y), through the derivative of the fiber's chart
+point y(x) at the chart plane, so every chart kind takes the same path.
+For a linear chart at the origin the restriction is exactly M^T - M,
+which decides the dichotomy: block rotations give contact structures,
+while the shifted-block construction of gluck_yang_matrix makes M - M^T
+singular.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .bilinear import J2
 from .errors import InvalidInput
-from .fibration import Chart, fiber_solve
-from .numeric import Tolerance, finite_vector, jacobian, orthonormal_complement, real_eigenvalue_mask
+from .fibration import Chart
+from .numeric import Tolerance, finite_vector, orthonormal_complement, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -60,37 +63,6 @@ def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
     return np.concatenate([one, b], axis=-1) / (1.0 + np.vecdot(b, b))[..., None]
 
 
-def _ambient_forms(c: Chart, xs: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The form of each ambient point's fiber, for an (N, n) stack."""
-    return contact_form(c, np.stack([fiber_solve(c, x, tol) for x in xs]))
-
-
-def _ambient_form_linear(c: Chart, x: np.ndarray) -> np.ndarray:
-    """Closed-form ambient extension for linear/affine line charts.
-
-    Polynomial in x apart from one linear solve, so it accepts complex
-    input and a complex-step derivative of it is exact.
-    """
-    t, plane = x[0], x[1:]
-    cmat = c.C[0]
-    offset = c.B0[:, 0] if c.kind == "affine" else np.zeros(c.q)
-    y = np.linalg.solve(np.eye(c.q, dtype=x.dtype) + t * cmat, plane - t * offset)
-    b = cmat @ y + offset
-    one = np.ones(1, dtype=b.dtype)
-    return np.concatenate([one, b]) / (1.0 + b @ b)
-
-
-def _complex_step_jacobian(f, x: np.ndarray) -> np.ndarray:
-    """Machine-precision Jacobian of an analytic map, rows = outputs."""
-    h = 1e-20  # no subtraction, so no cancellation: the step can be this small
-    cols = []
-    for j in range(x.size):
-        xp = x.astype(complex)
-        xp[j] += 1j * h
-        cols.append(np.imag(f(xp)) / h)
-    return np.column_stack(cols)
-
-
 def contact_check(
     c: Chart,
     y: np.ndarray,
@@ -100,11 +72,14 @@ def contact_check(
     """Contact test at the chart-plane point y.
 
     The form is extended off the chart plane by assigning each ambient
-    point the form of its fiber's chart point; d(alpha) is the
-    antisymmetrized central-difference Jacobian at (0, y).  det_margin is
-    basis-independent; for linear charts at y = 0 the kernel restriction
-    is cross-checked against M - M^T up to a fitted scalar, with the
-    entrywise mismatch reported in details.
+    point x = (t, x_y) the form of its fiber's chart point y(x), the
+    solution of y + B(y) t = x_y.  At t = 0 the implicit-function theorem
+    gives dy/dt = -b and dy/dx_y = I with b = B(y)[:, 0], so the Jacobian
+    of alpha at (0, y) is a closed form in B(y) and Chart.dB(y), and
+    d(alpha) is its antisymmetrization.  The check is as exact as the
+    chart's dB: exact for linear, affine and builtin charts with an
+    analytic derivative, a central difference of B otherwise.
+    det_margin is basis-independent.
     """
     tol = tol or Tolerance.default()
     if c.k != 1:
@@ -113,16 +88,16 @@ def contact_check(
         raise InvalidInput(f"chart plane dimension must be even, got {c.q}")
     m_half = c.q // 2
     y = finite_vector(y, c.q)
-    x0 = np.concatenate([[0.0], y])
 
-    if c.is_linear:
-        # Exact derivatives keep the degenerate det far below threshold
-        # even after the 1/m-th root.
-        jac = _complex_step_jacobian(lambda x: _ambient_form_linear(c, x), x0)
-    else:
-        jac = jacobian(lambda xs: _ambient_forms(c, xs, tol), x0)
+    b = c.B(y)[:, 0]
+    s = 1.0 + float(b @ b)
+    form = np.concatenate([[1.0], b])
+    alpha0 = form / s
+    # d(alpha)/dy for alpha = (1, b) / s, then the chain rule through y(x)
+    dform = np.vstack([np.zeros((1, c.q)), np.eye(c.q)]) / s
+    dform -= np.outer(form, 2.0 * b) / (s * s)
+    jac = dform @ c.dB(y)[:, 0, :] @ np.column_stack([-b, np.eye(c.q)])
     dalpha = jac.T - jac
-    alpha0 = contact_form(c, y)
     if basis is None:
         basis = orthonormal_complement(
             (alpha0 / np.linalg.norm(alpha0)).reshape(-1, 1), tol
@@ -137,16 +112,7 @@ def contact_check(
         return ContactReport(y, 0.0, False, {"dalpha_norm": 0.0})
     det = float(np.linalg.det(restricted))
     det_margin = abs(det) ** (1.0 / m_half) / (scale * scale)
-    details: dict = {"dalpha_norm": scale, "restricted_det": det}
-
-    if c.is_linear and float(np.linalg.norm(y)) == 0.0:
-        mm = c.C[0] - c.C[0].T
-        block = dalpha[1:, 1:]
-        denom = float(np.sum(mm * mm))
-        lam = float(np.sum(block * mm)) / denom if denom > 0 else 0.0
-        details["linear_scalar"] = lam
-        details["linear_mismatch"] = float(np.max(np.abs(block - lam * mm)))
-
+    details = {"dalpha_norm": scale, "restricted_det": det}
     return ContactReport(y, det_margin, det_margin > tol.threshold(1.0), details)
 
 

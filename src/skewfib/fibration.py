@@ -84,7 +84,6 @@ class Chart:
     name: str | None = None
     params: dict | None = None
     domain_radius: float = math.inf
-    verified_margin: float | None = None
     b_func: object = field(default=None, repr=False)
     db_func: object = field(default=None, repr=False)
 
@@ -122,13 +121,6 @@ class Chart:
     def is_linear(self) -> bool:
         """Linear or affine: B depends (affinely) linearly on y."""
         return self.kind in (LINEAR, AFFINE)
-
-    @property
-    def status(self) -> str:
-        return "candidate" if self.verified_margin is None else "verified"
-
-    def mark_verified(self, margin: float) -> "Chart":
-        return replace(self, verified_margin=float(margin))
 
     def with_offset(self, b0: np.ndarray) -> "Chart":
         """Affine chart with the same linear part and the given offset."""
@@ -697,7 +689,9 @@ def extend_germ(
     (exact for k = 1).  Inside radius blend_r/2 the germ is evaluated through
     the identical code path, so values agree bitwise.  The blend radius is
     halved (at most 20 times) until the blended chart passes the sampled
-    nondegeneracy check on a ball of ten times the blend radius.
+    nondegeneracy check on a ball of ten times the blend radius; that
+    blended chart is returned.  A passed sampled check is evidence, not a
+    proof, so the chart carries no verdict of its own.
     """
     tol = tol or Tolerance.default()
     if local.is_linear:
@@ -715,15 +709,14 @@ def extend_germ(
             f"the nondegeneracy check (margin {origin.margin:.3e})"
         )
 
-    r = float(blend_r)
     for attempt in range(21):
+        r = float(blend_r) * 0.5**attempt
         ext = _make_extension(local, r)
         repn = verify_nondegenerate(
             ext, radius=10.0 * r, samples=samples, stream=SampleStream(seed + attempt), tol=tol
         )
         if repn.ok:
-            return ext.mark_verified(repn.margin)
-        r *= 0.5
+            return ext
     raise BlendFailure(f"no nondegenerate blend found down to radius {r:.3e}", repn)
 
 

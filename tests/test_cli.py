@@ -430,7 +430,7 @@ def test_germ_extend_failure_is_a_report(capsys, tmp_path):
     assert not out.exists()
     assert data["check"] == "germ-extend" and data["verdict"] == "fail"
     assert data["witnesses"] == [
-        {"blend_r": 1e6, "reason": "no nondegenerate blend found down to radius 4.768e-01"}
+        {"blend_r": 1e6, "reason": "no nondegenerate blend found down to radius 9.537e-01"}
     ]
     assert data["margin"] == 0.0
     assert data["details"]["exact"] is False

@@ -7,8 +7,8 @@ import pytest
 
 from skewfib.contact import ContactReport, contact_check, contact_form, gluck_yang_matrix
 from skewfib.errors import InvalidInput
-from skewfib.fibration import Chart, block_rotation, builtin_chart
-from skewfib.numeric import SampleStream, orthonormal_complement
+from skewfib.fibration import Chart, block_rotation, builtin_chart, fiber_solve
+from skewfib.numeric import SampleStream, jacobian, orthonormal_complement
 
 RNG_SEED = 31415
 
@@ -72,12 +72,51 @@ def test_contact_check_gluck_yang_degenerate():
 
 
 def test_contact_check_linear_cross_check():
-    """At the origin of a linear chart the restricted form matches
-    M - M^T up to one fitted scalar."""
-    c = builtin_chart("hopf_line", m=2, a=1.0, b=2.0)
-    rep = contact_check(c, np.zeros(4))
-    assert rep.details["linear_mismatch"] <= 1e-6
-    assert abs(rep.details["linear_scalar"]) > 0.1
+    """At the origin of a linear chart B = 0 and the kernel basis is the
+    chart-plane axes, so the restricted form is exactly M^T - M."""
+    charts = [builtin_chart("hopf_line", m=m, a=1.0, b=2.0) for m in (1, 2, 3)]
+    charts.append(builtin_chart("gluck_yang", m=2))
+    for c in charts:
+        rep = contact_check(c, np.zeros(c.q))
+        cmat = c.C[0]
+        assert rep.details["restricted_det"] == np.linalg.det(cmat.T - cmat), c.name
+
+
+def _reference_dalpha(c, y):
+    """d(alpha) at (0, y) from central differences of the form of the
+    fiber through each ambient point, each fiber found by a Newton
+    fiber_solve: an independent route to the closed form.  Returns its
+    norm and the det of its restriction to ker alpha."""
+    def forms(xs):
+        return contact_form(c, np.stack([fiber_solve(c, x) for x in xs]))
+
+    jac = jacobian(forms, np.concatenate([[0.0], y]))
+    dalpha = jac.T - jac
+    alpha = contact_form(c, y)
+    basis = orthonormal_complement((alpha / np.linalg.norm(alpha)).reshape(-1, 1))
+    return float(np.linalg.norm(dalpha, 2)), float(np.linalg.det(basis.T @ dalpha @ basis))
+
+
+def test_contact_check_matches_newton_reference():
+    """The closed-form d(alpha) agrees with differences through Newton
+    fiber solves on linear, affine and smooth charts."""
+    from skewfib.fibration import extend_germ
+
+    rng = np.random.default_rng(RNG_SEED)
+    offset = np.array([[0.3], [-0.2], [0.1], [0.4]])
+    charts = [
+        builtin_chart("hopf_line", m=2, a=0.5, b=1.5),
+        builtin_chart("gluck_yang", m=2).with_offset(offset),
+        extend_germ(builtin_chart("quad_germ", eps=0.2)),
+    ]
+    for c in charts:
+        for _ in range(10):
+            y = rng.uniform(-1.0, 1.0, c.q)
+            rep = contact_check(c, y)
+            norm, det = _reference_dalpha(c, y)
+            assert rep.details["restricted_det"] == pytest.approx(det, rel=1e-6), (c.name, y)
+            # the norm is the scale of det_margin
+            assert rep.details["dalpha_norm"] == pytest.approx(norm, rel=1e-6), (c.name, y)
 
 
 def test_contact_check_basis_invariance():
@@ -164,7 +203,7 @@ def test_gluck_yang_chart_is_nondegenerate_but_not_contact():
 
 
 def test_contact_check_smooth_chart():
-    """The finite-difference path handles smooth charts near the origin."""
+    """Smooth charts take the same closed form, with dB from the chart."""
     from skewfib.fibration import extend_germ
 
     ext = extend_germ(builtin_chart("quad_germ", eps=0.05))

@@ -117,14 +117,6 @@ def test_hopf_line_rejects_non_finite_parameters():
                     builtin_chart("hopf_line", **params)
 
 
-def test_chart_status_lifecycle():
-    c = builtin_chart("hopf3")
-    assert c.status == "candidate"
-    v = c.mark_verified(0.5)
-    assert v.status == "verified" and v.verified_margin == 0.5
-    assert c.status == "candidate"  # original untouched
-
-
 def test_with_offset():
     c = builtin_chart("hopf3")
     shifted = c.with_offset(np.array([[1.0], [2.0]]))
@@ -716,7 +708,6 @@ def test_extend_germ_blend_structure():
     germ = builtin_chart("quad_germ", eps=0.05)
     ext = extend_germ(germ)
     assert ext.name == "germ_extension"
-    assert ext.status == "verified"
     r = ext.params["blend_r"]
     rng = np.random.default_rng(RNG_SEED)
     # bitwise agreement with the germ inside the inner half zone
@@ -767,6 +758,8 @@ def test_extend_germ_failure_carries_last_report():
     assert last.check == "nondegenerate" and last.verdict == "fail"
     assert last.sampling == {"seed": 20, "mode": "pseudo-random", "count": 500,
                              "radius": 10.0 * 1e6 / 2**20}
+    # the message names the blend radius of that last attempt
+    assert f"radius {last.sampling['radius'] / 10.0:.3e}" in str(failure.value)
 
 
 def test_extend_germ_blend_radius_cap():
