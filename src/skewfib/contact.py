@@ -77,8 +77,7 @@ def contact_check(
     gives dy/dt = -b and dy/dx_y = I with b = B(y)[:, 0], so the Jacobian
     of alpha at (0, y) is a closed form in B(y) and Chart.dB(y), and
     d(alpha) is its antisymmetrization.  The check is as exact as the
-    chart's dB: exact for linear, affine and builtin charts with an
-    analytic derivative, a central difference of B otherwise.
+    chart's dB, which every chart gives in closed form.
     det_margin is basis-independent.
     """
     tol = tol or Tolerance.default()

@@ -42,7 +42,6 @@ from .numeric import (
     eigenvalues,
     finite_vector,
     is_singular,
-    jacobian,
     real_eigenvalue_mask,
     row_norms,
     spherical_distance,
@@ -70,8 +69,8 @@ class Chart:
     row i of a stacked result equals the result for row i alone, bit for
     bit.  A builtin chart's b_func and db_func follow the same stack
     contract: they receive an (N, q) array and return N values of B
-    (anything reshapeable to (N, q, k)) and of dB ((N, q, k, q)).
-    Without db_func, dB is the central-difference Jacobian of B.  C holds
+    (anything reshapeable to (N, q, k)) and of dB ((N, q, k, q)); a
+    builtin chart needs both, since dB is never guessed from B.  C holds
     the linear part of a linear or affine chart as one (k, q, q) array;
     the constructor takes any sequence of k matrices of shape (q, q).
     """
@@ -110,8 +109,8 @@ class Chart:
             if not np.isfinite(b0).all():
                 raise InvalidInput("chart offset must be finite")
             object.__setattr__(self, "B0", b0)
-        if self.kind == BUILTIN and self.b_func is None:
-            raise InvalidInput("builtin chart needs an evaluation function")
+        if self.kind == BUILTIN and (self.b_func is None or self.db_func is None):
+            raise InvalidInput("builtin chart needs evaluation functions for B and dB")
 
     @property
     def n(self) -> int:
@@ -160,16 +159,15 @@ class Chart:
         """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l,
         or an (N, q, k, q) stack for (N, q) points."""
         y = np.asarray(y, dtype=float)
-        ys = self._points(y)
-        shape = (len(ys), self.q, self.k, self.q)
-        if self.is_linear:
-            out = self.C.transpose(1, 0, 2)[None].repeat(len(ys), axis=0)
-        elif self.db_func is not None:
-            out = np.asarray(self.db_func(ys), dtype=float).reshape(shape)
-        else:
-            flat = jacobian(lambda zs: self._b(zs).reshape(len(zs), -1), ys)
-            out = flat.reshape(shape)
+        out = self._db(self._points(y))
         return out if y.ndim == 2 else out[0]
+
+    def _db(self, ys: np.ndarray) -> np.ndarray:
+        """dB on an (N, q) stack of points, as an (N, q, k, q) array."""
+        if self.kind == BUILTIN:
+            shape = (len(ys), self.q, self.k, self.q)
+            return np.asarray(self.db_func(ys), dtype=float).reshape(shape)
+        return self.C.transpose(1, 0, 2)[None].repeat(len(ys), axis=0)
 
 
 def from_bilinear(a: BilinearMap, tol: Tolerance | None = None) -> Chart:
@@ -258,12 +256,20 @@ def builtin_chart(name: str, **params) -> Chart:
             1, 2 * m, LINEAR, C=(gluck_yang_matrix(m),), name="gluck_yang", params={"m": m}
         )
     if name == "quad_germ":
-        return _quad_germ_chart(params.get("eps", 0.05))
+        eps = float(params.get("eps", 0.05))
+        if not math.isfinite(eps):
+            raise InvalidInput(f"quad_germ parameter eps must be finite, got {eps}")
+        return _quad_germ_chart(eps)
     if name == "germ_extension":
+        blend_r = float(params["blend_r"])
+        if not (math.isfinite(blend_r) and blend_r > 0.0):
+            raise InvalidInput(
+                f"germ_extension parameter blend_r must be finite and > 0, got {blend_r}"
+            )
         base = params["base"]
         if isinstance(base, dict):
             base = chart_from_dict(base)
-        return _make_extension(base, float(params["blend_r"]))
+        return _make_extension(base, blend_r)
     raise InvalidInput(f"unknown builtin chart {name!r}")
 
 
@@ -628,16 +634,36 @@ def limiting_direction(
 # germs
 
 
-def _bump(s: float) -> float:
-    """Smooth transition: 1 on s <= 1/2, 0 on s >= 1."""
-    if s <= 0.5:
-        return 1.0
-    if s >= 1.0:
-        return 0.0
+def _bump(s: float) -> tuple[float, float]:
+    """Smooth transition w(s) from 1 at s = 1/2 to 0 at s = 1, and dw/ds,
+    for 1/2 < s < 1."""
     tau = 2.0 * (s - 0.5)
     g1 = math.exp(-1.0 / (1.0 - tau))
     g0 = math.exp(-1.0 / tau)
-    return g1 / (g1 + g0)
+    w, v = g1 / (g1 + g0), g0 / (g1 + g0)
+    # dw/dtau = -w (1 - w) (1 / (1 - tau)^2 + 1 / tau^2), with 1 - w = v
+    return w, -2.0 * w * v * (1.0 / (1.0 - tau) ** 2 + 1.0 / tau**2)
+
+
+def _blend_zones(ys: np.ndarray, blend_r: float):
+    """Zones of an extension's (N, q) chart points, with s = |y| / blend_r.
+
+    None when every row has s <= 1/2, where the extension is its germ.
+    Otherwise (near, ring, w, dw): the indices of the rows with s < 1, a
+    mask of near that picks the ring 1/2 < s < 1, and on the ring rows the
+    bump weight w(s) and dw/ds; the last three are None when near is
+    empty.  Rows with a NaN norm count as near, so they come out NaN.
+    """
+    s = row_norms(ys) / blend_r
+    far = s > 0.5
+    if not np.count_nonzero(far):
+        return None
+    near = np.flatnonzero(~(s >= 1.0))
+    if not len(near):
+        return near, None, None, None
+    ring = far[near]
+    bumps = np.array([_bump(v) for v in s[near[ring]].tolist()]).reshape(-1, 2)
+    return near, ring, bumps[:, 0], bumps[:, 1]
 
 
 def _linearization(local: Chart) -> Chart:
@@ -647,30 +673,48 @@ def _linearization(local: Chart) -> Chart:
 
 
 def _make_extension(local: Chart, blend_r: float) -> Chart:
+    """The germ on s <= 1/2, its linearization on s >= 1, and on the ring
+    B = w B_germ + (1 - w) B_lin, whose derivative is
+    w dB_germ + (1 - w) dB_lin + (B_germ - B_lin) (x) grad w."""
     lin = _linearization(local)
 
     def b(ys):
-        # rows with s <= 1/2 are the germ, rows with s >= 1 its linearization
-        s = row_norms(ys) / blend_r
-        far = s > 0.5
-        if not np.count_nonzero(far):
+        zones = _blend_zones(ys, blend_r)
+        if zones is None:
             return local._b(ys)
+        near, ring, w, _ = zones
         out = lin._b(ys)
-        # rows with a NaN norm count as near, so they come out NaN
-        near = ~(s >= 1.0)
-        if np.count_nonzero(near):
-            idx = np.flatnonzero(near)
-            loc = local._b(ys[idx])
-            ring = far[idx]
-            w = np.array([_bump(v) for v in s[idx[ring]].tolist()])[:, None, None]
-            loc[ring] = w * loc[ring] + (1.0 - w) * out[idx[ring]]
-            out[idx] = loc
+        if len(near):
+            loc = local._b(ys[near])
+            rows = near[ring]
+            w = w[:, None, None]
+            mixed = w * loc[ring] + (1.0 - w) * out[rows]
+            out[near] = loc
+            out[rows] = mixed
+        return out
+
+    def db(ys):
+        zones = _blend_zones(ys, blend_r)
+        if zones is None:
+            return local._db(ys)
+        near, ring, w, dw = zones
+        out = lin._db(ys)
+        if len(near):
+            loc = local._db(ys[near])
+            rows = near[ring]
+            gap = local._b(ys[rows]) - lin._b(ys[rows])
+            # grad w = w'(s) grad s, with grad s = y / (|y| blend_r)
+            grad = (dw / (row_norms(ys[rows]) * blend_r))[:, None] * ys[rows]
+            w = w[:, None, None, None]
+            mixed = w * loc[ring] + (1.0 - w) * out[rows] + gap[..., None] * grad[:, None, None, :]
+            out[near] = loc
+            out[rows] = mixed
         return out
 
     return Chart(
         local.k, local.q, BUILTIN, name="germ_extension",
         params={"blend_r": float(blend_r), "base": local},
-        b_func=b,
+        b_func=b, db_func=db,
     )
 
 
@@ -686,8 +730,9 @@ def extend_germ(
     Outside the blend zone the chart is the affine chart B(0) + dB_0 y,
     whose nondegeneracy is the germ's nondegeneracy at the origin; it is
     checked first, by verify_nondegenerate on that chart with 512 samples
-    (exact for k = 1).  Inside radius blend_r/2 the germ is evaluated through
-    the identical code path, so values agree bitwise.  The blend radius is
+    (exact for k = 1).  Inside radius blend_r/2 the germ's B and dB are
+    evaluated through the identical code path, so both agree with the
+    germ's bit for bit; the blend's dB is its closed form.  The blend radius is
     halved (at most 20 times) until the blended chart passes the sampled
     nondegeneracy check on a ball of ten times the blend radius; that
     blended chart is returned.  A passed sampled check is evidence, not a

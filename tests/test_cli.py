@@ -7,6 +7,7 @@ usage or input error.
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -494,6 +495,37 @@ def test_non_finite_report_value_is_input_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "skewfib: error: Out of range float values are not JSON compliant\n"
+
+
+_GERM = {"schema": "skewfib-chart-v1", "kind": "builtin", "k": 1, "q": 2,
+         "builtin": {"name": "quad_germ", "params": {"eps": 0.05}}}
+_BLEND = "germ_extension parameter blend_r must be finite and > 0, got {}"
+_BAD_SMOOTH = [
+    *(("germ_extension", {"blend_r": v, "base": _GERM}, _BLEND.format(v))
+      for v in (0.0, -1.0, math.nan, math.inf)),
+    *(("quad_germ", {"eps": v}, f"quad_germ parameter eps must be finite, got {v}")
+      for v in (math.nan, -math.inf)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, message", _BAD_SMOOTH,
+    ids=["blend-zero", "blend-negative", "blend-nan", "blend-inf", "eps-nan", "eps-inf"],
+)
+def test_bad_smooth_chart_parameter_is_one_line_error(capsys, tmp_path, name, params, message):
+    """A blend radius that is not finite and positive, or a germ eps that is
+    not finite, is an input error when the chart file is read: exit 2 and
+    one stderr line, with no warning and nothing on stdout.  json writes
+    the non-finite values as NaN and Infinity, which it also reads."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(dict(_GERM, builtin={"name": name, "params": params})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "nondeg", "--chart", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"skewfib: error: {message}\n"
 
 
 @pytest.mark.parametrize(

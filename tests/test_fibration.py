@@ -33,7 +33,7 @@ from skewfib.fibration import (
     verify_nondegenerate,
     verify_skew,
 )
-from skewfib.numeric import SampleStream, Tolerance
+from skewfib.numeric import SampleStream, Tolerance, jacobian, row_norms
 
 RNG_SEED = 424242
 
@@ -135,13 +135,30 @@ def test_chart_derivative_tensor():
     assert t.shape == (4, 3, 4)
     for j in range(c.k):
         assert np.array_equal(t[:, j, :], c.C[j])
-    # finite differences agree on the smooth germ
+    # the closed-form dB of a germ and of its extension agree with a central
+    # difference of B in all three blend zones and just inside the ring's edges
     g = builtin_chart("quad_germ", eps=0.2)
-    analytic = g.dB(np.array([0.1, 0.2]))
-    no_db = Chart(1, 2, "builtin", name="quad_germ", params={"eps": 0.2},
-                  domain_radius=1.0, b_func=g.b_func)
-    numeric = no_db.dB(np.array([0.1, 0.2]))
-    assert np.max(np.abs(analytic - numeric)) <= 1e-6
+    r = 0.5
+    ext = builtin_chart("germ_extension", base=g, blend_r=r)
+    rng = np.random.default_rng(RNG_SEED)
+    dirs = rng.standard_normal((30, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    scales = np.concatenate([rng.uniform(0.0, 0.5, 10), rng.uniform(0.5, 1.0, 10),
+                             rng.uniform(1.0, 3.0, 10)])
+    # on an axis |y| is exact, so s = |y| / r is 1/2 + ulp and 1 - ulp
+    edges = [np.nextafter(0.5 * r, 1.0), np.nextafter(r, 0.0)]
+    axes = np.concatenate([np.eye(2), -np.eye(2)])
+    ys = np.concatenate([dirs * (r * scales)[:, None], *(e * axes for e in edges)])
+    assert set(row_norms(ys[30:]) / r) == {np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)}
+    for c in (g, ext):
+        ds = c.dB(ys)
+        numeric = jacobian(lambda zs: c.B(zs).reshape(len(zs), -1), ys).reshape(ds.shape)
+        assert np.max(np.abs(ds - numeric)) <= 1e-7
+
+
+def test_builtin_chart_needs_derivative():
+    with pytest.raises(InvalidInput, match="dB"):
+        Chart(1, 2, "builtin", b_func=lambda ys: ys[:, :, None])
 
 
 def test_quad_germ_stack_matches_closed_form():
@@ -153,6 +170,11 @@ def test_quad_germ_stack_matches_closed_form():
         for y, b, d in zip(ys, g.B(ys), g.dB(ys)):
             assert np.array_equal(b, (J2 @ y + eps * np.array([y[0] ** 2, y[0] * y[1]]))[:, None])
             assert np.array_equal(d[:, 0, :], J2 + eps * np.array([[2 * y[0], 0.0], [y[1], y[0]]]))
+        # its extension's stacks hold the single-point values, row for row
+        ext = builtin_chart("germ_extension", base=g, blend_r=0.5)
+        for y, b, d in zip(ys, ext.B(ys), ext.dB(ys)):
+            assert np.array_equal(b, ext.B(y))
+            assert np.array_equal(d, ext.dB(y))
 
 
 def test_chart_rejects_non_finite_entries():
@@ -424,6 +446,11 @@ def _nondeg_reference(c, pts, tol):
     return min(per_point), witnesses, pts[int(np.argmin(per_point))].tolist()
 
 
+def _identity_db(ys):
+    """dB of the line chart B(y) = y."""
+    return np.broadcast_to(np.eye(2)[:, None, :], (len(ys), 2, 1, 2))
+
+
 def test_smooth_sampled_checks_match_per_point_reference():
     """verify_skew and verify_nondegenerate on smooth charts evaluate the
     chart on whole stacks; margins, witnesses and details equal a loop
@@ -432,7 +459,8 @@ def test_smooth_sampled_checks_match_per_point_reference():
     charts = (
         extend_germ(builtin_chart("quad_germ", eps=0.05)),
         builtin_chart("quad_germ", eps=0.6),  # degenerate far from the origin
-        Chart(1, 2, "builtin", b_func=lambda ys: ys[:, :, None]),  # fibers not skew
+        # fibers not skew
+        Chart(1, 2, "builtin", b_func=lambda ys: ys[:, :, None], db_func=_identity_db),
     )
     for c in charts:
         for seed, radius in ((0, 10.0), (7, 0.8)):
@@ -596,7 +624,8 @@ def test_fiber_containing_direction_singular_system():
     """A chart whose B does not move has a singular Jacobian, and a zero
     linear chart a singular system: both raise SingularSystem, not a raw
     numpy error."""
-    flat = Chart(1, 2, "builtin", b_func=lambda ys: np.ones((len(ys), 2, 1)))
+    flat = Chart(1, 2, "builtin", b_func=lambda ys: np.ones((len(ys), 2, 1)),
+                 db_func=lambda ys: np.zeros((len(ys), 2, 1, 2)))
     with pytest.raises(SingularSystem):
         fiber_containing_direction(flat, np.array([1.0, 0.0, 0.0]))
     zero = Chart(1, 2, "linear", C=(np.zeros((2, 2)),))
@@ -715,6 +744,7 @@ def test_extend_germ_blend_structure():
         y = rng.uniform(-1.0, 1.0, 2)
         y *= rng.uniform(0.0, 0.5 * r) / max(np.linalg.norm(y), 1e-300)
         assert np.array_equal(ext.B(y), germ.B(y))
+        assert np.array_equal(ext.dB(y), germ.dB(y))
     # exact linearization outside the blend zone
     b0 = germ.B(np.zeros(2))
     t0 = germ.dB(np.zeros(2))
@@ -723,13 +753,14 @@ def test_extend_germ_blend_structure():
         y *= rng.uniform(1.001 * r, 50.0) / np.linalg.norm(y)
         lin = b0 + np.einsum("ijl,l->ij", t0, y)
         assert np.max(np.abs(ext.B(y) - lin)) <= 1e-14
+        assert np.array_equal(ext.dB(y), t0)
 
 
 def test_extend_germ_rejects_degenerate_origin():
     def b(ys):
         return np.asarray(ys, dtype=float).reshape(-1, 2, 1)  # dB_0 = identity
 
-    degenerate = Chart(1, 2, "builtin", name=None, b_func=b)
+    degenerate = Chart(1, 2, "builtin", name=None, b_func=b, db_func=_identity_db)
     with pytest.raises(InvalidInput):
         extend_germ(degenerate)
 
@@ -742,9 +773,23 @@ def test_extend_germ_rejects_degenerate_origin_plane_germ():
     def b(ys):
         return np.stack([ys @ d.T, np.zeros_like(ys)], axis=2)
 
-    germ = Chart(2, 2, "builtin", b_func=b)
+    def db(ys):
+        return np.broadcast_to(np.stack([d, np.zeros((2, 2))], axis=1), (len(ys), 2, 2, 2))
+
+    germ = Chart(2, 2, "builtin", b_func=b, db_func=db)
     with pytest.raises(InvalidInput, match="degenerate at the origin"):
         extend_germ(germ)
+
+
+def test_extend_germ_fails_below_any_difference_step():
+    """quad_germ(1e10) has real eigenvalues of dB within 1e-7 of the origin.
+    A central-difference dB with step 1e-5 (1 + |y|) only saw the
+    linearization once the blend radius fell below the step, and accepted
+    the blend at radius 4.77e-7; the closed-form dB finds the germ's
+    eigenvalues at every radius."""
+    germ = builtin_chart("quad_germ", eps=1e10)
+    with pytest.raises(BlendFailure, match="down to radius 4.768e-07"):
+        extend_germ(germ, 0.5, samples=1000)
 
 
 def test_extend_germ_failure_carries_last_report():
@@ -883,6 +928,9 @@ def test_anonymous_smooth_chart_not_serializable():
     def b(y):
         return np.asarray([[y[1]], [-y[0]]], dtype=float)
 
-    c = Chart(1, 2, "builtin", b_func=b)
+    def db(ys):
+        return np.broadcast_to(-J2[:, None, :], (len(ys), 2, 1, 2))
+
+    c = Chart(1, 2, "builtin", b_func=b, db_func=db)
     with pytest.raises(InvalidInput):
         chart_to_dict(c)

@@ -140,6 +140,14 @@ def test_completion_smooth_chart():
     assert rep.verdict == "evidence-only"
 
 
+def _sin_square_db(ys):
+    """dB of B(y) = (sin y_1, y_1^2): only the y_1 column is nonzero."""
+    out = np.zeros((len(ys), 2, 1, 2))
+    out[:, 0, 0, 0] = np.cos(ys[:, 0])
+    out[:, 1, 0, 0] = 2.0 * ys[:, 0]
+    return out
+
+
 def test_completion_smooth_chart_matches_per_point_reference():
     """The smooth completion check evaluates dB on one stack; margin,
     verdict and witness values equal a loop over single points with
@@ -150,7 +158,8 @@ def test_completion_smooth_chart_matches_per_point_reference():
     charts = (
         extend_germ(builtin_chart("quad_germ", eps=0.05)),
         # B(y) depends on y_1 only, so every sampled Jacobian is singular
-        Chart(1, 2, "builtin", b_func=lambda ys: np.stack([np.sin(ys[:, 0]), ys[:, 0] ** 2], 1)),
+        Chart(1, 2, "builtin", b_func=lambda ys: np.stack([np.sin(ys[:, 0]), ys[:, 0] ** 2], 1),
+              db_func=_sin_square_db),
     )
     for c in charts:
         for seed in (0, 7):
