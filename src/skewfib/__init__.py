@@ -33,7 +33,7 @@ from .grassmann import (
     intersection_dim,
     skew_pair,
 )
-from .contact import ContactReport, contact_check, contact_form, gluck_yang_matrix
+from .contact import ContactReport, contact_check, contact_checks, contact_form, gluck_yang_matrix
 from .fibration import (
     Chart,
     ConeProbe,

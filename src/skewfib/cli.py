@@ -164,12 +164,12 @@ def _cmd_verify(args) -> int:
 
 def _contact_run(c: fibration.Chart, args) -> int:
     if args.point is not None:
-        points = [_parse_point(args.point, c.q)]
+        points = _parse_point(args.point, c.q)[None]
     elif args.points:
-        points = _read_points(args.points, c.q)
+        points = np.stack(_read_points(args.points, c.q))
     else:
-        points = list(_stream(args).ball_points(args.samples, c.q, args.radius))
-    results = [contact.contact_check(c, y) for y in points]
+        points = _stream(args).ball_points(args.samples, c.q, args.radius)
+    results = contact.contact_checks(c, points)
     all_contact = all(r.is_contact for r in results)
     return _emit_report(
         {

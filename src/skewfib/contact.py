@@ -1,17 +1,26 @@
 """Contact-condition tests for line-fibration charts on R^(2m+1).
 
 The plane field orthogonal to the fibers of a nondegenerate line
-fibration is the kernel of the 1-form with coefficients
-(1, B(y)) / (1 + |B(y)|^2): the fiber direction rescaled so the
-parameter component is constant.  The field is contact at a point when
-the exterior derivative restricted to the kernel hyperplane is
-nondegenerate.  contact_check computes that derivative in closed form
-from B(y) and Chart.dB(y), through the derivative of the fiber's chart
-point y(x) at the chart plane, so every chart kind takes the same path.
-For a linear chart at the origin the restriction is exactly M^T - M,
-which decides the dichotomy: block rotations give contact structures,
-while the shifted-block construction of gluck_yang_matrix makes M - M^T
-singular.
+fibration is the kernel of the 1-form alpha with coefficients
+(1, b) / s at the chart point y, where b = B(y)[:, 0] and
+s = 1 + |b|^2: the fiber direction rescaled so the parameter component
+is constant.  The field is contact at a point when d(alpha) restricted
+to ker alpha is nondegenerate.
+
+d(alpha) at (0, y) is a closed form in b and D = Chart.dB(y)[:, 0, :]:
+each ambient point takes the form of its fiber's chart point, whose
+derivative at the chart plane the implicit-function theorem gives.  The
+columns of N = [-b^T; I_q] span ker alpha, with Gram matrix
+G = N^T N = I + b b^T of determinant s, and
+
+    N^T d(alpha) N = (G D^T - D G) / s.
+
+So the determinant of d(alpha) in any orthonormal basis of ker alpha is
+det((G D^T - D G) / s) / s, with no kernel basis built; q is even, so
+neither the basis nor its orientation changes it.  For a linear chart at
+the origin b = 0 and the restriction is exactly M^T - M, which decides
+the dichotomy: block rotations give contact structures, while the
+shifted-block construction of gluck_yang_matrix makes M - M^T singular.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 from .bilinear import J2
 from .errors import InvalidInput
 from .fibration import Chart
-from .numeric import Tolerance, finite_vector, orthonormal_complement, real_eigenvalue_mask
+from .numeric import Tolerance, finite_vector, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -63,56 +72,67 @@ def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
     return np.concatenate([one, b], axis=-1) / (1.0 + np.vecdot(b, b))[..., None]
 
 
-def contact_check(
-    c: Chart,
-    y: np.ndarray,
-    tol: Tolerance | None = None,
-    basis: np.ndarray | None = None,
-) -> ContactReport:
-    """Contact test at the chart-plane point y.
-
-    The form is extended off the chart plane by assigning each ambient
-    point x = (t, x_y) the form of its fiber's chart point y(x), the
-    solution of y + B(y) t = x_y.  At t = 0 the implicit-function theorem
-    gives dy/dt = -b and dy/dx_y = I with b = B(y)[:, 0], so the Jacobian
-    of alpha at (0, y) is a closed form in B(y) and Chart.dB(y), and
-    d(alpha) is its antisymmetrization.  The check is as exact as the
-    chart's dB, which every chart gives in closed form.
-    det_margin is basis-independent.
-    """
-    tol = tol or Tolerance.default()
+def _check_line_chart(c: Chart) -> None:
     if c.k != 1:
         raise InvalidInput("contact tests apply to line charts (k = 1)")
     if c.q % 2:
         raise InvalidInput(f"chart plane dimension must be even, got {c.q}")
-    m_half = c.q // 2
-    y = finite_vector(y, c.q)
 
-    b = c.B(y)[:, 0]
-    s = 1.0 + float(b @ b)
-    form = np.concatenate([[1.0], b])
-    alpha0 = form / s
-    # d(alpha)/dy for alpha = (1, b) / s, then the chain rule through y(x)
-    dform = np.vstack([np.zeros((1, c.q)), np.eye(c.q)]) / s
-    dform -= np.outer(form, 2.0 * b) / (s * s)
-    jac = dform @ c.dB(y)[:, 0, :] @ np.column_stack([-b, np.eye(c.q)])
-    dalpha = jac.T - jac
-    if basis is None:
-        basis = orthonormal_complement(
-            (alpha0 / np.linalg.norm(alpha0)).reshape(-1, 1), tol
-        )
-    else:
-        basis = np.asarray(basis, dtype=float)
-        if basis.shape != (c.q + 1, c.q):
-            raise InvalidInput(f"kernel basis shape {basis.shape} != ({c.q + 1}, {c.q})")
-    restricted = basis.T @ dalpha @ basis
-    scale = float(np.linalg.norm(dalpha, 2))
-    if scale == 0.0:
-        return ContactReport(y, 0.0, False, {"dalpha_norm": 0.0})
-    det = float(np.linalg.det(restricted))
-    det_margin = abs(det) ** (1.0 / m_half) / (scale * scale)
-    details = {"dalpha_norm": scale, "restricted_det": det}
-    return ContactReport(y, det_margin, det_margin > tol.threshold(1.0), details)
+
+def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> list[ContactReport]:
+    """Contact test at each row of an (N, q) stack of chart-plane points.
+
+    The form is extended off the chart plane by assigning each ambient
+    point x = (t, x_y) the form of its fiber's chart point y(x), the
+    solution of y + B(y) t = x_y.  At t = 0 the implicit-function theorem
+    gives dy/dx = N^T = [-b | I], so the Jacobian of alpha at (0, y) is
+    jac = (d alpha / d b) D N^T, and d(alpha) = jac^T - jac; its 2-norm is
+    the scale of det_margin.  The restricted determinant is
+    det((G D^T - D G) / s) / s (see the module docstring).  One Chart.B
+    and one Chart.dB call cover the stack, and row i of the result equals
+    contact_check at row i, bit for bit.  A row where d(alpha) = 0 has
+    margin 0 and is not contact.  The check is as exact as the chart's dB,
+    which every chart gives in closed form.
+    """
+    tol = tol or Tolerance.default()
+    _check_line_chart(c)
+    m_half = c.q // 2
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2 or ys.shape[1] != c.q:
+        raise InvalidInput(f"point stack shape {ys.shape} != (N, {c.q})")
+    if not np.isfinite(ys).all():
+        raise InvalidInput("point coordinates must be finite")
+    eye = np.eye(c.q)
+
+    b = c.B(ys)[:, :, 0]
+    d = c.dB(ys)[:, :, 0, :]
+    s = 1.0 + np.vecdot(b, b)
+    form = np.concatenate([np.ones((len(ys), 1)), b], axis=1)
+    # d alpha / d b for alpha = (1, b) / s, then the chain rule through b(y(x))
+    dform = np.eye(c.q + 1)[:, 1:] / s[:, None, None]
+    dform -= form[:, :, None] * (2.0 * b)[:, None, :] / (s * s)[:, None, None]
+    jac = dform @ d @ np.concatenate([-b[:, :, None], np.broadcast_to(eye, d.shape)], axis=2)
+    scales = np.linalg.norm(jac.mT - jac, 2, axis=(1, 2))
+    gram = eye + b[:, :, None] * b[:, None, :]
+    dets = np.linalg.det((gram @ d.mT - d @ gram) / s[:, None, None]) / s
+
+    threshold = tol.threshold(1.0)
+    reports = []
+    for y, det, scale in zip(ys, dets.tolist(), scales.tolist()):
+        if scale == 0.0:
+            reports.append(ContactReport(y, 0.0, False, {"dalpha_norm": 0.0}))
+            continue
+        det_margin = abs(det) ** (1.0 / m_half) / (scale * scale)
+        details = {"dalpha_norm": scale, "restricted_det": det}
+        reports.append(ContactReport(y, det_margin, det_margin > threshold, details))
+    return reports
+
+
+def contact_check(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> ContactReport:
+    """Contact test at the chart-plane point y: the N = 1 case of
+    contact_checks."""
+    _check_line_chart(c)
+    return contact_checks(c, finite_vector(y, c.q)[None], tol)[0]
 
 
 def gluck_yang_matrix(m: int) -> np.ndarray:

@@ -269,7 +269,7 @@ def builtin_chart(name: str, **params) -> Chart:
         base = params["base"]
         if isinstance(base, dict):
             base = chart_from_dict(base)
-        return _make_extension(base, blend_r)
+        return _make_extension(base, _linearization(base), blend_r)
     raise InvalidInput(f"unknown builtin chart {name!r}")
 
 
@@ -672,12 +672,10 @@ def _linearization(local: Chart) -> Chart:
     return Chart(local.k, local.q, AFFINE, C=local.dB(zero).transpose(1, 0, 2), B0=local.B(zero))
 
 
-def _make_extension(local: Chart, blend_r: float) -> Chart:
-    """The germ on s <= 1/2, its linearization on s >= 1, and on the ring
-    B = w B_germ + (1 - w) B_lin, whose derivative is
+def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
+    """The germ on s <= 1/2, its linearization lin on s >= 1, and on the
+    ring B = w B_germ + (1 - w) B_lin, whose derivative is
     w dB_germ + (1 - w) dB_lin + (B_germ - B_lin) (x) grad w."""
-    lin = _linearization(local)
-
     def b(ys):
         zones = _blend_zones(ys, blend_r)
         if zones is None:
@@ -756,7 +754,7 @@ def extend_germ(
 
     for attempt in range(21):
         r = float(blend_r) * 0.5**attempt
-        ext = _make_extension(local, r)
+        ext = _make_extension(local, lin, r)
         repn = verify_nondegenerate(
             ext, radius=10.0 * r, samples=samples, stream=SampleStream(seed + attempt), tol=tol
         )

@@ -289,38 +289,6 @@ def orthonormalize(frame: np.ndarray, tol: Tolerance | None = None) -> np.ndarra
     return q * signs[..., None, :]
 
 
-def orthonormal_complement(frame: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span.
-
-    Built by Gram-Schmidt over the standard basis in order, so for
-    axis-aligned inputs the complement is the remaining axes with
-    positive sign.
-    """
-    frame = np.asarray(frame, dtype=float)
-    n, k = frame.shape
-    if k >= n:
-        return np.empty((n, 0))
-    on = orthonormalize(frame, tol)
-    cols = [on[:, j].copy() for j in range(k)]
-    out = []
-    for i in range(n):
-        if len(out) == n - k:
-            break
-        v = np.zeros(n)
-        v[i] = 1.0
-        for _ in range(2):
-            for c in cols:
-                v -= c * (c @ v)
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-6:
-            v /= nv
-            cols.append(v)
-            out.append(v)
-    if len(out) != n - k:
-        raise RankDeficient("failed to complete the frame to a basis")
-    return np.column_stack(out)
-
-
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues with multiplicity, as a complex array.
 

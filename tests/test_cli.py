@@ -20,7 +20,7 @@ import pytest
 import skewfib
 from skewfib import cli
 from skewfib.cli import main
-from skewfib.fibration import builtin_chart, chart_from_dict, chart_to_dict, fiber_solve
+from skewfib.fibration import Chart, builtin_chart, chart_from_dict, chart_to_dict, fiber_solve
 
 J2 = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -401,6 +401,22 @@ def test_contact_points_file(capsys, tmp_path):
     code, data = _run_json(capsys, ["contact", "check", "--chart", path, "--points", str(pts)])
     assert code == 0
     assert len(data["results"]) == 2
+
+
+def test_contact_check_zero_chart(capsys, tmp_path):
+    """d(alpha) = 0 at every point of the zero chart: each margin is 0 and
+    the zero scale raises no floating-point error."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(chart_to_dict(Chart(1, 2, "linear", C=(np.zeros((2, 2)),)))))
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n0.5 -1\n3 2\n")
+    code = main(["contact", "check", "--chart", str(path), "--points", str(pts)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert [r["det_margin"] for r in data["results"]] == [0.0, 0.0, 0.0]
+    assert data["all_contact"] is False
 
 
 def test_germ_extend(capsys, tmp_path):

@@ -5,14 +5,30 @@ import warnings
 import numpy as np
 import pytest
 
-from skewfib.contact import ContactReport, contact_check, contact_form, gluck_yang_matrix
+from skewfib.contact import (
+    ContactReport,
+    contact_check,
+    contact_checks,
+    contact_form,
+    gluck_yang_matrix,
+)
 from skewfib.errors import InvalidInput
-from skewfib.fibration import Chart, block_rotation, builtin_chart, fiber_solve
-from skewfib.numeric import SampleStream, jacobian, orthonormal_complement
+from skewfib.fibration import Chart, block_rotation, builtin_chart, extend_germ, fiber_solve
+from skewfib.numeric import SampleStream, jacobian
 
 RNG_SEED = 31415
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _kernel_basis(alpha):
+    """Orthonormal basis Q of the kernel of the 1-form alpha, from an SVD,
+    oriented so that det([alpha / |alpha| | Q]) > 0."""
+    unit = alpha / np.linalg.norm(alpha)
+    basis = np.linalg.svd(unit[None, :])[2][1:].T
+    if np.linalg.det(np.column_stack([unit, basis])) < 0:
+        basis[:, 0] = -basis[:, 0]
+    return basis
 
 
 def test_contact_form_values():
@@ -33,8 +49,7 @@ def test_contact_form_annihilates_orthogonal_plane():
         d = np.concatenate([[1.0], c.B(y)[:, 0]])
         # the fiber direction pairs to 1, its orthocomplement to 0
         assert alpha @ d == pytest.approx(1.0, abs=1e-12)
-        comp = orthonormal_complement((d / np.linalg.norm(d)).reshape(-1, 1))
-        assert np.max(np.abs(alpha @ comp)) <= 1e-12
+        assert np.max(np.abs(alpha @ _kernel_basis(d))) <= 1e-12
 
 
 def test_contact_form_needs_line_chart():
@@ -72,8 +87,8 @@ def test_contact_check_gluck_yang_degenerate():
 
 
 def test_contact_check_linear_cross_check():
-    """At the origin of a linear chart B = 0 and the kernel basis is the
-    chart-plane axes, so the restricted form is exactly M^T - M."""
+    """At the origin of a linear chart b = 0, so G = I and s = 1 and the
+    restricted form (G D^T - D G) / s is exactly M^T - M."""
     charts = [builtin_chart("hopf_line", m=m, a=1.0, b=2.0) for m in (1, 2, 3)]
     charts.append(builtin_chart("gluck_yang", m=2))
     for c in charts:
@@ -92,16 +107,13 @@ def _reference_dalpha(c, y):
 
     jac = jacobian(forms, np.concatenate([[0.0], y]))
     dalpha = jac.T - jac
-    alpha = contact_form(c, y)
-    basis = orthonormal_complement((alpha / np.linalg.norm(alpha)).reshape(-1, 1))
+    basis = _kernel_basis(contact_form(c, y))
     return float(np.linalg.norm(dalpha, 2)), float(np.linalg.det(basis.T @ dalpha @ basis))
 
 
 def test_contact_check_matches_newton_reference():
     """The closed-form d(alpha) agrees with differences through Newton
     fiber solves on linear, affine and smooth charts."""
-    from skewfib.fibration import extend_germ
-
     rng = np.random.default_rng(RNG_SEED)
     offset = np.array([[0.3], [-0.2], [0.1], [0.4]])
     charts = [
@@ -119,19 +131,36 @@ def test_contact_check_matches_newton_reference():
             assert rep.details["dalpha_norm"] == pytest.approx(norm, rel=1e-6), (c.name, y)
 
 
-def test_contact_check_basis_invariance():
-    """det_margin must not depend on the choice of kernel basis."""
+def test_contact_checks_rows_equal_single_points():
+    """Row i of a stack equals contact_check at row i, bit for bit: on a
+    linear and an affine chart, in all three blend zones of an extension,
+    and on the zero chart, where d(alpha) = 0 and every margin is 0."""
     rng = np.random.default_rng(RNG_SEED)
-    c = builtin_chart("hopf_line", m=2, a=0.5, b=1.5)
-    y = np.array([0.3, -0.2, 0.8, 0.1])
-    alpha = contact_form(c, y)
-    basis = orthonormal_complement((alpha / np.linalg.norm(alpha)).reshape(-1, 1))
-    rep0 = contact_check(c, y)
-    for _ in range(5):
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        rep = contact_check(c, y, basis=basis @ q)
-        assert rep.det_margin == pytest.approx(rep0.det_margin, rel=1e-8)
-        assert rep.is_contact == rep0.is_contact
+    ext = extend_germ(builtin_chart("quad_germ", eps=0.2))
+    dirs = rng.standard_normal((12, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # s = |y| / blend_r of 0.3 (germ), 0.75 (ring) and 2 (linearization)
+    zones = np.repeat([0.3, 0.75, 2.0], 4) * ext.params["blend_r"]
+    zero = Chart(1, 2, "linear", C=(np.zeros((2, 2)),))
+    offset = np.array([[0.3], [-0.2], [0.1], [0.4]])
+    cases = [
+        (builtin_chart("hopf_line", m=3, a=0.5, b=1.5), rng.uniform(-2.0, 2.0, (10, 6))),
+        (builtin_chart("gluck_yang", m=2).with_offset(offset), rng.uniform(-2.0, 2.0, (10, 4))),
+        (ext, dirs * zones[:, None]),
+        (zero, rng.uniform(-2.0, 2.0, (5, 2))),
+    ]
+    for c, ys in cases:
+        reports = contact_checks(c, ys)
+        assert len(reports) == len(ys)
+        for y, rep in zip(ys, reports):
+            one = contact_check(c, y)
+            assert np.array_equal(rep.point, y)
+            assert rep.det_margin == one.det_margin, (c.name, y)
+            assert rep.is_contact == one.is_contact
+            assert rep.details == one.details
+    for rep in contact_checks(zero, cases[-1][1]):
+        assert rep.det_margin == 0.0 and not rep.is_contact
+        assert rep.details == {"dalpha_norm": 0.0}
 
 
 def test_contact_check_validation():
@@ -140,8 +169,9 @@ def test_contact_check_validation():
     c = builtin_chart("hopf3")
     with pytest.raises(InvalidInput):
         contact_check(c, np.zeros(3))  # wrong point shape
-    with pytest.raises(InvalidInput):
-        contact_check(c, np.zeros(2), basis=np.eye(3)[:, :1])  # bad basis shape
+    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(InvalidInput, match="point stack shape"):
+            contact_checks(c, bad)
     odd = Chart(1, 3, "linear", C=(np.eye(3),))
     with pytest.raises(InvalidInput):
         contact_check(odd, np.zeros(3))  # odd chart plane dimension
@@ -155,6 +185,8 @@ def test_contact_check_rejects_non_finite_point():
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidInput):
                 contact_check(c, np.array([bad, 0.0]))
+            with pytest.raises(InvalidInput, match="point coordinates must be finite"):
+                contact_checks(c, np.array([[0.0, 0.0], [0.5, bad]]))
 
 
 def test_contact_report_serialization():
@@ -204,8 +236,6 @@ def test_gluck_yang_chart_is_nondegenerate_but_not_contact():
 
 def test_contact_check_smooth_chart():
     """Smooth charts take the same closed form, with dB from the chart."""
-    from skewfib.fibration import extend_germ
-
     ext = extend_germ(builtin_chart("quad_germ", eps=0.05))
     rep = contact_check(ext, np.zeros(2))
     assert rep.is_contact

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skewfib import fibration
 from skewfib import report as rp
 from skewfib.bilinear import BilinearMap, from_algebra, hurwitz_radon_family
 from skewfib.errors import (
@@ -792,13 +793,18 @@ def test_extend_germ_fails_below_any_difference_step():
         extend_germ(germ, 0.5, samples=1000)
 
 
-def test_extend_germ_failure_carries_last_report():
+def test_extend_germ_failure_carries_last_report(monkeypatch):
     """quad_germ(100) has real eigenvalues of dB at |y| ~ 0.1, so every blend
     from radius 1e6 down to 1e6 / 2^20 fails; the error carries the report
-    of the last one, whose ball has ten times its blend radius."""
+    of the last one, whose ball has ten times its blend radius.  The
+    linearization is built once for all 21 blends."""
     wide = builtin_chart("germ_extension", blend_r=1e6, base=builtin_chart("quad_germ", eps=100.0))
+    calls = []
+    linearization = fibration._linearization
+    monkeypatch.setattr(fibration, "_linearization", lambda c: calls.append(c) or linearization(c))
     with pytest.raises(BlendFailure, match="no nondegenerate blend found") as failure:
         extend_germ(wide, blend_r=1e6, samples=500)
+    assert calls == [wide]
     last = failure.value.report
     assert last.check == "nondegenerate" and last.verdict == "fail"
     assert last.sampling == {"seed": 20, "mode": "pseudo-random", "count": 500,

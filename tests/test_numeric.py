@@ -16,7 +16,6 @@ from skewfib.numeric import (
     Tolerance,
     eigenvalues,
     jacobian,
-    orthonormal_complement,
     orthonormalize,
     row_norms,
     singular_values,
@@ -161,14 +160,6 @@ def test_orthonormalize_stack_matches_single_frames():
     frames[4, :, 1] = 3.0 * frames[4, :, 0]
     with pytest.raises(RankDeficient):
         orthonormalize(frames)
-
-
-def test_orthonormal_complement():
-    frame = orthonormalize(np.array([[1.0], [1.0], [0.0], [0.0]]))
-    comp = orthonormal_complement(frame)
-    assert comp.shape == (4, 3)
-    assert np.allclose(comp.T @ comp, np.eye(3), atol=1e-13)
-    assert np.allclose(comp.T @ frame, 0.0, atol=1e-13)
 
 
 def test_eigenvalues_known_spectra():
