@@ -13,14 +13,21 @@ derivative at the chart plane the implicit-function theorem gives.  The
 columns of N = [-b^T; I_q] span ker alpha, with Gram matrix
 G = N^T N = I + b b^T of determinant s, and
 
-    N^T d(alpha) N = (G D^T - D G) / s.
+    N^T d(alpha) N = (G D^T - D G) / s,
 
-So the determinant of d(alpha) in any orthonormal basis of ker alpha is
-det((G D^T - D G) / s) / s, with no kernel basis built; q is even, so
-neither the basis nor its orientation changes it.  For a linear chart at
-the origin b = 0 and the restriction is exactly M^T - M, which decides
-the dichotomy: block rotations give contact structures, while the
-shifted-block construction of gluck_yang_matrix makes M - M^T singular.
+so the determinant of d(alpha) in an orthonormal basis of ker alpha is
+det(G D^T - D G) / s^(q+1); q is even, so neither the basis nor its
+orientation changes it.  That form cancels: the entries of G are of size
+|b|^2, and its relative error grows with them.  The checks instead apply
+d(alpha) to the orthonormal basis Q = N G^(-1/2) in closed form,
+
+    Q = [-b^T / r; I - b b^T / (r (r + 1))],   r = sqrt(s),
+
+which costs the same and keeps the error near the rounding of d(alpha).
+For a linear chart at the origin b = 0, Q = [0; I] and the restriction
+is exactly M^T - M, which decides the dichotomy: block rotations give
+contact structures, while the shifted-block construction of
+gluck_yang_matrix makes M - M^T singular.
 """
 
 from __future__ import annotations
@@ -88,9 +95,9 @@ def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> li
     gives dy/dx = N^T = [-b | I], so the Jacobian of alpha at (0, y) is
     jac = (d alpha / d b) D N^T, and d(alpha) = jac^T - jac; its 2-norm is
     the scale of det_margin.  The restricted determinant is
-    det((G D^T - D G) / s) / s (see the module docstring).  One Chart.B
-    and one Chart.dB call cover the stack, and row i of the result equals
-    contact_check at row i, bit for bit.  A row where d(alpha) = 0 has
+    det(Q^T d(alpha) Q) for the closed-form basis Q of the module
+    docstring.  One Chart.B and one Chart.dB call cover the stack, and
+    row i of the result equals contact_check at row i, bit for bit.  A row where d(alpha) = 0 has
     margin 0 and is not contact.  The check is as exact as the chart's dB,
     which every chart gives in closed form.
     """
@@ -112,9 +119,13 @@ def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> li
     dform = np.eye(c.q + 1)[:, 1:] / s[:, None, None]
     dform -= form[:, :, None] * (2.0 * b)[:, None, :] / (s * s)[:, None, None]
     jac = dform @ d @ np.concatenate([-b[:, :, None], np.broadcast_to(eye, d.shape)], axis=2)
-    scales = np.linalg.norm(jac.mT - jac, 2, axis=(1, 2))
-    gram = eye + b[:, :, None] * b[:, None, :]
-    dets = np.linalg.det((gram @ d.mT - d @ gram) / s[:, None, None]) / s
+    dalpha = jac.mT - jac
+    scales = np.linalg.norm(dalpha, 2, axis=(1, 2))
+    # the orthonormal basis Q of ker alpha (module docstring), one per row
+    r = np.sqrt(s)[:, None, None]
+    lower = eye - b[:, :, None] * b[:, None, :] / (r * (r + 1.0))
+    basis = np.concatenate([-b[:, None, :] / r, lower], axis=1)
+    dets = np.linalg.det(basis.mT @ dalpha @ basis)
 
     threshold = tol.threshold(1.0)
     reports = []

@@ -35,13 +35,14 @@ from .errors import (
     SingularLastColumn,
     SingularSystem,
 )
-from .grassmann import AffinePlane, max_principal_angle, plane_from_columns
+from .grassmann import AffinePlane, OrientedPlane, _built, max_principal_angle
 from .numeric import (
     SampleStream,
     Tolerance,
     eigenvalues,
     finite_vector,
     is_singular,
+    oriented_q,
     real_eigenvalue_mask,
     row_norms,
     spherical_distance,
@@ -389,19 +390,31 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     return _solve(c, 1.0, t1, t2, t2, budget, tol)
 
 
-def fiber_plane(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> AffinePlane:
+def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     """The fiber through chart point y as an affine plane.
 
     Direction is the span of (e_j, B(y) e_j), oriented by parameter
     order; the base point is (0, y) projected off the direction.
+
+    The graph frame F = [I_k; B(y)] has sigma_min >= 1 whatever B(y) is:
+    |F t|^2 = |t|^2 + |B(y) t|^2 >= |t|^2.  orthonormalize's rank gate
+    (sigma_min <= tol.abs) could only trip at tol.abs >= 1, so the frame
+    goes straight to numeric.oriented_q, which returns what
+    orthonormalize returns at any smaller tolerance, and the plane is
+    built without the constructors' checks (grassmann._built).  A B(y)
+    or a base that is not finite raises InvalidInput: the chart
+    overflows.
     """
     y = finite_vector(y, c.q)
-    by = c.B(y)
-    cols = np.vstack([np.eye(c.k), by])
-    direction = plane_from_columns(cols, tol)
     p = np.concatenate([np.zeros(c.k), y])
-    base = p - direction.frame @ (direction.frame.T @ p)
-    return AffinePlane(direction, base)
+    with np.errstate(over="ignore", invalid="ignore"):
+        by = c.B(y)
+        if np.isfinite(by).all():
+            frame = oriented_q(np.vstack([np.eye(c.k), by]))
+            base = p - frame @ (frame.T @ p)
+            if np.isfinite(base).all():
+                return _built(AffinePlane, direction=_built(OrientedPlane, frame=frame), base=base)
+    raise InvalidInput("fiber plane is not finite: the chart overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +600,11 @@ def continuity_probe(
     """
     tol = tol or Tolerance.default()
     ell = finite_vector(ell, c.n, "ell")
-    reference = fiber_plane(c, fiber_containing_direction(c, ell, tol), tol).direction
+    reference = fiber_plane(c, fiber_containing_direction(c, ell, tol)).direction
     angles = []
     for pt in probe.points():
         y = fiber_solve(c, pt, tol)
-        d = fiber_plane(c, y, tol).direction
+        d = fiber_plane(c, y).direction
         angles.append(max_principal_angle(d, reference))
     return angles
 

@@ -89,6 +89,24 @@ class GreatSphere:
         return np.asarray(params, dtype=float) @ self.frame.T
 
 
+def _built(cls, **fields):
+    """An OrientedPlane, AffinePlane or GreatSphere from fields that the
+    library computed itself, without the public constructor's checks.
+
+    Callers pass float arrays that hold by construction what the checks
+    test: frames that are the Q factor of a QR decomposition
+    (numeric.oriented_q) or orthonormal columns laid out by hand, and
+    base points projected off their direction.  Such a frame is
+    orthonormal to a few ulps, far inside the constructors' 1e-12, so a
+    second check only costs time.  Frames and points from a caller still
+    go through the public constructors.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def plane_from_columns(cols: np.ndarray, tol: Tolerance | None = None) -> OrientedPlane:
     """Oriented plane spanned by the given columns, in their orientation."""
     return OrientedPlane(orthonormalize(cols, tol))
@@ -99,14 +117,15 @@ def embed_affine(p: AffinePlane) -> OrientedPlane:
 
     The frame is the direction columns padded with a zero last coordinate,
     followed by the normalized (base, 1) column; base is orthogonal to the
-    direction, so the result is already orthonormal.
+    direction, so the result is already orthonormal and is not checked
+    again.
     """
     d = p.direction.frame
     k = p.k
     top = np.vstack([d, np.zeros((1, k))])
     last = np.append(p.base, 1.0)
     last = last / np.linalg.norm(last)
-    return OrientedPlane(np.column_stack([top, last]))
+    return _built(OrientedPlane, frame=np.column_stack([top, last]))
 
 
 def intersection_dim(

@@ -262,14 +262,41 @@ def real_eigenvalue_mask(eig: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
 
 
+def rank_gate(smin: np.ndarray, tol: Tolerance) -> None:
+    """Raise RankDeficient when a frame's sigma_min, one entry of smin per
+    frame, is <= tol.abs or NaN."""
+    deficient = np.flatnonzero(~(smin > tol.abs))
+    if deficient.size:
+        raise RankDeficient(
+            f"frame is rank deficient: sigma_min={smin[deficient[0]]:.3e} <= {tol.abs:.1e}"
+        )
+
+
+def oriented_q(frame: np.ndarray) -> np.ndarray:
+    """The Q factor of a QR decomposition of full-rank frames, each column
+    flipped so that R has a nonnegative diagonal: an orthonormal frame with
+    the same column span and orientation.
+
+    This is orthonormalize without its rank gate, for frames whose rank
+    the caller already knows, such as the graph frames [I_k; B] of
+    fibration.fiber_plane.  A stack of frames, shape (..., n, k), gives
+    the same result as one call per frame.
+    """
+    q, r = np.linalg.qr(frame)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
+
+
 def orthonormalize(frame: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Orthonormal frame with the same column span and orientation.
 
     The change of basis from the input columns to the output columns has
     positive determinant.  Raises RankDeficient when the columns are
-    dependent at the absolute tolerance.  A stack of frames, shape
-    (..., n, k), is orthonormalized frame by frame, with the same result
-    as one call per frame.
+    dependent at the absolute tolerance, sigma_min <= tol.abs, from one
+    SVD per frame; the frame then goes to oriented_q.  A stack of frames,
+    shape (..., n, k), is orthonormalized frame by frame, with the same
+    result as one call per frame.
     """
     tol = tol or Tolerance.default()
     frame = np.asarray(frame, dtype=float)
@@ -277,16 +304,8 @@ def orthonormalize(frame: np.ndarray, tol: Tolerance | None = None) -> np.ndarra
         raise InvalidInput("orthonormalize expects n x k frames with k >= 1")
     if frame.shape[-2] < frame.shape[-1]:
         raise RankDeficient(f"frame of shape {frame.shape} cannot have independent columns")
-    smin = np.linalg.svd(frame, compute_uv=False)[..., -1].ravel()
-    deficient = np.flatnonzero(smin <= tol.abs)
-    if deficient.size:
-        raise RankDeficient(
-            f"frame is rank deficient: sigma_min={smin[deficient[0]]:.3e} <= {tol.abs:.1e}"
-        )
-    q, r = np.linalg.qr(frame)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    rank_gate(np.linalg.svd(frame, compute_uv=False)[..., -1].ravel(), tol)
+    return oriented_q(frame)
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -23,10 +23,17 @@ import numpy as np
 from . import report as rp
 from .bilinear import BilinearMap, pencil_report, verify_nonsingular
 from .dims import admissible_sphere
-from .errors import DimensionMismatch, EquatorPoint, InvalidInput, RealEigenvalue
+from .errors import DimensionMismatch, EquatorPoint, InvalidInput, RankDeficient, RealEigenvalue
 from .fibration import Chart, fiber_plane, fiber_solve
-from .grassmann import AffinePlane, GreatSphere, embed_affine
-from .numeric import SampleStream, Tolerance, finite_vector, orthonormalize, real_eigenvalue_mask
+from .grassmann import AffinePlane, GreatSphere, _built, embed_affine
+from .numeric import (
+    SampleStream,
+    Tolerance,
+    finite_vector,
+    orthonormalize,
+    rank_gate,
+    real_eigenvalue_mask,
+)
 
 EQUATOR_EPS = 1e-14
 
@@ -55,9 +62,10 @@ def great_sphere_of(p: AffinePlane) -> GreatSphere:
     """The great k-sphere cut out by the linearization of an affine plane.
 
     Upper-hemisphere points of the result centrally project back onto
-    the plane.
+    the plane.  The frame of embed_affine is orthonormal by construction
+    and is not checked again.
     """
-    return GreatSphere(embed_affine(p).frame)
+    return _built(GreatSphere, frame=embed_affine(p).frame)
 
 
 def completion_check(
@@ -148,14 +156,41 @@ def plane_residual(m: np.ndarray, u: np.ndarray) -> float:
 def _plane_residuals(
     m: np.ndarray, us: np.ndarray, tol: Tolerance | None = None
 ) -> np.ndarray:
-    """plane_residual for every row of us, through one stack of frames
-    [u | Mu]; the stacked matmuls reproduce the products of a single u
-    bit for bit."""
+    """plane_residual for every row of us, in closed form on the rows.
+
+    The frame [u | Mu] has two columns, so two Gram-Schmidt steps replace
+    a QR: p = Mu - (u.Mu / u.u) u spans the rest of the plane, and the
+    residual is |r| for r = w - (u.w / u.u) u - (p.r / p.p) p, with
+    w = M^2 u.  The rank gate of orthonormalize keeps its meaning: a
+    frame with sigma_min <= tol.abs raises RankDeficient.  sigma_min
+    comes from the 2 x 2 Gram matrix [[uu, c], [c, dd]] (uu = u.u,
+    dd = Mu.Mu, c = u.Mu) without an SVD: its determinant is
+    uu dd - c^2 = |u|^2 |p|^2, so
+
+        sigma_min = |u| |p| / sigma_max,
+        sigma_max^2 = (uu + dd) / 2 + sqrt(((uu - dd) / 2)^2 + c^2),
+
+    which does not cancel as sqrt(det) / sigma_max formed from the
+    entries would.  A zero u is rejected before any division.  The
+    stacked matmuls and the row-wise vecdots reproduce the arithmetic of
+    a single u, so row i equals plane_residual(m, us[i]) bit for bit.
+    """
+    tol = tol or Tolerance.default()
     mu = np.matmul(m, us[:, :, None])
-    q = orthonormalize(np.concatenate([us[:, :, None], mu], axis=2), tol)
-    w = np.matmul(m, mu)
-    res = w - np.matmul(q, np.matmul(q.transpose(0, 2, 1), w))
-    return np.sqrt(np.matmul(res.transpose(0, 2, 1), res)[:, 0, 0])
+    w = np.matmul(m, mu)[:, :, 0]
+    mu = mu[:, :, 0]
+    uu = np.vecdot(us, us)
+    if not uu.all():
+        raise RankDeficient(f"frame is rank deficient: u = 0, so sigma_min = 0 <= {tol.abs:.1e}")
+    c = np.vecdot(us, mu)
+    dd = np.vecdot(mu, mu)
+    p = mu - (c / uu)[:, None] * us
+    pp = np.vecdot(p, p)
+    smax = np.sqrt(0.5 * (uu + dd) + np.hypot(0.5 * (uu - dd), c))
+    rank_gate(np.sqrt(uu) * np.sqrt(pp) / smax, tol)
+    r = w - (np.vecdot(us, w) / uu)[:, None] * us
+    r -= (np.vecdot(p, r) / pp)[:, None] * p
+    return np.sqrt(np.vecdot(r, r))
 
 
 def invariant_on_planes(
@@ -268,10 +303,10 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
         p_t, p_e, p_proj = p[0], p[1:-1], p[-1]
         if abs(p_proj) > EQUATOR_EPS:
             y = fiber_solve(chart, p[:-1] / p_proj, tol)
-            return great_sphere_of(fiber_plane(chart, y, tol))
+            return great_sphere_of(fiber_plane(chart, y))
         if abs(p_t) > EQUATOR_EPS:
             y = np.linalg.solve(m, p_e / p_t)
-            return great_sphere_of(fiber_plane(chart, y, tol))
+            return great_sphere_of(fiber_plane(chart, y))
         cols = np.zeros((d + 2, 2))
         cols[1:-1, 0] = p_e
         cols[1:-1, 1] = m @ p_e

@@ -1,6 +1,7 @@
 """Tests for the fiber-orthogonal plane field and the contact dichotomy."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,49 @@ def test_contact_check_linear_cross_check():
         rep = contact_check(c, np.zeros(c.q))
         cmat = c.C[0]
         assert rep.details["restricted_det"] == np.linalg.det(cmat.T - cmat), c.name
+
+
+def _exact_restricted_det(b, d):
+    """det(G D^T - D G) / s^(q+1), with G = I + b b^T and s = 1 + |b|^2,
+    in exact rational arithmetic on the float entries of b and D."""
+    q = len(b)
+    b = [Fraction(x) for x in b.tolist()]
+    d = [[Fraction(x) for x in row] for row in d.tolist()]
+    g = [[int(i == j) + b[i] * b[j] for j in range(q)] for i in range(q)]
+    a = [[sum(g[i][l] * d[j][l] - d[i][l] * g[l][j] for l in range(q)) for j in range(q)]
+         for i in range(q)]
+    det = Fraction(1)
+    for col in range(q):
+        pivot = next((r for r in range(col, q) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, q):
+            f = a[r][col] / a[col][col]
+            for j in range(col, q):
+                a[r][j] -= f * a[col][j]
+    return det / (1 + sum(x * x for x in b)) ** (q + 1)
+
+
+def test_restricted_det_matches_exact_evaluation():
+    """The determinant in the closed-form orthonormal basis of ker alpha
+    stays within 1e-11 relative of its exact value as |b| grows, where the
+    form det(G D^T - D G) / s^(q+1) lost up to 7.6e-11 to cancellation in
+    the entries of G, which are of size |b|^2."""
+    rng = np.random.default_rng(RNG_SEED)
+    for c, radius in ((builtin_chart("gluck_yang", m=3), 50.0),
+                      (builtin_chart("hopf_line", m=2, a=0.5, b=1.5), 50.0),
+                      (extend_germ(builtin_chart("quad_germ", eps=0.2)), 5.0)):
+        ys = rng.uniform(-radius, radius, (30, c.q))
+        reports = contact_checks(c, ys)
+        bs, ds = c.B(ys)[:, :, 0], c.dB(ys)[:, :, 0, :]
+        for rep, b, d in zip(reports, bs, ds):
+            exact = _exact_restricted_det(b, d)
+            error = float(abs(Fraction(rep.details["restricted_det"]) - exact) / abs(exact))
+            assert error <= 1e-11, (c.name, rep.point)
 
 
 def _reference_dalpha(c, y):

@@ -669,6 +669,21 @@ def test_sample_fibers_rejects_overflowing_points():
             sample_fibers(c, np.array([[1.0, 1.0]]))
 
 
+def test_fiber_plane_rejects_overflowing_chart():
+    """B(y) overflows here; the error is an input error, with no warning
+    on the way, and the same under the CLI's raising error state."""
+    c = builtin_chart("hopf_line", m=1, a=1e300, b=1e300)
+    y = np.array([1e10, 1.0])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInput, match="the chart overflows"):
+            fiber_plane(c, y)
+    assert seen == []
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(InvalidInput, match="the chart overflows"):
+            fiber_plane(c, y)
+
+
 def test_continuity_probe_decays():
     c = builtin_chart("hopf3")
     ell = np.array([1.0, 0.0, 0.0])

@@ -16,6 +16,7 @@ from skewfib.numeric import (
     Tolerance,
     eigenvalues,
     jacobian,
+    oriented_q,
     orthonormalize,
     row_norms,
     singular_values,
@@ -160,6 +161,20 @@ def test_orthonormalize_stack_matches_single_frames():
     frames[4, :, 1] = 3.0 * frames[4, :, 0]
     with pytest.raises(RankDeficient):
         orthonormalize(frames)
+
+
+def test_oriented_q_is_orthonormalize_without_gate():
+    """Below the gate the two agree bit for bit.  A graph frame [I; B] has
+    sigma_min >= 1, so only a tolerance of 1 or more makes orthonormalize
+    reject it; oriented_q has no gate."""
+    rng = np.random.default_rng(RNG_SEED)
+    frames = rng.standard_normal((6, 5, 2))
+    assert np.array_equal(oriented_q(frames), orthonormalize(frames))
+    graph = np.vstack([np.eye(2), 1e-3 * rng.standard_normal((3, 2))])
+    assert np.linalg.svd(graph, compute_uv=False)[-1] >= 1.0
+    with pytest.raises(RankDeficient):
+        orthonormalize(graph, Tolerance(abs=2.0))
+    assert np.array_equal(oriented_q(graph), orthonormalize(graph))
 
 
 def test_eigenvalues_known_spectra():

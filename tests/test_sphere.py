@@ -13,8 +13,8 @@ from skewfib.errors import (
     RealEigenvalue,
 )
 from skewfib.fibration import Chart, builtin_chart, extend_germ, fiber_plane, from_bilinear
-from skewfib.grassmann import AffinePlane, OrientedPlane, max_principal_angle
-from skewfib.numeric import SampleStream, Tolerance, spherical_distance
+from skewfib.grassmann import AffinePlane, GreatSphere, OrientedPlane, embed_affine, max_principal_angle
+from skewfib.numeric import SampleStream, Tolerance, orthonormalize, spherical_distance
 from skewfib.sphere import (
     assemble_great_circles,
     central_project,
@@ -24,6 +24,7 @@ from skewfib.sphere import (
     great_sphere_of,
     invariant_on_planes,
     inverse_project,
+    _plane_residuals,
     plane_residual,
     sphere_fiber_direction,
 )
@@ -359,6 +360,91 @@ def test_invariant_rank_gate_uses_given_tolerance():
     with pytest.raises(RankDeficient):
         invariant_on_planes(J4, samples=5, tol=Tolerance(abs=10.0))
     assert invariant_on_planes(J4, samples=5).max_residual <= 1e-12
+
+
+def _qr_plane_residual(m, u, tol=None):
+    """The residual as computed before the closed form: the SVD rank gate
+    and QR of orthonormalize on [u | Mu], then w = M^2 u minus its
+    projection on the frame."""
+    mu = m @ u
+    q = orthonormalize(np.column_stack([u, mu]), tol)
+    w = m @ mu
+    return float(np.linalg.norm(w - q @ (q.T @ w)))
+
+
+def _plane_frames_near_rank_one(rng):
+    """(m, u) pairs whose frames [u | Mu] have sigma_min spread from 1e-14
+    to 1e-10, on both sides of every tolerance below."""
+    yield np.array([[0.0, -1e-14], [1.0, 0.0]]), np.array([0.0, 1.0])
+    for smin in (3e-14, 3e-13, 3e-12, 3e-11, 1e-10):
+        yield np.array([[0.0, -smin], [1.0, 0.0]]), np.array([0.0, 1.0])
+        for d, a in ((4, 0.01), (4, 10.0), (6, 1.0), (6, 100.0)):
+            # Mu = a u + sqrt(1 + a^2) smin f with f orthogonal to u, so that
+            # sigma_min([u | Mu]) = smin to first order, with sigma_max near
+            # sqrt(1 + a^2); M is random off u
+            basis = np.linalg.qr(rng.standard_normal((d, 2)))[0]
+            u, f = basis[:, 0], basis[:, 1]
+            rest = rng.standard_normal((d, d)) @ (np.eye(d) - np.outer(u, u))
+            yield np.outer(a * u + np.hypot(1.0, a) * smin * f, u) + rest, u
+
+
+def test_plane_residual_gate_matches_svd_gate():
+    """The Gram-matrix sigma_min raises RankDeficient exactly where the
+    SVD gate of orthonormalize does, on frames just above and below the
+    tolerance."""
+    rng = np.random.default_rng(RNG_SEED)
+    cases = list(_plane_frames_near_rank_one(rng))
+    with pytest.raises(RankDeficient):
+        plane_residual(*cases[0])
+    flips = set()
+    for abs_tol in (1e-13, 1e-12, 1e-11):
+        tol = Tolerance(abs=abs_tol)
+        for m, u in cases:
+            smin = np.linalg.svd(np.column_stack([u, m @ u]), compute_uv=False)[-1]
+            assert not 0.5 < smin / abs_tol < 2.0, "case too close to the tolerance"
+            deficient = smin <= abs_tol
+            flips.add(deficient)
+            for fn in (_qr_plane_residual, lambda m, u, tol: _plane_residuals(m, u[None], tol)):
+                if deficient:
+                    with pytest.raises(RankDeficient):
+                        fn(m, u, tol)
+                else:
+                    fn(m, u, tol)
+    assert flips == {True, False}
+
+
+def test_plane_residual_matches_qr_reference():
+    """The closed-form residual agrees with the QR path to
+    1e-14 (1 + |M|^2) on random matrices of several scales."""
+    rng = np.random.default_rng(RNG_SEED)
+    for d in (4, 6):
+        for scale in (0.1, 1.0, 10.0, 100.0):
+            for _ in range(25):
+                m = scale * rng.standard_normal((d, d))
+                u = _unit(rng, d)
+                bound = 1e-14 * (1.0 + np.linalg.norm(m, 2) ** 2)
+                assert abs(plane_residual(m, u) - _qr_plane_residual(m, u)) <= bound
+
+
+def test_library_built_planes_pass_public_constructors():
+    """fiber_plane skips the rank gate and the constructors' checks; its
+    frames equal orthonormalize's bit for bit, and the public
+    constructors accept every plane and great circle built from them."""
+    charts = [builtin_chart(name) for name in ("hopf3", "hopf7", "hopf15")]
+    charts.append(builtin_chart("hopf_line", m=2, a=0.5, b=-1.5))
+    charts.append(extend_germ(builtin_chart("quad_germ", eps=0.2)))
+    rng = np.random.default_rng(RNG_SEED)
+    for c in charts:
+        for radius in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+            for _ in range(3):
+                y = radius * _unit(rng, c.q)
+                plane = fiber_plane(c, y)
+                frame = plane.direction.frame
+                assert np.array_equal(frame, orthonormalize(np.vstack([np.eye(c.k), c.B(y)])))
+                # each public constructor raises InvalidInput on a frame it rejects
+                AffinePlane(OrientedPlane(frame), plane.base)
+                OrientedPlane(embed_affine(plane).frame)
+                GreatSphere(great_sphere_of(plane).frame)
 
 
 def test_invariant_max_residual_is_max_of_single_residuals():
