@@ -13,7 +13,13 @@ from skewfib.errors import (
     RealEigenvalue,
 )
 from skewfib.fibration import Chart, builtin_chart, extend_germ, fiber_plane, from_bilinear
-from skewfib.grassmann import AffinePlane, GreatSphere, OrientedPlane, embed_affine, max_principal_angle
+from skewfib.grassmann import (
+    AffinePlane,
+    GreatSphere,
+    OrientedPlane,
+    embed_affine,
+    max_principal_angle,
+)
 from skewfib.numeric import SampleStream, Tolerance, orthonormalize, spherical_distance
 from skewfib.sphere import (
     assemble_great_circles,
