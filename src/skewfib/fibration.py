@@ -39,6 +39,7 @@ from .grassmann import AffinePlane, OrientedPlane, _built, max_principal_angle
 from .numeric import (
     SampleStream,
     Tolerance,
+    eig_screen,
     eigenvalues,
     finite_vector,
     is_singular,
@@ -432,7 +433,9 @@ def verify_skew(
 
     Fibers through x != y are skew exactly when [B(x) - B(y) | x - y]
     has trivial kernel; margin is the minimum over sampled pairs of
-    sigma_min of that matrix divided by |x - y|.
+    sigma_min of that matrix divided by |x - y|.  On smooth charts the
+    stack goes through report.screened_report, which sends only the pairs
+    that can hold the least margin to LAPACK when k = 1.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -452,9 +455,11 @@ def verify_skew(
         for j in range(c.k):
             stacks[:, :, j] = diff @ c.C[j].T
         stacks[:, :, c.k] = diff
+        report = rp.sampled_report
     else:
         stacks = np.concatenate([c.B(xs) - c.B(ys), diff[:, :, None]], axis=2)
-    return rp.sampled_report(
+        report = rp.screened_report
+    return report(
         "skew",
         stacks,
         sampling,
@@ -503,6 +508,19 @@ def verify_nondegenerate(
     it builds the pencil (dB_y, identity), at samples unit t for a linear
     chart's constant dB and at T_SAMPLES unit t per sampled chart point
     otherwise, and leaves the verdict to bilinear.pencil_report.
+
+    On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
+    |Im lambda| of every dB_y = [[a, b], [c, d]] by sqrt(max(-disc -+
+    slack, 0)), with disc = ((a - d) / 2)^2 + bc and slack =
+    numeric.SCREEN_SLACK * s^2 = 2^-40 s^2 for s = |a| + |b| + |c| + |d|:
+    about 4,096 eps of s^2, where the closed form and LAPACK's backward
+    error each move disc by a few eps of it.  When no sample may have a
+    real eigenvalue, only the samples whose lower bound is <= the least
+    upper bound go to np.linalg.eigvals; every other sample's |Im| is
+    strictly larger, so the margin and worst_point are the full stack's
+    bit for bit.  A sample that may be real, a non-finite bound or a real
+    eigenvalue among the candidates sends the whole stack, so every fail
+    comes from it.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -517,7 +535,13 @@ def verify_nondegenerate(
 
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
-        return _spectrum_report(np.linalg.eigvals(c.dB(pts)[:, :, 0, :]), pts, sampling, tol)
+        mats = c.dB(pts)[:, :, 0, :]
+        keep = eig_screen(mats, tol)
+        if keep is not None:
+            rep = _spectrum_report(np.linalg.eigvals(mats[keep]), pts[keep], sampling, tol)
+            if rep.ok:
+                return rep
+        return _spectrum_report(np.linalg.eigvals(mats), pts, sampling, tol)
 
     ts = stream.unit_vectors(T_SAMPLES, c.k + 1)
     eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))

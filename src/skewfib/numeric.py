@@ -262,6 +262,121 @@ def real_eigenvalue_mask(eig: np.ndarray, tol: Tolerance) -> np.ndarray:
     return np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
 
 
+# Slack of the closed-form screens below, relative to a sample's scale
+# (sigma_max for singular values, s^2 for an eigenvalue discriminant):
+# 2^-40 is about 4,096 eps.  The closed forms are off by about 10 eps of
+# that scale at most, and LAPACK's backward error for a 2-column or 2 x 2
+# matrix moves the same quantities by a few eps of it, so a bound widened
+# by the slack holds for the value LAPACK returns with room to spare.
+SCREEN_SLACK = 2.0**-40
+# Beyond this many rows the error of the closed-form dot products, which
+# grows with the row count, could approach the slack.
+SCREEN_ROWS = 256
+# Smallest screened sigma_max or s: below it a product of entries may
+# underflow by more than a negligible part of the slack.
+SCREEN_FLOOR = 2.0**-450
+
+
+def _drop_copies(keep: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+    """keep without each index whose rows of arrays repeat, bit for bit,
+    those of an earlier index in keep.
+
+    LAPACK returns the same bits for the same matrix, and np.argmin takes
+    the first index of a least value, so a later copy never decides a
+    report: a stack with a tied least margin, such as dB = J on the linear
+    zone of a germ extension, sends one matrix of the tie.
+    """
+    if len(keep) < 2:
+        return keep
+    rows = np.concatenate([a[keep].reshape(len(keep), -1) for a in arrays], axis=1)
+    key = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return keep[np.sort(np.unique(key[:, 0], return_index=True)[1])]
+
+
+def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = None):
+    """Indices of the samples of an (N, r, 2) stack that can hold its least
+    margin (sigma_min, divided by scale when given), or None when the whole
+    stack has to go to LAPACK.
+
+    From the columns c1, c2 with uu = c1.c1, dd = c2.c2 and c = c1.c2,
+
+        sigma_max^2 = (uu + dd) / 2 + hypot((uu - dd) / 2, c),
+        sigma_min = |c1| |p| / sigma_max,  p = c2 - (c / uu) c1,
+
+    the stable form of sphere._plane_residuals; both are widened by
+    SCREEN_SLACK * sigma_max into bounds on what LAPACK returns.  None
+    when the stack has another shape or more than SCREEN_ROWS rows, when
+    an entry or an estimate is not finite or below SCREEN_FLOOR, when a
+    scale is not positive, or when some sample may be singular (its lower
+    bound <= tol.threshold of its upper sigma_max): every fail then comes
+    from the full stack.  Otherwise a candidate is a sample whose lower
+    margin bound is <= the least upper margin bound, less the later
+    copies of a candidate (_drop_copies).  Every other sample's LAPACK
+    margin lies strictly above that of the sample attaining the least
+    upper bound, and division by a positive scale rounds monotonically,
+    so the least LAPACK margin over the candidates, first index first, is
+    the one np.argmin finds over the whole stack.  The bounds are computed
+    with floating-point errors ignored, since callers may run with
+    overflow raising.
+    """
+    if stack.ndim != 3 or stack.shape[2] != 2 or stack.shape[1] > SCREEN_ROWS:
+        return None
+    # columns as (r, N) arrays: sums over rows run along whole contiguous rows
+    c1, c2 = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    with np.errstate(all="ignore"):
+        uu = (c1 * c1).sum(0)
+        dd = (c2 * c2).sum(0)
+        c = (c1 * c2).sum(0)
+        smax = np.sqrt(0.5 * (uu + dd) + np.hypot(0.5 * (uu - dd), c))
+        p = c2 - (c / uu) * c1
+        smin = np.sqrt(uu) * np.sqrt((p * p).sum(0)) / smax
+        slack = SCREEN_SLACK * smax
+        lo, hi = smin - slack, smin + slack
+        # NaN fails every comparison, so a non-finite estimate falls back too
+        if not (np.all(smax >= SCREEN_FLOOR) and np.all(lo > tol.threshold(smax + slack))):
+            return None
+        if scale is not None:
+            if not np.all(scale > 0.0):
+                return None
+            lo, hi = lo / scale, hi / scale
+        least = hi.min()
+        if not (np.all(np.isfinite(lo)) and np.isfinite(least)):
+            return None
+    keep = np.flatnonzero(lo <= least)
+    return _drop_copies(keep, stack) if scale is None else _drop_copies(keep, stack, scale)
+
+
+def eig_screen(mats: np.ndarray, tol: Tolerance):
+    """Indices of the matrices of an (N, 2, 2) stack that can hold its least
+    |Im eigenvalue|, or None when the whole stack has to go to LAPACK.
+
+    For [[a, b], [c, d]] the eigenvalues are (a + d) / 2 +- sqrt(disc) with
+    disc = ((a - d) / 2)^2 + bc, so |Im| lies between
+    sqrt(max(-disc -+ slack, 0)) with slack = SCREEN_SLACK * s^2 and
+    s = |a| + |b| + |c| + |d| >= |lambda|.  None when an entry or an
+    estimate is not finite, s is below SCREEN_FLOOR, or some matrix may
+    have a real eigenvalue: its lower bound is <= rel * (1 + 2 s), above
+    the rel * (1 + |lambda|) of numeric.real_eigenvalue_mask.  Otherwise
+    the candidates are the matrices whose lower bound is <= the least upper
+    bound, less later copies, and, as in svd_screen, the first least
+    LAPACK |Im| among them is the one np.argmin finds over the whole stack.
+    """
+    if mats.ndim != 3 or mats.shape[1:] != (2, 2):
+        return None
+    a, b, c, d = np.ascontiguousarray(mats.reshape(-1, 4).T)
+    with np.errstate(all="ignore"):
+        s = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
+        slack = SCREEN_SLACK * (s * s)
+        neg = -((0.5 * (a - d)) ** 2 + b * c)
+        lo = np.sqrt(np.maximum(neg - slack, 0.0))
+        hi = np.sqrt(np.maximum(neg + slack, 0.0))
+        if not (np.all(s >= SCREEN_FLOOR) and np.all(lo > tol.rel * (1.0 + 2.0 * s))):
+            return None
+        # lo > 0 implies a finite s^2, so every hi is finite
+        keep = np.flatnonzero(lo <= hi.min())
+    return _drop_copies(keep, mats)
+
+
 def rank_gate(smin: np.ndarray, tol: Tolerance) -> None:
     """Raise RankDeficient when a frame's sigma_min, one entry of smin per
     frame, is <= tol.abs or NaN."""

@@ -147,9 +147,16 @@ class PlaneInvariantReport:
 
 
 def plane_residual(m: np.ndarray, u: np.ndarray) -> float:
-    """Norm of the component of M^2 u orthogonal to span{u, Mu}."""
+    """Norm of the component of M^2 u orthogonal to span{u, Mu}.
+
+    A matrix that is not square or not finite, or a u that is not a
+    finite vector of its size, raises InvalidInput.
+    """
     m = np.asarray(m, dtype=float)
-    u = np.asarray(u, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInput(f"need a square matrix, got shape {m.shape}")
+    _check_finite(m)
+    u = finite_vector(u, len(m), "u")
     return float(_plane_residuals(m, u[None, :])[0])
 
 
@@ -216,13 +223,17 @@ def invariant_on_planes(
     return PlaneInvariantReport(is_invariant, a, b, max_residual)
 
 
+def _check_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise InvalidInput("matrix entries must be finite")
+
+
 def _classify(m: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
     """Exact part of the invariant-on-planes test: (is_invariant, a, b)
     from the spectrum and the identity (M - aI)^2 + b^2 I = 0."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
         raise InvalidInput(f"need a nonempty even square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix entries must be finite")
+    _check_finite(m)
     d = m.shape[0]
     eig = np.linalg.eigvals(m)
     real = real_eigenvalue_mask(eig, tol)

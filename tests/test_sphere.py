@@ -1,6 +1,8 @@
 """Tests for central projection, fibration completion over the sphere,
 plane-invariant matrices, and great-circle assembly."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,27 @@ def test_plane_residual_witness_value():
     assert plane_residual(m, u) == pytest.approx(1.5, abs=1e-12)
     # u inside a single speed block has no residual
     assert plane_residual(m, np.array([1.0, 0.0, 0.0, 0.0])) <= 1e-14
+
+
+def test_plane_residual_rejects_bad_input():
+    """A non-finite or wrongly shaped m or u is an input error, raised
+    before any arithmetic, so no numpy warning is recorded."""
+    bad = (
+        (J4, [np.inf, 0.0, 0.0, 0.0]),
+        (J4, [np.nan, 1.0, 0.0, 0.0]),
+        (J4, [1.0, 0.0, 0.0]),
+        (J4, np.eye(4)),
+        (np.where(J4 == 1.0, np.inf, J4), [1.0, 0.0, 0.0, 0.0]),
+        (np.full((2, 2), np.nan), [1.0, 0.0]),
+        (np.zeros((2, 3)), [1.0, 0.0]),
+        (np.zeros(4), [1.0, 0.0, 0.0, 0.0]),
+    )
+    for m, u in bad:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInput):
+                plane_residual(m, u)
+        assert caught == []
 
 
 def test_invariant_rejects_empty_sample_count():

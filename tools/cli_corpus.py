@@ -19,7 +19,11 @@ both sample modes, and the input-error paths of the sampled verbs:
   `quad_germ` on which `germ extend` fails, and the extensions that
   `germ extend` writes;
 - stacks large enough for the threaded SVD: 10,000-pair `verify skew`
-  runs and a 4,096-sample `verify nondeg`.
+  runs and a 4,096-sample `verify nondeg`;
+- the closed-form screens of smooth line charts: `verify skew`,
+  `verify nondeg` and `sphere complete-check` at the default 1,024
+  samples on two `quad_germ` extensions and on `quad_germ` with
+  eps = 1e160, whose entries overflow the screens' bounds.
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
@@ -75,6 +79,8 @@ FILES = {
     "huge.json": _linear(1, 2, [[[1e308, -1e308], [1e308, 1e308]]]),
     "quad-005.json": _builtin(1, 2, "quad_germ", {"eps": 0.05}),
     "quad-02.json": _builtin(1, 2, "quad_germ", {"eps": 0.2}),
+    # entries near 1e162: the closed-form screens overflow and fall back
+    "big-germ.json": _builtin(1, 2, "quad_germ", {"eps": 1e160}),
     "ext-quat.json": _builtin(3, 4, "germ_extension",
                               {"blend_r": 0.5, "base": _linear(3, 4, [_LI, _LJ, _LK])}),
     "ext-zero-k3.json": _builtin(3, 4, "germ_extension",
@@ -175,6 +181,14 @@ def corpus() -> list[dict]:
     for chart in ("hopf15.json", "hr-16-9.json", "zero-k3.json"):
         add("verify", "skew", "--chart", chart, "--samples", 10000, "--radius", 100)
     add("verify", "nondeg", "--chart", "hr-16-9.json", "--samples", 4096)
+
+    # smooth line charts at the default 1,024 samples, where the closed-form
+    # screens send only the deciding matrices to LAPACK
+    for chart in ("ext-005.json", "ext-02.json", "big-germ.json"):
+        for seed in (0, 7):
+            add("verify", "skew", "--chart", chart, "--seed", seed)
+            add("verify", "nondeg", "--chart", chart, "--seed", seed)
+            add("sphere", "complete-check", "--chart", chart, "--seed", seed)
 
     for chart, (k, q) in CHARTS.items():
         for what in ("skew", "nondeg"):
