@@ -15,6 +15,8 @@ the chart plane) and append the projective coordinate last.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -38,24 +40,46 @@ from .numeric import (
 EQUATOR_EPS = 1e-14
 
 
+@contextlib.contextmanager
+def _overflow_is_invalid(what: str):
+    """Run a block with numpy overflow and invalid operations raising, and
+    turn either, or a Python OverflowError, into InvalidInput."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise InvalidInput(f"{what} is not finite: the arithmetic overflows") from None
+
+
 def central_project(p: np.ndarray) -> np.ndarray:
     """Sphere point to tangent hyperplane: (x_1..x_n)/x_(n+1).
 
     Defined on either open hemisphere (antipodal points land together).
+    A point that is not finite, or whose image overflows, raises
+    InvalidInput.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise InvalidInput("need a vector with at least two coordinates")
+    p = finite_vector(p, p.size, "sphere point")
     if abs(p[-1]) <= EQUATOR_EPS:
         raise EquatorPoint(f"last coordinate {p[-1]:.3e} is on the equator")
-    return p[:-1] / p[-1]
+    with _overflow_is_invalid("projected point"):
+        return p[:-1] / p[-1]
 
 
 def inverse_project(x: np.ndarray) -> np.ndarray:
-    """Tangent-hyperplane point to the upper hemisphere: (x, 1)/|(x, 1)|."""
+    """Tangent-hyperplane point to the upper hemisphere: (x, 1)/|(x, 1)|.
+
+    A point that is not finite, or whose norm overflows, raises
+    InvalidInput.
+    """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise InvalidInput("tangent-plane point coordinates must be finite")
     v = np.append(x, 1.0)
-    return v / np.linalg.norm(v)
+    with _overflow_is_invalid("sphere point"):
+        return v / np.linalg.norm(v)
 
 
 def great_sphere_of(p: AffinePlane) -> GreatSphere:
@@ -181,23 +205,27 @@ def _plane_residuals(
     entries would.  A zero u is rejected before any division.  The
     stacked matmuls and the row-wise vecdots reproduce the arithmetic of
     a single u, so row i equals plane_residual(m, us[i]) bit for bit.
+    Arithmetic that overflows raises InvalidInput.
     """
     tol = tol or Tolerance.default()
-    mu = np.matmul(m, us[:, :, None])
-    w = np.matmul(m, mu)[:, :, 0]
-    mu = mu[:, :, 0]
-    uu = np.vecdot(us, us)
-    if not uu.all():
-        raise RankDeficient(f"frame is rank deficient: u = 0, so sigma_min = 0 <= {tol.abs:.1e}")
-    c = np.vecdot(us, mu)
-    dd = np.vecdot(mu, mu)
-    p = mu - (c / uu)[:, None] * us
-    pp = np.vecdot(p, p)
-    smax = np.sqrt(0.5 * (uu + dd) + np.hypot(0.5 * (uu - dd), c))
-    rank_gate(np.sqrt(uu) * np.sqrt(pp) / smax, tol)
-    r = w - (np.vecdot(us, w) / uu)[:, None] * us
-    r -= (np.vecdot(p, r) / pp)[:, None] * p
-    return np.sqrt(np.vecdot(r, r))
+    with _overflow_is_invalid("plane residual"):
+        mu = np.matmul(m, us[:, :, None])
+        w = np.matmul(m, mu)[:, :, 0]
+        mu = mu[:, :, 0]
+        uu = np.vecdot(us, us)
+        if not uu.all():
+            raise RankDeficient(
+                f"frame is rank deficient: u = 0, so sigma_min = 0 <= {tol.abs:.1e}"
+            )
+        c = np.vecdot(us, mu)
+        dd = np.vecdot(mu, mu)
+        p = mu - (c / uu)[:, None] * us
+        pp = np.vecdot(p, p)
+        smax = np.sqrt(0.5 * (uu + dd) + np.hypot(0.5 * (uu - dd), c))
+        rank_gate(np.sqrt(uu) * np.sqrt(pp) / smax, tol)
+        r = w - (np.vecdot(us, w) / uu)[:, None] * us
+        r -= (np.vecdot(p, r) / pp)[:, None] * p
+        return np.sqrt(np.vecdot(r, r))
 
 
 def invariant_on_planes(
@@ -212,7 +240,10 @@ def invariant_on_planes(
     (M - aI)^2 + b^2 I = 0; such matrices extend their line fibration
     over the equator of the sphere.  Requires no real eigenvalues.  The
     sign of b is read off the (2,1) entry of M - aI when that entry is
-    decisively nonzero; otherwise b is reported positive.
+    decisively nonzero; otherwise b is reported positive.  The spectral
+    part is computed once per (matrix value, tolerance) and memoized for
+    at most 32 matrices (_classified); the sampled residual runs on every
+    call.  Arithmetic that overflows raises InvalidInput.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -230,30 +261,47 @@ def _check_finite(m: np.ndarray) -> None:
 
 def _classify(m: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
     """Exact part of the invariant-on-planes test: (is_invariant, a, b)
-    from the spectrum and the identity (M - aI)^2 + b^2 I = 0."""
+    from the spectrum and the identity (M - aI)^2 + b^2 I = 0.
+
+    The shape and finiteness checks run on every call; the rest is
+    memoized on the matrix's bytes and the tolerance (_classified)."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
         raise InvalidInput(f"need a nonempty even square matrix, got shape {m.shape}")
     _check_finite(m)
-    d = m.shape[0]
-    eig = np.linalg.eigvals(m)
-    real = real_eigenvalue_mask(eig, tol)
-    if np.any(real):
-        raise RealEigenvalue(f"real eigenvalue {float(eig.real[real][0]):.6g}")
+    return _classified(m.tobytes(), m.shape[0], tol)
 
-    scale = 1.0 + float(np.linalg.norm(m, 2))
-    a = float(np.trace(m)) / d
-    b = float(np.median(np.abs(eig.imag)))
-    # aI does not touch the (2,1) entry, so the sign probe reads m directly.
-    off = float(m[1, 0])
-    if abs(off) > 1e-6 * scale:
-        b = math.copysign(b, off)
 
-    spectrum_ok = bool(
-        np.all(np.abs(eig.real - a) <= tol.rel * scale)
-        and np.all(np.abs(np.abs(eig.imag) - abs(b)) <= tol.rel * scale)
-    )
-    poly = (m - a * np.eye(d)) @ (m - a * np.eye(d)) + b * b * np.eye(d)
-    poly_ok = float(np.linalg.norm(poly, 2)) <= tol.rel * scale * scale
+@functools.lru_cache(maxsize=32)
+def _classified(raw: bytes, d: int, tol: Tolerance) -> tuple[bool, float, float]:
+    """_classify on the d x d float64 matrix whose C-order bytes are raw.
+
+    Keyed on the matrix's value, not its identity, so a matrix changed
+    in place is classified again, and on the frozen Tolerance, so another
+    SKEWFIB_TOL is another entry.  An exception (RealEigenvalue, or
+    InvalidInput on overflow) is not cached.  At most 32 matrices are
+    kept, as bytes, each with its three-number result.
+    """
+    m = np.frombuffer(raw).reshape(d, d)
+    with _overflow_is_invalid("invariant-on-planes test"):
+        eig = np.linalg.eigvals(m)
+        real = real_eigenvalue_mask(eig, tol)
+        if np.any(real):
+            raise RealEigenvalue(f"real eigenvalue {float(eig.real[real][0]):.6g}")
+
+        scale = 1.0 + float(np.linalg.norm(m, 2))
+        a = float(np.trace(m)) / d
+        b = float(np.median(np.abs(eig.imag)))
+        # aI does not touch the (2,1) entry, so the sign probe reads m directly.
+        off = float(m[1, 0])
+        if abs(off) > 1e-6 * scale:
+            b = math.copysign(b, off)
+
+        spectrum_ok = bool(
+            np.all(np.abs(eig.real - a) <= tol.rel * scale)
+            and np.all(np.abs(np.abs(eig.imag) - abs(b)) <= tol.rel * scale)
+        )
+        poly = (m - a * np.eye(d)) @ (m - a * np.eye(d)) + b * b * np.eye(d)
+        poly_ok = float(np.linalg.norm(poly, 2)) <= tol.rel * scale * scale
     return spectrum_ok and poly_ok, a, b
 
 
@@ -272,7 +320,10 @@ def sphere_fiber_direction(
     Returns the (2m+2)-vector (s, (z_t (a^2+b^2) I + M) z, 0) with
     s = (1 + z_t a)^2 + z_t^2 b^2, cross-checked against the
     matrix-inverse form (1, M (I + z_t M)^{-1} z, 0) scaled by s; the
-    two agree to 1e-9 relative whenever M is invariant on planes.
+    two agree to 1e-9 relative whenever M is invariant on planes.  M is
+    classified once per (matrix value, tolerance), memoized for at most
+    32 matrices, so repeated queries on one M skip its spectrum.
+    Arithmetic that overflows raises InvalidInput.
     """
     tol = tol or Tolerance.default()
     m = np.asarray(m, dtype=float)
@@ -280,11 +331,12 @@ def sphere_fiber_direction(
     z = finite_vector(z, len(m), "z")
     if not math.isfinite(z_t):
         raise InvalidInput(f"z_t must be finite, got {z_t}")
-    s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
-    block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
-    w = np.linalg.solve(np.eye(len(z)) + z_t * m, z)
-    inverse_form = np.concatenate([[1.0], m @ w, [0.0]])
-    err = float(np.linalg.norm(block - s * inverse_form))
+    with _overflow_is_invalid("fiber direction"):
+        s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
+        block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
+        w = np.linalg.solve(np.eye(len(z)) + z_t * m, z)
+        inverse_form = np.concatenate([[1.0], m @ w, [0.0]])
+        err = float(np.linalg.norm(block - s * inverse_form))
     if err > 1e-9 * (1.0 + float(np.linalg.norm(block))):
         raise InvalidInput(f"direction forms disagree by {err:.3e}; matrix is not invariant")
     return block
@@ -333,7 +385,8 @@ def equator_restriction(
 
     For any invariant-on-planes M this is the plane span{u, Ju}, so the
     equatorial restriction is always the standard Hopf fibration; the
-    orientation follows the sign of b.
+    orientation follows the sign of b.  M is classified once per (matrix
+    value, tolerance), memoized for at most 32 matrices.
     """
     tol = tol or Tolerance.default()
     m = np.asarray(m, dtype=float)

@@ -32,6 +32,7 @@ from skewfib.sphere import (
     great_sphere_of,
     invariant_on_planes,
     inverse_project,
+    _classified,
     _plane_residuals,
     plane_residual,
     sphere_fiber_direction,
@@ -286,6 +287,27 @@ def test_completion_report_passes_gate_for_circles():
     assert rep.ok
 
 
+def test_projection_rejects_non_finite_and_overflow():
+    with pytest.raises(InvalidInput):
+        central_project(np.array([np.nan, 1.0]))
+    with pytest.raises(InvalidInput):
+        central_project(np.array([1.0, np.inf]))
+    with pytest.raises(InvalidInput):
+        central_project(np.array([1e300, 1e-10]))  # the quotient overflows
+    with pytest.raises(InvalidInput):
+        inverse_project(np.array([np.inf, 0.0]))
+    with pytest.raises(InvalidInput):
+        inverse_project(np.array([np.nan, 0.0]))
+    with pytest.raises(InvalidInput):
+        inverse_project(np.array([1e200, 1e200]))  # |(x, 1)| overflows
+
+
+def test_projection_large_finite_points_stay_on_sphere():
+    p = inverse_project(np.array([1e150, -1e150]))
+    assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
+    assert np.array_equal(central_project(np.array([1e290, 0.5])), np.array([2e290]))
+
+
 # ---------------------------------------------------------------------------
 # invariant on planes
 
@@ -496,6 +518,98 @@ def test_invariant_report_serialization():
     assert data["is_invariant"] is True
     assert data["a"] == pytest.approx(2.0)
     assert data["b"] == pytest.approx(3.0)
+
+
+def _near_invariant():
+    """Invariant on planes at SKEWFIB_TOL=1e-3 but not at the default:
+    the second rotation block turns 1e-5 faster than the first."""
+    m = np.zeros((4, 4))
+    m[:2, :2] = J2
+    m[2:, 2:] = (1.0 + 1e-5) * J2
+    return m
+
+
+def test_classification_runs_once_per_matrix_and_tolerance(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    _classified.cache_clear()
+    m = 0.37 * np.eye(4) + 1.9 * J4
+    rng = np.random.default_rng(RNG_SEED)
+    first = invariant_on_planes(m, samples=50)
+    for _ in range(3):
+        sphere_fiber_direction(m, rng.standard_normal(4), rng.uniform(-2.0, 2.0))
+    equator_restriction(m, np.array([1.0, 0.0, 0.0, 0.0]))
+    # the key is the matrix's value, not its memory layout or identity
+    again = invariant_on_planes(np.asfortranarray(m.copy()), samples=50)
+    assert len(calls) == 1
+    assert (again.is_invariant, again.a, again.b) == (first.is_invariant, first.a, first.b)
+    invariant_on_planes(m, samples=50, tol=Tolerance(rel=1e-6))
+    assert len(calls) == 2
+    assert _classified.cache_info().currsize == 2
+
+
+def test_classification_redone_after_in_place_change():
+    m = 2.0 * J4
+    assert invariant_on_planes(m, samples=50).is_invariant
+    m[2:, 2:] *= 2.0  # mixed speeds: 2 and 4
+    rep = invariant_on_planes(m, samples=50)
+    assert not rep.is_invariant
+    with pytest.raises(InvalidInput):
+        sphere_fiber_direction(m, np.ones(4), 0.5)
+    m[2:, 2:] /= 2.0
+    assert invariant_on_planes(m, samples=50).is_invariant
+
+
+@pytest.mark.parametrize("first", ["default", "coarse"])
+def test_classification_follows_skewfib_tol(monkeypatch, first):
+    m = _near_invariant()
+    expected = {"default": False, "coarse": True}
+    order = [first, "coarse" if first == "default" else "default", first]
+    for which in order:
+        if which == "coarse":
+            monkeypatch.setenv("SKEWFIB_TOL", "1e-3")
+        else:
+            monkeypatch.delenv("SKEWFIB_TOL", raising=False)
+        assert invariant_on_planes(m, samples=50).is_invariant is expected[which]
+
+
+def test_real_eigenvalue_raised_on_every_call():
+    m = np.diag([1.0, 2.0])
+    before = _classified.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(RealEigenvalue):
+            invariant_on_planes(m)
+        with pytest.raises(RealEigenvalue):
+            sphere_fiber_direction(m, np.ones(2), 0.5)
+    assert _classified.cache_info().currsize == before
+
+
+def test_sphere_helpers_overflow_raises_invalid_input():
+    m = 0.5 * np.eye(2) + 2.0 * J2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            invariant_on_planes(1e200 * J2)  # (M - aI)^2 overflows
+        with pytest.raises(InvalidInput):
+            invariant_on_planes(1e154 * J2)  # the spectrum is fine, M^2 u overflows
+        with pytest.raises(InvalidInput):
+            plane_residual(1e200 * J2, np.array([1.0, 0.0]))
+        with pytest.raises(InvalidInput):
+            sphere_fiber_direction(m, np.array([1.0, 2.0]), 1e200)  # s overflows
+        with pytest.raises(InvalidInput):
+            sphere_fiber_direction(m, np.array([1e300, 2.0]), 1.0)  # M z overflows
+
+
+def test_sphere_helpers_large_finite_input_unchanged():
+    """Overflow checks leave large but finite arithmetic alone."""
+    rep = invariant_on_planes(1e50 * J2, samples=50)
+    assert rep.is_invariant and rep.b == pytest.approx(1e50, rel=1e-12)
+    z = np.array([1e100, 0.0])
+    d = sphere_fiber_direction(J2, z, 1e50)
+    # J2 has a = 0 and b = 1; the function's own expression, evaluated here
+    expected = np.concatenate([[1.0 + 1e50**2], (1e50 * np.eye(2) + J2) @ z, [0.0]])
+    assert np.array_equal(d, expected)
 
 
 # ---------------------------------------------------------------------------
