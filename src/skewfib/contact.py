@@ -70,10 +70,13 @@ def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
     The form annihilates the hyperplane orthogonal to the fiber
     direction (1, B(y)); coefficients are (1, B(y)) / (1 + |B(y)|^2),
     parameter component first.  An (N, q) stack of points gives an
-    (N, q + 1) stack of forms.
+    (N, q + 1) stack of forms.  A non-finite point raises InvalidInput.
     """
     if c.k != 1:
         raise InvalidInput("the contact form is defined for line charts (k = 1)")
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise InvalidInput("point coordinates must be finite")
     b = c.B(y)[..., 0]
     one = np.ones(b.shape[:-1] + (1,))
     return np.concatenate([one, b], axis=-1) / (1.0 + np.vecdot(b, b))[..., None]

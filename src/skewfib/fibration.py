@@ -152,11 +152,6 @@ class Chart:
             out += self.B0
         return out
 
-    def A(self, y: np.ndarray) -> np.ndarray:
-        """The q x (k+1) matrix [B(y) | y], or an (N, q, k+1) stack."""
-        y = np.asarray(y, dtype=float)
-        return np.concatenate([self.B(y), y[..., None]], axis=-1)
-
     def dB(self, y: np.ndarray) -> np.ndarray:
         """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l,
         or an (N, q, k, q) stack for (N, q) points."""
@@ -584,8 +579,9 @@ class ConeProbe:
         object.__setattr__(self, "base", base)
         for t in ts:
             y = base + t * ell
-            if float(y @ ell) < self.N:
-                raise InvalidInput(f"probe point at t={t} leaves the cone: <y, ell> < N")
+            # NaN fails this comparison, so N = NaN is rejected too
+            if not float(y @ ell) >= self.N:
+                raise InvalidInput(f"probe point at t={t} leaves the cone: not <y, ell> >= N")
             if spherical_distance(y / np.linalg.norm(y), ell) > self.delta:
                 raise InvalidInput(f"probe point at t={t} leaves the cone: angle > delta")
 
@@ -827,6 +823,8 @@ def sample_fibers(
     if steps < 1:
         raise InvalidInput("need steps >= 1")
     lo, hi = float(t_range[0]), float(t_range[1])
+    if not math.isfinite(hi - lo):
+        raise InvalidInput(f"t_range ends and their difference must be finite, got ({lo}, {hi})")
     if hi <= lo:
         raise InvalidInput("t_range must be increasing")
     axis = np.linspace(lo, hi, steps)

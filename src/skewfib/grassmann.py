@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import Tolerance, orthonormalize
+from .numeric import Tolerance, finite_vector, orthonormalize
 
 
 def _checked_frame(frame) -> np.ndarray:
@@ -22,8 +22,11 @@ def _checked_frame(frame) -> np.ndarray:
     f = np.asarray(frame, dtype=float)
     if f.ndim != 2 or not (1 <= f.shape[1] <= f.shape[0]):
         raise InvalidInput(f"bad frame shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise InvalidInput("frame entries must be finite")
     gram = f.T @ f
-    if np.max(np.abs(gram - np.eye(f.shape[1]))) > 1e-12:
+    # NaN, from a product that overflows, fails this comparison
+    if not np.max(np.abs(gram - np.eye(f.shape[1]))) <= 1e-12:
         raise InvalidInput("frame columns are not orthonormal to 1e-12")
     return f
 
@@ -54,12 +57,10 @@ class AffinePlane:
     base: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.base, dtype=float)
+        b = finite_vector(self.base, self.direction.n, "base")
         object.__setattr__(self, "base", b)
-        if b.shape != (self.direction.n,):
-            raise InvalidInput(f"base shape {b.shape} does not match n={self.direction.n}")
         overlap = float(np.linalg.norm(self.direction.frame.T @ b))
-        if overlap > 1e-10 * (1.0 + float(np.linalg.norm(b))):
+        if not overlap <= 1e-10 * (1.0 + float(np.linalg.norm(b))):
             raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap:.3e}")
 
     @property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +189,6 @@ def is_singular(sv: np.ndarray, tol: Tolerance) -> np.ndarray:
 # 1.11 at any size while the other CPU was busy.
 MIN_CHUNK = 2048
 
-_pool = None
-_pool_lock = threading.Lock()
-
 
 def _cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
@@ -203,30 +199,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _reset_pool() -> None:
-    # A forked child inherits the executor but none of its threads, and
-    # would wait forever on work queued to them: it builds its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _executor():
-    """The process's SVD thread pool, built on first use.  The calling
-    thread decomposes one chunk itself, so the pool has one thread fewer
-    than the process has CPUs."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max(1, _cpus() - 1), thread_name_prefix="skewfib-svd")
-        return _pool
-
-
 def singular_values(stack: np.ndarray) -> np.ndarray:
     """np.linalg.svd(stack, compute_uv=False) of an (N, r, c) stack, spread
     over the process's CPUs.
@@ -234,26 +206,26 @@ def singular_values(stack: np.ndarray) -> np.ndarray:
     A stack of fewer than 2 * MIN_CHUNK matrices, or a process with one
     CPU, takes one np.linalg.svd call.  A larger stack is cut into
     contiguous chunks, one per CPU and none below MIN_CHUNK matrices: the
-    calling thread decomposes the first, threads of a shared pool the
-    others.  LAPACK decomposes every matrix on its own with the same call,
-    so the result equals the one-call result bit for bit, and a chunk that
-    fails raises the same LinAlgError.
+    calling thread decomposes the first, and threads that live only for
+    this call decompose the others.  LAPACK decomposes every matrix on
+    its own with the same call, so the result equals the one-call result
+    bit for bit, and a chunk that fails raises the same LinAlgError.
     """
     chunks = len(stack) // MIN_CHUNK
     if chunks > 1:
         chunks = min(chunks, _cpus())
     if chunks < 2:
         return np.linalg.svd(stack, compute_uv=False)
+    # imported here: the import takes about 10 ms of every CLI start, and
+    # only a stack this large needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     first, *rest = np.array_split(stack, chunks)
-    pool = _executor()
-    futures = [pool.submit(np.linalg.svd, part, compute_uv=False) for part in rest]
-    try:
+    # leaving the block waits for every chunk, so no thread still reads
+    # the stack once this returns or raises
+    with ThreadPoolExecutor(len(rest), thread_name_prefix="skewfib-svd") as pool:
+        futures = [pool.submit(np.linalg.svd, part, compute_uv=False) for part in rest]
         head = np.linalg.svd(first, compute_uv=False)
-    finally:
-        # every chunk finishes before a result or an error is read, so no
-        # thread still reads the stack once this returns or raises
-        for future in futures:
-            future.exception()
     return np.concatenate([head, *(future.result() for future in futures)])
 
 

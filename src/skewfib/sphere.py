@@ -71,15 +71,16 @@ def central_project(p: np.ndarray) -> np.ndarray:
 def inverse_project(x: np.ndarray) -> np.ndarray:
     """Tangent-hyperplane point to the upper hemisphere: (x, 1)/|(x, 1)|.
 
-    A point that is not finite, or whose norm overflows, raises
-    InvalidInput.
+    v = (x, 1) is divided by max|v| before its norm is taken, so the norm
+    cannot overflow; when every |x_i| <= 1 that divisor is exactly 1.0.
+    A point that is not finite raises InvalidInput.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise InvalidInput("tangent-plane point coordinates must be finite")
     v = np.append(x, 1.0)
-    with _overflow_is_invalid("sphere point"):
-        return v / np.linalg.norm(v)
+    v /= np.max(np.abs(v))
+    return v / np.linalg.norm(v)
 
 
 def great_sphere_of(p: AffinePlane) -> GreatSphere:

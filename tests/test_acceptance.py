@@ -91,15 +91,15 @@ def test_criterion_01_dimension_tables(capsys):
 
 
 def test_criterion_02_quaternion_determinant_identity(capsys):
-    """det(A(y) - A(z)) equals |y - z|^4 on the quaternion chart; the
-    oracle is the plain 4x4 determinant."""
+    """det([B(y) - B(z) | y - z]) equals |y - z|^4 on the quaternion chart;
+    the oracle is the plain 4x4 determinant."""
     with _criterion(capsys, 2, "quaternion determinant identity", 1.0):
         c = builtin_chart("hopf7")
         rng = np.random.default_rng(312)
         for _ in range(1000):
             y = rng.uniform(-10.0, 10.0, 4)
             z = rng.uniform(-10.0, 10.0, 4)
-            det = float(np.linalg.det(c.A(y) - c.A(z)))
+            det = float(np.linalg.det(np.column_stack([c.B(y) - c.B(z), y - z])))
             target = float(np.linalg.norm(y - z) ** 4)
             assert abs(det - target) <= 1e-8 * (1.0 + target)
 

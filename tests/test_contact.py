@@ -58,6 +58,15 @@ def test_contact_form_needs_line_chart():
         contact_form(builtin_chart("hopf7"), np.zeros(4))
 
 
+def test_contact_form_rejects_non_finite_points():
+    c = builtin_chart("hopf3")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            contact_form(c, np.array([bad, 0.0]))
+        with pytest.raises(InvalidInput):
+            contact_form(c, np.array([[0.0, 0.0], [0.0, bad]]))
+
+
 def test_contact_check_rotation_chart():
     """Block rotations carry the standard contact structure; at the
     origin the margin is exactly one."""

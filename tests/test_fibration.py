@@ -660,6 +660,11 @@ def test_non_finite_chart_points_are_input_errors():
             ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2,), base=np.array([0.0, bad, 0.0]))
         with pytest.raises(InvalidInput):
             ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2, bad))
+        with pytest.raises(InvalidInput):
+            ConeProbe(np.array([1.0, 0.0, 0.0]), (1e2,), N=bad)
+        for t_range in ((bad, 1.0), (-1.0, bad), (-bad, 1.0)):
+            with pytest.raises(InvalidInput, match="t_range"):
+                sample_fibers(c, np.array([[1.0, 0.0]]), t_range)
 
 
 def test_sample_fibers_rejects_overflowing_points():

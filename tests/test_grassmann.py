@@ -36,12 +36,22 @@ def test_oriented_plane_validation():
         OrientedPlane(np.array([[1.0, 1.0], [0.0, 1.0]]))  # not orthonormal
     with pytest.raises(InvalidInput):
         OrientedPlane(np.ones((2, 3)))  # more columns than rows
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            OrientedPlane(np.array([[bad], [0.0]]))
+        with pytest.raises(InvalidInput):
+            OrientedPlane(np.array([[1.0, 0.0], [0.0, bad], [0.0, 0.0]]))
+        with pytest.raises(InvalidInput):
+            GreatSphere(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, bad]]))
 
 
 def test_affine_plane_validation():
     d = OrientedPlane(np.array([[1.0], [0.0]]))
     with pytest.raises(InvalidInput):
         AffinePlane(d, np.array([1.0, 0.0]))  # base not orthogonal to direction
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput):
+            AffinePlane(d, np.array([0.0, bad]))
     p = AffinePlane(d, np.array([0.0, 2.0]))
     assert p.n == 2 and p.k == 1
 

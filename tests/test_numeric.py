@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from skewfib import numeric
 from skewfib.errors import InvalidInput, RankDeficient
 from skewfib.numeric import (
     MIN_CHUNK,
@@ -263,6 +262,19 @@ def _svd(stack):
     return np.linalg.svd(stack, compute_uv=False)
 
 
+def _count_executors(monkeypatch) -> list:
+    """A list that gains one entry per thread pool singular_values builds."""
+    built = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return built
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (16, 9)])
 @pytest.mark.parametrize(
     "count, cpus_seen, threaded",
@@ -276,9 +288,7 @@ def _svd(stack):
 )
 def test_singular_values_equal_one_svd_call(cpus, monkeypatch, shape, count, cpus_seen, threaded):
     cpus(cpus_seen)
-    pools = []
-    build = numeric._executor
-    monkeypatch.setattr(numeric, "_executor", lambda: pools.append(1) or build())
+    pools = _count_executors(monkeypatch)
     stack = np.random.default_rng(RNG_SEED).standard_normal((count, *shape))
     assert np.array_equal(singular_values(stack), _svd(stack))
     assert bool(pools) == threaded
@@ -298,18 +308,26 @@ def test_singular_values_raise_the_serial_error(cpus, bad):
     assert str(threaded.value) == str(serial.value) == "SVD did not converge"
 
 
-def test_singular_values_pool_is_built_once_under_concurrent_calls(cpus, monkeypatch):
-    """Eight threads take the threaded path at once on two pretended CPUs;
-    each gets the one-call result and the process builds one pool."""
+@pytest.mark.parametrize("bad", [None, 3 * MIN_CHUNK + 17], ids=["returns", "raises"])
+def test_singular_values_leave_no_thread_behind(cpus, bad):
+    """Once a split call returns, or raises on a NaN matrix in the chunk a
+    pool thread decomposes, none of its threads is alive."""
     cpus(2)
-    built = []
+    stack = np.random.default_rng(RNG_SEED).standard_normal((4 * MIN_CHUNK, 3, 3))
+    if bad is None:
+        singular_values(stack)
+    else:
+        stack[bad, 2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            singular_values(stack)
+    assert not [t for t in threading.enumerate() if t.name.startswith("skewfib-svd")]
 
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+def test_singular_values_under_concurrent_calls(cpus, monkeypatch):
+    """Eight threads take the threaded path at once on two pretended CPUs;
+    each builds a pool of its own and gets the one-call result."""
+    cpus(2)
+    built = _count_executors(monkeypatch)
     stacks = [np.random.default_rng(seed).standard_normal((2 * MIN_CHUNK, 3, 3)) for seed in range(8)]
     results = [None] * len(stacks)
 
@@ -327,7 +345,7 @@ def test_singular_values_pool_is_built_once_under_concurrent_calls(cpus, monkeyp
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(built) == 1
+    assert len(built) == len(stacks)
     for stack, result in zip(stacks, results):
         assert np.array_equal(result, _svd(stack))
 
@@ -340,8 +358,8 @@ def _child_singular_values(stack, expected, done):
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
 def test_singular_values_after_fork(cpus):
-    """A child forked after the pool has threads builds a pool of its own
-    instead of queueing work to threads it does not have."""
+    """A child forked after a threaded call splits its own large stack
+    with threads of its own."""
     cpus(2)
     stack = np.random.default_rng(RNG_SEED).standard_normal((2 * MIN_CHUNK, 3, 3))
     expected = singular_values(stack)

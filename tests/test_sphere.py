@@ -298,14 +298,29 @@ def test_projection_rejects_non_finite_and_overflow():
         inverse_project(np.array([np.inf, 0.0]))
     with pytest.raises(InvalidInput):
         inverse_project(np.array([np.nan, 0.0]))
-    with pytest.raises(InvalidInput):
-        inverse_project(np.array([1e200, 1e200]))  # |(x, 1)| overflows
 
 
 def test_projection_large_finite_points_stay_on_sphere():
-    p = inverse_project(np.array([1e150, -1e150]))
-    assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
+    for x in ([1e150, -1e150], [1e200, 1e200], [1.7e308, -1.7e308]):
+        p = inverse_project(np.array(x))  # |(x, 1)|^2 overflows for all but the first
+        assert abs(np.linalg.norm(p) - 1.0) <= 1e-12
+        assert 0.0 < p[-1] <= 1e-150
     assert np.array_equal(central_project(np.array([1e290, 0.5])), np.array([2e290]))
+
+
+def test_inverse_project_scales_before_the_norm():
+    p = inverse_project(np.array([1e160, 0.0]))
+    assert np.allclose(p, [1.0, 0.0, 1e-160], rtol=1e-15, atol=0.0)
+    # central_project rejects a last coordinate <= EQUATOR_EPS, so the
+    # round trip runs on points with |x| below 1e14
+    for x in ([1e13, -3e12], [7.0, -2.5, 0.3], [-1e10, 4e9, 1e-3]):
+        x = np.array(x)
+        back = central_project(inverse_project(x))
+        assert np.all(np.abs(back - x) <= 1e-15 * np.abs(x))
+    # with every |x_i| <= 1 the divisor max|(x, 1)| is exactly 1.0
+    x = np.array([0.75, -1.0, 1e-3, 0.0])
+    v = np.append(x, 1.0)
+    assert np.array_equal(inverse_project(x), v / np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------
