@@ -18,7 +18,7 @@ import numpy as np
 from . import report as rp
 from .dims import rho
 from .errors import InvalidInput
-from .numeric import SampleStream, Tolerance, is_singular, real_eigenvalue_mask
+from .numeric import SampleStream, Tolerance, is_singular, overflow_is_invalid, real_eigenvalue_mask
 
 # 2 x 2 generators: one complex structure and two anticommuting reflections.
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -217,6 +217,7 @@ def pencil_report(
     return report(check, stack, sampling, witness, lambda i: details(*divmod(i, nt)), tol)
 
 
+@overflow_is_invalid
 def verify_nonsingular(
     a: BilinearMap,
     samples: int = 256,

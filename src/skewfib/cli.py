@@ -21,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import bilinear, contact, dims, fibration, sphere
-from .errors import BlendFailure, SkewfibError
-from .numeric import SampleStream, finite_vector
+from .errors import BlendFailure, InvalidInput, SkewfibError
+from .numeric import SampleStream, finite_vector, overflow_is_invalid
 
 REPORT_SCHEMA = "skewfib-report-v1"
 
@@ -52,9 +52,17 @@ def _load_chart(path: str) -> fibration.Chart:
 
 def _load_matrix(path: str) -> np.ndarray:
     data = _load_json(path)
-    if isinstance(data, dict):
-        data = data.get("matrix", data.get("C", [None])[0])
-    mat = np.asarray(data, dtype=float)
+    if isinstance(data, dict) and "matrix" in data:
+        data = data["matrix"]
+    elif isinstance(data, dict):
+        cs = data.get("C", [None])
+        if not (isinstance(cs, list) and cs):
+            raise InvalidInput(f"matrix file {path}: key 'C' must hold a nonempty list of matrices")
+        data = cs[0]
+    try:
+        mat = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        mat = np.empty(0)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise SkewfibError(f"matrix file {path} does not hold a square matrix")
     return mat
@@ -471,10 +479,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        # overflow is an input error, raised before a warning or an inf gets out
-        with np.errstate(over="raise", invalid="raise"):
-            return args.handler(args)
-    except (SkewfibError, OSError, KeyError, ValueError, FloatingPointError) as exc:
+        return overflow_is_invalid(args.handler)(args)
+    except (SkewfibError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"skewfib: error: {exc}\n")
         return 2
 

@@ -39,7 +39,7 @@ import numpy as np
 from .bilinear import J2
 from .errors import InvalidInput
 from .fibration import Chart
-from .numeric import Tolerance, finite_vector, real_eigenvalue_mask
+from .numeric import Tolerance, finite_vector, overflow_is_invalid, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,15 @@ class ContactReport:
         }
 
 
+@overflow_is_invalid
 def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
     """Coefficients of the fiber-orthogonal 1-form at chart point y.
 
     The form annihilates the hyperplane orthogonal to the fiber
     direction (1, B(y)); coefficients are (1, B(y)) / (1 + |B(y)|^2),
     parameter component first.  An (N, q) stack of points gives an
-    (N, q + 1) stack of forms.  A non-finite point raises InvalidInput.
+    (N, q + 1) stack of forms.  A non-finite point, or one whose form
+    overflows, raises InvalidInput.
     """
     if c.k != 1:
         raise InvalidInput("the contact form is defined for line charts (k = 1)")
@@ -89,6 +91,7 @@ def _check_line_chart(c: Chart) -> None:
         raise InvalidInput(f"chart plane dimension must be even, got {c.q}")
 
 
+@overflow_is_invalid
 def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> list[ContactReport]:
     """Contact test at each row of an (N, q) stack of chart-plane points.
 

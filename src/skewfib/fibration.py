@@ -44,6 +44,7 @@ from .numeric import (
     finite_vector,
     is_singular,
     oriented_q,
+    overflow_is_invalid,
     real_eigenvalue_mask,
     row_norms,
     spherical_distance,
@@ -217,6 +218,29 @@ def _quad_germ_chart(eps: float) -> Chart:
     )
 
 
+def _number(fields: dict, key: str, what: str, convert=float):
+    """fields[key] converted by convert, or InvalidInput naming the field
+    when it is missing or holds no number."""
+    if key not in fields:
+        raise InvalidInput(f"{what} missing key {key!r}")
+    try:
+        return convert(fields[key])
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{what} key {key!r} must hold a number, got {fields[key]!r}") from None
+
+
+def _array(data: dict, key: str, ndim: int) -> np.ndarray:
+    """data[key] as a float array of ndim dimensions, or InvalidInput
+    naming the chart data key that holds anything else."""
+    try:
+        out = np.asarray(data.get(key), dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != ndim:
+        raise InvalidInput(f"chart data key {key!r} must hold a {ndim}-dimensional array of numbers")
+    return out
+
+
 def builtin_chart(name: str, **params) -> Chart:
     """Named chart families.
 
@@ -235,7 +259,9 @@ def builtin_chart(name: str, **params) -> Chart:
     if name == "hopf15":
         return replace(from_bilinear(from_algebra("octonion", 8)), name="hopf15", params={})
     if name == "hopf_line":
-        m, a, b = int(params["m"]), float(params["a"]), float(params["b"])
+        m = _number(params, "m", "hopf_line parameters", int)
+        a = _number(params, "a", "hopf_line parameters")
+        b = _number(params, "b", "hopf_line parameters")
         for key, v in (("a", a), ("b", b)):
             if not math.isfinite(v):
                 raise InvalidInput(f"hopf_line parameter {key} must be finite, got {v}")
@@ -248,24 +274,28 @@ def builtin_chart(name: str, **params) -> Chart:
     if name == "gluck_yang":
         from .contact import gluck_yang_matrix
 
-        m = int(params["m"])
+        m = _number(params, "m", "gluck_yang parameters", int)
         return Chart(
             1, 2 * m, LINEAR, C=(gluck_yang_matrix(m),), name="gluck_yang", params={"m": m}
         )
     if name == "quad_germ":
-        eps = float(params.get("eps", 0.05))
+        eps = _number({"eps": 0.05, **params}, "eps", "quad_germ parameters")
         if not math.isfinite(eps):
             raise InvalidInput(f"quad_germ parameter eps must be finite, got {eps}")
         return _quad_germ_chart(eps)
     if name == "germ_extension":
-        blend_r = float(params["blend_r"])
+        blend_r = _number(params, "blend_r", "germ_extension parameters")
         if not (math.isfinite(blend_r) and blend_r > 0.0):
             raise InvalidInput(
                 f"germ_extension parameter blend_r must be finite and > 0, got {blend_r}"
             )
-        base = params["base"]
+        base = params.get("base")
         if isinstance(base, dict):
             base = chart_from_dict(base)
+        if not isinstance(base, Chart):
+            raise InvalidInput(
+                f"germ_extension parameters key 'base' must hold a chart, got {type(base).__name__}"
+            )
         return _make_extension(base, _linearization(base), blend_r)
     raise InvalidInput(f"unknown builtin chart {name!r}")
 
@@ -290,16 +320,22 @@ def chart_to_dict(c: Chart) -> dict:
 
 
 def chart_from_dict(data: dict) -> Chart:
-    try:
-        kind = data["kind"]
-        k, q = int(data["k"]), int(data["q"])
-    except KeyError as exc:
-        raise InvalidInput(f"chart data missing key {exc}") from exc
+    """The chart that chart_to_dict wrote, or any dict of the same layout,
+    as read from a chart file.  Data of another shape raises InvalidInput
+    naming the field."""
+    if not isinstance(data, dict):
+        raise InvalidInput(f"chart data must be a JSON object, got {type(data).__name__}")
+    if "kind" not in data:
+        raise InvalidInput("chart data missing key 'kind'")
+    kind = data["kind"]
+    k, q = _number(data, "k", "chart data", int), _number(data, "q", "chart data", int)
     meta = data.get("builtin") or {}
+    if not (isinstance(meta, dict) and isinstance(meta.get("params") or {}, dict)):
+        raise InvalidInput("chart data key 'builtin' must hold an object with an object 'params'")
     if kind in (LINEAR, AFFINE):
         return Chart(
-            k, q, kind, C=tuple(data["C"]),
-            B0=data.get("B0") if kind == AFFINE else None,
+            k, q, kind, C=_array(data, "C", 3),
+            B0=_array(data, "B0", 2) if kind == AFFINE else None,
             name=meta.get("name"), params=meta.get("params"),
         )
     if kind == BUILTIN:
@@ -372,6 +408,7 @@ def _solve(
     raise NoConvergence(f"no convergence in 100 iterations, residual {res:.3e}")
 
 
+@overflow_is_invalid
 def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Chart point y whose fiber passes through x = (t1, t2).
 
@@ -386,6 +423,7 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     return _solve(c, 1.0, t1, t2, t2, budget, tol)
 
 
+@overflow_is_invalid
 def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     """The fiber through chart point y as an affine plane.
 
@@ -397,26 +435,22 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     (sigma_min <= tol.abs) could only trip at tol.abs >= 1, so the frame
     goes straight to numeric.oriented_q, which returns what
     orthonormalize returns at any smaller tolerance, and the plane is
-    built without the constructors' checks (grassmann._built).  A B(y)
-    or a base that is not finite raises InvalidInput: the chart
-    overflows.
+    built without the constructors' checks (grassmann._built).  A chart
+    whose B(y) or base overflows raises InvalidInput with numpy's message,
+    as every guarded entry point does (numeric.overflow_is_invalid).
     """
     y = finite_vector(y, c.q)
     p = np.concatenate([np.zeros(c.k), y])
-    with np.errstate(over="ignore", invalid="ignore"):
-        by = c.B(y)
-        if np.isfinite(by).all():
-            frame = oriented_q(np.vstack([np.eye(c.k), by]))
-            base = p - frame @ (frame.T @ p)
-            if np.isfinite(base).all():
-                return _built(AffinePlane, direction=_built(OrientedPlane, frame=frame), base=base)
-    raise InvalidInput("fiber plane is not finite: the chart overflows")
+    frame = oriented_q(np.vstack([np.eye(c.k), c.B(y)]))
+    base = p - frame @ (frame.T @ p)
+    return _built(AffinePlane, direction=_built(OrientedPlane, frame=frame), base=base)
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
+@overflow_is_invalid
 def verify_skew(
     c: Chart,
     radius: float = 10.0,
@@ -488,6 +522,7 @@ def _spectrum_report(
     )
 
 
+@overflow_is_invalid
 def verify_nondegenerate(
     c: Chart,
     radius: float = 10.0,
@@ -562,6 +597,7 @@ class ConeProbe:
     delta: float = 0.5
     base: np.ndarray | None = None
 
+    @overflow_is_invalid
     def __post_init__(self):
         ell = np.asarray(self.ell, dtype=float)
         object.__setattr__(self, "ell", ell)
@@ -589,6 +625,7 @@ class ConeProbe:
         return np.stack([self.base + t * self.ell for t in self.t_values])
 
 
+@overflow_is_invalid
 def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Chart point whose fiber has ell among its directions.
 
@@ -606,6 +643,7 @@ def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None 
     return _solve(c, 0.0, lt, ly, np.zeros(c.q), budget, tol)
 
 
+@overflow_is_invalid
 def continuity_probe(
     c: Chart,
     ell: np.ndarray,
@@ -629,6 +667,7 @@ def continuity_probe(
     return angles
 
 
+@overflow_is_invalid
 def limiting_direction(
     c: Chart,
     u: np.ndarray,
@@ -749,6 +788,7 @@ def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
     )
 
 
+@overflow_is_invalid
 def extend_germ(
     local: Chart,
     blend_r: float = 0.5,
@@ -800,6 +840,7 @@ def extend_germ(
 # sampling fibers
 
 
+@overflow_is_invalid
 def sample_fibers(
     c: Chart,
     base_points: np.ndarray,
@@ -811,7 +852,7 @@ def sample_fibers(
     Returns (fiber_ids, grid_indices, points): for each base point, a grid
     of steps**k parameter values over t_range per axis, with the ambient
     point (t, B(y) t + y) for each, all fibers in one stacked product.
-    An empty or non-finite stack of points raises InvalidInput.
+    An empty, non-finite or overflowing stack of points raises InvalidInput.
     """
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     if base_points.shape[1] != c.q:
@@ -834,6 +875,4 @@ def sample_fibers(
     planes = np.matmul(tgrid, c.B(base_points).transpose(0, 2, 1)) + base_points[:, None, :]
     points = np.concatenate([np.broadcast_to(tgrid, (count, size, c.k)), planes], axis=2)
     points = points.reshape(count * size, c.n)
-    if not np.isfinite(points).all():
-        raise InvalidInput("sampled fiber points are not finite: the chart overflows")
     return np.repeat(np.arange(count), size), np.tile(idx, (count, 1)), points

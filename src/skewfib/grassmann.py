@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import Tolerance, finite_vector, orthonormalize
+from .numeric import Tolerance, finite_vector, orthonormalize, overflow_is_invalid
 
 
 def _checked_frame(frame) -> np.ndarray:
@@ -59,9 +59,13 @@ class AffinePlane:
     def __post_init__(self):
         b = finite_vector(self.base, self.direction.n, "base")
         object.__setattr__(self, "base", b)
-        overlap = float(np.linalg.norm(self.direction.frame.T @ b))
-        if not overlap <= 1e-10 * (1.0 + float(np.linalg.norm(b))):
-            raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap:.3e}")
+        # |F^T b| <= 1e-10 (1 + |b|), both sides divided by s so that no
+        # norm overflows; s is exactly 1.0 when every |b_i| <= 1
+        s = max(1.0, float(np.max(np.abs(b))))
+        unit = b / s
+        overlap = float(np.linalg.norm(self.direction.frame.T @ unit))
+        if not overlap <= 1e-10 * (1.0 / s + float(np.linalg.norm(unit))):
+            raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap * s:.3e}")
 
     @property
     def n(self) -> int:
@@ -113,6 +117,7 @@ def plane_from_columns(cols: np.ndarray, tol: Tolerance | None = None) -> Orient
     return OrientedPlane(orthonormalize(cols, tol))
 
 
+@overflow_is_invalid
 def embed_affine(p: AffinePlane) -> OrientedPlane:
     """Linearize an affine k-plane to a (k+1)-plane in R^(n+1).
 
@@ -129,6 +134,7 @@ def embed_affine(p: AffinePlane) -> OrientedPlane:
     return _built(OrientedPlane, frame=np.column_stack([top, last]))
 
 
+@overflow_is_invalid
 def intersection_dim(
     u: OrientedPlane, w: OrientedPlane, tol: Tolerance | None = None
 ) -> tuple[int, float]:

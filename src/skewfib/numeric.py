@@ -10,6 +10,7 @@ sigma_min <= rel * sigma_max + abs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -159,6 +160,24 @@ class SampleStream:
         self._check(count, radius)
         ball = {} if radius is None else {"radius": radius}
         return {"seed": self.seed, "mode": self.mode, "count": count, **ball}
+
+
+def overflow_is_invalid(fn):
+    """fn run with numpy overflow and invalid operations raising; such an
+    error, or a Python OverflowError, is re-raised as InvalidInput with the
+    same message.  This is the one rule, for the library and the CLI, that
+    arithmetic overflowing on finite input is an input error, never a
+    warning, an inf or NaN in a result, or a raw numpy exception."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError) as exc:
+            raise InvalidInput(str(exc)) from None
+
+    return guarded
 
 
 def finite_vector(v: np.ndarray, size: int, name: str = "point") -> np.ndarray:

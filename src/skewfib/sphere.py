@@ -15,7 +15,6 @@ the chart plane) and append the projective coordinate last.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -33,6 +32,7 @@ from .numeric import (
     Tolerance,
     finite_vector,
     orthonormalize,
+    overflow_is_invalid,
     rank_gate,
     real_eigenvalue_mask,
 )
@@ -40,17 +40,7 @@ from .numeric import (
 EQUATOR_EPS = 1e-14
 
 
-@contextlib.contextmanager
-def _overflow_is_invalid(what: str):
-    """Run a block with numpy overflow and invalid operations raising, and
-    turn either, or a Python OverflowError, into InvalidInput."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (OverflowError, FloatingPointError):
-        raise InvalidInput(f"{what} is not finite: the arithmetic overflows") from None
-
-
+@overflow_is_invalid
 def central_project(p: np.ndarray) -> np.ndarray:
     """Sphere point to tangent hyperplane: (x_1..x_n)/x_(n+1).
 
@@ -64,8 +54,7 @@ def central_project(p: np.ndarray) -> np.ndarray:
     p = finite_vector(p, p.size, "sphere point")
     if abs(p[-1]) <= EQUATOR_EPS:
         raise EquatorPoint(f"last coordinate {p[-1]:.3e} is on the equator")
-    with _overflow_is_invalid("projected point"):
-        return p[:-1] / p[-1]
+    return p[:-1] / p[-1]
 
 
 def inverse_project(x: np.ndarray) -> np.ndarray:
@@ -93,6 +82,7 @@ def great_sphere_of(p: AffinePlane) -> GreatSphere:
     return _built(GreatSphere, frame=embed_affine(p).frame)
 
 
+@overflow_is_invalid
 def completion_check(
     c: Chart,
     samples: int = 1024,
@@ -171,11 +161,12 @@ class PlaneInvariantReport:
         }
 
 
+@overflow_is_invalid
 def plane_residual(m: np.ndarray, u: np.ndarray) -> float:
     """Norm of the component of M^2 u orthogonal to span{u, Mu}.
 
-    A matrix that is not square or not finite, or a u that is not a
-    finite vector of its size, raises InvalidInput.
+    A matrix that is not square or not finite, a u that is not a finite
+    vector of its size, or arithmetic that overflows raises InvalidInput.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -206,29 +197,28 @@ def _plane_residuals(
     entries would.  A zero u is rejected before any division.  The
     stacked matmuls and the row-wise vecdots reproduce the arithmetic of
     a single u, so row i equals plane_residual(m, us[i]) bit for bit.
-    Arithmetic that overflows raises InvalidInput.
     """
     tol = tol or Tolerance.default()
-    with _overflow_is_invalid("plane residual"):
-        mu = np.matmul(m, us[:, :, None])
-        w = np.matmul(m, mu)[:, :, 0]
-        mu = mu[:, :, 0]
-        uu = np.vecdot(us, us)
-        if not uu.all():
-            raise RankDeficient(
-                f"frame is rank deficient: u = 0, so sigma_min = 0 <= {tol.abs:.1e}"
-            )
-        c = np.vecdot(us, mu)
-        dd = np.vecdot(mu, mu)
-        p = mu - (c / uu)[:, None] * us
-        pp = np.vecdot(p, p)
-        smax = np.sqrt(0.5 * (uu + dd) + np.hypot(0.5 * (uu - dd), c))
-        rank_gate(np.sqrt(uu) * np.sqrt(pp) / smax, tol)
-        r = w - (np.vecdot(us, w) / uu)[:, None] * us
-        r -= (np.vecdot(p, r) / pp)[:, None] * p
-        return np.sqrt(np.vecdot(r, r))
+    mu = np.matmul(m, us[:, :, None])
+    w = np.matmul(m, mu)[:, :, 0]
+    mu = mu[:, :, 0]
+    uu = np.vecdot(us, us)
+    if not uu.all():
+        raise RankDeficient(
+            f"frame is rank deficient: u = 0, so sigma_min = 0 <= {tol.abs:.1e}"
+        )
+    c = np.vecdot(us, mu)
+    dd = np.vecdot(mu, mu)
+    p = mu - (c / uu)[:, None] * us
+    pp = np.vecdot(p, p)
+    smax = np.sqrt(0.5 * (uu + dd) + np.hypot(0.5 * (uu - dd), c))
+    rank_gate(np.sqrt(uu) * np.sqrt(pp) / smax, tol)
+    r = w - (np.vecdot(us, w) / uu)[:, None] * us
+    r -= (np.vecdot(p, r) / pp)[:, None] * p
+    return np.sqrt(np.vecdot(r, r))
 
 
+@overflow_is_invalid
 def invariant_on_planes(
     m: np.ndarray,
     samples: int = 1000,
@@ -278,31 +268,30 @@ def _classified(raw: bytes, d: int, tol: Tolerance) -> tuple[bool, float, float]
 
     Keyed on the matrix's value, not its identity, so a matrix changed
     in place is classified again, and on the frozen Tolerance, so another
-    SKEWFIB_TOL is another entry.  An exception (RealEigenvalue, or
-    InvalidInput on overflow) is not cached.  At most 32 matrices are
-    kept, as bytes, each with its three-number result.
+    SKEWFIB_TOL is another entry.  An exception (RealEigenvalue, or an
+    overflow) is not cached.  At most 32 matrices are kept, as bytes,
+    each with its three-number result.
     """
     m = np.frombuffer(raw).reshape(d, d)
-    with _overflow_is_invalid("invariant-on-planes test"):
-        eig = np.linalg.eigvals(m)
-        real = real_eigenvalue_mask(eig, tol)
-        if np.any(real):
-            raise RealEigenvalue(f"real eigenvalue {float(eig.real[real][0]):.6g}")
+    eig = np.linalg.eigvals(m)
+    real = real_eigenvalue_mask(eig, tol)
+    if np.any(real):
+        raise RealEigenvalue(f"real eigenvalue {float(eig.real[real][0]):.6g}")
 
-        scale = 1.0 + float(np.linalg.norm(m, 2))
-        a = float(np.trace(m)) / d
-        b = float(np.median(np.abs(eig.imag)))
-        # aI does not touch the (2,1) entry, so the sign probe reads m directly.
-        off = float(m[1, 0])
-        if abs(off) > 1e-6 * scale:
-            b = math.copysign(b, off)
+    scale = 1.0 + float(np.linalg.norm(m, 2))
+    a = float(np.trace(m)) / d
+    b = float(np.median(np.abs(eig.imag)))
+    # aI does not touch the (2,1) entry, so the sign probe reads m directly.
+    off = float(m[1, 0])
+    if abs(off) > 1e-6 * scale:
+        b = math.copysign(b, off)
 
-        spectrum_ok = bool(
-            np.all(np.abs(eig.real - a) <= tol.rel * scale)
-            and np.all(np.abs(np.abs(eig.imag) - abs(b)) <= tol.rel * scale)
-        )
-        poly = (m - a * np.eye(d)) @ (m - a * np.eye(d)) + b * b * np.eye(d)
-        poly_ok = float(np.linalg.norm(poly, 2)) <= tol.rel * scale * scale
+    spectrum_ok = bool(
+        np.all(np.abs(eig.real - a) <= tol.rel * scale)
+        and np.all(np.abs(np.abs(eig.imag) - abs(b)) <= tol.rel * scale)
+    )
+    poly = (m - a * np.eye(d)) @ (m - a * np.eye(d)) + b * b * np.eye(d)
+    poly_ok = float(np.linalg.norm(poly, 2)) <= tol.rel * scale * scale
     return spectrum_ok and poly_ok, a, b
 
 
@@ -313,6 +302,7 @@ def _invariant_data(m: np.ndarray, tol: Tolerance) -> tuple[float, float]:
     return a, b
 
 
+@overflow_is_invalid
 def sphere_fiber_direction(
     m: np.ndarray, z: np.ndarray, z_t: float, tol: Tolerance | None = None
 ) -> np.ndarray:
@@ -332,17 +322,17 @@ def sphere_fiber_direction(
     z = finite_vector(z, len(m), "z")
     if not math.isfinite(z_t):
         raise InvalidInput(f"z_t must be finite, got {z_t}")
-    with _overflow_is_invalid("fiber direction"):
-        s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
-        block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
-        w = np.linalg.solve(np.eye(len(z)) + z_t * m, z)
-        inverse_form = np.concatenate([[1.0], m @ w, [0.0]])
-        err = float(np.linalg.norm(block - s * inverse_form))
+    s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
+    block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
+    w = np.linalg.solve(np.eye(len(z)) + z_t * m, z)
+    inverse_form = np.concatenate([[1.0], m @ w, [0.0]])
+    err = float(np.linalg.norm(block - s * inverse_form))
     if err > 1e-9 * (1.0 + float(np.linalg.norm(block))):
         raise InvalidInput(f"direction forms disagree by {err:.3e}; matrix is not invariant")
     return block
 
 
+@overflow_is_invalid
 def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     """Assignment of a great circle of S^(2m+1) to every sphere point.
 
@@ -360,6 +350,7 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     d = m.shape[0]
     chart = Chart(1, d, "linear", C=(m,))
 
+    @overflow_is_invalid
     def assign(p: np.ndarray) -> GreatSphere:
         p = finite_vector(p, d + 2, "sphere point")
         if abs(float(np.linalg.norm(p)) - 1.0) > 1e-12:
@@ -379,6 +370,7 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     return assign
 
 
+@overflow_is_invalid
 def equator_restriction(
     m: np.ndarray, u: np.ndarray, tol: Tolerance | None = None
 ) -> GreatSphere:

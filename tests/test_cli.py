@@ -575,6 +575,48 @@ def test_overflowing_chart_is_one_line_error(capsys, tmp_path, verb):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
 
+_HOPF_LINE = '{"kind": "builtin", "k": 1, "q": 2, "builtin": {"name": "hopf_line", "params": %s}}'
+_MALFORMED = [
+    ("invariant-planes", '{"C": []}', "matrix file {}: key 'C' must hold a nonempty list of matrices"),
+    ("invariant-planes", '{"matrix": {"a": 1}}', "matrix file {} does not hold a square matrix"),
+    ("skew", "[1, 2]", "chart data must be a JSON object, got list"),
+    ("skew", '{"kind": "linear", "k": 1, "q": 2, "C": 5}',
+     "chart data key 'C' must hold a 3-dimensional array of numbers"),
+    ("skew", '{"kind": "affine", "k": 1, "q": 2, "C": [[[0, -1], [1, 0]]], "B0": {"a": 1}}',
+     "chart data key 'B0' must hold a 2-dimensional array of numbers"),
+    ("skew", '{"kind": "linear", "k": [1], "q": 2, "C": []}',
+     "chart data key 'k' must hold a number, got [1]"),
+    ("skew", '{"kind": "builtin", "k": 1, "q": 2, "builtin": 5}',
+     "chart data key 'builtin' must hold an object with an object 'params'"),
+    ("skew", '{"kind": "builtin", "k": 1, "q": 2, "builtin": {"name": "germ_extension", '
+     '"params": {"blend_r": 0.5, "base": 5}}}',
+     "germ_extension parameters key 'base' must hold a chart, got int"),
+    ("skew", _HOPF_LINE % '{"m": 1, "b": 1}', "hopf_line parameters missing key 'a'"),
+    ("skew", _HOPF_LINE % '{"m": 1e999, "a": 0, "b": 1}', "cannot convert float infinity to integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "what, text, message", _MALFORMED,
+    ids=["matrix-C-empty", "matrix-dict", "chart-list", "chart-C-int", "chart-B0-dict", "chart-k-list",
+         "chart-builtin-int", "germ-base-int", "hopf-line-no-a", "hopf-line-m-inf"],
+)
+def test_malformed_file_is_one_line_error(capsys, tmp_path, what, text, message):
+    """A chart or matrix file of the wrong shape is an input error that
+    names the field: exit 2, one stderr line and nothing on stdout, never
+    exit 1, which means a failed verification, with a traceback."""
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    flag = "--matrix" if what == "invariant-planes" else "--chart"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", what, flag, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"skewfib: error: {message.format(path)}\n"
+
+
 _ZERO = "need samples >= 1, got 0"
 _RADIUS = "need a finite sampling radius > 0, got {}"
 

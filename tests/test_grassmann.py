@@ -54,6 +54,10 @@ def test_affine_plane_validation():
             AffinePlane(d, np.array([0.0, bad]))
     p = AffinePlane(d, np.array([0.0, 2.0]))
     assert p.n == 2 and p.k == 1
+    # |b|^2 overflows for these bases; the test divides b by max|b_i| first
+    with pytest.raises(InvalidInput, match="not orthogonal"):
+        AffinePlane(d, np.array([1e200, 1e200]))
+    assert AffinePlane(d, np.array([0.0, 1e200])).base[1] == 1e200
 
 
 def test_plane_from_columns_spans_input():

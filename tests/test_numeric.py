@@ -1,14 +1,28 @@
-"""Tests for the shared numeric kernel: tolerances, sampling, linear algebra helpers."""
+"""Tests for the shared numeric kernel: tolerances, sampling, linear algebra helpers,
+and the overflow guard that every library entry point runs under."""
 
 import concurrent.futures
+import math
 import multiprocessing
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from skewfib.contact import contact_check, contact_checks, contact_form
 from skewfib.errors import InvalidInput, RankDeficient
+from skewfib.fibration import (
+    Chart,
+    ConeProbe,
+    builtin_chart,
+    fiber_solve,
+    limiting_direction,
+    verify_nondegenerate,
+    verify_skew,
+)
+from skewfib.grassmann import AffinePlane, OrientedPlane, skew_pair
 from skewfib.numeric import (
     MIN_CHUNK,
     SampleStream,
@@ -17,6 +31,7 @@ from skewfib.numeric import (
     jacobian,
     oriented_q,
     orthonormalize,
+    overflow_is_invalid,
     row_norms,
     singular_values,
     spherical_distance,
@@ -374,3 +389,65 @@ def test_singular_values_after_fork(cpus):
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
+
+
+def test_overflow_guard_keeps_message_and_caller_state():
+    """The guard re-raises numpy's overflow, or a Python OverflowError, as
+    InvalidInput with the same message, and leaves the caller's numpy error
+    state as it found it."""
+
+    @overflow_is_invalid
+    def square(x):
+        """docstring"""
+        return x * x
+
+    assert square.__name__ == "square" and square.__doc__ == "docstring"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="^overflow encountered in scalar multiply$"):
+            square(np.float64(1e200))
+        assert np.geterr()["over"] == "ignore"
+    with pytest.raises(InvalidInput, match="^cannot convert float infinity to integer$"):
+        overflow_is_invalid(int)(math.inf)
+
+
+_HOPF3 = builtin_chart("hopf3")
+_E1, _E2 = np.eye(3)[0], np.eye(3)[1]
+
+
+def _line(base):
+    return AffinePlane(OrientedPlane(np.eye(3)[:, :1]), np.asarray(base, dtype=float))
+
+
+_OVERFLOWS = {
+    "contact_form": lambda: contact_form(_HOPF3, np.array([1e200, 0.0])),
+    "contact_check": lambda: contact_check(_HOPF3, np.array([1e200, 0.0])),
+    "contact_checks": lambda: contact_checks(_HOPF3, np.array([[1e200, 0.0]])),
+    "verify_skew": lambda: verify_skew(_HOPF3, radius=1e200, samples=8),
+    "fiber_solve": lambda: fiber_solve(_HOPF3, np.array([1e200, 1e200, 0.0])),
+    "limiting_direction": lambda: limiting_direction(_HOPF3, _E2, np.array([1e300, 0.0, 0.0])),
+    "ConeProbe": lambda: ConeProbe(_E1, (1e200, 1e300)),
+    "skew_pair": lambda: skew_pair(_line([0.0, 1e200, 0.0]), _line([0.0, 0.0, 1e200])),
+    "verify_nondegenerate": lambda: verify_nondegenerate(
+        Chart(1, 2, "linear", C=(np.array([[1e308, -1e308], [1e308, 1e308]]),))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _OVERFLOWS.values(), ids=_OVERFLOWS.keys())
+def test_entry_points_reject_overflowing_input(call):
+    """Finite input whose arithmetic overflows is an input error at every
+    library entry point, never a warning, a verdict on inf or NaN (such as
+    margin 0.0 for hopf3, whose true margin is 1), a result of zeros or a
+    raw LinAlgError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="overflow"):
+            call()
+
+
+def test_entry_points_keep_large_finite_results():
+    """The guard leaves large but finite arithmetic alone: these results
+    are the bits computed without it."""
+    assert verify_skew(_HOPF3, radius=1e150).margin == float.fromhex("0x1.ffffffffffffcp-1")
+    rep = contact_check(_HOPF3, np.array([1e76, 0.0]))
+    assert rep.det_margin == float.fromhex("0x1.fffffffffff19p-1") and rep.is_contact

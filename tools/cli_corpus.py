@@ -9,6 +9,7 @@ own under a temporary directory (nothing is written anywhere else).  The
 corpus covers every verb on the inputs below, seeds 0 and 7 and
 both sample modes, and the input-error paths of the sampled verbs:
 
+- chart and matrix files of the wrong shape;
 - charts built by the `build` verbs: hopf3/7/15, two hopf_line,
   Glück–Yang, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
   quaternion and octonion maps;
@@ -97,6 +98,16 @@ FILES = {
     "gy.json": {"matrix": [[0, 0.5, 1, 0], [-0.5, 0, 0, 1], [0, 0, 0, 0.5], [0, 0, -0.5, 0]]},
     "pts-q2.txt": "# chart points\n0 0\n0.5 -0.25\n1.5 2\n",
     "pts-q4.txt": "0 0 0 0\n0.5 -0.25 1 0\n",
+    # files of the wrong shape, and a parameter that json reads as inf
+    "bad-C-empty.json": {"C": []},
+    "bad-matrix.json": {"matrix": {"a": 1}},
+    "bad-list.json": [1, 2],
+    "bad-C-int.json": {"kind": "linear", "k": 1, "q": 2, "C": 5},
+    "bad-B0.json": _linear(1, 2, [_J2], {"a": 1}),
+    "bad-base.json": _builtin(1, 2, "germ_extension", {"blend_r": 0.5, "base": 5}),
+    "bad-no-a.json": _builtin(1, 2, "hopf_line", {"m": 1, "b": 1}),
+    "bad-m-inf.json": '{"kind": "builtin", "k": 1, "q": 2, '
+                      '"builtin": {"name": "hopf_line", "params": {"m": 1e999, "a": 0, "b": 1}}}',
 }
 
 # Charts built through the CLI, by output file.
@@ -260,6 +271,11 @@ def corpus() -> list[dict]:
     add("verify", "invariant-planes", "--matrix", "odd.json", "--samples", 0)
     add("germ", "extend", "--chart", "quad-005.json", "--samples", 0)
     add("germ", "extend", "--chart", "quad-005.json", "--radius", 0)
+    for name in ("bad-C-empty.json", "bad-matrix.json"):
+        add("verify", "invariant-planes", "--matrix", name)
+    for name in ("bad-list.json", "bad-C-int.json", "bad-B0.json", "bad-base.json",
+                 "bad-no-a.json", "bad-m-inf.json"):
+        add("verify", "skew", "--chart", name)
 
     # tolerance overrides and usage errors
     for tol in ("1e-3", "1e-12,1e-15", "abc", "inf"):
