@@ -53,54 +53,38 @@ class BilinearMap:
         return np.einsum("j,jab->ab", t, np.stack(self.mats))
 
 
-def _quat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return np.array(
-        [
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ]
-    )
+def _conj(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x[..., :1], -x[..., 1:]], axis=-1)
 
 
-def _quat_conj(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], -x[1], -x[2], -x[3]])
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product along the last axis in the algebra of dimension 1, 2, 4 or 8
+    (the reals, complex numbers, quaternions, octonions), each built from
+    pairs of the one below by Cayley-Dickson doubling:
+    (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)).  Other axes broadcast."""
+    h = x.shape[-1] // 2
+    if not h:
+        return x * y
+    a, b, c, d = x[..., :h], x[..., h:], y[..., :h], y[..., h:]
+    first = _product(a, c) - _product(_conj(d), b)
+    return np.concatenate([first, _product(d, a) + _product(b, _conj(c))], axis=-1)
 
 
-def _oct_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Cayley-Dickson doubling of the quaternions:
-    # (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)).
-    a, b = x[:4], x[4:]
-    c, d = y[:4], y[4:]
-    first = _quat_mul(a, c) - _quat_mul(_quat_conj(d), b)
-    second = _quat_mul(d, a) + _quat_mul(b, _quat_conj(c))
-    return np.concatenate([first, second])
+_ALGEBRAS = {"complex": 2, "quaternion": 4, "octonion": 8}
 
 
-def _complex_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.array([x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
-
-_ALGEBRAS = {
-    "complex": (2, _complex_mul),
-    "quaternion": (4, _quat_mul),
-    "octonion": (8, _oct_mul),
-}
-
-
-def _left_mult_matrix(dim: int, mul, unit: np.ndarray) -> np.ndarray:
-    cols = [mul(unit, np.eye(dim)[:, j]) for j in range(dim)]
-    return np.column_stack(cols)
+def _unit_matrices(dim: int) -> list[np.ndarray]:
+    """Left-multiplication matrices of the basis units of the algebra of
+    dimension dim, identity first: column j of unit u's is u e_j."""
+    eye = np.eye(dim)
+    return list(np.ascontiguousarray(_product(eye[:, None], eye).transpose(0, 2, 1)))
 
 
 def algebra_unit_matrices(name: str) -> list[np.ndarray]:
     """Left-multiplication matrices of all basis units, identity first."""
     if name not in _ALGEBRAS:
         raise InvalidInput(f"unknown algebra {name!r}; expected one of {sorted(_ALGEBRAS)}")
-    dim, mul = _ALGEBRAS[name]
-    return [_left_mult_matrix(dim, mul, np.eye(dim)[:, j]) for j in range(dim)]
+    return _unit_matrices(_ALGEBRAS[name])
 
 
 def from_algebra(name: str, kp1: int) -> BilinearMap:
@@ -112,7 +96,7 @@ def from_algebra(name: str, kp1: int) -> BilinearMap:
     """
     if name not in _ALGEBRAS:
         raise InvalidInput(f"unknown algebra {name!r}; expected one of {sorted(_ALGEBRAS)}")
-    dim = _ALGEBRAS[name][0]
+    dim = _ALGEBRAS[name]
     if not (1 <= kp1 <= dim):
         raise InvalidInput(f"need 1 <= kp1 <= {dim} for {name}, got {kp1}")
     return BilinearMap(dim, kp1, tuple(algebra_unit_matrices(name)[:kp1]))
@@ -121,14 +105,9 @@ def from_algebra(name: str, kp1: int) -> BilinearMap:
 def _anticommuting_family(p: int) -> list[np.ndarray]:
     """Pairwise anticommuting orthogonal complex structures on R^p,
     p a power of two, of the maximal size rho(p) - 1."""
-    if p == 1:
-        return []
-    if p == 2:
-        return [J2]
-    if p == 4:
-        return [np.asarray(m) for m in algebra_unit_matrices("quaternion")[1:]]
-    if p == 8:
-        return [np.asarray(m) for m in algebra_unit_matrices("octonion")[1:]]
+    if p <= 8:
+        # the imaginary units of the algebra of dimension p; complex i is J2
+        return _unit_matrices(p)[1:]
     # Bott step: a family of size s on R^t yields size s + 8 on R^(16t).
     sub = _anticommuting_family(p // 16)
     t = p // 16

@@ -128,8 +128,6 @@ def _cmd_dims(args) -> int:
 
 def _cmd_build(args) -> int:
     if args.family == "hopf":
-        if args.dim not in (3, 7, 15):
-            raise SkewfibError(f"--dim must be 3, 7, or 15, got {args.dim}")
         c = fibration.builtin_chart(f"hopf{args.dim}")
     elif args.family == "hopf-line":
         c = fibration.builtin_chart("hopf_line", m=args.m, a=args.a, b=args.b)

@@ -139,7 +139,7 @@ class Chart:
     def B(self, y: np.ndarray) -> np.ndarray:
         """The q x k matrix B(y), or an (N, q, k) stack for (N, q) points."""
         y = np.asarray(y, dtype=float)
-        out = self._b(self._points(y))
+        out = self._finite(self._b(self._points(y)), "B")
         return out if y.ndim == 2 else out[0]
 
     def _b(self, ys: np.ndarray) -> np.ndarray:
@@ -157,8 +157,16 @@ class Chart:
         """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l,
         or an (N, q, k, q) stack for (N, q) points."""
         y = np.asarray(y, dtype=float)
-        out = self._db(self._points(y))
+        out = self._finite(self._db(self._points(y)), "dB")
         return out if y.ndim == 2 else out[0]
+
+    def _finite(self, out: np.ndarray, what: str) -> np.ndarray:
+        """out, unless a builtin chart's closures gave a value that is not
+        finite: checked once per public call, not in the per-row _b and _db
+        that extensions nest."""
+        if self.kind == BUILTIN and not np.isfinite(out).all():
+            raise InvalidInput(f"builtin chart {what}(y) is not finite")
+        return out
 
     def _db(self, ys: np.ndarray) -> np.ndarray:
         """dB on an (N, q) stack of points, as an (N, q, k, q) array."""
@@ -295,6 +303,11 @@ def builtin_chart(name: str, **params) -> Chart:
         if not isinstance(base, Chart):
             raise InvalidInput(
                 f"germ_extension parameters key 'base' must hold a chart, got {type(base).__name__}"
+            )
+        if blend_r > base.domain_radius:
+            raise InvalidInput(
+                f"germ_extension parameter blend_r must be <= the base's domain radius "
+                f"{base.domain_radius}, got {blend_r}"
             )
         return _make_extension(base, _linearization(base), blend_r)
     raise InvalidInput(f"unknown builtin chart {name!r}")
@@ -540,17 +553,11 @@ def verify_nondegenerate(
     otherwise, and leaves the verdict to bilinear.pencil_report.
 
     On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
-    |Im lambda| of every dB_y = [[a, b], [c, d]] by sqrt(max(-disc -+
-    slack, 0)), with disc = ((a - d) / 2)^2 + bc and slack =
-    numeric.SCREEN_SLACK * s^2 = 2^-40 s^2 for s = |a| + |b| + |c| + |d|:
-    about 4,096 eps of s^2, where the closed form and LAPACK's backward
-    error each move disc by a few eps of it.  When no sample may have a
-    real eigenvalue, only the samples whose lower bound is <= the least
-    upper bound go to np.linalg.eigvals; every other sample's |Im| is
-    strictly larger, so the margin and worst_point are the full stack's
-    bit for bit.  A sample that may be real, a non-finite bound or a real
-    eigenvalue among the candidates sends the whole stack, so every fail
-    comes from it.
+    |Im lambda| of every dB_y in closed form, widened by the rounding slack
+    argued at numeric.SCREEN_SLACK, and only the samples that can hold the
+    least |Im| go to np.linalg.eigvals, so the margin and worst_point are
+    the full stack's bit for bit.  Otherwise report.candidates_first sends
+    the whole stack, so every fail comes from it.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -566,12 +573,10 @@ def verify_nondegenerate(
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
         mats = c.dB(pts)[:, :, 0, :]
-        keep = eig_screen(mats, tol)
-        if keep is not None:
-            rep = _spectrum_report(np.linalg.eigvals(mats[keep]), pts[keep], sampling, tol)
-            if rep.ok:
-                return rep
-        return _spectrum_report(np.linalg.eigvals(mats), pts, sampling, tol)
+        return rp.candidates_first(
+            eig_screen(mats, tol),
+            lambda rows: _spectrum_report(np.linalg.eigvals(mats[rows]), pts[rows], sampling, tol),
+        )
 
     ts = stream.unit_vectors(T_SAMPLES, c.k + 1)
     eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))
@@ -717,27 +722,6 @@ def _bump(s: float) -> tuple[float, float]:
     return w, -2.0 * w * v * (1.0 / (1.0 - tau) ** 2 + 1.0 / tau**2)
 
 
-def _blend_zones(ys: np.ndarray, blend_r: float):
-    """Zones of an extension's (N, q) chart points, with s = |y| / blend_r.
-
-    None when every row has s <= 1/2, where the extension is its germ.
-    Otherwise (near, ring, w, dw): the indices of the rows with s < 1, a
-    mask of near that picks the ring 1/2 < s < 1, and on the ring rows the
-    bump weight w(s) and dw/ds; the last three are None when near is
-    empty.  Rows with a NaN norm count as near, so they come out NaN.
-    """
-    s = row_norms(ys) / blend_r
-    far = s > 0.5
-    if not np.count_nonzero(far):
-        return None
-    near = np.flatnonzero(~(s >= 1.0))
-    if not len(near):
-        return near, None, None, None
-    ring = far[near]
-    bumps = np.array([_bump(v) for v in s[near[ring]].tolist()]).reshape(-1, 2)
-    return near, ring, bumps[:, 0], bumps[:, 1]
-
-
 def _linearization(local: Chart) -> Chart:
     """The affine chart B(0) + dB_0 y of a germ."""
     zero = np.zeros(local.q)
@@ -748,43 +732,41 @@ def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
     """The germ on s <= 1/2, its linearization lin on s >= 1, and on the
     ring B = w B_germ + (1 - w) B_lin, whose derivative is
     w dB_germ + (1 - w) dB_lin + (B_germ - B_lin) (x) grad w."""
-    def b(ys):
-        zones = _blend_zones(ys, blend_r)
-        if zones is None:
-            return local._b(ys)
-        near, ring, w, _ = zones
-        out = lin._b(ys)
+
+    def blend(ys, germ, linear, term=None):
+        """germ on the rows of an (N, q) stack with s = |y| / blend_r <= 1/2,
+        linear on s >= 1, and w germ + (1 - w) linear + term(y, dw/ds) on
+        the ring between, with the bump weight w(s).  Rows with a NaN norm
+        count as near, so they come out NaN."""
+        s = row_norms(ys) / blend_r
+        far = s > 0.5
+        if not np.count_nonzero(far):
+            return germ(ys)
+        near = np.flatnonzero(~(s >= 1.0))
+        ring = far[near]
+        rows = near[ring]
+        bumps = np.array([_bump(v) for v in s[rows].tolist()]).reshape(-1, 2)
+        out = linear(ys)
         if len(near):
-            loc = local._b(ys[near])
-            rows = near[ring]
-            w = w[:, None, None]
+            loc = germ(ys[near])
+            w = bumps[:, 0].reshape((-1,) + (1,) * (out.ndim - 1))
             mixed = w * loc[ring] + (1.0 - w) * out[rows]
+            if term is not None:
+                mixed += term(ys[rows], bumps[:, 1])
             out[near] = loc
             out[rows] = mixed
         return out
 
-    def db(ys):
-        zones = _blend_zones(ys, blend_r)
-        if zones is None:
-            return local._db(ys)
-        near, ring, w, dw = zones
-        out = lin._db(ys)
-        if len(near):
-            loc = local._db(ys[near])
-            rows = near[ring]
-            gap = local._b(ys[rows]) - lin._b(ys[rows])
-            # grad w = w'(s) grad s, with grad s = y / (|y| blend_r)
-            grad = (dw / (row_norms(ys[rows]) * blend_r))[:, None] * ys[rows]
-            w = w[:, None, None, None]
-            mixed = w * loc[ring] + (1.0 - w) * out[rows] + gap[..., None] * grad[:, None, None, :]
-            out[near] = loc
-            out[rows] = mixed
-        return out
+    def slope(ys, dw):
+        # (B_germ - B_lin) (x) grad w, with grad w = w'(s) y / (|y| blend_r)
+        grad = (dw / (row_norms(ys) * blend_r))[:, None] * ys
+        return (local._b(ys) - lin._b(ys))[..., None] * grad[:, None, None, :]
 
     return Chart(
         local.k, local.q, BUILTIN, name="germ_extension",
         params={"blend_r": float(blend_r), "base": local},
-        b_func=b, db_func=db,
+        b_func=lambda ys: blend(ys, local._b, lin._b),
+        db_func=lambda ys: blend(ys, local._db, lin._db, slope),
     )
 
 

@@ -122,7 +122,9 @@ class SampleStream:
         if count < 1:
             raise InvalidInput(f"need samples >= 1, got {count}")
 
-    def _points(self, count: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    def _directions(self, count: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+        """count unit vectors in R^dims, one per row, and a uniform in
+        [0, 1) for each."""
         self._check(count)
         if dims < 1:
             raise InvalidInput(f"need dims >= 1, got {dims}")
@@ -131,22 +133,20 @@ class SampleStream:
             g, u = self._chunk(dims)
             gs.append(g)
             us.append(u)
-        return np.vstack(gs)[:count], np.concatenate(us)[:count]
+        g = np.vstack(gs)[:count]
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        return g / norms, np.concatenate(us)[:count]
 
     def unit_vectors(self, count: int, dims: int) -> np.ndarray:
         """count unit vectors on the sphere in R^dims, one per row."""
-        g, _ = self._points(count, dims)
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return g / norms
+        return self._directions(count, dims)[0]
 
     def ball_points(self, count: int, dims: int, radius: float) -> np.ndarray:
         """count points uniform in the ball of the given radius."""
         self._check(count, radius)
-        g, u = self._points(count, dims)
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return (g / norms) * (radius * u[:, None] ** (1.0 / dims))
+        g, u = self._directions(count, dims)
+        return g * (radius * u[:, None] ** (1.0 / dims))
 
     def pairs_in_ball(self, count: int, dims: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """count pairs (x, y) of ball points, drawn as consecutive samples."""
@@ -268,15 +268,17 @@ SCREEN_ROWS = 256
 SCREEN_FLOOR = 2.0**-450
 
 
-def _drop_copies(keep: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
-    """keep without each index whose rows of arrays repeat, bit for bit,
-    those of an earlier index in keep.
+def _candidates(lo: np.ndarray, least: float, *arrays: np.ndarray) -> np.ndarray:
+    """The candidate rule of the screens below: the indices of the samples
+    whose lower bound lo is <= least, the least upper bound, less each index
+    whose rows of arrays repeat, bit for bit, those of an earlier candidate.
 
     LAPACK returns the same bits for the same matrix, and np.argmin takes
     the first index of a least value, so a later copy never decides a
     report: a stack with a tied least margin, such as dB = J on the linear
     zone of a germ extension, sends one matrix of the tie.
     """
+    keep = np.flatnonzero(lo <= least)
     if len(keep) < 2:
         return keep
     rows = np.concatenate([a[keep].reshape(len(keep), -1) for a in arrays], axis=1)
@@ -302,7 +304,7 @@ def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = Non
     bound <= tol.threshold of its upper sigma_max): every fail then comes
     from the full stack.  Otherwise a candidate is a sample whose lower
     margin bound is <= the least upper margin bound, less the later
-    copies of a candidate (_drop_copies).  Every other sample's LAPACK
+    copies of a candidate (_candidates).  Every other sample's LAPACK
     margin lies strictly above that of the sample attaining the least
     upper bound, and division by a positive scale rounds monotonically,
     so the least LAPACK margin over the candidates, first index first, is
@@ -333,8 +335,7 @@ def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = Non
         least = hi.min()
         if not (np.all(np.isfinite(lo)) and np.isfinite(least)):
             return None
-    keep = np.flatnonzero(lo <= least)
-    return _drop_copies(keep, stack) if scale is None else _drop_copies(keep, stack, scale)
+    return _candidates(lo, least, stack) if scale is None else _candidates(lo, least, stack, scale)
 
 
 def eig_screen(mats: np.ndarray, tol: Tolerance):
@@ -363,9 +364,8 @@ def eig_screen(mats: np.ndarray, tol: Tolerance):
         hi = np.sqrt(np.maximum(neg + slack, 0.0))
         if not (np.all(s >= SCREEN_FLOOR) and np.all(lo > tol.rel * (1.0 + 2.0 * s))):
             return None
-        # lo > 0 implies a finite s^2, so every hi is finite
-        keep = np.flatnonzero(lo <= hi.min())
-    return _drop_copies(keep, mats)
+    # lo > 0 implies a finite s^2, so every hi is finite
+    return _candidates(lo, hi.min(), mats)
 
 
 def rank_gate(smin: np.ndarray, tol: Tolerance) -> None:

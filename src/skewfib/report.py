@@ -117,28 +117,34 @@ def screened_report(
     """sampled_report, with only the samples that can decide it sent to LAPACK.
 
     For a two-column stack, numeric.svd_screen bounds every sample's
-    sigma_max and sigma_min in closed form from the columns' dot products
-    (sigma_max^2 = (uu + dd) / 2 + hypot((uu - dd) / 2, c) and sigma_min =
-    |c1| |p| / sigma_max), widens both by numeric.SCREEN_SLACK * sigma_max
-    = 2^-40 sigma_max, about 4,096 eps of it, where the closed form is off
-    by about 10 eps and LAPACK's backward error moves the singular values
-    by a few, and keeps the candidates: the samples whose lower margin
-    bound is <= the least upper one.  sampled_report then runs on the
-    candidates alone.  Every other sample's LAPACK margin is strictly
-    larger, so the margin and details(i) are those of the same first
-    least sample, and the report equals the full stack's bit for bit.
-    The whole stack goes to sampled_report, so that every fail and its
-    witness order come from it, when an entry or bound is not finite,
-    when some sample may be singular, or when a candidate turns out
-    singular.
+    sigma_max and sigma_min in closed form, widened by the rounding slack
+    argued at numeric.SCREEN_SLACK, and keeps the candidates: the samples
+    that can hold the least margin.  Every other sample's LAPACK margin is
+    strictly larger, so sampled_report on the candidates alone gives the
+    margin and details(i) of the same first least sample, and the report
+    equals the full stack's bit for bit.  Otherwise candidates_first sends
+    the whole stack.
     """
-    keep = svd_screen(stack, tol, scale)
-    if keep is not None:
-        rep = sampled_report(
-            check, stack[keep], sampling,
-            lambda i, smin: witness(int(keep[i]), smin), lambda i: details(int(keep[i])), tol,
-            None if scale is None else scale[keep],
+    def decide(rows):
+        idx = np.arange(len(stack))[rows]
+        return sampled_report(
+            check, stack[rows], sampling,
+            lambda i, smin: witness(int(idx[i]), smin), lambda i: details(int(idx[i])), tol,
+            None if scale is None else scale[rows],
         )
+
+    return candidates_first(svd_screen(stack, tol, scale), decide)
+
+
+def candidates_first(
+    keep: np.ndarray | None, decide: Callable[[Any], VerificationReport]
+) -> VerificationReport:
+    """The one fallback of the closed-form screens: decide(keep), the report
+    on the screen's candidates, when the screen gave some and that report
+    finds no violation, else decide(slice(None)), the report on the whole
+    stack, so that every fail and its witness order come from it."""
+    if keep is not None:
+        rep = decide(keep)
         if rep.ok:
             return rep
-    return sampled_report(check, stack, sampling, witness, details, tol, scale)
+    return decide(slice(None))

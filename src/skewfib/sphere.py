@@ -280,7 +280,10 @@ def _classified(raw: bytes, d: int, tol: Tolerance) -> tuple[bool, float, float]
 
     scale = 1.0 + float(np.linalg.norm(m, 2))
     a = float(np.trace(m)) / d
-    b = float(np.median(np.abs(eig.imag)))
+    # the median of the d (even) values |Im lambda|, without np.median,
+    # which imports numpy.ma
+    lo, hi = np.sort(np.abs(eig.imag))[d // 2 - 1 : d // 2 + 1].tolist()
+    b = (lo + hi) / 2
     # aI does not touch the (2,1) entry, so the sign probe reads m directly.
     off = float(m[1, 0])
     if abs(off) > 1e-6 * scale:

@@ -436,22 +436,22 @@ def test_germ_extend(capsys, tmp_path):
 def test_germ_extend_failure_is_a_report(capsys, tmp_path):
     """A failed blend schedule is a germ-extend report whose verdict derives
     from its one witness; the rest comes from the last blend tried."""
-    wide = builtin_chart("germ_extension", blend_r=1e6, base=builtin_chart("quad_germ", eps=100.0))
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(chart_to_dict(wide)))
+    steep = builtin_chart("germ_extension", blend_r=1.0, base=builtin_chart("quad_germ", eps=1e10))
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(chart_to_dict(steep)))
     out = tmp_path / "ext.json"
-    argv = ["germ", "extend", "--chart", str(path), "--radius", "1e6", "--samples", "500",
+    argv = ["germ", "extend", "--chart", str(path), "--radius", "1", "--samples", "500",
             "--out", str(out)]
     code, data = _run_json(capsys, argv)
     assert code == 1
     assert not out.exists()
     assert data["check"] == "germ-extend" and data["verdict"] == "fail"
     assert data["witnesses"] == [
-        {"blend_r": 1e6, "reason": "no nondegenerate blend found down to radius 9.537e-01"}
+        {"blend_r": 1.0, "reason": "no nondegenerate blend found down to radius 9.537e-07"}
     ]
     assert data["margin"] == 0.0
     assert data["details"]["exact"] is False
-    assert data["sampling"] == {"count": 500, "mode": "pseudo-random", "radius": 10.0 * 1e6 / 2**20,
+    assert data["sampling"] == {"count": 500, "mode": "pseudo-random", "radius": 10.0 / 2**20,
                                 "seed": 20}
     assert data["schema"] == cli.REPORT_SCHEMA
 
@@ -519,6 +519,8 @@ _BLEND = "germ_extension parameter blend_r must be finite and > 0, got {}"
 _BAD_SMOOTH = [
     *(("germ_extension", {"blend_r": v, "base": _GERM}, _BLEND.format(v))
       for v in (0.0, -1.0, math.nan, math.inf)),
+    ("germ_extension", {"blend_r": 2.0, "base": _GERM},
+     "germ_extension parameter blend_r must be <= the base's domain radius 1.0, got 2.0"),
     *(("quad_germ", {"eps": v}, f"quad_germ parameter eps must be finite, got {v}")
       for v in (math.nan, -math.inf)),
 ]
@@ -526,11 +528,12 @@ _BAD_SMOOTH = [
 
 @pytest.mark.parametrize(
     "name, params, message", _BAD_SMOOTH,
-    ids=["blend-zero", "blend-negative", "blend-nan", "blend-inf", "eps-nan", "eps-inf"],
+    ids=["blend-zero", "blend-negative", "blend-nan", "blend-inf", "blend-beyond-domain", "eps-nan",
+         "eps-inf"],
 )
 def test_bad_smooth_chart_parameter_is_one_line_error(capsys, tmp_path, name, params, message):
-    """A blend radius that is not finite and positive, or a germ eps that is
-    not finite, is an input error when the chart file is read: exit 2 and
+    """A blend radius that is not finite and positive or exceeds its base's
+    domain radius, or a germ eps that is not finite, is an input error when the chart file is read: exit 2 and
     one stderr line, with no warning and nothing on stdout.  json writes
     the non-finite values as NaN and Infinity, which it also reads."""
     path = tmp_path / "chart.json"
@@ -768,3 +771,58 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0
     assert json.loads(done.stdout) == {"q": 8, "rho": 8}
+
+
+# Every verb kind at a size below numeric.singular_values' split.
+_VERB_KINDS = [
+    ["dims", "rho", "8"],
+    ["dims", "admissible", "1", "3"],
+    ["dims", "table", "--max-n", "9"],
+    ["build", "hopf", "--dim", "3", "--out", "hopf3.json"],
+    ["build", "bilinear", "--algebra", "octonion", "--kp1", "5"],
+    ["build", "from-json", "--in", "quad.json"],
+    ["verify", "skew", "--chart", "hopf3.json", "--samples", "64"],
+    ["verify", "nondeg", "--chart", "quad.json", "--samples", "64"],
+    ["verify", "eigen", "--chart", "hopf3.json"],
+    ["verify", "contact", "--chart", "hopf3.json", "--point", "0.5 -1"],
+    ["verify", "invariant-planes", "--matrix", "J4.json", "--samples", "20"],
+    ["fiber", "--chart", "quad.json", "--point", "0.5 0.25 -0.5"],
+    ["sample", "--chart", "hopf3.json", "--grid", "random:4:1", "--out", "s.csv"],
+    ["sphere", "complete-check", "--chart", "quad.json", "--samples", "64"],
+    ["sphere", "assemble", "--matrix", "J4.json", "--samples", "3"],
+    ["sphere", "probe", "--matrix", "J4.json", "--samples", "4"],
+    ["contact", "check", "--chart", "hopf3.json", "--samples", "3", "--radius", "1.5"],
+    ["germ", "extend", "--chart", "quad.json", "--samples", "200", "--out", "ext.json"],
+]
+
+_LOADS = """
+import contextlib, io, json, sys
+from skewfib import cli
+heavy = {"numpy.ma", "scipy", "concurrent.futures"}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded = sorted(m for m in heavy if m in sys.modules)
+    heavy.difference_update(loaded)
+    print(json.dumps([argv, code, loaded]))
+"""
+
+
+def test_verbs_import_no_heavy_modules(tmp_path):
+    """No verb kind loads numpy.ma or scipy, and none loads
+    concurrent.futures for a stack below the SVD split: each would add its
+    import to the command's start-up.  All run in one fresh interpreter, so
+    a module is named at the first verb that loads it."""
+    (tmp_path / "quad.json").write_text(json.dumps(chart_to_dict(builtin_chart("quad_germ"))))
+    _write_matrix_file(tmp_path, np.kron(np.eye(2), J2), "J4.json")
+    src = str(Path(skewfib.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS, json.dumps(_VERB_KINDS)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [argv for argv, _, _ in runs] == _VERB_KINDS
+    assert [code for _, code, _ in runs] == [0] * len(_VERB_KINDS)
+    assert [(argv, loaded) for argv, _, loaded in runs if loaded] == []

@@ -13,6 +13,7 @@ from skewfib.bilinear import BilinearMap, from_algebra, hurwitz_radon_family
 from skewfib.errors import (
     BlendFailure,
     InvalidInput,
+    NoConvergence,
     SingularLastColumn,
     SingularSystem,
 )
@@ -187,6 +188,23 @@ def test_chart_rejects_non_finite_entries():
         builtin_chart("hopf3").with_offset(np.array([[np.nan], [0.0]]))
 
 
+def test_builtin_chart_values_must_be_finite():
+    """A closure that returns NaN or inf for a finite point is an input
+    error at every entry point, never a NaN plane or a raw LinAlgError."""
+    for bad in (np.nan, np.inf):
+        c = Chart(
+            1, 2, "builtin",
+            b_func=lambda ys, bad=bad: np.full((len(ys), 2, 1), bad),
+            db_func=lambda ys, bad=bad: np.full((len(ys), 2, 1, 2), bad),
+        )
+        with pytest.raises(InvalidInput, match=r"builtin chart B\(y\) is not finite"):
+            fiber_plane(c, np.zeros(2))
+        with pytest.raises(InvalidInput, match=r"builtin chart B\(y\) is not finite"):
+            verify_skew(c, samples=8)
+        with pytest.raises(InvalidInput, match=r"builtin chart dB\(y\) is not finite"):
+            verify_nondegenerate(c, samples=8)
+
+
 def _stack_charts():
     germ = builtin_chart("quad_germ", eps=0.05)
     return [
@@ -288,6 +306,36 @@ def test_fiber_solve_singular_combination():
     c = Chart(1, 2, "linear", C=(-np.eye(2),))
     with pytest.raises(SingularSystem):
         fiber_solve(c, np.array([1.0, 0.3, 0.4]))
+
+
+def _line_chart(b, db):
+    """A smooth chart with k = q = 1 from scalar closures of y."""
+    return Chart(1, 1, "builtin", b_func=lambda ys: b(ys).reshape(-1, 1, 1),
+                 db_func=lambda ys: db(ys).reshape(-1, 1, 1, 1))
+
+
+def test_fiber_solve_damps_an_overshooting_newton_step():
+    """y + B(y) = 2 with B(y) = arctan(y) - y + 2 is arctan(y) = 0.  Newton
+    from y = 2 steps to -3.54, where |arctan| is larger, so the step is
+    halved to -0.77; undamped Newton diverges from any |y| > 1.39."""
+    seen = []
+    c = _line_chart(lambda ys: seen.extend(ys[:, 0].tolist()) or np.arctan(ys) - ys + 2.0,
+                    lambda ys: 1.0 / (1.0 + ys * ys) - 1.0)
+    y = fiber_solve(c, np.array([1.0, 2.0]))
+    assert abs(float(y[0])) <= 1e-10
+    full = 2.0 - 5.0 * math.atan(2.0)
+    assert seen[:3] == [2.0, pytest.approx(full), pytest.approx(2.0 + 0.5 * (full - 2.0))]
+
+
+def test_fiber_solve_reports_a_newton_iteration_that_cannot_converge():
+    """A dB that does not match B: with the wrong sign every damped step
+    raises the residual, and 10^6 times too large every step is too short
+    to reach the budget in 100 steps."""
+    ones = np.ones_like
+    with pytest.raises(NoConvergence, match="damping stalled at residual 1.000e"):
+        fiber_solve(_line_chart(ones, lambda ys: -2.0 * ones(ys)), np.array([1.0, 0.0]))
+    with pytest.raises(NoConvergence, match="no convergence in 100 iterations"):
+        fiber_solve(_line_chart(ones, lambda ys: 1e6 * ones(ys)), np.array([1.0, 0.0]))
 
 
 def test_fiber_solve_rejects_non_finite_points():
@@ -408,6 +456,11 @@ def test_skew_fail_witnesses_are_singular():
         d = np.asarray(w["x"]) - np.asarray(w["y"])
         sv = np.linalg.svd(np.column_stack([c.C[0] @ d, d]), compute_uv=False)
         assert sv[-1] <= tol.rel * sv[0] + tol.abs
+
+
+def test_skew_rejects_all_pairs_coincident():
+    with pytest.raises(InvalidInput, match="all sampled pairs were coincident"):
+        verify_skew(builtin_chart("hopf3"), radius=1e-14, samples=4)
 
 
 def test_skew_rejects_single_sample():
@@ -814,21 +867,22 @@ def test_extend_germ_fails_below_any_difference_step():
 
 
 def test_extend_germ_failure_carries_last_report(monkeypatch):
-    """quad_germ(100) has real eigenvalues of dB at |y| ~ 0.1, so every blend
-    from radius 1e6 down to 1e6 / 2^20 fails; the error carries the report
-    of the last one, whose ball has ten times its blend radius.  The
-    linearization is built once for all 21 blends."""
-    wide = builtin_chart("germ_extension", blend_r=1e6, base=builtin_chart("quad_germ", eps=100.0))
+    """quad_germ(1e10) has real eigenvalues of dB within 1e-9 of the origin,
+    inside its unit domain, so every blend of its extension from radius 1
+    down to 2^-20 fails; the error carries the report of the last one,
+    whose ball has ten times its blend radius.  The linearization is built
+    once for all 21 blends."""
+    steep = builtin_chart("germ_extension", blend_r=1.0, base=builtin_chart("quad_germ", eps=1e10))
     calls = []
     linearization = fibration._linearization
     monkeypatch.setattr(fibration, "_linearization", lambda c: calls.append(c) or linearization(c))
     with pytest.raises(BlendFailure, match="no nondegenerate blend found") as failure:
-        extend_germ(wide, blend_r=1e6, samples=500)
-    assert calls == [wide]
+        extend_germ(steep, blend_r=1.0, samples=500)
+    assert calls == [steep]
     last = failure.value.report
     assert last.check == "nondegenerate" and last.verdict == "fail"
     assert last.sampling == {"seed": 20, "mode": "pseudo-random", "count": 500,
-                             "radius": 10.0 * 1e6 / 2**20}
+                             "radius": 10.0 / 2**20}
     # the message names the blend radius of that last attempt
     assert f"radius {last.sampling['radius'] / 10.0:.3e}" in str(failure.value)
 
@@ -837,6 +891,10 @@ def test_extend_germ_blend_radius_cap():
     germ = builtin_chart("quad_germ", eps=0.05)
     with pytest.raises(InvalidInput):
         extend_germ(germ, blend_r=5.0)  # exceeds the unit domain radius
+    # the same rule for an extension built directly
+    with pytest.raises(InvalidInput, match="base's domain radius 1.0, got 5.0"):
+        builtin_chart("germ_extension", blend_r=5.0, base=germ)
+    assert builtin_chart("germ_extension", blend_r=1.0, base=germ).params["blend_r"] == 1.0
 
 
 # ---------------------------------------------------------------------------

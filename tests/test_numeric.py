@@ -199,6 +199,16 @@ def test_eigenvalues_known_spectra():
     assert np.allclose(eig, [2.0, 3.0], atol=1e-13)
 
 
+def test_eigenvalues_real_two_by_two_component():
+    """A 2 x 2 component with real eigenvalues, smaller first, with zero
+    imaginary parts, from the quadratic formula."""
+    m = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]])
+    eig = eigenvalues(m)
+    root = math.sqrt(8.25)
+    assert eig.tolist() == [complex(2.5 - root), complex(2.5 + root), 5.0]
+    assert np.allclose(np.sort(eig.real), np.sort(np.linalg.eigvals(m).real), atol=1e-13)
+
+
 def test_eigenvalues_similarity_invariant():
     """Conjugating by an orthogonal matrix must not move the spectrum."""
     rng = np.random.default_rng(RNG_SEED)

@@ -127,6 +127,26 @@ def test_svd_screen_report_equals_full_stack(unscreened, name, stack, scaled, to
         assert keep is None  # may be singular, or too small to bound safely
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, 1e-320], ids=["zero", "negative", "subnormal"])
+def test_svd_screen_sends_the_whole_stack_for_a_bad_scale(unscreened, bad):
+    """A scale that is not positive, or so small that a bound divided by it
+    is not finite, sends the whole stack, and the report is unchanged."""
+    stack = STACKS["random"][:64]
+    scale = np.ones(len(stack))
+    assert svd_screen(stack, TOL, scale) is not None
+    scale[5] = bad
+    assert svd_screen(stack, TOL, scale) is None
+    with np.errstate(all="ignore"):
+        full = unscreened(_stack_report, stack, scale)
+        assert _stack_report(stack, scale).to_dict() == full.to_dict()
+
+
+def test_eig_screen_sends_other_shapes_whole():
+    rng = np.random.default_rng(4)
+    for shape in ((8, 3, 3), (8, 2, 3), (2, 2)):
+        assert eig_screen(rng.standard_normal(shape), TOL) is None
+
+
 def _preset_chart(mats):
     """A smooth line chart on R^2 whose dB at the i-th queried point is mats[i]."""
     db = np.ascontiguousarray(mats).reshape(-1, 2, 1, 2)
@@ -206,8 +226,8 @@ def test_smooth_checks_equal_unscreened_on_germ_extensions(unscreened, monkeypat
 
 
 FAIL_CHARTS = {
-    "wide-extension": lambda: builtin_chart(
-        "germ_extension", blend_r=1e6, base=builtin_chart("quad_germ", eps=100.0)
+    "steep-extension": lambda: builtin_chart(
+        "germ_extension", blend_r=1.0, base=builtin_chart("quad_germ", eps=1e10)
     ),
     "sin-square": lambda: Chart(
         1, 2, "builtin", b_func=lambda ys: np.stack([np.sin(ys[:, 0]), ys[:, 0] ** 2], 1)[..., None],

@@ -16,9 +16,10 @@ both sample modes, and the input-error paths of the sampled verbs:
 - chart files written here: zero charts (k = 1 and k = 3), a real
   eigenvalue, an ill-conditioned k = 2 chart, two affine charts, an
   overflowing chart, `quad_germ` with two eps, smooth extensions of a
-  linear k = 3 chart and of the zero k = 3 chart, a wide extension of
-  `quad_germ` on which `germ extend` fails, and the extensions that
-  `germ extend` writes;
+  linear k = 3 chart and of the zero k = 3 chart, an extension of a
+  steep `quad_germ` on which `germ extend` fails, an extension whose blend
+  radius exceeds its base's domain, and the extensions that `germ extend`
+  writes;
 - stacks large enough for the threaded SVD: 10,000-pair `verify skew`
   runs and a 4,096-sample `verify nondeg`;
 - the closed-form screens of smooth line charts: `verify skew`,
@@ -86,9 +87,9 @@ FILES = {
                               {"blend_r": 0.5, "base": _linear(3, 4, [_LI, _LJ, _LK])}),
     "ext-zero-k3.json": _builtin(3, 4, "germ_extension",
                                  {"blend_r": 0.5, "base": _linear(3, 4, [_ZERO4] * 3)}),
-    # real eigenvalues of dB at |y| ~ 0.1: `germ extend --radius 1e6` fails
-    "ext-wide.json": _builtin(1, 2, "germ_extension",
-                              {"blend_r": 1e6, "base": _builtin(1, 2, "quad_germ", {"eps": 100.0})}),
+    # real eigenvalues of dB within 1e-9 of the origin: `germ extend --radius 1` fails
+    "ext-steep.json": _builtin(1, 2, "germ_extension",
+                               {"blend_r": 1.0, "base": _builtin(1, 2, "quad_germ", {"eps": 1e10})}),
     "J2.json": {"matrix": _J2},
     "J4.json": {"matrix": _LI},
     "scaled.json": {"matrix": [[0.5, -2.0], [2.0, 0.5]]},
@@ -105,6 +106,8 @@ FILES = {
     "bad-C-int.json": {"kind": "linear", "k": 1, "q": 2, "C": 5},
     "bad-B0.json": _linear(1, 2, [_J2], {"a": 1}),
     "bad-base.json": _builtin(1, 2, "germ_extension", {"blend_r": 0.5, "base": 5}),
+    "bad-blend-r.json": _builtin(1, 2, "germ_extension",
+                                 {"blend_r": 2.0, "base": _builtin(1, 2, "quad_germ", {})}),
     "bad-no-a.json": _builtin(1, 2, "hopf_line", {"m": 1, "b": 1}),
     "bad-m-inf.json": '{"kind": "builtin", "k": 1, "q": 2, '
                       '"builtin": {"name": "hopf_line", "params": {"m": 1e999, "a": 0, "b": 1}}}',
@@ -185,8 +188,8 @@ def corpus() -> list[dict]:
     for chart in CHARTS:
         add("germ", "extend", "--chart", chart, "--samples", 200, "--out", "germ-" + chart)
     for seed in (0, 7):
-        add("germ", "extend", "--chart", "ext-wide.json", "--radius", "1e6", "--samples", 500,
-            "--seed", seed, "--out", "wide-out.json")
+        add("germ", "extend", "--chart", "ext-steep.json", "--radius", 1, "--samples", 500,
+            "--seed", seed, "--out", "steep-out.json")
 
     # stacks large enough for the threaded SVD
     for chart in ("hopf15.json", "hr-16-9.json", "zero-k3.json"):
@@ -274,7 +277,7 @@ def corpus() -> list[dict]:
     for name in ("bad-C-empty.json", "bad-matrix.json"):
         add("verify", "invariant-planes", "--matrix", name)
     for name in ("bad-list.json", "bad-C-int.json", "bad-B0.json", "bad-base.json",
-                 "bad-no-a.json", "bad-m-inf.json"):
+                 "bad-blend-r.json", "bad-no-a.json", "bad-m-inf.json"):
         add("verify", "skew", "--chart", name)
 
     # tolerance overrides and usage errors
