@@ -134,6 +134,107 @@ def hurwitz_radon_family(q: int, r: int) -> BilinearMap:
     return BilinearMap(q, r, tuple(mats))
 
 
+# An enclosure [lo, hi] of a pencil's margin closes it when hi - lo is at
+# most this share of hi: 2^-30 is about 9.3e-10, finer than the relative
+# 1e-9 to which the acceptance criteria and the benchmark's oracle compare
+# margins with their closed forms.
+MARGIN_SLACK = 2.0**-30
+# Largest mq for which gram_first forms S: eigh takes O((mq)^3) time and S
+# O((mq)^2) memory, 0.3 s and 8 MB at mq = 1,024 on one core, but S alone
+# would take 3.3 GB for the skew pencil of HR(1024, 20) (mq = 20,480).
+GRAM_MAX = 1024
+
+
+def gram_matrix(mats: np.ndarray) -> np.ndarray:
+    """The (mq) x (mq) matrix S of the pencil M(t) = sum_j t_j M_j of an
+    (m, q, q) stack, with blocks Sym(M_i^T M_j) = (M_i^T M_j + M_j^T M_i)/2:
+    |M(t) x|^2 = (t (x) x)^T S (t (x) x) for every t and x.  Each block is
+    transposed on its own: averaging the whole A^T A, A = [M_1 ... M_m],
+    with its transpose gives A^T A back, which has the same quadratic form
+    on t (x) x but is singular for m >= 2."""
+    m, q = mats.shape[:2]
+    a = np.concatenate(mats, axis=1)
+    g = (a.T @ a).reshape(m, q, m, q)
+    return ((g + g.transpose(0, 3, 2, 1)) / 2).reshape(m * q, m * q)
+
+
+def gram_enclosure(
+    mats: np.ndarray, tol: Tolerance | None = None
+) -> tuple[float, float, np.ndarray]:
+    """Bounds lo <= sigma_min(M(t)) <= hi over unit t for the pencil
+    M(t) = sum_j t_j M_j of the (m, q, q) stack mats, and the unit t of hi.
+
+    |M(t) x|^2 lies between lambda_min(S) and lambda_max(S) times
+    |t|^2 |x|^2 for S = gram_matrix(mats).  Rounding model: each entry of S
+    is a length-q dot product and one halved sum, within gamma_(q+1) of
+    |M|^T |M| (Higham, ch. 3), so S moves by at most gamma_(q+1) |M|_F^2
+    in the 2-norm; eigvalsh is backward stable, and by Weyl its
+    eigenvalues move by at most mq eps |S|_2 more.  delta is the sum of
+    the two, and lo = sqrt(max(lambda_min - delta, 0)), or 0 when that
+    does not clear tol's singularity threshold at sqrt(lambda_max + delta),
+    the bound on every sigma_max(M(t)).  Both are computed on mats scaled
+    by a power of two, which is exact, so that S cannot overflow; a
+    product that underflows then errs by under q 2^-1074, far below
+    delta.  hi is the least sigma_min(M(t)) over the unit axes and t*, the
+    best rank-one factor of the bottom eigenvector of S.  For
+    Hurwitz-Radon families S = I, and lo and hi are 1 to rounding.
+    """
+    tol = tol or Tolerance.default()
+    m, q = mats.shape[:2]
+    e = int(np.frexp(np.abs(mats).max())[1])
+    scaled = np.ldexp(mats, -e)
+    ev, vec = np.linalg.eigh(gram_matrix(scaled))
+    u = (q + 1) * 2.0**-53
+    delta = u / (1 - u) * float((scaled * scaled).sum())
+    delta += m * q * 2.0**-52 * float(np.abs(ev).max())
+    lo = np.ldexp(np.sqrt(max(ev[0] - delta, 0.0)), e)
+    if not lo > tol.threshold(np.ldexp(np.sqrt(ev[-1] + delta), e)):
+        lo = 0.0
+    ts = np.vstack([np.eye(m), np.linalg.svd(vec[:, 0].reshape(m, q))[0][:, 0]])
+    smin = np.linalg.svd(np.einsum("sj,jab->sab", ts, scaled), compute_uv=False)[:, -1]
+    i = int(np.argmin(smin))
+    return float(lo), float(np.ldexp(smin[i], e)), ts[i]
+
+
+def gram_first(
+    check: str,
+    mats: np.ndarray,
+    sampling: dict,
+    details: Callable[[np.ndarray], dict],
+    tol: Tolerance,
+    sample: Callable[[], rp.VerificationReport],
+    t_witness: bool = False,
+) -> rp.VerificationReport:
+    """The verdict on the constant pencil mats from gram_enclosure, else
+    from sample(), the sampled search.
+
+    lo > 0 proves the pencil nonsingular: the report records exact and
+    certified_lower_bound = lo.  When [lo, hi] is also within MARGIN_SLACK,
+    the margin is hi, an attained sigma_min, margin_exact is true, and no
+    sample is drawn; details(t) gets the t of hi.  Otherwise sample()
+    decides the margin and any witness, and with t_witness a clean sampled
+    run still fails when M(t) at the t of hi is singular, since sampling
+    misses a singular set of measure zero.  A pencil with mq > GRAM_MAX
+    is only sampled.
+    """
+    if mats.shape[0] * mats.shape[1] > GRAM_MAX:
+        return sample()
+    lo, hi, t = gram_enclosure(mats, tol)
+    cert = {"exact": True, "certified_lower_bound": lo}
+    if lo > 0.0 and hi - lo <= MARGIN_SLACK * hi:
+        cert["margin_exact"] = True
+        return rp.VerificationReport(check, hi, (), sampling, {**details(t), **cert})
+    rep = sample()
+    if lo > 0.0:
+        return replace(rep, details={**rep.details, **cert, "margin_exact": False})
+    if t_witness and rep.ok and is_singular(
+        np.linalg.svd(np.tensordot(t, mats, 1), compute_uv=False), tol
+    ):
+        witness = {"t": t.tolist(), "sigma_min": hi}
+        return replace(rep, margin=hi, witnesses=(witness,), details={**rep.details, **details(t)})
+    return rep
+
+
 def _pencil_exact(
     a: BilinearMap, rep: rp.VerificationReport, tol: Tolerance
 ) -> rp.VerificationReport:
@@ -203,10 +304,12 @@ def verify_nonsingular(
     stream: SampleStream | None = None,
     tol: Tolerance | None = None,
 ) -> rp.VerificationReport:
-    """Sampled search for a singular combination sum_j t_j M_j.
+    """Search for a singular combination sum_j t_j M_j.
 
-    margin is the smallest sigma_min over sampled unit t.  For kp1 <= 2
-    an exact test decides the verdict; otherwise a clean run is
+    For kp1 <= 2 an exact test decides the verdict, and margin is the
+    smallest sigma_min over sampled unit t for kp1 = 2.  For kp1 >= 3
+    gram_first tries the Gram certificate before any sample is drawn; a
+    pencil it does not decide is sampled, and a clean sampled run is
     evidence-only, since sampling cannot certify nonsingularity.
     """
     tol = tol or Tolerance.default()
@@ -214,15 +317,23 @@ def verify_nonsingular(
     sampling = stream.sampling(samples)
 
     if a.kp1 == 1:
+        # t = +-1 only, so sigma_min(M_1) is the margin itself
         sv = np.linalg.svd(a.mats[0], compute_uv=False)
         witnesses = ({"t": [1.0]},) if is_singular(sv, tol) else ()
-        return rp.VerificationReport(
-            "nonsingular", float(sv[-1]), witnesses, sampling, {"exact": True}
+        details = {"exact": True, "margin_exact": True}
+        return rp.VerificationReport("nonsingular", float(sv[-1]), witnesses, sampling, details)
+
+    mats = np.stack(a.mats)
+
+    def sample():
+        ts = stream.unit_vectors(samples, a.kp1)
+        return pencil_report(
+            "nonsingular", mats[None], ts, sampling, lambda n, s: {"worst_t": ts[s].tolist()}, tol
         )
 
-    ts = stream.unit_vectors(samples, a.kp1)
-    rep = pencil_report(
-        "nonsingular", np.stack(a.mats)[None], ts, sampling,
-        lambda n, s: {"worst_t": ts[s].tolist()}, tol,
+    if a.kp1 == 2:
+        return _pencil_exact(a, sample(), tol)
+    return gram_first(
+        "nonsingular", mats, sampling, lambda t: {"worst_t": t.tolist()}, tol, sample,
+        t_witness=True,
     )
-    return _pencil_exact(a, rep, tol) if a.kp1 == 2 else rep

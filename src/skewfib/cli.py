@@ -93,9 +93,9 @@ def _read_points(path: str, dim: int) -> list[np.ndarray]:
 def _write_chart(c: fibration.Chart, out: str | None) -> None:
     payload = fibration.chart_to_dict(c)
     if out:
+        # json.dumps takes the C encoder; json.dump to a file never does
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
         _emit({"written": out, "k": c.k, "q": c.q, "kind": c.kind})
     else:
         _emit(payload)

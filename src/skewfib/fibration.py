@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import report as rp
-from .bilinear import BilinearMap, J2, from_algebra, pencil_report, verify_nonsingular
+from .bilinear import BilinearMap, J2, from_algebra, gram_first, pencil_report, verify_nonsingular
 from .errors import (
     BlendFailure,
     InvalidInput,
@@ -478,38 +478,51 @@ def verify_skew(
     sigma_min of that matrix divided by |x - y|.  On smooth charts the
     stack goes through report.screened_report, which sends only the pairs
     that can hold the least margin to LAPACK when k = 1.
+
+    On a linear or affine chart B(x) - B(y) = B_lin(d) with d = x - y, and
+    the columns of [B_lin(d) | d] are M_j d for the pencil M = (C_1, ...,
+    C_k, I), so the least margin over all pairs is that pencil's least
+    sigma_min(M(t)) over unit t: bilinear.gram_first tries its Gram
+    certificate before any pair is drawn.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
     if samples < 2:
         raise InvalidInput(f"need samples >= 2, got {samples}")
     sampling = stream.sampling(samples, radius)
-    xs, ys = stream.pairs_in_ball(samples, c.q, radius)
-    diff = xs - ys
-    norms = np.linalg.norm(diff, axis=1)
-    keep = norms > 1e-12 * max(radius, 1.0)
-    xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
-    if xs.shape[0] == 0:
-        raise InvalidInput("all sampled pairs were coincident; increase samples or radius")
 
-    if c.is_linear:
-        stacks = np.empty((diff.shape[0], c.q, c.k + 1))
-        for j in range(c.k):
-            stacks[:, :, j] = diff @ c.C[j].T
-        stacks[:, :, c.k] = diff
-        report = rp.sampled_report
-    else:
-        stacks = np.concatenate([c.B(xs) - c.B(ys), diff[:, :, None]], axis=2)
-        report = rp.screened_report
-    return report(
-        "skew",
-        stacks,
-        sampling,
-        lambda i, smin: {"x": xs[i].tolist(), "y": ys[i].tolist(), "sigma_min": smin},
-        lambda worst: {"pairs_tested": int(xs.shape[0])},
-        tol,
-        scale=norms,
-    )
+    def sample():
+        xs, ys = stream.pairs_in_ball(samples, c.q, radius)
+        diff = xs - ys
+        norms = np.linalg.norm(diff, axis=1)
+        keep = norms > 1e-12 * max(radius, 1.0)
+        xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
+        if xs.shape[0] == 0:
+            raise InvalidInput("all sampled pairs were coincident; increase samples or radius")
+
+        if c.is_linear:
+            stacks = np.empty((diff.shape[0], c.q, c.k + 1))
+            for j in range(c.k):
+                stacks[:, :, j] = diff @ c.C[j].T
+            stacks[:, :, c.k] = diff
+            report = rp.sampled_report
+        else:
+            stacks = np.concatenate([c.B(xs) - c.B(ys), diff[:, :, None]], axis=2)
+            report = rp.screened_report
+        return report(
+            "skew",
+            stacks,
+            sampling,
+            lambda i, smin: {"x": xs[i].tolist(), "y": ys[i].tolist(), "sigma_min": smin},
+            lambda worst: {"pairs_tested": int(xs.shape[0])},
+            tol,
+            scale=norms,
+        )
+
+    if not c.is_linear:
+        return sample()
+    pencil = np.concatenate([c.C, np.eye(c.q)[None]])
+    return gram_first("skew", pencil, sampling, lambda t: {"pairs_tested": 0}, tol, sample)
 
 
 def _spectrum_report(
@@ -548,9 +561,11 @@ def verify_nondegenerate(
     For k = 1 the condition is that dB_y has no real eigenvalues; this is
     exact for linear charts (dB is constant) and sampled over chart
     points otherwise, with margin the least |Im eigenvalue|.  For k >= 2
-    it builds the pencil (dB_y, identity), at samples unit t for a linear
-    chart's constant dB and at T_SAMPLES unit t per sampled chart point
-    otherwise, and leaves the verdict to bilinear.pencil_report.
+    it builds the pencil (dB_y, identity): a linear chart's constant
+    pencil goes to bilinear.verify_nonsingular, which tries the Gram
+    certificate before sampling samples unit t, and a smooth chart's
+    pencils at T_SAMPLES unit t per sampled chart point go to
+    bilinear.pencil_report.
 
     On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
     |Im lambda| of every dB_y in closed form, widened by the rounding slack

@@ -93,8 +93,9 @@ def completion_check(
 
     Passing means the chart's fibration of R^(2k+1) completes to a great
     k-sphere fibration of S^(2k+1).  For linear and affine charts the map
-    is y -> (sum_j t_j C_j) y and the check runs the exact pencil tests
-    where available; for smooth charts it stacks the pencils sum_j t_j
+    is y -> (sum_j t_j C_j) y and the check is bilinear.verify_nonsingular
+    on (C_1, ..., C_k): exact for k <= 2, the Gram certificate first for
+    k >= 3; for smooth charts it stacks the pencils sum_j t_j
     dB_j(y), the Jacobians of y -> B(y)t, over sampled (y, t) and leaves
     the verdict to bilinear.pencil_report.  The condition is homogeneous
     in t, so t and -t are one test: for k = 1, where every unit t is +-1,

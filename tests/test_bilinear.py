@@ -8,6 +8,8 @@ from skewfib.bilinear import (
     BilinearMap,
     algebra_unit_matrices,
     from_algebra,
+    gram_enclosure,
+    gram_matrix,
     hurwitz_radon_family,
     verify_nonsingular,
 )
@@ -203,8 +205,17 @@ def test_exact_pencil_agrees_with_construction():
             assert sv[-1] <= 1e-7 * sv[0]
 
 
+def _noisy_octonion(scale=0.1):
+    """The octonion kp1 = 5 map plus Gaussian noise: the Gram test does not
+    decide it, so verify_nonsingular samples it."""
+    mats = np.stack(from_algebra("octonion", 5).mats)
+    noise = np.random.default_rng(RNG_SEED).standard_normal(mats.shape)
+    return BilinearMap(8, 5, tuple(mats + scale * noise))
+
+
 def test_sampled_margin_never_increases_with_more_samples():
-    a = from_algebra("octonion", 5)
+    a = _noisy_octonion()
+    assert gram_enclosure(np.stack(a.mats))[0] == 0.0
     r1 = verify_nonsingular(a, samples=256, stream=SampleStream(seed=5))
     r2 = verify_nonsingular(a, samples=2560, stream=SampleStream(seed=5))
     assert r2.margin <= r1.margin + 1e-12
@@ -212,8 +223,9 @@ def test_sampled_margin_never_increases_with_more_samples():
 
 
 def test_sampled_worst_is_first_least_margin():
-    """worst_t is the first sample of least sigma_min, also among ties."""
-    a = from_algebra("octonion", 5)
+    """worst_t is the first sample of least sigma_min, also among ties.
+    kp1 = 2 pencils are still sampled before their exact test."""
+    a = from_algebra("octonion", 2)
     ts = SampleStream(seed=7).unit_vectors(1024, a.kp1)
     combos = np.einsum("sj,jab->sab", ts, np.stack(a.mats))
     smin = np.linalg.svd(combos, compute_uv=False)[:, -1]
@@ -227,3 +239,64 @@ def test_sampling_metadata_recorded():
     rep = verify_nonsingular(from_algebra("quaternion", 4), samples=64,
                              stream=SampleStream(seed=11, mode="low-discrepancy"))
     assert rep.sampling == {"seed": 11, "mode": "low-discrepancy", "count": 64}
+
+
+# ---------------------------------------------------------------------------
+# Gram certificate
+
+
+def test_gram_matrix_quadratic_form():
+    """|M(t) x|^2 = (t (x) x)^T S (t (x) x) on random pencils and (t, x),
+    with S symmetric: a sign error in S's off-diagonal blocks breaks it."""
+    rng = np.random.default_rng(RNG_SEED)
+    for m, q in ((2, 2), (3, 4), (5, 8)):
+        mats = rng.standard_normal((m, q, q))
+        s = gram_matrix(mats)
+        assert s.shape == (m * q, m * q) and np.array_equal(s, s.T)
+        for _ in range(20):
+            t, x = rng.standard_normal(m), rng.standard_normal(q)
+            v = np.kron(t, x)
+            direct = float(np.sum((np.einsum("j,jab->ab", t, mats) @ x) ** 2))
+            assert abs(v @ s @ v - direct) <= 1e-12 * (np.abs(v) @ np.abs(s) @ np.abs(v))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [hurwitz_radon_family(4, 4), hurwitz_radon_family(8, 5), hurwitz_radon_family(8, 8),
+     hurwitz_radon_family(16, 9), from_algebra("quaternion", 3), from_algebra("octonion", 5),
+     from_algebra("octonion", 8)],
+    ids=["hr-4-4", "hr-8-5", "hr-8-8", "hr-16-9", "quaternion-3", "octonion-5", "octonion-8"],
+)
+def test_gram_certifies_clifford_maps(a):
+    """S = I for Hurwitz-Radon families, so [lo, hi] closes on 1 and
+    verify_nonsingular passes without drawing a sample."""
+    lo, hi, t = gram_enclosure(np.stack(a.mats))
+    assert 1.0 - 1e-12 <= lo <= hi and abs(hi - 1.0) <= 1e-14
+    assert abs(np.linalg.norm(t) - 1.0) <= 1e-15
+    rep = verify_nonsingular(a, samples=64, stream=SampleStream(seed=3))
+    assert rep.verdict == "pass" and rep.margin == hi
+    assert rep.details["margin_exact"] is True and rep.details["certified_lower_bound"] == lo
+    assert rep.sampling == {"seed": 3, "mode": "pseudo-random", "count": 64}
+
+
+def test_gram_leaves_singular_and_indefinite_pencils_open():
+    """A pencil with a singular combination and a nonsingular one whose S
+    is indefinite both get lo = 0; the singular one fails at a unit axis
+    although no sampled t finds it."""
+    rot = np.array([[0.0, -4.0], [0.25, 0.0]])  # nonsingular with I, lambda_min(S) < 0
+    assert gram_enclosure(np.stack([rot, np.eye(2)]))[0] == 0.0
+    a = BilinearMap(4, 4, (np.zeros((4, 4)),) * 3 + (np.eye(4),))
+    lo, hi, t = gram_enclosure(np.stack(a.mats))
+    assert lo == 0.0 and hi == 0.0 and t.tolist() == [1.0, 0.0, 0.0, 0.0]
+    rep = verify_nonsingular(a, samples=64)
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    assert rep.witnesses == ({"t": [1.0, 0.0, 0.0, 0.0], "sigma_min": 0.0},)
+
+
+def test_gram_enclosure_scales_large_pencils():
+    """Entries near the overflow threshold are scaled by a power of two
+    before S is formed: the bounds scale with them."""
+    mats = np.stack(hurwitz_radon_family(8, 5).mats)
+    lo, hi, _ = gram_enclosure(mats)
+    big = gram_enclosure(mats * 2.0**1000)
+    assert big[0] == lo * 2.0**1000 and big[1] == hi * 2.0**1000

@@ -137,8 +137,11 @@ def test_verify_skew_pass(capsys, tmp_path):
 
 
 def test_verify_skew_fail_exits_one_with_witnesses(capsys, tmp_path):
-    path = _write_chart_file(tmp_path, "hopf_line", m=1, a=0.0, b=0.5)
-    code, data = _run_json(capsys, ["verify", "skew", "--chart", path, "--radius=5e-12"])
+    # C = 2I: every pair of fibers is parallel
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps({"schema": "skewfib-chart-v1", "kind": "linear", "k": 1, "q": 2,
+                                "C": [[[2.0, 0.0], [0.0, 2.0]]]}))
+    code, data = _run_json(capsys, ["verify", "skew", "--chart", str(path)])
     assert code == 1
     assert data["verdict"] == "fail"
     assert data["witnesses"]
@@ -165,6 +168,26 @@ def test_verify_nondeg_pass_and_fail(capsys, tmp_path):
     assert code == 1
     assert data["verdict"] == "fail"
     assert data["witnesses"]
+
+
+def test_verify_certified_payloads_and_zero_chart_k3(capsys, tmp_path):
+    """Linear charts the Gram test certifies report pass with the closed
+    margin and no pair drawn; the zero chart with k = 3 fails nondeg."""
+    path = _write_chart_file(tmp_path, "hopf7")
+    code, data = _run_json(capsys, ["verify", "skew", "--chart", path, "--samples", "10000"])
+    assert code == 0 and data["verdict"] == "pass" and data["margin"] == 1.0
+    assert data["details"]["margin_exact"] is True and data["details"]["pairs_tested"] == 0
+    assert 0.0 < data["details"]["certified_lower_bound"] <= 1.0
+    assert data["sampling"]["count"] == 10000
+    code, data = _run_json(capsys, ["sphere", "complete-check", "--chart", path])
+    assert code == 0 and data["verdict"] == "pass" and data["details"]["margin_exact"] is True
+
+    zero = tmp_path / "zero-k3.json"
+    zero.write_text(json.dumps({"schema": "skewfib-chart-v1", "kind": "linear", "k": 3, "q": 4,
+                                "C": [[[0.0] * 4] * 4] * 3}))
+    code, data = _run_json(capsys, ["verify", "nondeg", "--chart", str(zero), "--samples", "200"])
+    assert code == 1 and data["verdict"] == "fail"
+    assert data["witnesses"] == [{"t": [1.0, 0.0, 0.0, 0.0], "sigma_min": 0.0}]
 
 
 def test_verify_eigen(capsys, tmp_path):

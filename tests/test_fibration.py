@@ -2,6 +2,7 @@
 asymptotic probes, and germ extension."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +10,14 @@ import pytest
 
 from skewfib import fibration
 from skewfib import report as rp
-from skewfib.bilinear import BilinearMap, from_algebra, hurwitz_radon_family
+from skewfib.bilinear import (
+    GRAM_MAX,
+    BilinearMap,
+    from_algebra,
+    gram_enclosure,
+    hurwitz_radon_family,
+)
+from skewfib.dims import skew_table
 from skewfib.errors import (
     BlendFailure,
     InvalidInput,
@@ -36,6 +44,7 @@ from skewfib.fibration import (
     verify_skew,
 )
 from skewfib.numeric import SampleStream, Tolerance, jacobian, row_norms
+from skewfib.sphere import completion_check
 
 RNG_SEED = 424242
 
@@ -393,9 +402,24 @@ def test_fiber_distance_diverges():
 # verification
 
 
+# The line chart C = P J P^-1 with P = diag(2, 1/2): skew and nondegenerate
+# (C^2 = -I), but its Gram matrix is indefinite, so the Gram test leaves
+# it to sampling.
+_STRETCHED = Chart(1, 2, "linear", C=(np.array([[0.0, -4.0], [0.25, 0.0]]),))
+
+
+def _noisy(name, scale, seed=RNG_SEED):
+    """A Clifford chart plus Gaussian noise in C.  The Gram test leaves
+    hopf7 + 0.2 and hopf15 + 0.1 open, and certifies hopf15 + 0.02 without
+    closing its margin."""
+    c = builtin_chart(name)
+    noise = np.random.default_rng(seed).standard_normal(c.C.shape)
+    return Chart(c.k, c.q, "linear", C=c.C + scale * noise)
+
+
 def test_skew_kernel_margin_matches_direct_svd():
     """Margin equals min sigma_min([B(x)-B(y) | x-y]) / |x-y| over pairs."""
-    c = builtin_chart("hopf_line", m=2, a=0.5, b=1.5)
+    c = _STRETCHED
     stream = SampleStream(seed=99)
     xs, ys = SampleStream(seed=99).pairs_in_ball(64, c.q, 10.0)
     direct = np.inf
@@ -412,7 +436,8 @@ def test_skew_kernel_margin_matches_direct_svd():
 @pytest.mark.parametrize(
     "chart, verdict",
     [
-        (builtin_chart("hopf15"), "evidence-only"),
+        # hopf15 plus noise: the Gram test leaves it to sampling
+        (_noisy("hopf15", 0.1), "evidence-only"),
         (Chart(3, 4, "linear", C=(np.zeros((4, 4)),) * 3), "fail"),
     ],
     ids=["hopf15", "zero-k3"],
@@ -444,11 +469,12 @@ def test_skew_fails_for_parallel_fibers():
 
 
 def test_skew_fail_witnesses_are_singular():
-    """At a tiny radius about a tenth of the pairs fall under the absolute
-    tolerance, none of them among the three of least margin; the fail must
-    still name singular pairs."""
-    c = builtin_chart("hopf_line", m=1, a=0.0, b=0.5)
-    rep = verify_skew(c, radius=5e-12)
+    """C = 2I makes every pair of fibers parallel: [C d | d] has rank one.
+    The fail must name singular pairs.  (hopf_line with b = 0.5 failed
+    here only at radius 5e-12, where sigma_min fell under the absolute
+    tolerance; that chart is skew, and the Gram test passes it.)"""
+    c = Chart(1, 2, "linear", C=(2.0 * np.eye(2),))
+    rep = verify_skew(c)
     assert rep.verdict == "fail"
     assert 1 <= len(rep.witnesses) <= 3
     tol = Tolerance()
@@ -460,7 +486,7 @@ def test_skew_fail_witnesses_are_singular():
 
 def test_skew_rejects_all_pairs_coincident():
     with pytest.raises(InvalidInput, match="all sampled pairs were coincident"):
-        verify_skew(builtin_chart("hopf3"), radius=1e-14, samples=4)
+        verify_skew(_STRETCHED, radius=1e-14, samples=4)
 
 
 def test_skew_rejects_single_sample():
@@ -553,9 +579,15 @@ def test_nondegenerate_fails_on_real_eigenvalues():
 
 
 def test_nondegenerate_sampled_plane_chart():
-    rep = verify_nondegenerate(builtin_chart("hopf7"), samples=128)
+    """A k = 3 chart the Gram test leaves open: margin is the least sampled
+    sigma_min of the pencil (C_1, C_2, C_3, I)."""
+    c = _noisy("hopf7", 0.2)
+    rep = verify_nondegenerate(c, samples=128, stream=SampleStream(seed=4))
+    ts = SampleStream(seed=4).unit_vectors(128, 4)
+    pencil = np.stack([*c.C, np.eye(4)])
+    smin = np.linalg.svd(np.einsum("sj,jab->sab", ts, pencil), compute_uv=False)[:, -1]
     assert rep.verdict == "evidence-only"
-    assert abs(rep.margin - 1.0) <= 1e-9
+    assert rep.margin == smin.min()
 
 
 def test_nondegenerate_sampled_failure_witnesses():
@@ -619,6 +651,97 @@ def test_nondegenerate_smooth_chart():
     rep = verify_nondegenerate(ext, radius=5.0, samples=256)
     assert rep.ok
     assert rep.margin > 0.5
+
+
+def _hopf_line_skew_margin(a, b):
+    """sigma_min of [(aI + bJ) d | d] / |d|, the same for every d: the Gram
+    matrix of the two columns is [[a^2 + b^2, a], [a, 1]]."""
+    tr = a * a + b * b + 1.0
+    return math.sqrt((tr - math.sqrt(tr * tr - 4.0 * b * b)) / 2.0)
+
+
+_B0_RNG = np.random.default_rng(RNG_SEED)
+_CERTIFIED = {
+    **{name: (builtin_chart(name), 1.0) for name in ("hopf3", "hopf7", "hopf15")},
+    **{f"hr-{q}-{r}": (from_bilinear(hurwitz_radon_family(q, r)), 1.0)
+       for q, r in ((4, 4), (8, 5), (8, 8), (16, 9))},
+    **{f"{alg}-{kp1}": (from_bilinear(from_algebra(alg, kp1)), 1.0)
+       for alg, kp1 in (("complex", 2), ("quaternion", 3), ("octonion", 5))},
+    **{f"off-{name}": (builtin_chart(name).with_offset(_B0_RNG.uniform(-3.0, 3.0, (q, k))), 1.0)
+       for name, k, q in (("hopf3", 1, 2), ("hopf7", 3, 4), ("hopf15", 7, 8))},
+    **{f"line-m{m}": (builtin_chart("hopf_line", m=m, a=a, b=b), _hopf_line_skew_margin(a, b))
+       for m, a, b in ((1, 0.0, 0.5), (2, 0.5, 1.5), (3, -1.9, 0.51))},
+}
+
+
+@pytest.mark.parametrize("c, margin", _CERTIFIED.values(), ids=_CERTIFIED.keys())
+def test_gram_certifies_linear_charts(c, margin):
+    """Every linear and affine chart the builders make passes verify_skew,
+    verify_nondegenerate (k >= 2) and, where n = 2k+1, completion_check,
+    with the margin closed and no pair or t drawn."""
+    rep = verify_skew(c, radius=100.0, samples=10_000, stream=SampleStream(seed=1))
+    assert rep.verdict == "pass" and rep.details["margin_exact"] is True
+    assert rep.details["certified_lower_bound"] <= rep.margin
+    assert rep.margin == pytest.approx(margin, rel=1e-12)
+    assert rep.details["pairs_tested"] == 0 and rep.sampling["count"] == 10_000
+    if c.k >= 2:
+        rep = verify_nondegenerate(c, samples=64)
+        assert rep.verdict == "pass" and rep.details["margin_exact"] is True
+        assert rep.margin == pytest.approx(1.0, rel=1e-12)
+    if c.n == 2 * c.k + 1:
+        rep = completion_check(c, samples=64)
+        assert rep.verdict == "pass" and rep.details["margin_exact"] is True
+
+
+def test_gram_skips_pencils_above_its_size_cap():
+    """HR(128, 9) has the skew pencil S = I, but with mq = 9 * 128 above
+    GRAM_MAX it is sampled, as before the certificate."""
+    c = from_bilinear(hurwitz_radon_family(128, 9))
+    assert (c.k + 1) * c.q > GRAM_MAX
+    rep = verify_skew(c, samples=64)
+    assert rep.verdict == "evidence-only" and rep.details == {"pairs_tested": 64}
+
+
+def test_gram_lower_bound_under_sampled_margins():
+    """hopf15 + 0.02 noise: the certificate proves the pencil nonsingular
+    but leaves [lo, hi] open, so the margins are sampled, and lo lies
+    below both of them and below hi."""
+    c = _noisy("hopf15", 0.02)
+    lo, hi, _ = gram_enclosure(np.concatenate([c.C, np.eye(c.q)[None]]))
+    assert 0.0 < lo <= hi
+    skew = verify_skew(c, radius=10.0, samples=2048)
+    assert skew.details["pairs_tested"] == 2048
+    for rep in (skew, verify_nondegenerate(c, samples=2048)):
+        assert rep.verdict == "pass" and rep.details["margin_exact"] is False
+        assert rep.details["certified_lower_bound"] == lo <= rep.margin
+
+
+def test_gram_certifies_skew_table():
+    """Every cell of skew_table(24), built as from_bilinear of a
+    Hurwitz-Radon family, passes all three checks where they apply, in
+    well under the 2 s budget."""
+    start = time.perf_counter()
+    cells = 0
+    for n, ks in skew_table(24).items():
+        for k in ks:
+            c = from_bilinear(hurwitz_radon_family(n - k, k + 1))
+            assert verify_skew(c, samples=256).verdict == "pass", (n, k)
+            assert verify_nondegenerate(c, samples=256).verdict == "pass", (n, k)
+            if n == 2 * k + 1:
+                assert completion_check(c, samples=256).verdict == "pass", (n, k)
+            cells += 1
+    assert cells == 30
+    assert time.perf_counter() - start < 2.0
+
+
+def test_nondegenerate_zero_chart_k3_fails():
+    """C = 0 with k = 3: every t with t_4 = 0 makes the pencil (0, 0, 0, I)
+    singular, a set that sampling never hits; the unit axis t = e_1 is the
+    witness."""
+    c = Chart(3, 4, "linear", C=(np.zeros((4, 4)),) * 3)
+    rep = verify_nondegenerate(c, samples=200)
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    assert rep.witnesses == ({"t": [1.0, 0.0, 0.0, 0.0], "sigma_min": 0.0},)
 
 
 # ---------------------------------------------------------------------------

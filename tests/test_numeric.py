@@ -421,6 +421,8 @@ def test_overflow_guard_keeps_message_and_caller_state():
 
 
 _HOPF3 = builtin_chart("hopf3")
+# Skew, but left to sampling by the Gram test, which reads no radius.
+_STRETCHED = Chart(1, 2, "linear", C=(np.array([[0.0, -4.0], [0.25, 0.0]]),))
 _E1, _E2 = np.eye(3)[0], np.eye(3)[1]
 
 
@@ -432,7 +434,7 @@ _OVERFLOWS = {
     "contact_form": lambda: contact_form(_HOPF3, np.array([1e200, 0.0])),
     "contact_check": lambda: contact_check(_HOPF3, np.array([1e200, 0.0])),
     "contact_checks": lambda: contact_checks(_HOPF3, np.array([[1e200, 0.0]])),
-    "verify_skew": lambda: verify_skew(_HOPF3, radius=1e200, samples=8),
+    "verify_skew": lambda: verify_skew(_STRETCHED, radius=1e200, samples=8),
     "fiber_solve": lambda: fiber_solve(_HOPF3, np.array([1e200, 1e200, 0.0])),
     "limiting_direction": lambda: limiting_direction(_HOPF3, _E2, np.array([1e300, 0.0, 0.0])),
     "ConeProbe": lambda: ConeProbe(_E1, (1e200, 1e300)),
@@ -447,8 +449,8 @@ _OVERFLOWS = {
 def test_entry_points_reject_overflowing_input(call):
     """Finite input whose arithmetic overflows is an input error at every
     library entry point, never a warning, a verdict on inf or NaN (such as
-    margin 0.0 for hopf3, whose true margin is 1), a result of zeros or a
-    raw LinAlgError."""
+    margin 0.0 for a chart whose true margin is positive), a result of
+    zeros or a raw LinAlgError."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInput, match="overflow"):
@@ -458,6 +460,6 @@ def test_entry_points_reject_overflowing_input(call):
 def test_entry_points_keep_large_finite_results():
     """The guard leaves large but finite arithmetic alone: these results
     are the bits computed without it."""
-    assert verify_skew(_HOPF3, radius=1e150).margin == float.fromhex("0x1.ffffffffffffcp-1")
+    assert verify_skew(_STRETCHED, radius=1e150).margin == float.fromhex("0x1.000051ab53845p-2")
     rep = contact_check(_HOPF3, np.array([1e76, 0.0]))
     assert rep.det_margin == float.fromhex("0x1.fffffffffff19p-1") and rep.is_contact
