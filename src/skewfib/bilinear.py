@@ -277,13 +277,10 @@ def pencil_report(
     A fail witness carries y (given ys), t and sigma_min; details(n, s) gets
     the point and t indices of the first sample of least sigma_min.
 
-    Pencils at sampled chart points (ys given) go through
-    report.screened_report: for two-column matrices, as the completion
-    check of a smooth line chart on R^3 has, closed-form bounds on every
-    sigma_min, widened by numeric.SCREEN_SLACK * sigma_max, leave only
-    the samples that can hold the least sigma_min to LAPACK, and the
-    report is the full stack's bit for bit.  A constant pencil (no ys)
-    always sends its whole stack.
+    For two-column matrices, as the completion check of a smooth line
+    chart on R^3 has, report.sampled_report sends only the samples that
+    can hold the least sigma_min to LAPACK, and the report is the full
+    stack's bit for bit.
     """
     nt = len(ts)
     stack = np.einsum("sj,njab->nsab", ts, slots).reshape(-1, *slots.shape[2:])
@@ -293,8 +290,7 @@ def pencil_report(
         at = {} if ys is None else {"y": ys[n].tolist()}
         return {**at, "t": ts[s].tolist(), "sigma_min": smin}
 
-    report = rp.sampled_report if ys is None else rp.screened_report
-    return report(check, stack, sampling, witness, lambda i: details(*divmod(i, nt)), tol)
+    return rp.sampled_report(check, stack, sampling, witness, lambda i: details(*divmod(i, nt)), tol)
 
 
 @overflow_is_invalid

@@ -475,9 +475,10 @@ def verify_skew(
 
     Fibers through x != y are skew exactly when [B(x) - B(y) | x - y]
     has trivial kernel; margin is the minimum over sampled pairs of
-    sigma_min of that matrix divided by |x - y|.  On smooth charts the
-    stack goes through report.screened_report, which sends only the pairs
-    that can hold the least margin to LAPACK when k = 1.
+    sigma_min of that matrix divided by |x - y|, and a pair is singular
+    when its singular values, divided by |x - y|, pass numeric.is_singular.
+    When k = 1, report.sampled_report sends only the pairs that can hold
+    the least margin to LAPACK.
 
     On a linear or affine chart B(x) - B(y) = B_lin(d) with d = x - y, and
     the columns of [B_lin(d) | d] are M_j d for the pencil M = (C_1, ...,
@@ -505,11 +506,9 @@ def verify_skew(
             for j in range(c.k):
                 stacks[:, :, j] = diff @ c.C[j].T
             stacks[:, :, c.k] = diff
-            report = rp.sampled_report
         else:
             stacks = np.concatenate([c.B(xs) - c.B(ys), diff[:, :, None]], axis=2)
-            report = rp.screened_report
-        return report(
+        return rp.sampled_report(
             "skew",
             stacks,
             sampling,

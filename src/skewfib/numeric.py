@@ -201,53 +201,6 @@ def is_singular(sv: np.ndarray, tol: Tolerance) -> np.ndarray:
     return sv[..., -1] <= tol.threshold(sv[..., 0])
 
 
-# A stack is cut into chunks of at least this many matrices.  Measured on
-# 2 shared vCPUs (BENCH_parallel-svd.json), a split in two took 0.51-0.75
-# of the one-call time from 2,048 matrices of any shape up when the second
-# CPU was free, but 1.02-1.28 of it for 256-1,024 2x2 matrices, and up to
-# 1.11 at any size while the other CPU was busy.
-MIN_CHUNK = 2048
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, so that taskset limits the threads."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def singular_values(stack: np.ndarray) -> np.ndarray:
-    """np.linalg.svd(stack, compute_uv=False) of an (N, r, c) stack, spread
-    over the process's CPUs.
-
-    A stack of fewer than 2 * MIN_CHUNK matrices, or a process with one
-    CPU, takes one np.linalg.svd call.  A larger stack is cut into
-    contiguous chunks, one per CPU and none below MIN_CHUNK matrices: the
-    calling thread decomposes the first, and threads that live only for
-    this call decompose the others.  LAPACK decomposes every matrix on
-    its own with the same call, so the result equals the one-call result
-    bit for bit, and a chunk that fails raises the same LinAlgError.
-    """
-    chunks = len(stack) // MIN_CHUNK
-    if chunks > 1:
-        chunks = min(chunks, _cpus())
-    if chunks < 2:
-        return np.linalg.svd(stack, compute_uv=False)
-    # imported here: the import takes about 10 ms of every CLI start, and
-    # only a stack this large needs it
-    from concurrent.futures import ThreadPoolExecutor
-
-    first, *rest = np.array_split(stack, chunks)
-    # leaving the block waits for every chunk, so no thread still reads
-    # the stack once this returns or raises
-    with ThreadPoolExecutor(len(rest), thread_name_prefix="skewfib-svd") as pool:
-        futures = [pool.submit(np.linalg.svd, part, compute_uv=False) for part in rest]
-        head = np.linalg.svd(first, compute_uv=False)
-    return np.concatenate([head, *(future.result() for future in futures)])
-
-
 def real_eigenvalue_mask(eig: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Which eigenvalues count as real: |Im| <= rel * (1 + |lambda|)."""
     return np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
@@ -301,9 +254,10 @@ def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = Non
     when the stack has another shape or more than SCREEN_ROWS rows, when
     an entry or an estimate is not finite or below SCREEN_FLOOR, when a
     scale is not positive, or when some sample may be singular (its lower
-    bound <= tol.threshold of its upper sigma_max): every fail then comes
-    from the full stack.  Otherwise a candidate is a sample whose lower
-    margin bound is <= the least upper margin bound, less the later
+    bound <= tol.threshold of its upper sigma_max, both divided by its
+    scale when given, as report.sampled_report tests it): every fail then
+    comes from the full stack.  Otherwise a candidate is a sample whose
+    lower margin bound is <= the least upper margin bound, less the later
     copies of a candidate (_candidates).  Every other sample's LAPACK
     margin lies strictly above that of the sample attaining the least
     upper bound, and division by a positive scale rounds monotonically,
@@ -324,14 +278,14 @@ def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = Non
         p = c2 - (c / uu) * c1
         smin = np.sqrt(uu) * np.sqrt((p * p).sum(0)) / smax
         slack = SCREEN_SLACK * smax
-        lo, hi = smin - slack, smin + slack
-        # NaN fails every comparison, so a non-finite estimate falls back too
-        if not (np.all(smax >= SCREEN_FLOOR) and np.all(lo > tol.threshold(smax + slack))):
-            return None
+        lo, hi, top = smin - slack, smin + slack, smax + slack
         if scale is not None:
             if not np.all(scale > 0.0):
                 return None
-            lo, hi = lo / scale, hi / scale
+            lo, hi, top = lo / scale, hi / scale, top / scale
+        # NaN fails every comparison, so a non-finite estimate falls back too
+        if not (np.all(smax >= SCREEN_FLOOR) and np.all(lo > tol.threshold(top))):
+            return None
         least = hi.min()
         if not (np.all(np.isfinite(lo)) and np.isfinite(least)):
             return None

@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .numeric import Tolerance, is_singular, singular_values, svd_screen
+from .numeric import Tolerance, is_singular, svd_screen
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,54 +83,37 @@ def sampled_report(
 ) -> VerificationReport:
     """Verdict of a sampled search over an (N, r, c) stack of matrices.
 
-    The singular values come from numeric.singular_values, which spreads
-    a large stack over the process's CPUs with the same values, bit for
-    bit, as one np.linalg.svd call.  A sample's margin is its sigma_min,
-    divided by its scale when one is given.  The report margin is the
-    least margin, and details(i) gets the first index i attaining it.
-    Any singular sample makes the verdict "fail", with witness(i,
-    sigma_min) for up to three singular samples of least margin;
-    otherwise the run is evidence-only, unless details records an exact
-    test.  Stacks drawn at the sampled points of a smooth chart go through
-    screened_report, which sends only the samples that can decide the
-    report here.
-    """
-    sv = singular_values(stack)
-    smin = sv[:, -1]
-    singular = is_singular(sv, tol)
-    margins = smin if scale is None else smin / scale
-    worst = int(np.argmin(margins))
-    order = np.argsort(np.where(singular, margins, np.inf))[:3]
-    witnesses = tuple(witness(int(i), float(smin[i])) for i in order if singular[i])
-    return VerificationReport(check, float(margins[worst]), witnesses, sampling, details(worst))
+    A sample's margin is its sigma_min, divided by its scale when one is
+    given, and it is singular when its singular values, divided the same
+    way, pass numeric.is_singular.  The report margin is the least margin,
+    and details(i) gets the first index i attaining it.  Any singular
+    sample makes the verdict "fail", with witness(i, sigma_min) for up to
+    three singular samples of least margin; otherwise the run is
+    evidence-only, unless details records an exact test.
 
-
-def screened_report(
-    check: str,
-    stack: np.ndarray,
-    sampling: dict,
-    witness: Callable[[int, float], dict],
-    details: Callable[[int], dict],
-    tol: Tolerance,
-    scale: np.ndarray | None = None,
-) -> VerificationReport:
-    """sampled_report, with only the samples that can decide it sent to LAPACK.
-
-    For a two-column stack, numeric.svd_screen bounds every sample's
+    The singular values come from one np.linalg.svd call.  For a
+    two-column stack, numeric.svd_screen first bounds every sample's
     sigma_max and sigma_min in closed form, widened by the rounding slack
     argued at numeric.SCREEN_SLACK, and keeps the candidates: the samples
     that can hold the least margin.  Every other sample's LAPACK margin is
-    strictly larger, so sampled_report on the candidates alone gives the
-    margin and details(i) of the same first least sample, and the report
-    equals the full stack's bit for bit.  Otherwise candidates_first sends
-    the whole stack.
+    strictly larger, so the call on the candidates alone gives the margin
+    and details(i) of the same first least sample, and the report equals
+    the full stack's bit for bit.  Otherwise candidates_first sends the
+    whole stack.
     """
     def decide(rows):
         idx = np.arange(len(stack))[rows]
-        return sampled_report(
-            check, stack[rows], sampling,
-            lambda i, smin: witness(int(idx[i]), smin), lambda i: details(int(idx[i])), tol,
-            None if scale is None else scale[rows],
+        sv = np.linalg.svd(stack[rows], compute_uv=False)
+        smin = sv[:, -1]
+        if scale is not None:
+            sv = sv / scale[rows][:, None]
+        margins = sv[:, -1]
+        singular = is_singular(sv, tol)
+        worst = int(np.argmin(margins))
+        order = np.argsort(np.where(singular, margins, np.inf))[:3]
+        witnesses = tuple(witness(int(idx[i]), float(smin[i])) for i in order if singular[i])
+        return VerificationReport(
+            check, float(margins[worst]), witnesses, sampling, details(int(idx[worst]))
         )
 
     return candidates_first(svd_screen(stack, tol, scale), decide)

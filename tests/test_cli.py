@@ -796,7 +796,7 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout) == {"q": 8, "rho": 8}
 
 
-# Every verb kind at a size below numeric.singular_values' split.
+# Every verb kind, each at a small size.
 _VERB_KINDS = [
     ["dims", "rho", "8"],
     ["dims", "admissible", "1", "3"],
@@ -832,10 +832,9 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_verbs_import_no_heavy_modules(tmp_path):
-    """No verb kind loads numpy.ma or scipy, and none loads
-    concurrent.futures for a stack below the SVD split: each would add its
-    import to the command's start-up.  All run in one fresh interpreter, so
-    a module is named at the first verb that loads it."""
+    """No verb kind loads numpy.ma, scipy or concurrent.futures: each would
+    add its import to the command's start-up.  All run in one fresh
+    interpreter, so a module is named at the first verb that loads it."""
     (tmp_path / "quad.json").write_text(json.dumps(chart_to_dict(builtin_chart("quad_germ"))))
     _write_matrix_file(tmp_path, np.kron(np.eye(2), J2), "J4.json")
     src = str(Path(skewfib.__file__).resolve().parents[1])

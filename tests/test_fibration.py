@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from skewfib import fibration
-from skewfib import report as rp
 from skewfib.bilinear import (
     GRAM_MAX,
     BilinearMap,
@@ -432,7 +431,6 @@ def test_skew_kernel_margin_matches_direct_svd():
     assert rep.verdict == "evidence-only"
 
 
-@pytest.mark.parametrize("cpus_seen", [2, 3])
 @pytest.mark.parametrize(
     "chart, verdict",
     [
@@ -442,16 +440,27 @@ def test_skew_kernel_margin_matches_direct_svd():
     ],
     ids=["hopf15", "zero-k3"],
 )
-def test_large_skew_report_equals_one_svd_call(cpus, monkeypatch, chart, verdict, cpus_seen):
-    """10k pairs take the threaded SVD; the report equals the one computed
-    with a single np.linalg.svd call on the whole stack."""
-    cpus(cpus_seen)
-    threaded = verify_skew(chart, radius=100.0, samples=10_000, stream=SampleStream(seed=5))
-    monkeypatch.setattr(rp, "singular_values", lambda stack: np.linalg.svd(stack, compute_uv=False))
-    serial = verify_skew(chart, radius=100.0, samples=10_000, stream=SampleStream(seed=5))
-    assert threaded.to_dict() == serial.to_dict()
-    assert threaded.margin == serial.margin and threaded.verdict == verdict
-    assert len(threaded.witnesses) == (3 if verdict == "fail" else 0)
+def test_large_skew_report_equals_one_svd_call(monkeypatch, chart, verdict):
+    """10k pairs go to LAPACK in one np.linalg.svd call, and the report
+    margin is the least sigma_min / |x - y| of the whole pair stack."""
+    svd, sizes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rep = verify_skew(chart, radius=100.0, samples=10_000, stream=SampleStream(seed=5))
+    monkeypatch.undo()
+    assert [n for n in sizes if n > 100] == [10_000]
+    xs, ys = SampleStream(seed=5).pairs_in_ball(10_000, chart.q, 100.0)
+    diff = xs - ys
+    stack = np.stack([diff @ m.T for m in chart.C] + [diff], axis=2)
+    smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    assert rep.margin == np.min(smin / np.linalg.norm(diff, axis=1))
+    assert rep.verdict == verdict
+    assert len(rep.witnesses) == (3 if verdict == "fail" else 0)
+    assert all(w["sigma_min"] in smin for w in rep.witnesses)
 
 
 def test_skew_margin_of_unit_rotation_is_one():
@@ -482,6 +491,17 @@ def test_skew_fail_witnesses_are_singular():
         d = np.asarray(w["x"]) - np.asarray(w["y"])
         sv = np.linalg.svd(np.column_stack([c.C[0] @ d, d]), compute_uv=False)
         assert sv[-1] <= tol.rel * sv[0] + tol.abs
+
+
+def test_skew_verdict_does_not_depend_on_radius():
+    """A pair is singular by its singular values divided by |x - y|, so a
+    skew linear chart that the Gram test leaves open gets one verdict and
+    one margin at every radius, also at 5e-12, where the pairs' own
+    sigma_min is near the absolute tolerance."""
+    reps = [verify_skew(_STRETCHED, radius=r) for r in (5e-12, 1.0, 1e6)]
+    assert [r.verdict for r in reps] == ["evidence-only"] * 3
+    assert len({r.margin for r in reps}) == 1
+    assert reps[0].margin == pytest.approx(0.25, rel=1e-5)
 
 
 def test_skew_rejects_all_pairs_coincident():

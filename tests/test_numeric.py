@@ -1,11 +1,7 @@
 """Tests for the shared numeric kernel: tolerances, sampling, linear algebra helpers,
 and the overflow guard that every library entry point runs under."""
 
-import concurrent.futures
 import math
-import multiprocessing
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -24,7 +20,6 @@ from skewfib.fibration import (
 )
 from skewfib.grassmann import AffinePlane, OrientedPlane, skew_pair
 from skewfib.numeric import (
-    MIN_CHUNK,
     SampleStream,
     Tolerance,
     eigenvalues,
@@ -33,7 +28,6 @@ from skewfib.numeric import (
     orthonormalize,
     overflow_is_invalid,
     row_norms,
-    singular_values,
     spherical_distance,
 )
 
@@ -281,124 +275,6 @@ def test_spherical_distance():
     assert spherical_distance(e1, e2) == pytest.approx(np.pi / 2.0, abs=1e-12)
     assert spherical_distance(e1, -e1) == pytest.approx(np.pi, abs=1e-12)
     assert spherical_distance(e1, e1) <= 1e-12
-
-
-def _svd(stack):
-    return np.linalg.svd(stack, compute_uv=False)
-
-
-def _count_executors(monkeypatch) -> list:
-    """A list that gains one entry per thread pool singular_values builds."""
-    built = []
-
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    return built
-
-
-@pytest.mark.parametrize("shape", [(2, 2), (8, 8), (16, 9)])
-@pytest.mark.parametrize(
-    "count, cpus_seen, threaded",
-    [
-        (2 * MIN_CHUNK - 1, 2, False),  # just below the split
-        (2 * MIN_CHUNK, 2, True),  # at the split: two chunks of MIN_CHUNK
-        (2 * MIN_CHUNK + 1, 2, True),  # odd length, uneven chunks
-        (3 * MIN_CHUNK + 1, 3, True),  # three chunks, length not a multiple of 3
-        (3 * MIN_CHUNK + 1, 1, False),  # one CPU: one call, no pool
-    ],
-)
-def test_singular_values_equal_one_svd_call(cpus, monkeypatch, shape, count, cpus_seen, threaded):
-    cpus(cpus_seen)
-    pools = _count_executors(monkeypatch)
-    stack = np.random.default_rng(RNG_SEED).standard_normal((count, *shape))
-    assert np.array_equal(singular_values(stack), _svd(stack))
-    assert bool(pools) == threaded
-
-
-@pytest.mark.parametrize("bad", [17, 3 * MIN_CHUNK + 17], ids=["calling-thread", "pool-thread"])
-def test_singular_values_raise_the_serial_error(cpus, bad):
-    """A NaN matrix deep in either chunk fails that chunk's svd call with
-    the message of the one-call svd, also under the CLI's overflow setting."""
-    cpus(2)
-    stack = np.random.default_rng(RNG_SEED).standard_normal((4 * MIN_CHUNK, 4, 4))
-    stack[bad, 2, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError) as serial:
-        _svd(stack)
-    with np.errstate(over="raise"), pytest.raises(np.linalg.LinAlgError) as threaded:
-        singular_values(stack)
-    assert str(threaded.value) == str(serial.value) == "SVD did not converge"
-
-
-@pytest.mark.parametrize("bad", [None, 3 * MIN_CHUNK + 17], ids=["returns", "raises"])
-def test_singular_values_leave_no_thread_behind(cpus, bad):
-    """Once a split call returns, or raises on a NaN matrix in the chunk a
-    pool thread decomposes, none of its threads is alive."""
-    cpus(2)
-    stack = np.random.default_rng(RNG_SEED).standard_normal((4 * MIN_CHUNK, 3, 3))
-    if bad is None:
-        singular_values(stack)
-    else:
-        stack[bad, 2, 1] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            singular_values(stack)
-    assert not [t for t in threading.enumerate() if t.name.startswith("skewfib-svd")]
-
-
-def test_singular_values_under_concurrent_calls(cpus, monkeypatch):
-    """Eight threads take the threaded path at once on two pretended CPUs;
-    each builds a pool of its own and gets the one-call result."""
-    cpus(2)
-    built = _count_executors(monkeypatch)
-    stacks = [np.random.default_rng(seed).standard_normal((2 * MIN_CHUNK, 3, 3)) for seed in range(8)]
-    results = [None] * len(stacks)
-
-    def work(i):
-        results[i] = singular_values(stacks[i])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(stacks))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(built) == len(stacks)
-    for stack, result in zip(stacks, results):
-        assert np.array_equal(result, _svd(stack))
-
-
-def _child_singular_values(stack, expected, done):
-    done.put(bool(np.array_equal(singular_values(stack), expected)))
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
-def test_singular_values_after_fork(cpus):
-    """A child forked after a threaded call splits its own large stack
-    with threads of its own."""
-    cpus(2)
-    stack = np.random.default_rng(RNG_SEED).standard_normal((2 * MIN_CHUNK, 3, 3))
-    expected = singular_values(stack)
-    ctx = multiprocessing.get_context("fork")
-    done = ctx.Queue()
-    child = ctx.Process(target=_child_singular_values, args=(stack, expected, done))
-    child.start()
-    try:
-        assert done.get(timeout=60) is True
-    finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
 
 
 def test_overflow_guard_keeps_message_and_caller_state():

@@ -1,4 +1,4 @@
-"""The closed-form screens of smooth-chart sampled verdicts.
+"""The closed-form screens of sampled verdicts.
 
 numeric.svd_screen and numeric.eig_screen send only the samples that can
 hold a report's least margin to LAPACK.  Every report here is compared,
@@ -41,7 +41,7 @@ def unscreened(monkeypatch):
 
 
 def _stack_report(stack, scale=None, tol=TOL):
-    return rp.screened_report(
+    return rp.sampled_report(
         "skew", stack, {"count": len(stack)},
         lambda i, smin: {"i": i, "sigma_min": smin}, lambda i: {"worst": i}, tol, scale,
     )
@@ -261,3 +261,37 @@ def test_huge_germ_under_raising_errstate(unscreened):
             screened = check(c, stream=SampleStream(7))
             full = unscreened(check, c, stream=SampleStream(7))
             assert screened.to_dict() == full.to_dict()
+
+
+LINEAR_CHARTS = {
+    "gluck-yang-m2": lambda: builtin_chart("gluck_yang", m=2),
+    "gluck-yang-m3": lambda: builtin_chart("gluck_yang", m=3),
+    "skew-not-clifford": lambda: Chart(1, 2, "linear", C=(np.array([[0.0, -4.0], [0.25, 0.0]]),)),
+    "real-eigenvalues": lambda: Chart(1, 2, "linear", C=(np.array([[1.0, 2.0], [0.0, 3.0]]),)),
+    "zero-k1": lambda: Chart(1, 2, "linear", C=(np.zeros((2, 2)),)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", list(LINEAR_CHARTS))
+def test_linear_skew_reports_equal_unscreened(unscreened, name, seed):
+    """Line charts the Gram test leaves open sample two-column pair stacks,
+    which the screen prunes: the report is the whole stack's."""
+    c = LINEAR_CHARTS[name]()
+    screened = verify_skew(c, stream=SampleStream(seed))
+    full = unscreened(verify_skew, c, stream=SampleStream(seed))
+    assert screened.to_dict() == full.to_dict()
+
+
+def test_linear_skew_sends_few_pairs(monkeypatch):
+    """Glueck-Yang m = 2 sends fewer than its 1,024 pairs to LAPACK."""
+    svd, sizes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rep = verify_skew(builtin_chart("gluck_yang", m=2))
+    assert rep.details["pairs_tested"] == 1024 and rep.verdict == "evidence-only"
+    assert sizes and max(sizes) < 1024

@@ -14,14 +14,17 @@ both sample modes, and the input-error paths of the sampled verbs:
   Glück–Yang, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
   quaternion and octonion maps;
 - chart files written here: zero charts (k = 1 and k = 3), a real
-  eigenvalue, an ill-conditioned k = 2 chart, two affine charts, an
-  overflowing chart, `quad_germ` with two eps, smooth extensions of a
-  linear k = 3 chart and of the zero k = 3 chart, an extension of a
-  steep `quad_germ` on which `germ extend` fails, an extension whose blend
-  radius exceeds its base's domain, and the extensions that `germ extend`
-  writes;
-- stacks large enough for the threaded SVD: 10,000-pair `verify skew`
-  runs and a 4,096-sample `verify nondeg`;
+  eigenvalue, C = [[0, -4], [0.25, 0]], C = 2I, an ill-conditioned k = 2
+  chart, two affine charts, an overflowing chart, `quad_germ` with two
+  eps, smooth extensions of a linear k = 3 chart and of the zero k = 3
+  chart, an extension of a steep `quad_germ` on which `germ extend`
+  fails, an extension whose blend radius exceeds its base's domain, and
+  the extensions that `germ extend` writes;
+- large stacks: 10,000-pair `verify skew` runs and a 4,096-sample
+  `verify nondeg`;
+- `verify skew` at radius 5e-12 on a skew line chart that the Gram test
+  leaves open, C = [[0, -4], [0.25, 0]], and on C = 2I, whose fibers
+  are all parallel;
 - the closed-form screens of smooth line charts: `verify skew`,
   `verify nondeg` and `sphere complete-check` at the default 1,024
   samples on two `quad_germ` extensions and on `quad_germ` with
@@ -73,6 +76,8 @@ FILES = {
     "zero-k1.json": _linear(1, 2, [[[0.0, 0.0], [0.0, 0.0]]]),
     "zero-k3.json": _linear(3, 4, [_ZERO4, _ZERO4, _ZERO4]),
     "real-eig.json": _linear(1, 2, [[[1.0, 2.0], [0.0, 3.0]]]),
+    "stretched.json": _linear(1, 2, [[[0.0, -4.0], [0.25, 0.0]]]),
+    "two-i.json": _linear(1, 2, [[[2.0, 0.0], [0.0, 2.0]]]),
     "ill-k2.json": _linear(2, 4, [_LI, [[v * 1e-7 for v in _LJ[0]]] + _LJ[1:]]),
     "affine-k1.json": _linear(1, 2, [_J2], [[0.25], [-0.5]]),
     "affine-k3.json": _linear(
@@ -191,10 +196,15 @@ def corpus() -> list[dict]:
         add("germ", "extend", "--chart", "ext-steep.json", "--radius", 1, "--samples", 500,
             "--seed", seed, "--out", "steep-out.json")
 
-    # stacks large enough for the threaded SVD
+    # large stacks
     for chart in ("hopf15.json", "hr-16-9.json", "zero-k3.json"):
         add("verify", "skew", "--chart", chart, "--samples", 10000, "--radius", 100)
     add("verify", "nondeg", "--chart", "hr-16-9.json", "--samples", 4096)
+
+    # pairs whose sigma_min is near the absolute tolerance: a skew chart
+    # and one whose fibers are all parallel
+    for chart in ("stretched.json", "two-i.json"):
+        add("verify", "skew", "--chart", chart, "--radius", 5e-12)
 
     # smooth line charts at the default 1,024 samples, where the closed-form
     # screens send only the deciding matrices to LAPACK
