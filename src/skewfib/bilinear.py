@@ -10,6 +10,7 @@ the tensor-product recursion behind the Hurwitz-Radon bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -153,7 +154,7 @@ def gram_matrix(mats: np.ndarray) -> np.ndarray:
     with its transpose gives A^T A back, which has the same quadratic form
     on t (x) x but is singular for m >= 2."""
     m, q = mats.shape[:2]
-    a = np.concatenate(mats, axis=1)
+    a = mats.transpose(1, 0, 2).reshape(q, m * q)
     g = (a.T @ a).reshape(m, q, m, q)
     return ((g + g.transpose(0, 3, 2, 1)) / 2).reshape(m * q, m * q)
 
@@ -165,35 +166,79 @@ def gram_enclosure(
     M(t) = sum_j t_j M_j of the (m, q, q) stack mats, and the unit t of hi.
 
     |M(t) x|^2 lies between lambda_min(S) and lambda_max(S) times
-    |t|^2 |x|^2 for S = gram_matrix(mats).  Rounding model: each entry of S
-    is a length-q dot product and one halved sum, within gamma_(q+1) of
-    |M|^T |M| (Higham, ch. 3), so S moves by at most gamma_(q+1) |M|_F^2
-    in the 2-norm; eigvalsh is backward stable, and by Weyl its
-    eigenvalues move by at most mq eps |S|_2 more.  delta is the sum of
-    the two, and lo = sqrt(max(lambda_min - delta, 0)), or 0 when that
-    does not clear tol's singularity threshold at sqrt(lambda_max + delta),
-    the bound on every sigma_max(M(t)).  Both are computed on mats scaled
-    by a power of two, which is exact, so that S cannot overflow; a
-    product that underflows then errs by under q 2^-1074, far below
-    delta.  hi is the least sigma_min(M(t)) over the unit axes and t*, the
-    best rank-one factor of the bottom eigenvector of S.  For
-    Hurwitz-Radon families S = I, and lo and hi are 1 to rounding.
+    |t|^2 |x|^2 for S = gram_matrix(mats).  S is split as G (x) I_q + E,
+    G_ij = tr(S_ij)/q over its q x q blocks, and by Weyl every eigenvalue
+    of S lies within |E|_2 <= |E|_F of one of G.  Rounding model:
+    - each entry of S is a length-q dot product and one halved sum, within
+      gamma_(q+1) of |M|^T |M| (Higham, ch. 3), so S moves by at most
+      delta_form = gamma_(q+1) |M|_F^2 in the 2-norm;
+    - rho is |E|_F for E = S - G (x) I_q with the rounded G, computed and
+      then multiplied by 1 + (mq)^2 eps, which covers the rounding of the
+      subtractions, the sum of squares and the square root;
+    - eigh is backward stable, so by Weyl the computed eigenvalues of the
+      n x n matrix it gets move by at most n eps times its 2-norm;
+    - mats is scaled by a power of two first, which is exact, so that S
+      cannot overflow; a product that underflows then errs by under
+      q 2^-1074, far below delta_form.
+    With delta the sum of the three, lo = sqrt(max(lambda_min(G) - delta,
+    0)), or 0 when that does not clear tol's singularity threshold at
+    sqrt(lambda_max(G) + delta), the bound on every sigma_max(M(t)).  hi
+    is the least sigma_min(M(t)) over the unit axes and t*, G's bottom
+    eigenvector.  Hopf, Hurwitz-Radon and division-algebra pencils have
+    E = 0 up to rounding, and [lo, hi] closes from one m x m eigh.
+
+    Otherwise (closes is false) the same bounds come from S itself: no
+    rho, its own (mq) x (mq) eigh, and t* the best rank-one factor of its
+    bottom eigenvector.  G's eigh is skipped where rho alone rules
+    closure out: E's blocks are traceless, so sigma_min(M(t))^2 >=
+    t^T G t - sqrt(1 - 1/q) rho for every unit t, and [lo, hi] can close
+    only when rho < 4q MARGIN_SLACK G_11.  For the same reason |E|_F^2 =
+    |S|_F^2 - q |G|_F^2, which, less its own rounding, rules closure out
+    before E is formed.
     """
     tol = tol or Tolerance.default()
     m, q = mats.shape[:2]
-    e = int(np.frexp(np.abs(mats).max())[1])
+    e = math.frexp(np.abs(mats).max())[1]
     scaled = np.ldexp(mats, -e)
-    ev, vec = np.linalg.eigh(gram_matrix(scaled))
+    s = gram_matrix(scaled)
     u = (q + 1) * 2.0**-53
-    delta = u / (1 - u) * float((scaled * scaled).sum())
-    delta += m * q * 2.0**-52 * float(np.abs(ev).max())
-    lo = np.ldexp(np.sqrt(max(ev[0] - delta, 0.0)), e)
-    if not lo > tol.threshold(np.ldexp(np.sqrt(ev[-1] + delta), e)):
-        lo = 0.0
-    ts = np.vstack([np.eye(m), np.linalg.svd(vec[:, 0].reshape(m, q))[0][:, 0]])
-    smin = np.linalg.svd(np.einsum("sj,jab->sab", ts, scaled), compute_uv=False)[:, -1]
-    i = int(np.argmin(smin))
-    return float(lo), float(np.ldexp(smin[i], e)), ts[i]
+    form = u / (1 - u) * float((scaled * scaled).sum())
+
+    def bounds(ev, n, rho, t, axes):
+        """(lo, hi, the t of hi, the axes' sigma_min) from the ascending
+        eigenvalues ev of the n x n matrix G or S and its t*; axes, when
+        given, are not computed again."""
+        delta = form + n * 2.0**-52 * max(-ev[0], ev[-1]) + rho
+        lo = np.ldexp(math.sqrt(max(ev[0] - delta, 0.0)), e)
+        if not lo > tol.threshold(np.ldexp(math.sqrt(ev[-1] + delta), e)):
+            lo = 0.0
+        ts = np.concatenate([np.eye(m), t[None]])
+        combos = np.einsum("sj,jab->sab", ts if axes is None else ts[m:], scaled)
+        smin = np.linalg.svd(combos, compute_uv=False)[:, -1]
+        smin = smin if axes is None else np.append(axes, smin)
+        i = int(np.argmin(smin))
+        return float(lo), float(np.ldexp(smin[i], e)), ts[i], smin[:m]
+
+    blocks = s.reshape(m, q, m, q)
+    g = blocks.trace(axis1=1, axis2=3) / q
+    cap = 4 * q * MARGIN_SLACK * g[0, 0]
+    norm2, rho, axes = np.vdot(s, s), math.inf, None
+    if norm2 * (1 - (m * q) ** 2 * 2.0**-52) - q * np.vdot(g, g) < cap * cap:
+        rest = blocks - g[:, None, :, None] * np.eye(q)[:, None]
+        rho = math.sqrt(np.vdot(rest, rest)) * (1 + (m * q) ** 2 * 2.0**-52)
+    if rho < cap:
+        ev, vec = np.linalg.eigh(g)
+        lo, hi, t, axes = bounds(ev, m, rho, vec[:, 0], None)
+        if closes(lo, hi):
+            return lo, hi, t
+    ev, vec = np.linalg.eigh(s)
+    return bounds(ev, m * q, 0.0, np.linalg.svd(vec[:, 0].reshape(m, q))[0][:, 0], axes)[:3]
+
+
+def closes(lo: float, hi: float) -> bool:
+    """Whether [lo, hi] proves the pencil nonsingular and closes its margin
+    within MARGIN_SLACK."""
+    return lo > 0.0 and hi - lo <= MARGIN_SLACK * hi
 
 
 def gram_first(
@@ -221,7 +266,7 @@ def gram_first(
         return sample()
     lo, hi, t = gram_enclosure(mats, tol)
     cert = {"exact": True, "certified_lower_bound": lo}
-    if lo > 0.0 and hi - lo <= MARGIN_SLACK * hi:
+    if closes(lo, hi):
         cert["margin_exact"] = True
         return rp.VerificationReport(check, hi, (), sampling, {**details(t), **cert})
     rep = sample()

@@ -477,6 +477,8 @@ def verify_skew(
     has trivial kernel; margin is the minimum over sampled pairs of
     sigma_min of that matrix divided by |x - y|, and a pair is singular
     when its singular values, divided by |x - y|, pass numeric.is_singular.
+    Pairs with |x - y| <= 1e-12 radius count as coincident and are
+    dropped, so the pairs tested do not depend on the chart's scale.
     When k = 1, report.sampled_report sends only the pairs that can hold
     the least margin to LAPACK.
 
@@ -496,7 +498,7 @@ def verify_skew(
         xs, ys = stream.pairs_in_ball(samples, c.q, radius)
         diff = xs - ys
         norms = np.linalg.norm(diff, axis=1)
-        keep = norms > 1e-12 * max(radius, 1.0)
+        keep = norms > 1e-12 * radius
         xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
         if xs.shape[0] == 0:
             raise InvalidInput("all sampled pairs were coincident; increase samples or radius")

@@ -90,15 +90,18 @@ class SampleStream:
             raise InvalidInput(f"unknown sample mode {mode!r}; expected one of {self.MODES}")
         self.seed = int(seed)
         self.mode = mode
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        if mode == "low-discrepancy":
-            # Per-seed phase plus square-root-of-prime increments.
-            self._phase = self._gen.random(64)
-            self._alpha = np.sqrt(np.array(_primes(64), dtype=float)) % 1.0
-            self._index = 0
+        # built on the first draw: most exact verdicts never draw
+        self._gen = None
 
     # Each chunk draws `dims` standard normals plus one uniform per point.
     def _chunk(self, dims: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64(self.seed))
+            if self.mode == "low-discrepancy":
+                # Per-seed phase plus square-root-of-prime increments.
+                self._phase = self._gen.random(64)
+                self._alpha = np.sqrt(np.array(_primes(64), dtype=float)) % 1.0
+                self._index = 0
         if self.mode == "pseudo-random":
             g = self._gen.standard_normal((_CHUNK, dims))
             u = self._gen.random(_CHUNK)

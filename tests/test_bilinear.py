@@ -13,6 +13,7 @@ from skewfib.bilinear import (
     hurwitz_radon_family,
     verify_nonsingular,
 )
+from skewfib.contact import gluck_yang_matrix
 from skewfib.errors import InvalidInput
 from skewfib.numeric import SampleStream
 
@@ -300,3 +301,54 @@ def test_gram_enclosure_scales_large_pencils():
     lo, hi, _ = gram_enclosure(mats)
     big = gram_enclosure(mats * 2.0**1000)
     assert big[0] == lo * 2.0**1000 and big[1] == hi * 2.0**1000
+
+
+def test_gram_split_keeps_indefinite_s_open():
+    """(diag(1, 0), diag(0, 1), J2) has G = diag(1/2, 1/2, 1), positive
+    definite, but S is indefinite and M(e_1) is singular: rho keeps lo at 0
+    and the unit axis is the witness."""
+    mats = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), J2])
+    s = gram_matrix(mats)
+    g = np.trace(s.reshape(3, 2, 3, 2), axis1=1, axis2=3) / 2
+    assert np.array_equal(g, np.diag([0.5, 0.5, 1.0]))
+    assert np.linalg.eigvalsh(s)[0] < -0.2
+    lo, hi, t = gram_enclosure(mats)
+    assert lo == 0.0 and hi == 0.0 and t.tolist() == [1.0, 0.0, 0.0]
+    rep = verify_nonsingular(BilinearMap(2, 3, tuple(mats)), samples=64)
+    assert rep.verdict == "fail"
+    assert rep.witnesses == ({"t": [1.0, 0.0, 0.0], "sigma_min": 0.0},)
+
+
+def test_gram_split_counts_rho_near_kronecker_pencils():
+    """(diag(1, 1 - eps), J2) with eps = 1e-9 has S = G (x) I + E with
+    |E|_F about 1.7 eps: small enough for the m x m path to close, and the
+    attained sigma_min(M(e_1)) = 1 - eps lies below lambda_min(G)^(1/2),
+    so lo stays under it only because rho is in the slack."""
+    eps = 1e-9
+    mats = np.stack([np.diag([1.0, 1.0 - eps]), J2])
+    lo, hi, t = gram_enclosure(mats)
+    assert hi == 1.0 - eps and t.tolist() == [1.0, 0.0]
+    assert 0.0 < lo <= hi and hi - lo <= 2.0**-30 * hi
+
+
+def _eigh_sizes(monkeypatch, mats) -> list[int]:
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    gram_enclosure(mats)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_gram_split_decides_the_eigh_size(monkeypatch):
+    """HR(16, 9), S = G (x) I_16, is certified by one 9 x 9 eigh; the
+    Glueck-Yang m = 3 skew pencil (C, I), far from that form, keeps its
+    one 12 x 12 eigh of S."""
+    assert _eigh_sizes(monkeypatch, np.stack(hurwitz_radon_family(16, 9).mats)) == [9]
+    c = gluck_yang_matrix(3)
+    assert _eigh_sizes(monkeypatch, np.stack([c, np.eye(6)])) == [12]

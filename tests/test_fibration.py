@@ -504,9 +504,19 @@ def test_skew_verdict_does_not_depend_on_radius():
     assert reps[0].margin == pytest.approx(0.25, rel=1e-5)
 
 
+def test_skew_coincident_pairs_are_relative_to_the_radius():
+    """A pair counts as coincident when |x - y| <= 1e-12 radius, so the
+    pairs tested, and the margin, are the same at every scale."""
+    reps = [verify_skew(_STRETCHED, radius=r) for r in (1e-13, 2e-12, 5e-12, 1.0, 1e6)]
+    assert all(r.details == {"pairs_tested": 1024} for r in reps)
+    assert len({r.margin for r in reps}) == 1
+    assert reps[0].margin == pytest.approx(0.25000121696655625, rel=1e-12)
+
+
 def test_skew_rejects_all_pairs_coincident():
+    """At radius 1e-320 every pair distance underflows to 0."""
     with pytest.raises(InvalidInput, match="all sampled pairs were coincident"):
-        verify_skew(_STRETCHED, radius=1e-14, samples=4)
+        verify_skew(_STRETCHED, radius=1e-320, samples=4)
 
 
 def test_skew_rejects_single_sample():

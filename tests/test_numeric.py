@@ -91,6 +91,32 @@ def test_sample_stream_prefix_stable():
         assert np.array_equal(short, long[:100])
 
 
+def test_sample_stream_builds_its_generator_on_the_first_draw(monkeypatch):
+    """A stream that only records its sampling builds no generator; one
+    that draws builds it once, and its points are the seeded PCG64
+    normals, divided by their norms, as they were when the generator was
+    built with the stream."""
+    built = []
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
+    streams = {mode: SampleStream(seed=3, mode=mode) for mode in SampleStream.MODES}
+    for stream in streams.values():
+        stream.sampling(64, 2.0)
+    assert built == []
+    drawn = streams["pseudo-random"].unit_vectors(300, 4)
+    streams["pseudo-random"].unit_vectors(5, 4)
+    assert built == [3]
+    gen, chunks = np.random.Generator(pcg64(3)), []
+    for _ in range(2):  # a chunk is 256 points: their normals, then one uniform each
+        chunks.append(gen.standard_normal((256, 4)))
+        gen.random(256)
+    g = np.vstack(chunks)[:300]
+    assert np.array_equal(drawn, g / np.linalg.norm(g, axis=1, keepdims=True))
+    later = streams["low-discrepancy"].ball_points(100, 4, 2.0)
+    fresh = SampleStream(seed=3, mode="low-discrepancy").ball_points(100, 4, 2.0)
+    assert np.array_equal(later, fresh)
+
+
 def test_sample_stream_geometry():
     stream = SampleStream(seed=RNG_SEED)
     u = stream.unit_vectors(200, 6)

@@ -32,9 +32,11 @@ both sample modes, and the input-error paths of the sampled verbs:
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
-commands are identical and each one that differs.  The exit code is 0
-when all are identical and 1 otherwise.  It is not part of the test
-suite, and a run takes about fifteen seconds on two cores.
+commands are identical and each one that differs: a JSON stdout by each
+changed dotted key (`details.certified_lower_bound`, `witnesses.0.t.1`)
+with its old and new value, any other output by a short prefix.  The
+exit code is 0 when all are identical and 1 otherwise.  It is not part
+of the test suite, and a run takes about fifteen seconds on two cores.
 """
 
 from __future__ import annotations
@@ -367,6 +369,28 @@ def _short(text) -> str:
     return text if len(text) <= 160 else text[:157] + "..."
 
 
+def _leaves(value, key: str = "") -> dict:
+    """Every leaf of a JSON value by its dotted key, list items by index."""
+    if not (isinstance(value, (dict, list)) and value):
+        return {key: value}
+    out = {}
+    for name, item in value.items() if isinstance(value, dict) else enumerate(value):
+        out.update(_leaves(item, f"{key}.{name}" if key else str(name)))
+    return out
+
+
+def _json_changes(old: str, new: str) -> list[str] | None:
+    """Each changed dotted key of two JSON documents with its old and new
+    value, or None when either is not JSON."""
+    try:
+        a, b = _leaves(json.loads(old)), _leaves(json.loads(new))
+    except ValueError:
+        return None
+    absent = "<absent>"
+    return [f"{key}: {_short(a.get(key, absent))} -> {_short(b.get(key, absent))}"
+            for key in {**a, **b} if a.get(key, absent) != b.get(key, absent)]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--worker":
         worker(argv[1], argv[2])
@@ -390,8 +414,13 @@ def main(argv: list[str]) -> int:
         env = " ".join(f"{k}={v}" for k, v in cmd.get("env", {}).items())
         print(f"\n{env + ' ' if env else ''}skewfib {' '.join(cmd['argv'])}")
         for key in ("exit", "stdout", "stderr", "files"):
-            if a[key] != b[key]:
+            if a[key] == b[key]:
+                continue
+            changes = _json_changes(a[key], b[key]) if key == "stdout" else None
+            if changes is None:
                 print(f"  {key}: {_short(a[key])}\n    -> {_short(b[key])}")
+            else:
+                print(f"  {key} (JSON):" + "".join(f"\n    {line}" for line in changes))
     return 1 if differ else 0
 
 
