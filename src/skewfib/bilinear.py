@@ -189,12 +189,8 @@ def gram_enclosure(
 
     Otherwise (closes is false) the same bounds come from S itself: no
     rho, its own (mq) x (mq) eigh, and t* the best rank-one factor of its
-    bottom eigenvector.  G's eigh is skipped where rho alone rules
-    closure out: E's blocks are traceless, so sigma_min(M(t))^2 >=
-    t^T G t - sqrt(1 - 1/q) rho for every unit t, and [lo, hi] can close
-    only when rho < 4q MARGIN_SLACK G_11.  For the same reason |E|_F^2 =
-    |S|_F^2 - q |G|_F^2, which, less its own rounding, rules closure out
-    before E is formed.
+    bottom eigenvector, where sigma_min is evaluated again; the axes keep
+    theirs.
     """
     tol = tol or Tolerance.default()
     m, q = mats.shape[:2]
@@ -204,35 +200,30 @@ def gram_enclosure(
     u = (q + 1) * 2.0**-53
     form = u / (1 - u) * float((scaled * scaled).sum())
 
-    def bounds(ev, n, rho, t, axes):
-        """(lo, hi, the t of hi, the axes' sigma_min) from the ascending
-        eigenvalues ev of the n x n matrix G or S and its t*; axes, when
-        given, are not computed again."""
+    def bounds(ev, n, rho, ts, smin):
+        """(lo, hi, the t of hi) from the ascending eigenvalues ev of the
+        n x n matrix G or S and sigma_min at the rows of ts."""
         delta = form + n * 2.0**-52 * max(-ev[0], ev[-1]) + rho
         lo = np.ldexp(math.sqrt(max(ev[0] - delta, 0.0)), e)
         if not lo > tol.threshold(np.ldexp(math.sqrt(ev[-1] + delta), e)):
             lo = 0.0
-        ts = np.concatenate([np.eye(m), t[None]])
-        combos = np.einsum("sj,jab->sab", ts if axes is None else ts[m:], scaled)
-        smin = np.linalg.svd(combos, compute_uv=False)[:, -1]
-        smin = smin if axes is None else np.append(axes, smin)
         i = int(np.argmin(smin))
-        return float(lo), float(np.ldexp(smin[i], e)), ts[i], smin[:m]
+        return float(lo), float(np.ldexp(smin[i], e)), ts[i]
 
     blocks = s.reshape(m, q, m, q)
     g = blocks.trace(axis1=1, axis2=3) / q
-    cap = 4 * q * MARGIN_SLACK * g[0, 0]
-    norm2, rho, axes = np.vdot(s, s), math.inf, None
-    if norm2 * (1 - (m * q) ** 2 * 2.0**-52) - q * np.vdot(g, g) < cap * cap:
-        rest = blocks - g[:, None, :, None] * np.eye(q)[:, None]
-        rho = math.sqrt(np.vdot(rest, rest)) * (1 + (m * q) ** 2 * 2.0**-52)
-    if rho < cap:
-        ev, vec = np.linalg.eigh(g)
-        lo, hi, t, axes = bounds(ev, m, rho, vec[:, 0], None)
-        if closes(lo, hi):
-            return lo, hi, t
+    rest = blocks - g[:, None, :, None] * np.eye(q)[:, None]
+    rho = math.sqrt(np.vdot(rest, rest)) * (1 + (m * q) ** 2 * 2.0**-52)
+    ev, vec = np.linalg.eigh(g)
+    ts = np.concatenate([np.eye(m), vec[:, :1].T])
+    smin = np.linalg.svd(np.einsum("sj,jab->sab", ts, scaled), compute_uv=False)[:, -1]
+    lo, hi, t = bounds(ev, m, rho, ts, smin)
+    if closes(lo, hi):
+        return lo, hi, t
     ev, vec = np.linalg.eigh(s)
-    return bounds(ev, m * q, 0.0, np.linalg.svd(vec[:, 0].reshape(m, q))[0][:, 0], axes)[:3]
+    ts[m] = np.linalg.svd(vec[:, 0].reshape(m, q))[0][:, 0]
+    smin[m] = np.linalg.svd(np.einsum("sj,jab->sab", ts[m:], scaled), compute_uv=False)[0, -1]
+    return bounds(ev, m * q, 0.0, ts, smin)
 
 
 def closes(lo: float, hi: float) -> bool:

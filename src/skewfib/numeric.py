@@ -60,13 +60,18 @@ class Tolerance:
         return self.rel * scale + self.abs
 
 
-def _primes(count: int) -> list[int]:
+@functools.lru_cache
+def _increments(count: int) -> np.ndarray:
+    """The fractional parts of the square roots of the first count primes,
+    computed once per count and process, never at import."""
     out, n = [], 2
     while len(out) < count:
         if all(n % p for p in out):
             out.append(n)
         n += 1
-    return out
+    alpha = np.sqrt(np.array(out, dtype=float)) % 1.0
+    alpha.setflags(write=False)
+    return alpha
 
 
 class SampleStream:
@@ -89,6 +94,8 @@ class SampleStream:
         if mode not in self.MODES:
             raise InvalidInput(f"unknown sample mode {mode!r}; expected one of {self.MODES}")
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InvalidInput(f"need a seed >= 0, got {self.seed}")
         self.mode = mode
         # built on the first draw: most exact verdicts never draw
         self._gen = None
@@ -100,7 +107,6 @@ class SampleStream:
             if self.mode == "low-discrepancy":
                 # Per-seed phase plus square-root-of-prime increments.
                 self._phase = self._gen.random(64)
-                self._alpha = np.sqrt(np.array(_primes(64), dtype=float)) % 1.0
                 self._index = 0
         if self.mode == "pseudo-random":
             g = self._gen.standard_normal((_CHUNK, dims))
@@ -109,7 +115,11 @@ class SampleStream:
         idx = np.arange(self._index + 1, self._index + _CHUNK + 1, dtype=float)
         self._index += _CHUNK
         ncols = 2 * ((dims + 1) // 2)
-        lattice = (self._phase[: ncols + 1] + np.outer(idx, self._alpha[: ncols + 1])) % 1.0
+        if ncols >= len(self._phase):
+            # the generator draws nothing else, so the phases stay one sequence
+            self._phase = np.append(self._phase, self._gen.random(ncols + 1 - len(self._phase)))
+        alpha = _increments(max(ncols + 1, 64))
+        lattice = (self._phase[: ncols + 1] + np.outer(idx, alpha[: ncols + 1])) % 1.0
         u1 = np.clip(lattice[:, 0:ncols:2], 1e-16, 1 - 1e-16)
         u2 = lattice[:, 1:ncols:2]
         radial = np.sqrt(-2.0 * np.log(u1))

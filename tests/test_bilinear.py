@@ -347,8 +347,9 @@ def _eigh_sizes(monkeypatch, mats) -> list[int]:
 
 def test_gram_split_decides_the_eigh_size(monkeypatch):
     """HR(16, 9), S = G (x) I_16, is certified by one 9 x 9 eigh; the
-    Glueck-Yang m = 3 skew pencil (C, I), far from that form, keeps its
-    one 12 x 12 eigh of S."""
+    Glueck-Yang m = 3 skew pencil (C, I), far from that form, tries the
+    2 x 2 eigh of G and, since its bounds do not close, the 12 x 12 eigh
+    of S."""
     assert _eigh_sizes(monkeypatch, np.stack(hurwitz_radon_family(16, 9).mats)) == [9]
     c = gluck_yang_matrix(3)
-    assert _eigh_sizes(monkeypatch, np.stack([c, np.eye(6)])) == [12]
+    assert _eigh_sizes(monkeypatch, np.stack([c, np.eye(6)])) == [2, 12]

@@ -492,6 +492,31 @@ def test_byte_reproducibility(capsys, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("chart", ["hopf7", "gluck_yang"])
+def test_negative_seed_is_one_line_error(capsys, tmp_path, chart):
+    """--seed -1 is an input error on a chart the Gram test certifies
+    (hopf7, which draws no sample) and on a sampled one alike: exit 2,
+    one stderr line and nothing on stdout."""
+    path = _write_chart_file(tmp_path, chart, **({"m": 2} if chart == "gluck_yang" else {}))
+    code = main(["verify", "skew", "--chart", path, "--seed", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "skewfib: error: need a seed >= 0, got -1\n"
+
+
+def test_low_discrepancy_skew_on_a_64_dimensional_zero_chart(capsys, tmp_path):
+    """The zero chart on R^65 draws 64-dimensional low-discrepancy pairs:
+    its fibers are all parallel, so the verdict is fail with a witness."""
+    path = tmp_path / "zero-q64.json"
+    path.write_text(json.dumps({"schema": "skewfib-chart-v1", "kind": "linear", "k": 1, "q": 64,
+                                "C": [np.zeros((64, 64)).tolist()]}))
+    code, data = _run_json(capsys, ["verify", "skew", "--chart", str(path), "--samples", "64",
+                                    "--mode", "low-discrepancy"])
+    assert code == 1 and data["verdict"] == "fail" and data["witnesses"]
+    assert data["sampling"]["mode"] == "low-discrepancy"
+
+
 def test_seed_changes_report(capsys, tmp_path):
     path = _write_chart_file(tmp_path, "hopf7")
     _, out1 = _run(capsys, ["verify", "skew", "--chart", path, "--samples", "64", "--seed", "1"])

@@ -117,6 +117,29 @@ def test_sample_stream_builds_its_generator_on_the_first_draw(monkeypatch):
     assert np.array_equal(later, fresh)
 
 
+def test_sample_stream_rejects_a_negative_seed(monkeypatch):
+    """A negative seed is an input error when the stream is built, in both
+    modes, before any generator is."""
+    built = []
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or pcg64(seed))
+    for mode in SampleStream.MODES:
+        with pytest.raises(InvalidInput, match="seed >= 0"):
+            SampleStream(-1, mode)
+    assert built == []
+
+
+@pytest.mark.parametrize("dims", [63, 64, 200])
+def test_low_discrepancy_draws_in_any_dimension(dims):
+    """Beyond 62 dimensions the lattice takes more phases from the stream's
+    own generator: its points are finite unit vectors and prefix-stable."""
+    short = SampleStream(seed=3, mode="low-discrepancy").unit_vectors(100, dims)
+    long = SampleStream(seed=3, mode="low-discrepancy").unit_vectors(600, dims)
+    assert short.shape == (100, dims) and np.isfinite(long).all()
+    assert np.allclose(np.linalg.norm(long, axis=1), 1.0, atol=1e-12)
+    assert np.array_equal(short, long[:100])
+
+
 def test_sample_stream_geometry():
     stream = SampleStream(seed=RNG_SEED)
     u = stream.unit_vectors(200, 6)

@@ -28,7 +28,11 @@ both sample modes, and the input-error paths of the sampled verbs:
 - the closed-form screens of smooth line charts: `verify skew`,
   `verify nondeg` and `sphere complete-check` at the default 1,024
   samples on two `quad_germ` extensions and on `quad_germ` with
-  eps = 1e160, whose entries overflow the screens' bounds.
+  eps = 1e160, whose entries overflow the screens' bounds;
+- `verify skew --mode low-discrepancy` on the zero chart with q = 64,
+  whose pairs are drawn in 64 dimensions;
+- `verify skew --seed -1` on hopf7, which the Gram test certifies
+  without a sample, and on Glück–Yang m = 2, which is sampled.
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
@@ -77,6 +81,7 @@ def _builtin(k, q, name, params):
 FILES = {
     "zero-k1.json": _linear(1, 2, [[[0.0, 0.0], [0.0, 0.0]]]),
     "zero-k3.json": _linear(3, 4, [_ZERO4, _ZERO4, _ZERO4]),
+    "zero-q64.json": _linear(1, 64, [[[0.0] * 64 for _ in range(64)]]),
     "real-eig.json": _linear(1, 2, [[[1.0, 2.0], [0.0, 3.0]]]),
     "stretched.json": _linear(1, 2, [[[0.0, -4.0], [0.25, 0.0]]]),
     "two-i.json": _linear(1, 2, [[[2.0, 0.0], [0.0, 2.0]]]),
@@ -207,6 +212,12 @@ def corpus() -> list[dict]:
     # and one whose fibers are all parallel
     for chart in ("stretched.json", "two-i.json"):
         add("verify", "skew", "--chart", chart, "--radius", 5e-12)
+
+    # low-discrepancy pairs in 64 dimensions, and a negative seed on a
+    # certified and a sampled chart
+    add("verify", "skew", "--chart", "zero-q64.json", "--samples", 64, "--mode", "low-discrepancy")
+    for chart in ("hopf7.json", "gy-m2.json"):
+        add("verify", "skew", "--chart", chart, "--seed", -1)
 
     # smooth line charts at the default 1,024 samples, where the closed-form
     # screens send only the deciding matrices to LAPACK
