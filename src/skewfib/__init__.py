@@ -57,7 +57,6 @@ from .sphere import (
     assemble_great_circles,
     central_project,
     completion_check,
-    completion_report,
     equator_restriction,
     great_sphere_of,
     invariant_on_planes,

@@ -46,13 +46,6 @@ class BilinearMap:
             if not np.isfinite(m).all():
                 raise InvalidInput("bilinear map matrices must be finite")
 
-    def matrix_at(self, t: np.ndarray) -> np.ndarray:
-        """The combination sum_j t_j M_j."""
-        t = np.asarray(t, dtype=float)
-        if t.shape != (self.kp1,):
-            raise InvalidInput(f"t shape {t.shape} != ({self.kp1},)")
-        return np.einsum("j,jab->ab", t, np.stack(self.mats))
-
 
 def _conj(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[..., :1], -x[..., 1:]], axis=-1)
@@ -95,12 +88,10 @@ def from_algebra(name: str, kp1: int) -> BilinearMap:
     multiplicativity makes every unit combination orthogonal, so the map
     is nonsingular with margin exactly |t|.
     """
-    if name not in _ALGEBRAS:
-        raise InvalidInput(f"unknown algebra {name!r}; expected one of {sorted(_ALGEBRAS)}")
-    dim = _ALGEBRAS[name]
-    if not (1 <= kp1 <= dim):
-        raise InvalidInput(f"need 1 <= kp1 <= {dim} for {name}, got {kp1}")
-    return BilinearMap(dim, kp1, tuple(algebra_unit_matrices(name)[:kp1]))
+    units = algebra_unit_matrices(name)
+    if not (1 <= kp1 <= len(units)):
+        raise InvalidInput(f"need 1 <= kp1 <= {len(units)} for {name}, got {kp1}")
+    return BilinearMap(len(units), kp1, tuple(units[:kp1]))
 
 
 def _anticommuting_family(p: int) -> list[np.ndarray]:
@@ -239,7 +230,7 @@ def gram_first(
     details: Callable[[np.ndarray], dict],
     tol: Tolerance,
     sample: Callable[[], rp.VerificationReport],
-    t_witness: bool = False,
+    singular_at: Callable[[rp.VerificationReport, np.ndarray, float], rp.VerificationReport],
 ) -> rp.VerificationReport:
     """The verdict on the constant pencil mats from gram_enclosure, else
     from sample(), the sampled search.
@@ -248,8 +239,9 @@ def gram_first(
     certified_lower_bound = lo.  When [lo, hi] is also within MARGIN_SLACK,
     the margin is hi, an attained sigma_min, margin_exact is true, and no
     sample is drawn; details(t) gets the t of hi.  Otherwise sample()
-    decides the margin and any witness, and with t_witness a clean sampled
-    run still fails when M(t) at the t of hi is singular, since sampling
+    decides the margin and any witness, and a clean sampled run goes to
+    singular_at(rep, t, hi), the check's own witness rule at the t of hi,
+    which returns rep unless M(t) is singular there, since sampling
     misses a singular set of measure zero.  A pencil with mq > GRAM_MAX
     is only sampled.
     """
@@ -263,12 +255,7 @@ def gram_first(
     rep = sample()
     if lo > 0.0:
         return replace(rep, details={**rep.details, **cert, "margin_exact": False})
-    if t_witness and rep.ok and is_singular(
-        np.linalg.svd(np.tensordot(t, mats, 1), compute_uv=False), tol
-    ):
-        witness = {"t": t.tolist(), "sigma_min": hi}
-        return replace(rep, margin=hi, witnesses=(witness,), details={**rep.details, **details(t)})
-    return rep
+    return singular_at(rep, t, hi) if rep.ok else rep
 
 
 def _pencil_exact(
@@ -365,7 +352,14 @@ def verify_nonsingular(
 
     if a.kp1 == 2:
         return _pencil_exact(a, sample(), tol)
+
+    def singular_at(rep, t, hi):
+        if not is_singular(np.linalg.svd(np.tensordot(t, mats, 1), compute_uv=False), tol):
+            return rep
+        witness = {"t": t.tolist(), "sigma_min": hi}
+        details = {**rep.details, "worst_t": t.tolist()}
+        return replace(rep, margin=hi, witnesses=(witness,), details=details)
+
     return gram_first(
-        "nonsingular", mats, sampling, lambda t: {"worst_t": t.tolist()}, tol, sample,
-        t_witness=True,
+        "nonsingular", mats, sampling, lambda t: {"worst_t": t.tolist()}, tol, sample, singular_at
     )

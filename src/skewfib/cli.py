@@ -243,7 +243,7 @@ def _cmd_sample(args) -> int:
 def _cmd_sphere(args) -> int:
     if args.what == "complete-check":
         c = _load_chart(args.chart)
-        rep = sphere.completion_report(c, samples=args.samples, stream=_stream(args))
+        rep = sphere.completion_check(c, samples=args.samples, stream=_stream(args))
         return _emit_report(rep.to_dict(), rep.ok)
     mat = _load_matrix(args.matrix)
     if args.what == "assemble":

@@ -477,6 +477,7 @@ def verify_skew(
     has trivial kernel; margin is the minimum over sampled pairs of
     sigma_min of that matrix divided by |x - y|, and a pair is singular
     when its singular values, divided by |x - y|, pass numeric.is_singular.
+    The matrix is q x (k+1), so when k >= q every pair is singular.
     Pairs with |x - y| <= 1e-12 radius count as coincident and are
     dropped, so the pairs tested do not depend on the chart's scale.
     When k = 1, report.sampled_report sends only the pairs that can hold
@@ -486,7 +487,8 @@ def verify_skew(
     the columns of [B_lin(d) | d] are M_j d for the pencil M = (C_1, ...,
     C_k, I), so the least margin over all pairs is that pencil's least
     sigma_min(M(t)) over unit t: bilinear.gram_first tries its Gram
-    certificate before any pair is drawn.
+    certificate before any pair is drawn; when it does not decide, the
+    pair x = d, y = 0 is tried for the unit d with M(t) d = 0 at its t.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -523,7 +525,19 @@ def verify_skew(
     if not c.is_linear:
         return sample()
     pencil = np.concatenate([c.C, np.eye(c.q)[None]])
-    return gram_first("skew", pencil, sampling, lambda t: {"pairs_tested": 0}, tol, sample)
+
+    def singular_at(rep, t, hi):
+        # the unit d with M(t) d = 0 makes [B_lin(d) | d] = [M_j d] singular
+        d = np.linalg.svd(np.tensordot(t, pencil, 1))[2][-1]
+        sv = np.linalg.svd((pencil @ d).T, compute_uv=False)
+        if not is_singular(sv, tol):
+            return rep
+        witness = {"x": d.tolist(), "y": [0.0] * c.q, "sigma_min": float(sv[-1])}
+        return replace(rep, margin=float(sv[-1]), witnesses=(witness,))
+
+    return gram_first(
+        "skew", pencil, sampling, lambda t: {"pairs_tested": 0}, tol, sample, singular_at
+    )
 
 
 def _spectrum_report(

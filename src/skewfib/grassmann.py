@@ -173,10 +173,3 @@ def principal_angles(u: OrientedPlane | np.ndarray, w: OrientedPlane | np.ndarra
 def max_principal_angle(u, w) -> float:
     return float(np.max(principal_angles(u, w)))
 
-
-def orientation_sign(u: OrientedPlane, w: OrientedPlane) -> int:
-    """+1 when two frames of the same plane orient it the same way."""
-    det = float(np.linalg.det(u.frame.T @ w.frame))
-    if abs(det) < 1e-8:
-        raise InvalidInput("frames do not span the same plane")
-    return 1 if det > 0 else -1

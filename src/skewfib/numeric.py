@@ -264,7 +264,8 @@ def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = Non
 
     the stable form of sphere._plane_residuals; both are widened by
     SCREEN_SLACK * sigma_max into bounds on what LAPACK returns.  None
-    when the stack has another shape or more than SCREEN_ROWS rows, when
+    when the stack has another shape, fewer than 2 rows (a 1 x 2 matrix
+    always has a kernel) or more than SCREEN_ROWS rows, when
     an entry or an estimate is not finite or below SCREEN_FLOOR, when a
     scale is not positive, or when some sample may be singular (its lower
     bound <= tol.threshold of its upper sigma_max, both divided by its
@@ -279,7 +280,7 @@ def svd_screen(stack: np.ndarray, tol: Tolerance, scale: np.ndarray | None = Non
     with floating-point errors ignored, since callers may run with
     overflow raising.
     """
-    if stack.ndim != 3 or stack.shape[2] != 2 or stack.shape[1] > SCREEN_ROWS:
+    if stack.ndim != 3 or stack.shape[2] != 2 or not 2 <= stack.shape[1] <= SCREEN_ROWS:
         return None
     # columns as (r, N) arrays: sums over rows run along whole contiguous rows
     c1, c2 = np.ascontiguousarray(stack.transpose(2, 1, 0))

@@ -85,7 +85,9 @@ def sampled_report(
 
     A sample's margin is its sigma_min, divided by its scale when one is
     given, and it is singular when its singular values, divided the same
-    way, pass numeric.is_singular.  The report margin is the least margin,
+    way, pass numeric.is_singular.  An r x c matrix with c > r has a
+    kernel: its singular values are padded with c - r zeros, so its
+    sigma_min is 0 and it is singular.  The report margin is the least margin,
     and details(i) gets the first index i attaining it.  Any singular
     sample makes the verdict "fail", with witness(i, sigma_min) for up to
     three singular samples of least margin; otherwise the run is
@@ -104,6 +106,8 @@ def sampled_report(
     def decide(rows):
         idx = np.arange(len(stack))[rows]
         sv = np.linalg.svd(stack[rows], compute_uv=False)
+        if stack.shape[2] > stack.shape[1]:
+            sv = np.pad(sv, ((0, 0), (0, stack.shape[2] - stack.shape[1])))
         smin = sv[:, -1]
         if scale is not None:
             sv = sv / scale[rows][:, None]

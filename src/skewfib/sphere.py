@@ -92,17 +92,23 @@ def completion_check(
     """Surjectivity of y -> B(y)t for every unit t, on charts with n = 2k+1.
 
     Passing means the chart's fibration of R^(2k+1) completes to a great
-    k-sphere fibration of S^(2k+1).  For linear and affine charts the map
-    is y -> (sum_j t_j C_j) y and the check is bilinear.verify_nonsingular
-    on (C_1, ..., C_k): exact for k <= 2, the Gram certificate first for
-    k >= 3; for smooth charts it stacks the pencils sum_j t_j
-    dB_j(y), the Jacobians of y -> B(y)t, over sampled (y, t) and leaves
-    the verdict to bilinear.pencil_report.  The condition is homogeneous
-    in t, so t and -t are one test: for k = 1, where every unit t is +-1,
-    only t = 1 is tested, one Jacobian per sampled chart point y.
+    k-sphere fibration of S^(2k+1).  A chart whose (k, n) admits no such
+    fibration (dims.admissible_sphere) fails first, without sampling; an
+    admissible one with n != 2k+1 raises DimensionMismatch.  For linear
+    and affine charts the map is y -> (sum_j t_j C_j) y and the check is
+    bilinear.verify_nonsingular on (C_1, ..., C_k): exact for k <= 2, the
+    Gram certificate first for k >= 3; for smooth charts it stacks the
+    pencils sum_j t_j dB_j(y), the Jacobians of y -> B(y)t, over sampled
+    (y, t) and leaves the verdict to bilinear.pencil_report.  The
+    condition is homogeneous in t, so t and -t are one test: for k = 1,
+    where every unit t is +-1, only t = 1 is tested, one Jacobian per
+    sampled chart point y.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
+    if not admissible_sphere(c.k, c.n):
+        witness = {"k": c.k, "n": c.n, "reason": "no sphere fibration exists"}
+        return rp.VerificationReport("completion", 0.0, (witness,), None, {"admissible": False})
     if c.n != 2 * c.k + 1:
         raise DimensionMismatch(f"need n = 2k+1, got n={c.n} k={c.k}")
     if c.is_linear:
@@ -115,24 +121,6 @@ def completion_check(
         "completion", c.dB(ys).transpose(0, 2, 1, 3), ts, stream.sampling(samples, 10.0),
         lambda n, s: {"exact": False}, tol, ys,
     )
-
-
-def completion_report(
-    c: Chart,
-    samples: int = 1024,
-    stream: SampleStream | None = None,
-    tol: Tolerance | None = None,
-) -> rp.VerificationReport:
-    """Completion check gated on the sphere fiber-dimension constraint.
-
-    Great k-sphere fibrations of S^n exist only for k in {0, 1, 3, 7}
-    with the matching parity of n; outside that list no completion
-    exists and the check is not attempted.
-    """
-    if not admissible_sphere(c.k, c.n):
-        witness = {"k": c.k, "n": c.n, "reason": "no sphere fibration exists"}
-        return rp.VerificationReport("completion", 0.0, (witness,), None, {"admissible": False})
-    return completion_check(c, samples, stream, tol)
 
 
 # ---------------------------------------------------------------------------

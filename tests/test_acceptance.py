@@ -34,7 +34,6 @@ from skewfib.numeric import SampleStream, Tolerance
 from skewfib.sphere import (
     assemble_great_circles,
     completion_check,
-    completion_report,
     invariant_on_planes,
     plane_residual,
     sphere_fiber_direction,
@@ -316,7 +315,7 @@ def test_criterion_11_completion_checks(capsys):
         assert rep.ok and abs(rep.margin - 1.0) <= 1e-9
         plane_chart = from_bilinear(hurwitz_radon_family(4, 3))
         assert (plane_chart.k, plane_chart.n) == (2, 6)
-        rep = completion_report(plane_chart)
+        rep = completion_check(plane_chart)
         assert rep.verdict == "fail"
         assert rep.witnesses[0]["reason"] == "no sphere fibration exists"
 

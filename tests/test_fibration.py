@@ -493,6 +493,56 @@ def test_skew_fail_witnesses_are_singular():
         assert sv[-1] <= tol.rel * sv[0] + tol.abs
 
 
+def _pair_kernel_sigma(c, w):
+    """sigma_min of [B(x) - B(y) | x - y] at a witness pair, zero-padded
+    when the q x (k + 1) matrix has more columns than rows."""
+    x, y = np.asarray(w["x"]), np.asarray(w["y"])
+    pair = np.column_stack([c.B(x) - c.B(y), x - y])
+    sv = np.linalg.svd(pair, compute_uv=False)
+    return 0.0 if pair.shape[1] > pair.shape[0] else float(sv[-1] / sv[0])
+
+
+_K_AT_LEAST_Q = {
+    "k1-q1": Chart(1, 1, "linear", C=(np.array([[2.0]]),)),
+    "k2-q2": Chart(2, 2, "linear", C=(J2, np.diag([1.0, -1.0]))),
+    "k3-q2": Chart(3, 2, "linear", C=(J2, np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))),
+    "smooth-k2-q1": Chart(
+        2, 1, "builtin",
+        b_func=lambda ys: np.stack([np.sin(ys), ys**2], 2),
+        db_func=lambda ys: np.stack([np.cos(ys), 2 * ys], 2)[..., None],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(_K_AT_LEAST_Q))
+def test_skew_fails_every_chart_with_k_at_least_q(name, seed):
+    """[B(x) - B(y) | x - y] is q x (k + 1), so for k >= q every pair of
+    fibers meets or shares a direction, and no chart is skew."""
+    c = _K_AT_LEAST_Q[name]
+    rep = verify_skew(c, stream=SampleStream(seed))
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    assert 1 <= len(rep.witnesses) <= 3
+    for w in rep.witnesses:
+        assert w["sigma_min"] == 0.0 and _pair_kernel_sigma(c, w) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_skew_tries_the_gram_tests_singular_t(seed):
+    """C = diag(1, 2): the fibers through 0 and e_1 meet at t = -1, a
+    singular set no sampled pair finds.  The pencil (C, I) is singular at
+    the Gram test's t, and its kernel vector d gives the pair (d, 0)."""
+    c = Chart(1, 2, "linear", C=(np.diag([1.0, 2.0]),))
+    rep = verify_skew(c, stream=SampleStream(seed))
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    (w,) = rep.witnesses
+    assert np.abs(w["x"]).tolist() == [1.0, 0.0] and w["y"] == [0.0, 0.0]
+    assert w["sigma_min"] == 0.0
+    assert _pair_kernel_sigma(c, w) <= 1e-12
+    assert rep.details == {"pairs_tested": 1024}
+    assert verify_nondegenerate(c, stream=SampleStream(seed)).verdict == "fail"
+
+
 def test_skew_verdict_does_not_depend_on_radius():
     """A pair is singular by its singular values divided by |x - y|, so a
     skew linear chart that the Gram test leaves open gets one verdict and

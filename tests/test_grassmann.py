@@ -11,7 +11,6 @@ from skewfib.grassmann import (
     embed_affine,
     intersection_dim,
     max_principal_angle,
-    orientation_sign,
     plane_from_columns,
     principal_angles,
     skew_pair,
@@ -142,18 +141,6 @@ def test_principal_angles_range_and_zero():
     q = _random_plane(rng, 7, 3)
     angles = principal_angles(p, q)
     assert np.all(angles >= -1e-12) and np.all(angles <= np.pi / 2.0 + 1e-12)
-
-
-def test_orientation_sign():
-    u = OrientedPlane(np.eye(3)[:, :2])
-    flipped = OrientedPlane(np.eye(3)[:, [1, 0]])
-    negated = OrientedPlane(np.column_stack([-np.eye(3)[:, 0], np.eye(3)[:, 1]]))
-    assert orientation_sign(u, u) == 1
-    assert orientation_sign(u, flipped) == -1
-    assert orientation_sign(u, negated) == -1
-    other = OrientedPlane(np.eye(3)[:, 1:])
-    with pytest.raises(InvalidInput):
-        orientation_sign(u, other)
 
 
 def test_great_sphere_points():

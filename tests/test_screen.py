@@ -141,6 +141,15 @@ def test_svd_screen_sends_the_whole_stack_for_a_bad_scale(unscreened, bad):
         assert _stack_report(stack, scale).to_dict() == full.to_dict()
 
 
+def test_svd_screen_sends_one_row_stacks_whole():
+    """A 1 x 2 matrix always has a kernel, so the screen leaves the stack
+    to the padded sigma_min of report.sampled_report."""
+    stack = np.random.default_rng(4).standard_normal((16, 1, 2))
+    assert svd_screen(stack, TOL) is None
+    rep = _stack_report(stack, np.ones(len(stack)))
+    assert rep.verdict == "fail" and rep.margin == 0.0
+
+
 def test_eig_screen_sends_other_shapes_whole():
     rng = np.random.default_rng(4)
     for shape in ((8, 3, 3), (8, 2, 3), (2, 2)):

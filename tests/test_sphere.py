@@ -27,7 +27,6 @@ from skewfib.sphere import (
     assemble_great_circles,
     central_project,
     completion_check,
-    completion_report,
     equator_restriction,
     great_sphere_of,
     invariant_on_planes,
@@ -272,18 +271,23 @@ def test_completion_sampling_records():
     assert smooth.sampling == {"seed": 3, "mode": "low-discrepancy", "count": 32, "radius": 10.0}
 
 
-def test_completion_report_gates_on_fiber_dimension():
-    c = from_bilinear(hurwitz_radon_family(4, 3))  # k = 2, n = 6
-    rep = completion_report(c)
-    assert rep.verdict == "fail"
-    w = rep.witnesses[0]
-    assert w["k"] == 2 and w["n"] == 6
-    assert w["reason"] == "no sphere fibration exists"
-    assert rep.details["admissible"] is False
+def test_completion_check_gates_on_fiber_dimension():
+    """S^6 and S^5 have no fibration by great 2-spheres: the gate fails
+    k = 2 on R^6 and on R^5, where n = 2k + 1, with margin 0 before any
+    pencil test, and draws no sample."""
+    charts = (
+        from_bilinear(hurwitz_radon_family(4, 3)),  # k = 2, n = 6
+        Chart(2, 3, "linear", C=(np.eye(3), np.diag([1.0, 2.0, 3.0]))),  # k = 2, n = 5
+    )
+    for c in charts:
+        rep = completion_check(c)
+        assert rep.verdict == "fail" and rep.margin == 0.0 and rep.sampling is None
+        assert rep.witnesses == ({"k": 2, "n": c.n, "reason": "no sphere fibration exists"},)
+        assert rep.details == {"admissible": False}
 
 
-def test_completion_report_passes_gate_for_circles():
-    rep = completion_report(builtin_chart("hopf3"))
+def test_completion_check_passes_gate_for_circles():
+    rep = completion_check(builtin_chart("hopf3"))
     assert rep.ok
 
 
@@ -782,14 +786,11 @@ def test_equator_restriction_rotation():
 
 
 def test_equator_restriction_orientation_tracks_rotation_sign():
-    from skewfib.grassmann import orientation_sign
-
     u = np.array([1.0, 0.0])
     g_pos = equator_restriction(2.0 * np.eye(2) + 3.0 * J2, u)
     g_neg = equator_restriction(2.0 * np.eye(2) - 3.0 * J2, u)
-    ref = OrientedPlane(np.eye(2))
-    assert orientation_sign(OrientedPlane(g_pos.frame), ref) == 1
-    assert orientation_sign(OrientedPlane(g_neg.frame), ref) == -1
+    assert np.linalg.det(g_pos.frame) > 0
+    assert np.linalg.det(g_neg.frame) < 0
 
 
 def test_equator_restriction_same_circles_for_shifted_matrix():

@@ -32,7 +32,12 @@ both sample modes, and the input-error paths of the sampled verbs:
 - `verify skew --mode low-discrepancy` on the zero chart with q = 64,
   whose pairs are drawn in 64 dimensions;
 - `verify skew --seed -1` on hopf7, which the Gram test certifies
-  without a sample, and on Glück–Yang m = 2, which is sampled.
+  without a sample, and on Glück–Yang m = 2, which is sampled;
+- `verify skew` at seeds 0 and 7 on `k1-q1.json` (C = [[2]]) and
+  `k2-q2.json` (C = (J2, diag(1, -1))), whose pair matrices have more
+  columns than rows, on `diag-12.json` (C = diag(1, 2)), singular only
+  at the Gram test's t, and on `k2-q3.json`, a k = 2, q = 3 chart whose
+  singular set sampling misses.
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
@@ -91,6 +96,13 @@ FILES = {
         3, 4, [_LI, _LJ, _LK], [[0.5, 0, -1], [0, 0.25, 0], [1, 0, 0], [0, 0, 2]]
     ),
     "huge.json": _linear(1, 2, [[[1e308, -1e308], [1e308, 1e308]]]),
+    # no skew chart has k >= q; diag(1, 2) is singular at the Gram test's t only
+    "k1-q1.json": _linear(1, 1, [[[2.0]]]),
+    "k2-q2.json": _linear(2, 2, [_J2, [[1.0, 0.0], [0.0, -1.0]]]),
+    "diag-12.json": _linear(1, 2, [[[1.0, 0.0], [0.0, 2.0]]]),
+    # rho(3) = 1, so this pencil is singular somewhere, but sampling misses it
+    "k2-q3.json": _linear(2, 3, [[[-1.66, -1.05, 1.21], [0.33, -1.62, -0.27], [-0.08, -1.36, 0.94]],
+                                 [[-1.55, -0.44, 0.07], [-0.28, 0.35, 0.95], [1.83, -0.86, 0.59]]]),
     "quad-005.json": _builtin(1, 2, "quad_germ", {"eps": 0.05}),
     "quad-02.json": _builtin(1, 2, "quad_germ", {"eps": 0.2}),
     # entries near 1e162: the closed-form screens overflow and fall back
@@ -218,6 +230,12 @@ def corpus() -> list[dict]:
     add("verify", "skew", "--chart", "zero-q64.json", "--samples", 64, "--mode", "low-discrepancy")
     for chart in ("hopf7.json", "gy-m2.json"):
         add("verify", "skew", "--chart", chart, "--seed", -1)
+
+    # charts that no sampled pair used to refute: k >= q, the Gram test's
+    # singular t, and a k = 2, q = 3 pencil whose singular set sampling misses
+    for chart in ("k1-q1.json", "k2-q2.json", "diag-12.json", "k2-q3.json"):
+        for seed in (0, 7):
+            add("verify", "skew", "--chart", chart, "--seed", seed)
 
     # smooth line charts at the default 1,024 samples, where the closed-form
     # screens send only the deciding matrices to LAPACK
