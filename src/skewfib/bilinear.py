@@ -19,7 +19,9 @@ import numpy as np
 from . import report as rp
 from .dims import rho
 from .errors import InvalidInput
-from .numeric import SampleStream, Tolerance, is_singular, overflow_is_invalid, real_eigenvalue_mask
+from .numeric import (
+    SampleStream, Tolerance, eigenvalues, is_singular, overflow_is_invalid, real_eigenvalue_mask,
+)
 
 # 2 x 2 generators: one complex structure and two anticommuting reflections.
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -131,7 +133,7 @@ def hurwitz_radon_family(q: int, r: int) -> BilinearMap:
 # 1e-9 to which the acceptance criteria and the benchmark's oracle compare
 # margins with their closed forms.
 MARGIN_SLACK = 2.0**-30
-# Largest mq for which gram_first forms S: eigh takes O((mq)^3) time and S
+# Largest mq for which decide_pencil forms S: eigh takes O((mq)^3) time and S
 # O((mq)^2) memory, 0.3 s and 8 MB at mq = 1,024 on one core, but S alone
 # would take 3.3 GB for the skew pencil of HR(1024, 20) (mq = 20,480).
 GRAM_MAX = 1024
@@ -223,31 +225,40 @@ def closes(lo: float, hi: float) -> bool:
     return lo > 0.0 and hi - lo <= MARGIN_SLACK * hi
 
 
-def gram_first(
+def decide_pencil(
     check: str,
     mats: np.ndarray,
     sampling: dict,
     details: Callable[[np.ndarray], dict],
     tol: Tolerance,
     sample: Callable[[], rp.VerificationReport],
-    singular_at: Callable[[rp.VerificationReport, np.ndarray, float], rp.VerificationReport],
+    singular_at: Callable[..., rp.VerificationReport],
 ) -> rp.VerificationReport:
-    """The verdict on the constant pencil mats from gram_enclosure, else
-    from sample(), the sampled search.
+    """The verdict on the constant pencil of the (m, q, q) stack mats.
 
-    lo > 0 proves the pencil nonsingular: the report records exact and
-    certified_lower_bound = lo.  When [lo, hi] is also within MARGIN_SLACK,
-    the margin is hi, an attained sigma_min, margin_exact is true, and no
-    sample is drawn; details(t) gets the t of hi.  Otherwise sample()
-    decides the margin and any witness, and a clean sampled run goes to
-    singular_at(rep, t, hi), the check's own witness rule at the t of hi,
-    which returns rep unless M(t) is singular there, since sampling
-    misses a singular set of measure zero.  A pencil with mq > GRAM_MAX
-    is only sampled.
+    1. m = 1: t = +-1 only, so sigma_min(M_1) is the margin itself.
+    2. gram_enclosure, when mq <= GRAM_MAX: lo > 0 is a proof, recorded as
+       exact and certified_lower_bound = lo; when [lo, hi] also closes,
+       the margin is hi, margin_exact is true, no sample is drawn, and
+       details(t) gets the t of hi.
+    3. sample(), the sampled search; a sampled fail stands.
+    4. A clean run with lo = 0 goes to singular_at(rep, t, hi), the
+       check's own witness rule at the t of hi (None past GRAM_MAX), as
+       sampling misses a singular set of measure zero.  A report still
+       clean fails when m > rho(q) (Hurwitz-Radon-Adams): witness
+       {kp1, q, reason}.
+
+    verify_nondegenerate keeps its eigenvalue test on linear k = 1 charts:
+    its margin min |Im lambda|, eigenvalue witness and missing sampling
+    record are CLI output that this path would change.
     """
-    if mats.shape[0] * mats.shape[1] > GRAM_MAX:
-        return sample()
-    lo, hi, t = gram_enclosure(mats, tol)
+    m, q = mats.shape[:2]
+    if m == 1:
+        sv = np.linalg.svd(mats[0], compute_uv=False)
+        witnesses = ({"t": [1.0]},) if is_singular(sv, tol) else ()
+        cert = {"exact": True, "margin_exact": True}
+        return rp.VerificationReport(check, float(sv[-1]), witnesses, sampling, cert)
+    lo, hi, t = gram_enclosure(mats, tol) if m * q <= GRAM_MAX else (0.0, math.inf, None)
     cert = {"exact": True, "certified_lower_bound": lo}
     if closes(lo, hi):
         cert["margin_exact"] = True
@@ -255,33 +266,30 @@ def gram_first(
     rep = sample()
     if lo > 0.0:
         return replace(rep, details={**rep.details, **cert, "margin_exact": False})
-    return singular_at(rep, t, hi) if rep.ok else rep
+    rep = singular_at(rep, t, hi) if rep.ok else rep
+    if not rep.ok or m <= rho(q):
+        return rep
+    witness = {"kp1": m, "q": q, "reason": "no nonsingular pencil exists"}
+    return replace(rep, margin=0.0, witnesses=(witness,))
 
 
-def _pencil_exact(
-    a: BilinearMap, rep: rp.VerificationReport, tol: Tolerance
+def _two_slots(
+    mats: np.ndarray, rep: rp.VerificationReport, tol: Tolerance
 ) -> rp.VerificationReport:
-    """Exact nonsingularity for kp1 = 2, decided on top of the sampled
-    report rep: the second matrix must be invertible and inv(M2) M1 must
-    have no real eigenvalues."""
-    m1, m2 = a.mats
-    details = {**rep.details, "exact": True}
-    if is_singular(np.linalg.svd(m2, compute_uv=False), tol):
-        details["reason"] = "second matrix is singular"
-        witness = {"t": [0.0, 1.0]}
-        return replace(rep, margin=0.0, witnesses=(witness,), details=details)
-    eig = np.linalg.eigvals(np.linalg.solve(m2, m1))
-    details["pencil_eigenvalues"] = [complex(v) for v in eig]
-    details["imag_margin"] = float(np.min(np.abs(eig.imag)))
-    real_mask = real_eigenvalue_mask(eig, tol)
-    if np.any(real_mask):
-        lam = float(eig.real[real_mask][0])
-        t = np.array([1.0, -lam])
-        details["real_eigenvalue"] = lam
-        witness = {"t": (t / np.linalg.norm(t)).tolist(), "eigenvalue": lam}
-        return replace(rep, margin=0.0, witnesses=(witness,), details=details)
-    details["sampled_margin"] = rep.margin
-    return replace(rep, witnesses=(), details=details)
+    """Exact test of the pencil (M_1, M_2) on top of its clean sampled
+    report rep: M_2 must be invertible, and inv(M_2) M_1 must have no real
+    eigenvalue lambda, since M_1 - lambda M_2 is singular."""
+    rep = replace(rep, details={**rep.details, "exact": True})
+    if is_singular(np.linalg.svd(mats[1], compute_uv=False), tol):
+        return replace(rep, margin=0.0, witnesses=({"t": [0.0, 1.0]},))
+    eig = eigenvalues(np.linalg.solve(mats[1], mats[0]))
+    real = real_eigenvalue_mask(eig, tol)
+    if not real.any():
+        return rep
+    lam = float(eig.real[real][0])
+    t = np.array([1.0, -lam])
+    witness = {"t": (t / np.linalg.norm(t)).tolist(), "eigenvalue": lam}
+    return replace(rep, margin=0.0, witnesses=(witness,))
 
 
 def pencil_report(
@@ -323,25 +331,12 @@ def verify_nonsingular(
     stream: SampleStream | None = None,
     tol: Tolerance | None = None,
 ) -> rp.VerificationReport:
-    """Search for a singular combination sum_j t_j M_j.
-
-    For kp1 <= 2 an exact test decides the verdict, and margin is the
-    smallest sigma_min over sampled unit t for kp1 = 2.  For kp1 >= 3
-    gram_first tries the Gram certificate before any sample is drawn; a
-    pencil it does not decide is sampled, and a clean sampled run is
-    evidence-only, since sampling cannot certify nonsingularity.
-    """
+    """Search for a singular combination sum_j t_j M_j through decide_pencil,
+    whose witness rule is the exact test _two_slots for kp1 = 2 and
+    sigma_min at the Gram test's t for kp1 >= 3."""
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
     sampling = stream.sampling(samples)
-
-    if a.kp1 == 1:
-        # t = +-1 only, so sigma_min(M_1) is the margin itself
-        sv = np.linalg.svd(a.mats[0], compute_uv=False)
-        witnesses = ({"t": [1.0]},) if is_singular(sv, tol) else ()
-        details = {"exact": True, "margin_exact": True}
-        return rp.VerificationReport("nonsingular", float(sv[-1]), witnesses, sampling, details)
-
     mats = np.stack(a.mats)
 
     def sample():
@@ -350,16 +345,17 @@ def verify_nonsingular(
             "nonsingular", mats[None], ts, sampling, lambda n, s: {"worst_t": ts[s].tolist()}, tol
         )
 
-    if a.kp1 == 2:
-        return _pencil_exact(a, sample(), tol)
-
     def singular_at(rep, t, hi):
+        if a.kp1 == 2:
+            return _two_slots(mats, rep, tol)
+        if t is None:
+            return rep
         if not is_singular(np.linalg.svd(np.tensordot(t, mats, 1), compute_uv=False), tol):
             return rep
         witness = {"t": t.tolist(), "sigma_min": hi}
         details = {**rep.details, "worst_t": t.tolist()}
         return replace(rep, margin=hi, witnesses=(witness,), details=details)
 
-    return gram_first(
+    return decide_pencil(
         "nonsingular", mats, sampling, lambda t: {"worst_t": t.tolist()}, tol, sample, singular_at
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import report as rp
-from .bilinear import BilinearMap, J2, from_algebra, gram_first, pencil_report, verify_nonsingular
+from .bilinear import BilinearMap, J2, decide_pencil, from_algebra, pencil_report, verify_nonsingular
 from .errors import (
     BlendFailure,
     InvalidInput,
@@ -486,9 +486,9 @@ def verify_skew(
     On a linear or affine chart B(x) - B(y) = B_lin(d) with d = x - y, and
     the columns of [B_lin(d) | d] are M_j d for the pencil M = (C_1, ...,
     C_k, I), so the least margin over all pairs is that pencil's least
-    sigma_min(M(t)) over unit t: bilinear.gram_first tries its Gram
-    certificate before any pair is drawn; when it does not decide, the
-    pair x = d, y = 0 is tried for the unit d with M(t) d = 0 at its t.
+    sigma_min(M(t)) over unit t: bilinear.decide_pencil tries its Gram
+    certificate before any pair is drawn, then the pair x = d, y = 0 for
+    the unit d with M(t) d = 0 at its t, then the k + 1 > rho(q) gate.
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
@@ -527,6 +527,8 @@ def verify_skew(
     pencil = np.concatenate([c.C, np.eye(c.q)[None]])
 
     def singular_at(rep, t, hi):
+        if t is None:
+            return rep
         # the unit d with M(t) d = 0 makes [B_lin(d) | d] = [M_j d] singular
         d = np.linalg.svd(np.tensordot(t, pencil, 1))[2][-1]
         sv = np.linalg.svd((pencil @ d).T, compute_uv=False)
@@ -535,7 +537,7 @@ def verify_skew(
         witness = {"x": d.tolist(), "y": [0.0] * c.q, "sigma_min": float(sv[-1])}
         return replace(rep, margin=float(sv[-1]), witnesses=(witness,))
 
-    return gram_first(
+    return decide_pencil(
         "skew", pencil, sampling, lambda t: {"pairs_tested": 0}, tol, sample, singular_at
     )
 
@@ -578,9 +580,9 @@ def verify_nondegenerate(
     points otherwise, with margin the least |Im eigenvalue|.  For k >= 2
     it builds the pencil (dB_y, identity): a linear chart's constant
     pencil goes to bilinear.verify_nonsingular, which tries the Gram
-    certificate before sampling samples unit t, and a smooth chart's
-    pencils at T_SAMPLES unit t per sampled chart point go to
-    bilinear.pencil_report.
+    certificate before sampling samples unit t and gates k + 1 > rho(q),
+    and a smooth chart's pencils at T_SAMPLES unit t per sampled chart
+    point go to bilinear.pencil_report.
 
     On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
     |Im lambda| of every dB_y in closed form, widened by the rounding slack

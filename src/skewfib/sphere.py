@@ -96,7 +96,7 @@ def completion_check(
     fibration (dims.admissible_sphere) fails first, without sampling; an
     admissible one with n != 2k+1 raises DimensionMismatch.  For linear
     and affine charts the map is y -> (sum_j t_j C_j) y and the check is
-    bilinear.verify_nonsingular on (C_1, ..., C_k): exact for k <= 2, the
+    bilinear.verify_nonsingular on (C_1, ..., C_k): exact for k = 1, the
     Gram certificate first for k >= 3; for smooth charts it stacks the
     pencils sum_j t_j dB_j(y), the Jacobians of y -> B(y)t, over sampled
     (y, t) and leaves the verdict to bilinear.pencil_report.  The

@@ -11,11 +11,12 @@ from skewfib.bilinear import (
     gram_enclosure,
     gram_matrix,
     hurwitz_radon_family,
+    pencil_report,
     verify_nonsingular,
 )
 from skewfib.contact import gluck_yang_matrix
 from skewfib.errors import InvalidInput
-from skewfib.numeric import SampleStream
+from skewfib.numeric import SampleStream, Tolerance
 
 RNG_SEED = 97531
 
@@ -200,6 +201,23 @@ def test_exact_pencil_agrees_with_construction():
             assert sv[-1] <= 1e-7 * sv[0]
 
 
+def test_sampled_two_slot_fail_stands():
+    """A rotated Jordan block C = Q(lam I + N)Q^T with its pencil (C, I):
+    LAPACK moves the defective eigenvalue lam off the real axis by about
+    eps^(1/4), so the exact two-slot test alone would pass it, but a
+    sampled t near (1, -lam)/|.| is singular at the tolerance in force.
+    That fail stands, and its witness t is singular when recomputed."""
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-3.0, 3.0)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    c = q @ (lam * np.eye(4) + np.eye(4, k=1)) @ q.T
+    rep = verify_nonsingular(BilinearMap(4, 2, (c, np.eye(4))))
+    assert rep.verdict == "fail"
+    t = np.asarray(rep.witnesses[0]["t"])
+    sv = np.linalg.svd(t[0] * c + t[1] * np.eye(4), compute_uv=False)
+    assert sv[-1] <= 1e-10 * sv[0]
+
+
 def _noisy_octonion(scale=0.1):
     """The octonion kp1 = 5 map plus Gaussian noise: the Gram test does not
     decide it, so verify_nonsingular samples it."""
@@ -218,14 +236,14 @@ def test_sampled_margin_never_increases_with_more_samples():
 
 
 def test_sampled_worst_is_first_least_margin():
-    """worst_t is the first sample of least sigma_min, also among ties.
-    kp1 = 2 pencils are still sampled before their exact test."""
-    a = from_algebra("octonion", 2)
-    ts = SampleStream(seed=7).unit_vectors(1024, a.kp1)
-    combos = np.einsum("sj,jab->sab", ts, np.stack(a.mats))
+    """worst_t is the first sample of least sigma_min, also among ties."""
+    mats = np.stack(from_algebra("octonion", 2).mats)
+    ts = SampleStream(seed=7).unit_vectors(1024, 2)
+    combos = np.einsum("sj,jab->sab", ts, mats)
     smin = np.linalg.svd(combos, compute_uv=False)[:, -1]
     assert np.sum(smin == smin.min()) > 1  # unit-norm combinations tie at 1
-    rep = verify_nonsingular(a, samples=1024, stream=SampleStream(seed=7))
+    rep = pencil_report("nonsingular", mats[None], ts, {},
+                        lambda n, s: {"worst_t": ts[s].tolist()}, Tolerance.default())
     assert rep.details["worst_t"] == ts[np.argmin(smin)].tolist()
     assert rep.margin == smin.min()
 

@@ -773,6 +773,37 @@ def test_gram_certifies_linear_charts(c, margin):
         assert rep.verdict == "pass" and rep.details["margin_exact"] is True
 
 
+_K2_Q3 = Chart(2, 3, "linear", C=(
+    np.array([[-1.66, -1.05, 1.21], [0.33, -1.62, -0.27], [-0.08, -1.36, 0.94]]),
+    np.array([[-1.55, -0.44, 0.07], [-0.28, 0.35, 0.95], [1.83, -0.86, 0.59]]),
+))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize(
+    "check, c",
+    [(verify_skew, _K2_Q3), (verify_nondegenerate, _K2_Q3),
+     (verify_nondegenerate, _K_AT_LEAST_Q["k2-q2"])],
+    ids=["skew-k2-q3", "nondeg-k2-q3", "nondeg-k2-q2"],
+)
+def test_adams_gate_fails_pencils_with_more_slots_than_rho(check, c, seed):
+    """k + 1 > rho(q), so the pencil (C_1, ..., C_k, I) is singular
+    somewhere (Hurwitz-Radon-Adams).  No sample and no Gram-test t finds
+    that set on these charts, and the gate fails them with its witness."""
+    rep = check(c, stream=SampleStream(seed))
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    assert rep.witnesses == ({"kp1": c.k + 1, "q": c.q, "reason": "no nonsingular pencil exists"},)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", ["hopf3", "hopf7", "hopf15", "hr-16-9"])
+def test_adams_gate_passes_admissible_charts(name, seed):
+    """Charts with k + 1 <= rho(q) are never gated, at the seeds above."""
+    c = _CERTIFIED[name][0]
+    assert verify_skew(c, stream=SampleStream(seed)).verdict == "pass"
+    assert verify_nondegenerate(c, stream=SampleStream(seed)).verdict == "pass"
+
+
 def test_gram_skips_pencils_above_its_size_cap():
     """HR(128, 9) has the skew pencil S = I, but with mq = 9 * 128 above
     GRAM_MAX it is sampled, as before the certificate."""

@@ -37,7 +37,11 @@ both sample modes, and the input-error paths of the sampled verbs:
   `k2-q2.json` (C = (J2, diag(1, -1))), whose pair matrices have more
   columns than rows, on `diag-12.json` (C = diag(1, 2)), singular only
   at the Gram test's t, and on `k2-q3.json`, a k = 2, q = 3 chart whose
-  singular set sampling misses.
+  singular set sampling misses;
+- `verify nondeg` at seeds 0 and 7 on `k2-q3.json` and `k2-q2.json`,
+  whose pencils have more slots than rho(q) and fail by the
+  Hurwitz–Radon–Adams gate, and `verify skew` at seeds 0 and 7 on
+  `real-eig.json`, whose real eigenvalues sampled pairs miss.
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
@@ -236,6 +240,13 @@ def corpus() -> list[dict]:
     for chart in ("k1-q1.json", "k2-q2.json", "diag-12.json", "k2-q3.json"):
         for seed in (0, 7):
             add("verify", "skew", "--chart", chart, "--seed", seed)
+
+    # pencils with k + 1 > rho(q), which the Hurwitz-Radon-Adams gate fails,
+    # and a k = 1 chart with real eigenvalues, which sampled pairs miss
+    for seed in (0, 7):
+        for chart in ("k2-q3.json", "k2-q2.json"):
+            add("verify", "nondeg", "--chart", chart, "--seed", seed)
+        add("verify", "skew", "--chart", "real-eig.json", "--seed", seed)
 
     # smooth line charts at the default 1,024 samples, where the closed-form
     # screens send only the deciding matrices to LAPACK
