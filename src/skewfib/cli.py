@@ -343,9 +343,10 @@ def _cmd_germ(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     # Built on the first main() call and reused: building the tree costs
-    # tens of times as much as parsing one command line with it.
+    # tens of times as much as parsing one command line with it.  Returns
+    # the tree and its leaf table (_leaves).
     parser = argparse.ArgumentParser(
         prog="skewfib",
         description="Skew fibrations of R^n: build charts, verify, probe, export.",
@@ -457,7 +458,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
-    return parser
+    return parser, _leaves(parser, (), {})
+
+
+def _leaves(parser: argparse.ArgumentParser, words: tuple, preset: dict) -> dict:
+    """Each command's words, such as ("verify", "skew") or ("fiber",), mapped
+    to its leaf parser and the namespace values that the levels above the
+    leaf set: the verb, the sub-verb's dest and the handler."""
+    subs = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if subs is None:
+        return {words: (parser, preset)}
+    preset = {**preset, **parser._defaults}
+    table = {}
+    for name, child in subs.choices.items():
+        table.update(_leaves(child, words + (name,), {**preset, subs.dest: name}))
+    return table
 
 
 def _add_contact_args(p: argparse.ArgumentParser) -> None:
@@ -469,10 +484,24 @@ def _add_contact_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a named command with its own leaf parser, which skips the
+    root's and the verb's scans of every token.  An argv that names no leaf,
+    and a leaf parse that leaves arguments over, go to the whole tree, so
+    help, usage errors and exit codes are the tree's own."""
+    tree, leaves = _build_parser()
+    key = tuple(argv[:2]) if tuple(argv[:2]) in leaves else tuple(argv[:1])
+    if key in leaves:
+        leaf, preset = leaves[key]
+        args, rest = leaf.parse_known_args(argv[len(key):], argparse.Namespace(**preset))
+        if not rest:
+            return args
+    return tree.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)

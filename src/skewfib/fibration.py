@@ -28,6 +28,7 @@ import numpy as np
 
 from . import report as rp
 from .bilinear import BilinearMap, J2, decide_pencil, from_algebra, pencil_report, verify_nonsingular
+from .dims import admissible_skew
 from .errors import (
     BlendFailure,
     InvalidInput,
@@ -463,6 +464,16 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
 # verification
 
 
+def _gate_smooth(c: Chart, rep: rp.VerificationReport) -> rp.VerificationReport:
+    """A smooth chart's clean sampled report fails when its (k, n) admits no
+    skew fibration (dims.admissible_skew, Hurwitz-Radon-Adams), as
+    decide_pencil gates linear charts; a sampled fail stands."""
+    if not rep.ok or admissible_skew(c.k, c.n):
+        return rep
+    witness = {"k": c.k, "n": c.n, "reason": "no skew fibration exists"}
+    return replace(rep, margin=0.0, witnesses=(witness,))
+
+
 @overflow_is_invalid
 def verify_skew(
     c: Chart,
@@ -481,7 +492,8 @@ def verify_skew(
     Pairs with |x - y| <= 1e-12 radius count as coincident and are
     dropped, so the pairs tested do not depend on the chart's scale.
     When k = 1, report.sampled_report sends only the pairs that can hold
-    the least margin to LAPACK.
+    the least margin to LAPACK.  On a smooth chart a clean sampled run
+    fails when (k, n) admits no skew fibration (_gate_smooth).
 
     On a linear or affine chart B(x) - B(y) = B_lin(d) with d = x - y, and
     the columns of [B_lin(d) | d] are M_j d for the pencil M = (C_1, ...,
@@ -523,7 +535,7 @@ def verify_skew(
         )
 
     if not c.is_linear:
-        return sample()
+        return _gate_smooth(c, sample())
     pencil = np.concatenate([c.C, np.eye(c.q)[None]])
 
     def singular_at(rep, t, hi):
@@ -582,7 +594,8 @@ def verify_nondegenerate(
     pencil goes to bilinear.verify_nonsingular, which tries the Gram
     certificate before sampling samples unit t and gates k + 1 > rho(q),
     and a smooth chart's pencils at T_SAMPLES unit t per sampled chart
-    point go to bilinear.pencil_report.
+    point go to bilinear.pencil_report.  On a smooth chart a clean sampled
+    run fails when (k, n) admits no skew fibration (_gate_smooth).
 
     On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
     |Im lambda| of every dB_y in closed form, widened by the rounding slack
@@ -605,18 +618,18 @@ def verify_nondegenerate(
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
         mats = c.dB(pts)[:, :, 0, :]
-        return rp.candidates_first(
+        return _gate_smooth(c, rp.candidates_first(
             eig_screen(mats, tol),
             lambda rows: _spectrum_report(np.linalg.eigvals(mats[rows]), pts[rows], sampling, tol),
-        )
+        ))
 
     ts = stream.unit_vectors(T_SAMPLES, c.k + 1)
     eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))
     slots = np.concatenate([c.dB(pts).transpose(0, 2, 1, 3), eye], axis=1)
-    return pencil_report(
+    return _gate_smooth(c, pencil_report(
         "nondegenerate", slots, ts, sampling,
         lambda n, s: {"exact": False, "worst_point": pts[n].tolist()}, tol, pts,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------

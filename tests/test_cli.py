@@ -732,8 +732,10 @@ def test_build_hopf_line_non_finite_parameter_is_one_line_error(capsys):
 
 
 def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
-    """main() builds its parser on the first call only, and every call
-    gives the output that a freshly built parser gives."""
+    """main() takes the tree and the leaf table from one build of the one
+    cached builder, on leaf commands and help alike: a builder that builds
+    afresh is called once per command and gives the same outcomes as the
+    cached one, which builds once."""
     hopf = _write_chart_file(tmp_path, "hopf3")
     mat = _write_matrix_file(tmp_path, np.kron(np.eye(2), np.asarray(J2)), "J4.json")
     calls = [
@@ -741,10 +743,12 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
         ["verify", "skew", "--chart", hopf, "--samples", "32"],
         ["--help"],
         ["verify", "skew", "--chart", hopf, "--samples", "many"],
+        ["verify", "skew", "--help"],
         ["verify", "invariant-planes", "--matrix", mat, "--seed", "3", "--samples", "20"],
         ["sphere", "complete-check", "--chart", hopf, "--seed", "3"],
+        ["verify", "--help"],
         ["verify", "nondeg", "--chart", hopf, "--samples", "32"],
-        ["--help"],
+        ["fiber", "--chart", hopf, "--point", "0"],
         ["verify", "contact", "--chart", hopf, "--point", "0"],
     ]
     build = cli._build_parser.__wrapped__
@@ -762,13 +766,83 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
             results.append((code, out, err))
         return results
 
-    monkeypatch.setattr(cli, "_build_parser", build)  # a new parser on every call
+    monkeypatch.setattr(cli, "_build_parser", counted_build)  # a new tree and table on every call
     fresh = outcomes()
+    assert len(built) == len(calls)
+    built.clear()
     monkeypatch.setattr(cli, "_build_parser", functools.cache(counted_build))
     assert outcomes() == fresh
     assert len(built) == 1
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
     assert "invalid int value: 'many'" in fresh[3][2]
+
+
+# One command line per leaf parser, each with its own options.
+_LEAF_ARGVS = [
+    ["dims", "rho", "8"],
+    ["dims", "admissible", "1", "3"],
+    ["dims", "table", "--max-n", "9"],
+    ["build", "hopf", "--dim", "3", "--out", "h.json"],
+    ["build", "hopf-line", "--m", "1", "--a=-0.25"],
+    ["build", "gluck-yang", "--m", "2"],
+    ["build", "bilinear", "--hr", "4", "3"],
+    ["build", "from-json", "--in", "c.json"],
+    ["verify", "skew", "--chart", "c.json", "--samp", "64", "--mode", "low-discrepancy"],
+    ["verify", "nondeg", "--chart", "c.json", "--radius", "2.5"],
+    ["verify", "eigen", "--chart", "c.json"],
+    ["verify", "contact", "--chart", "c.json", "--point", "0.5 -1"],
+    ["verify", "invariant-planes", "--matrix", "J4.json"],
+    ["fiber", "--chart", "c.json", "--point", "0"],
+    ["sample", "--chart", "c.json", "--grid", "random:4:1", "--t-range=-2:2", "--out", "s.csv"],
+    ["sphere", "complete-check", "--chart", "c.json", "--seed", "7"],
+    ["sphere", "assemble", "--matrix", "J4.json", "--theta-steps", "8"],
+    ["sphere", "probe", "--matrix", "J4.json", "--distance", "1e-1"],
+    ["contact", "check", "--chart", "c.json", "--points", "p.txt"],
+    ["germ", "extend", "--chart", "c.json", "--radius", "0.3", "--out", "e.json"],
+]
+
+
+def test_leaf_table_has_one_entry_per_command():
+    leaves = cli._build_parser()[1]
+    assert len(leaves) == len(_LEAF_ARGVS) == 20
+    assert {key for key in leaves for argv in _LEAF_ARGVS if tuple(argv[: len(key)]) == key} == set(leaves)
+
+
+@pytest.mark.parametrize("argv", _LEAF_ARGVS, ids=[" ".join(a[:2]) for a in _LEAF_ARGVS])
+def test_leaf_path_gives_the_tree_namespace(argv):
+    """The leaf parser, run into the values the tree sets above it, gives
+    the namespace of the whole tree: handler, verb, the sub-verb's dest
+    and every default, chart=None of verify invariant-planes included."""
+    tree = cli._build_parser()[0]
+    assert vars(cli._parse(argv)) == vars(tree.parse_args(argv))
+
+
+_USAGE = [
+    (["verify", "skew", "--chart", "@hopf3", "--bogus", "1"], 2),
+    (["verify", "skew"], 2),
+    (["verify", "skew", "--chart", "@hopf3", "--samples", "many"], 2),
+    (["verify", "skew", "--chart", "@hopf3", "--samp", "64"], 0),
+    (["verify", "skew", "--help"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", _USAGE, ids=["unrecognized", "no-chart", "bad-int", "abbrev", "help"])
+def test_leaf_path_output_equals_the_tree_alone(capsys, tmp_path, monkeypatch, argv, code):
+    """main's stdout, stderr and exit code on an unrecognized argument, a
+    usage error, an abbreviated option and help are those of the tree."""
+    hopf = _write_chart_file(tmp_path, "hopf3")
+    argv = [hopf if a == "@hopf3" else a for a in argv]
+
+    def outcome():
+        result = main(argv)
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    leaf = outcome()
+    tree = cli._build_parser()[0]
+    monkeypatch.setattr(cli, "_build_parser", lambda: (tree, {}))  # every argv goes to the tree
+    assert outcome() == leaf
+    assert leaf[0] == code
 
 
 def test_help_exits_zero(capsys):

@@ -804,6 +804,33 @@ def test_adams_gate_passes_admissible_charts(name, seed):
     assert verify_nondegenerate(c, stream=SampleStream(seed)).verdict == "pass"
 
 
+_EXT_K2_Q3 = builtin_chart("germ_extension", blend_r=1.0, base=_K2_Q3)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("check", [verify_skew, verify_nondegenerate], ids=["skew", "nondeg"])
+def test_adams_gate_fails_smooth_charts_without_a_skew_fibration(check, seed):
+    """A smooth extension of the k = 2, q = 3 chart: R^5 admits no skew
+    fibration by planes, no sample finds its singular set at these seeds,
+    and the gate fails the clean run with its witness."""
+    rep = check(_EXT_K2_Q3, stream=SampleStream(seed))
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    assert rep.witnesses == ({"k": 2, "n": 5, "reason": "no skew fibration exists"},)
+
+
+def test_adams_gate_keeps_sampled_witnesses_on_smooth_charts():
+    """A sampled fail stands: the extension of C = [[2]] (k = q = 1) keeps
+    its singular pairs and its real eigenvalue; an admissible smooth
+    chart is never gated."""
+    c = builtin_chart("germ_extension", blend_r=1.0, base=Chart(1, 1, "linear", C=(np.array([[2.0]]),)))
+    skew = verify_skew(c, stream=SampleStream(0))
+    assert skew.verdict == "fail" and all("sigma_min" in w for w in skew.witnesses)
+    assert verify_nondegenerate(c, stream=SampleStream(0)).witnesses[0]["eigenvalue"] == 2.0
+    ext = builtin_chart("germ_extension", blend_r=0.5, base=builtin_chart("quad_germ", eps=0.05))
+    assert verify_skew(ext, stream=SampleStream(0)).verdict == "evidence-only"
+    assert verify_nondegenerate(ext, stream=SampleStream(0)).verdict == "evidence-only"
+
+
 def test_gram_skips_pencils_above_its_size_cap():
     """HR(128, 9) has the skew pencil S = I, but with mq = 9 * 128 above
     GRAM_MAX it is sampled, as before the certificate."""

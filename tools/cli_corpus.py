@@ -40,8 +40,15 @@ both sample modes, and the input-error paths of the sampled verbs:
   singular set sampling misses;
 - `verify nondeg` at seeds 0 and 7 on `k2-q3.json` and `k2-q2.json`,
   whose pencils have more slots than rho(q) and fail by the
-  Hurwitz–Radon–Adams gate, and `verify skew` at seeds 0 and 7 on
-  `real-eig.json`, whose real eigenvalues sampled pairs miss.
+  Hurwitz–Radon–Adams gate, `verify skew` and `verify nondeg` at seeds
+  0 and 7 on `ext-k2-q3.json`, a smooth extension of `k2-q3.json` that
+  the gate fails too, and `verify skew` at seeds 0 and 7 on
+  `real-eig.json`, whose real eigenvalues sampled pairs miss;
+- help at the root, verb and command levels, and the usage errors: no
+  arguments, an unknown verb, a verb without its sub-verb, a missing
+  required option, an unrecognized option, an invalid int and an option
+  value that begins with a dash.  The subprocesses run with COLUMNS=80,
+  so help text does not depend on the terminal.
 
 For every command it compares stdout, stderr, the exit code and every
 file the command wrote or changed (by content), then prints how many
@@ -86,6 +93,9 @@ def _builtin(k, q, name, params):
             "builtin": {"name": name, "params": params}}
 
 
+_K2_Q3 = _linear(2, 3, [[[-1.66, -1.05, 1.21], [0.33, -1.62, -0.27], [-0.08, -1.36, 0.94]],
+                        [[-1.55, -0.44, 0.07], [-0.28, 0.35, 0.95], [1.83, -0.86, 0.59]]])
+
 # Input files written into each working directory before the corpus runs.
 FILES = {
     "zero-k1.json": _linear(1, 2, [[[0.0, 0.0], [0.0, 0.0]]]),
@@ -105,8 +115,9 @@ FILES = {
     "k2-q2.json": _linear(2, 2, [_J2, [[1.0, 0.0], [0.0, -1.0]]]),
     "diag-12.json": _linear(1, 2, [[[1.0, 0.0], [0.0, 2.0]]]),
     # rho(3) = 1, so this pencil is singular somewhere, but sampling misses it
-    "k2-q3.json": _linear(2, 3, [[[-1.66, -1.05, 1.21], [0.33, -1.62, -0.27], [-0.08, -1.36, 0.94]],
-                                 [[-1.55, -0.44, 0.07], [-0.28, 0.35, 0.95], [1.83, -0.86, 0.59]]]),
+    "k2-q3.json": _K2_Q3,
+    # its smooth extension, which the Hurwitz-Radon-Adams gate fails as well
+    "ext-k2-q3.json": _builtin(2, 3, "germ_extension", {"blend_r": 1.0, "base": _K2_Q3}),
     "quad-005.json": _builtin(1, 2, "quad_germ", {"eps": 0.05}),
     "quad-02.json": _builtin(1, 2, "quad_germ", {"eps": 0.2}),
     # entries near 1e162: the closed-form screens overflow and fall back
@@ -242,10 +253,13 @@ def corpus() -> list[dict]:
             add("verify", "skew", "--chart", chart, "--seed", seed)
 
     # pencils with k + 1 > rho(q), which the Hurwitz-Radon-Adams gate fails,
-    # and a k = 1 chart with real eigenvalues, which sampled pairs miss
+    # a smooth chart with k + 1 > rho(q), and a k = 1 chart with real
+    # eigenvalues, which sampled pairs miss
     for seed in (0, 7):
         for chart in ("k2-q3.json", "k2-q2.json"):
             add("verify", "nondeg", "--chart", chart, "--seed", seed)
+        for what in ("skew", "nondeg"):
+            add("verify", what, "--chart", "ext-k2-q3.json", "--seed", seed)
         add("verify", "skew", "--chart", "real-eig.json", "--seed", seed)
 
     # smooth line charts at the default 1,024 samples, where the closed-form
@@ -336,9 +350,18 @@ def corpus() -> list[dict]:
     for tol in ("1e-3", "1e-12,1e-15", "abc", "inf"):
         add("verify", "nondeg", "--chart", "ill-k2.json", "--samples", 64, env={"SKEWFIB_TOL": tol})
         add("verify", "eigen", "--chart", "line-m1.json", env={"SKEWFIB_TOL": tol})
+    # help at every level and the usage errors: the tree parses an argv
+    # that names no command, a command's own parser the others
+    add("--help")
+    add("verify", "--help")
+    add("verify", "skew", "--help")
     add()
     add("frobnicate")
+    add("verify")
     add("verify", "skew")
+    add("verify", "skew", "--chart", "hopf3.json", "--bogus", 1)
+    add("verify", "skew", "--chart", "hopf3.json", "--samples", "many")
+    add("fiber", "--chart", "hopf3.json", "--point", "-1,0,0")
     add("verify", "skew", "--chart", "missing.json")
     add("fiber", "--chart", "hopf3.json", "--point", "1,2")
     add("sphere", "assemble", "--matrix", "J2.json", "--point", "0 0 0 0")
@@ -395,6 +418,7 @@ def worker(src: str, workdir: str) -> None:
 def _run(checkout: str, workdir: str, cmds: list[dict]) -> list[dict]:
     src = os.path.join(os.path.abspath(checkout), "src")
     env = {key: v for key, v in os.environ.items() if key not in ("PYTHONPATH", "SKEWFIB_TOL")}
+    env["COLUMNS"] = "80"  # argparse wraps help text to the terminal's width
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", src, workdir],
         input=json.dumps(cmds), capture_output=True, text=True, env=env, check=False,
