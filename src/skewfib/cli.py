@@ -191,8 +191,10 @@ def _cmd_fiber(args) -> int:
     c = _load_chart(args.chart)
     x = _parse_point(args.point, c.n)
     y = fibration.fiber_solve(c, x)
-    plane = fibration.fiber_plane(c, y)
-    residual = float(np.linalg.norm(y + c.B(y) @ x[: c.k] - x[c.k :]))
+    # one B(y) for the plane and the residual
+    b = c.B(y)
+    plane = fibration._graph_plane(c, y, b)
+    residual = float(np.linalg.norm(y + b @ x[: c.k] - x[c.k :]))
     return _emit_report(
         {
             "chart_point": y.tolist(),
@@ -346,7 +348,8 @@ def _cmd_germ(args) -> int:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     # Built on the first main() call and reused: building the tree costs
     # tens of times as much as parsing one command line with it.  Returns
-    # the tree and its leaf table (_leaves).
+    # the tree and its leaf table (_leaves).  Each handler is guarded by
+    # overflow_is_invalid once, here, so overflow is an input error (exit 2).
     parser = argparse.ArgumentParser(
         prog="skewfib",
         description="Skew fibrations of R^n: build charts, verify, probe, export.",
@@ -354,7 +357,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_dims = sub.add_parser("dims", help="dimension queries")
-    p_dims.set_defaults(handler=_cmd_dims)
+    p_dims.set_defaults(handler=overflow_is_invalid(_cmd_dims))
     dims_sub = p_dims.add_subparsers(dest="what", required=True)
     p = dims_sub.add_parser("rho", help="Hurwitz-Radon function")
     p.add_argument("q", type=int)
@@ -365,7 +368,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--max-n", type=int, default=24)
 
     p_build = sub.add_parser("build", help="construct charts")
-    p_build.set_defaults(handler=_cmd_build)
+    p_build.set_defaults(handler=overflow_is_invalid(_cmd_build))
     build_sub = p_build.add_subparsers(dest="family", required=True)
     p = build_sub.add_parser("hopf")
     p.add_argument("--dim", type=int, required=True, choices=(3, 7, 15))
@@ -388,7 +391,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out")
 
     p_verify = sub.add_parser("verify", help="verification checks")
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=overflow_is_invalid(_cmd_verify))
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     for name in ("skew", "nondeg"):
         p = verify_sub.add_parser(name)
@@ -410,7 +413,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_fiber = sub.add_parser("fiber", help="solve the fiber through a point")
     p_fiber.add_argument("--chart", required=True)
     p_fiber.add_argument("--point", required=True)
-    p_fiber.set_defaults(handler=_cmd_fiber)
+    p_fiber.set_defaults(handler=overflow_is_invalid(_cmd_fiber))
 
     p_sample = sub.add_parser("sample", help="export fiber samples as CSV")
     p_sample.add_argument("--chart", required=True)
@@ -419,10 +422,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_sample.add_argument("--steps", type=int, default=5)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True)
-    p_sample.set_defaults(handler=_cmd_sample)
+    p_sample.set_defaults(handler=overflow_is_invalid(_cmd_sample))
 
     p_sphere = sub.add_parser("sphere", help="sphere-side checks")
-    p_sphere.set_defaults(handler=_cmd_sphere)
+    p_sphere.set_defaults(handler=overflow_is_invalid(_cmd_sphere))
     sphere_sub = p_sphere.add_subparsers(dest="what", required=True)
     p = sphere_sub.add_parser("complete-check")
     p.add_argument("--chart", required=True)
@@ -443,13 +446,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--threshold", type=float, default=1e-3)
 
     p_contact = sub.add_parser("contact", help="contact-structure checks")
-    p_contact.set_defaults(handler=_cmd_contact)
+    p_contact.set_defaults(handler=overflow_is_invalid(_cmd_contact))
     contact_sub = p_contact.add_subparsers(dest="what", required=True)
     p = contact_sub.add_parser("check")
     _add_contact_args(p)
 
     p_germ = sub.add_parser("germ", help="germ extension")
-    p_germ.set_defaults(handler=_cmd_germ)
+    p_germ.set_defaults(handler=overflow_is_invalid(_cmd_germ))
     germ_sub = p_germ.add_subparsers(dest="what", required=True)
     p = germ_sub.add_parser("extend")
     p.add_argument("--chart", required=True)
@@ -506,7 +509,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)
     try:
-        return overflow_is_invalid(args.handler)(args)
+        return args.handler(args)
     except (SkewfibError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"skewfib: error: {exc}\n")
         return 2

@@ -437,6 +437,14 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     return _solve(c, 1.0, t1, t2, t2, budget, tol)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| for a nonzero vector, first scaled by the power of two (an
+    exact scaling) that brings max |v_i| into [1/2, 1), so |v|^2 cannot
+    overflow or underflow."""
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+    return v / np.linalg.norm(v)
+
+
 @overflow_is_invalid
 def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     """The fiber through chart point y as an affine plane.
@@ -444,18 +452,27 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     Direction is the span of (e_j, B(y) e_j), oriented by parameter
     order; the base point is (0, y) projected off the direction.
 
-    The graph frame F = [I_k; B(y)] has sigma_min >= 1 whatever B(y) is:
-    |F t|^2 = |t|^2 + |B(y) t|^2 >= |t|^2.  orthonormalize's rank gate
-    (sigma_min <= tol.abs) could only trip at tol.abs >= 1, so the frame
-    goes straight to numeric.oriented_q, which returns what
-    orthonormalize returns at any smaller tolerance, and the plane is
-    built without the constructors' checks (grassmann._built).  A chart
-    whose B(y) or base overflows raises InvalidInput with numpy's message,
-    as every guarded entry point does (numeric.overflow_is_invalid).
+    The graph frame F = [I_k; B(y)] has sigma_min >= 1 whatever B(y) is,
+    as |F t|^2 = |t|^2 + |B(y) t|^2, so it needs no rank gate, and the
+    plane is built without the constructors' checks (grassmann._built).
+    For k = 1 the frame is the closed form v / |v|, v = (1, B(y)), with a
+    positive first entry; _unit scales v by a power of two first, so a
+    steep line whose |v|^2 overflows still gets its unit frame.  For k >= 2
+    it is numeric.oriented_q(F), orthonormalize's frame at any tolerance
+    below 1.  A chart whose B(y) or base overflows raises InvalidInput
+    with numpy's message (numeric.overflow_is_invalid).
     """
     y = finite_vector(y, c.q)
+    return _graph_plane(c, y, c.B(y))
+
+
+def _graph_plane(c: Chart, y: np.ndarray, b: np.ndarray) -> AffinePlane:
+    """fiber_plane at chart point y, given b = c.B(y)."""
     p = np.concatenate([np.zeros(c.k), y])
-    frame = oriented_q(np.vstack([np.eye(c.k), c.B(y)]))
+    if c.k == 1:
+        frame = _unit(np.concatenate([[1.0], b[:, 0]]))[:, None]
+    else:
+        frame = oriented_q(np.vstack([np.eye(c.k), b]))
     base = p - frame @ (frame.T @ p)
     return _built(AffinePlane, direction=_built(OrientedPlane, frame=frame), base=base)
 
@@ -523,7 +540,9 @@ def verify_skew(
                 stacks[:, :, j] = diff @ c.C[j].T
             stacks[:, :, c.k] = diff
         else:
-            stacks = np.concatenate([c.B(xs) - c.B(ys), diff[:, :, None]], axis=2)
+            # one B call on both stacks: rows are independent, bit for bit
+            bs = c.B(np.concatenate([xs, ys]))
+            stacks = np.concatenate([bs[: len(xs)] - bs[len(xs) :], diff[:, :, None]], axis=2)
         return rp.sampled_report(
             "skew",
             stacks,
@@ -679,13 +698,17 @@ class ConeProbe:
 def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
     """Chart point whose fiber has ell among its directions.
 
-    Solves B(y) ell_t = ell_y with fiber_solve's solver (Newton from y = 0
-    on smooth charts) to a residual of 1e-12 (1 + |ell_y|); requires a
-    nonzero parameter part.  A singular system, as on a degenerate linear
-    chart, raises SingularSystem, and a missed budget NoConvergence.
+    ell is scaled to unit length first: the fiber does not depend on its
+    length.  Solves B(y) ell_t = ell_y with fiber_solve's solver (Newton
+    from y = 0 on smooth charts) to a residual of 1e-12 (1 + |ell_y|);
+    needs |ell_t| > 1e-12.  A zero ell raises InvalidInput, a singular
+    system SingularSystem, and a missed budget NoConvergence.
     """
     tol = tol or Tolerance.default()
     ell = finite_vector(ell, c.n, "ell")
+    if not ell.any():
+        raise InvalidInput("ell must be nonzero")
+    ell = _unit(ell)
     lt, ly = ell[: c.k], ell[c.k :]
     if float(np.linalg.norm(lt)) <= 1e-12:
         raise InvalidInput("direction lies in the chart plane; no fiber contains it")
@@ -785,14 +808,14 @@ def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
         count as near, so they come out NaN."""
         s = row_norms(ys) / blend_r
         far = s > 0.5
-        if not np.count_nonzero(far):
+        if not far.any():
             return germ(ys)
-        near = np.flatnonzero(~(s >= 1.0))
-        ring = far[near]
-        rows = near[ring]
-        bumps = np.array([_bump(v) for v in s[rows].tolist()]).reshape(-1, 2)
         out = linear(ys)
+        near = np.flatnonzero(~(s >= 1.0))
         if len(near):
+            ring = far[near]
+            rows = near[ring]
+            bumps = np.array([_bump(v) for v in s[rows].tolist()]).reshape(-1, 2)
             loc = germ(ys[near])
             w = bumps[:, 0].reshape((-1,) + (1,) * (out.ndim - 1))
             mixed = w * loc[ring] + (1.0 - w) * out[rows]

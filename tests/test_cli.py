@@ -271,6 +271,42 @@ def test_fiber_report(capsys, tmp_path):
     assert code == 0 and data["chart_point"] == [0.0, 0.0]
 
 
+def test_fiber_evaluates_b_once_after_the_solve(capsys, tmp_path, monkeypatch):
+    """On a germ extension, the fiber verb makes one Chart.B call more than
+    loading the chart and a direct fiber_solve at the same point: the plane
+    and the printed residual share one B(y)."""
+    ext = builtin_chart("germ_extension", blend_r=0.5, base=builtin_chart("quad_germ", eps=0.2))
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(chart_to_dict(ext)))
+    calls = []
+    b = Chart.B
+    monkeypatch.setattr(Chart, "B", lambda self, y: calls.append(1) or b(self, y))
+    # near, ring and far zones, and a solve through the ring with t != 0
+    for point in ([0.0, 0.1, -0.1], [0.0, 0.3, 0.2], [0.0, -2.0, 1.0], [0.4, 0.35, 0.1]):
+        x = np.array(point)
+        calls.clear()
+        y = fiber_solve(chart_from_dict(json.loads(path.read_text())), x)
+        direct = len(calls)
+        calls.clear()
+        code, data = _run_json(capsys, ["fiber", "--chart", str(path), "--point", ",".join(map(repr, point))])
+        assert code == 0
+        assert len(calls) == direct + 1
+        assert data["chart_point"] == y.tolist()
+        assert data["residual"] == float(np.linalg.norm(y + b(ext, y) @ x[:1] - x[1:]))
+
+
+def test_handlers_are_guarded_when_the_parser_is_built(capsys, tmp_path, monkeypatch):
+    """main runs the handler that _build_parser guarded, with no guard of
+    its own per call; overflow still exits 2."""
+    hopf = _write_chart_file(tmp_path, "hopf3")
+    cli._build_parser()
+    monkeypatch.setattr(cli, "overflow_is_invalid", lambda fn: pytest.fail("guard built per call"))
+    code, data = _run_json(capsys, ["fiber", "--chart", hopf, "--point", "0,0,1"])
+    assert code == 0 and data["chart_point"] == [0.0, 1.0]
+    code, _ = _run(capsys, ["fiber", "--chart", hopf, "--point", "1e200,1e200,1e200"])
+    assert code == 2
+
+
 def test_fiber_bad_point_dimension(capsys, tmp_path):
     path = _write_chart_file(tmp_path, "hopf3")
     code, _ = _run(capsys, ["fiber", "--chart", path, "--point", "1 2"])

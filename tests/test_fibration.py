@@ -935,6 +935,39 @@ def test_fiber_containing_direction_on_extension():
         assert np.linalg.norm(ext.B(y) @ ell[:1] - ell[1:]) <= budget
 
 
+def test_fiber_containing_direction_does_not_depend_on_length():
+    """The fiber that contains a direction does not depend on its length:
+    the same chart point, within 1e-12, from ell scaled by 1e-11 to 1e6.
+    An unnormalized ell once raised "chart plane" on hopf3 at 1e-13 and
+    stopped Newton 3.6e-2 away on quad_germ(0.5) at 1e-11.  A zero ell is
+    an input error."""
+    ell = np.array([1.0, 0.3, -0.2])
+    charts = [builtin_chart("hopf3"), builtin_chart("quad_germ", eps=0.5),
+              extend_germ(builtin_chart("quad_germ", eps=0.05))]
+    for c in charts:
+        ref = fiber_containing_direction(c, ell)
+        for scale in (1e-11, 1e-6, 1.0, 1e6):
+            assert np.max(np.abs(fiber_containing_direction(c, scale * ell) - ref)) <= 1e-12
+        with pytest.raises(InvalidInput, match="nonzero"):
+            fiber_containing_direction(c, np.zeros(3))
+    hopf3 = charts[0]
+    assert np.max(np.abs(fiber_containing_direction(hopf3, 1e-13 * ell)
+                         - fiber_containing_direction(hopf3, ell))) <= 1e-12
+
+
+def test_smooth_verify_skew_evaluates_b_once(monkeypatch):
+    """The smooth pair stack evaluates B once on both ends of every pair,
+    one Chart.B call per sampled run."""
+    ext = extend_germ(builtin_chart("quad_germ", eps=0.2))
+    calls = []
+    b = Chart.B
+    monkeypatch.setattr(Chart, "B", lambda self, y: calls.append(len(y)) or b(self, y))
+    for seed in (0, 7):
+        calls.clear()
+        rep = verify_skew(ext, samples=256, stream=SampleStream(seed))
+        assert calls == [2 * rep.details["pairs_tested"]]
+
+
 def test_fiber_containing_direction_singular_system():
     """A chart whose B does not move has a singular Jacobian, and a zero
     linear chart a singular system: both raise SingularSystem, not a raw

@@ -496,25 +496,52 @@ def test_plane_residual_matches_qr_reference():
                 assert abs(plane_residual(m, u) - _qr_plane_residual(m, u)) <= bound
 
 
+def _line_frame(b):
+    """The closed-form k = 1 graph frame v / |v|, v = (1, b), scaled first
+    by the power of two that brings max |v_i| into [1/2, 1)."""
+    v = np.concatenate([[1.0], b])
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    return (v / np.linalg.norm(v))[:, None]
+
+
 def test_library_built_planes_pass_public_constructors():
-    """fiber_plane skips the rank gate and the constructors' checks; its
-    frames equal orthonormalize's bit for bit, and the public
-    constructors accept every plane and great circle built from them."""
+    """fiber_plane skips the rank gate and the constructors' checks.  Its
+    k >= 2 frames equal orthonormalize's bit for bit; its k = 1 frames are
+    the closed form, bit for bit, with a positive first entry and within
+    4 eps of orthonormalize's.  The public constructors accept every plane
+    and great circle built from them."""
     charts = [builtin_chart(name) for name in ("hopf3", "hopf7", "hopf15")]
     charts.append(builtin_chart("hopf_line", m=2, a=0.5, b=-1.5))
     charts.append(extend_germ(builtin_chart("quad_germ", eps=0.2)))
     rng = np.random.default_rng(RNG_SEED)
+    eps = np.finfo(float).eps
     for c in charts:
         for radius in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
             for _ in range(3):
                 y = radius * _unit(rng, c.q)
                 plane = fiber_plane(c, y)
                 frame = plane.direction.frame
-                assert np.array_equal(frame, orthonormalize(np.vstack([np.eye(c.k), c.B(y)])))
+                reference = orthonormalize(np.vstack([np.eye(c.k), c.B(y)]))
+                if c.k == 1:
+                    assert np.array_equal(frame, _line_frame(c.B(y)[:, 0]))
+                    assert frame[0, 0] > 0.0
+                    assert np.max(np.abs(frame - reference)) <= 4 * eps
+                else:
+                    assert np.array_equal(frame, reference)
                 # each public constructor raises InvalidInput on a frame it rejects
                 AffinePlane(OrientedPlane(frame), plane.base)
                 OrientedPlane(embed_affine(plane).frame)
                 GreatSphere(great_sphere_of(plane).frame)
+    # the steep line: |(1, B(y))|^2 = 1 + 1e320 overflows, and the scaled
+    # closed form still gives the unit frame (1e-160, 0, 1), where QR's sign
+    # fix gave a first entry of -0.0
+    c = builtin_chart("hopf_line", m=1, a=0.0, b=1e160)
+    b = c.B(np.array([1.0, 0.0]))[:, 0]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(1.0 + b @ b)
+    frame = fiber_plane(c, np.array([1.0, 0.0])).direction.frame
+    assert np.array_equal(frame, _line_frame(b))
+    assert np.array_equal(frame[:, 0], [1e-160, 0.0, 1.0])
 
 
 def test_invariant_max_residual_is_max_of_single_residuals():

@@ -29,6 +29,9 @@ both sample modes, and the input-error paths of the sampled verbs:
   `verify nondeg` and `sphere complete-check` at the default 1,024
   samples on two `quad_germ` extensions and on `quad_germ` with
   eps = 1e160, whose entries overflow the screens' bounds;
+- `fiber` at chart points in the germ, ring and linear zones of two
+  extensions, one solve through the ring, and a steep line
+  (hopf_line b = 1e160) whose graph frame overflows unless scaled;
 - `verify skew --mode low-discrepancy` on the zero chart with q = 64,
   whose pairs are drawn in 64 dimensions;
 - `verify skew --seed -1` on hopf7, which the Gram test certifies
@@ -269,6 +272,18 @@ def corpus() -> list[dict]:
             add("verify", "skew", "--chart", chart, "--seed", seed)
             add("verify", "nondeg", "--chart", chart, "--seed", seed)
             add("sphere", "complete-check", "--chart", chart, "--seed", seed)
+
+    # the blend zones of the two extensions, both written at blend radius
+    # 0.5: with t = 0 the solved point is y itself, at |y| / blend_r = 0.4
+    # (germ), 0.75 (ring) and 2 (linear); (0.4, 0.3, 0.2) solves to
+    # |y| / blend_r = 0.66, so Newton runs through the ring
+    for chart in ("ext-005.json", "ext-02.json"):
+        for point in ("0,0.12,-0.16", "0,0.225,-0.3", "0,0.6,-0.8", "0.4,0.3,0.2"):
+            add("fiber", "--chart", chart, "--point", point)
+
+    # a steep line whose unscaled |(1, B(y))|^2 overflows
+    add("build", "hopf-line", "--m=1", "--a=0", "--b=1e160", "--out", "steep-line.json")
+    add("fiber", "--chart", "steep-line.json", "--point", "0,1,0")
 
     for chart, (k, q) in CHARTS.items():
         for what in ("skew", "nondeg"):
