@@ -20,7 +20,8 @@ from . import report as rp
 from .dims import rho
 from .errors import InvalidInput
 from .numeric import (
-    SampleStream, Tolerance, eigenvalues, is_singular, overflow_is_invalid, real_eigenvalue_mask,
+    SampleStream, Tolerance, eigenvalues, is_singular, overflow_is_invalid, pow2_scaled,
+    real_eigenvalue_mask, unit,
 )
 
 # 2 x 2 generators: one complex structure and two anticommuting reflections.
@@ -187,8 +188,7 @@ def gram_enclosure(
     """
     tol = tol or Tolerance.default()
     m, q = mats.shape[:2]
-    e = math.frexp(np.abs(mats).max())[1]
-    scaled = np.ldexp(mats, -e)
+    scaled, e = pow2_scaled(mats)
     s = gram_matrix(scaled)
     u = (q + 1) * 2.0**-53
     form = u / (1 - u) * float((scaled * scaled).sum())
@@ -287,8 +287,7 @@ def _two_slots(
     if not real.any():
         return rep
     lam = float(eig.real[real][0])
-    t = np.array([1.0, -lam])
-    witness = {"t": (t / np.linalg.norm(t)).tolist(), "eigenvalue": lam}
+    witness = {"t": unit(np.array([1.0, -lam])).tolist(), "eigenvalue": lam}
     return replace(rep, margin=0.0, witnesses=(witness,))
 
 

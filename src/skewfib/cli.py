@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import bilinear, contact, dims, fibration, sphere
 from .errors import BlendFailure, InvalidInput, SkewfibError
-from .numeric import SampleStream, finite_vector, overflow_is_invalid
+from .numeric import SampleStream, finite_vector, overflow_is_invalid, unit
 
 REPORT_SCHEMA = "skewfib-report-v1"
 
@@ -259,12 +258,9 @@ def _sphere_points(mat: np.ndarray, args) -> list[np.ndarray]:
         p = _parse_point(args.point, d)
         if args.point.strip() == "0":
             p[-1] = 1.0  # the origin shorthand means the north pole here
-        p = finite_vector(p, d, "sphere point")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(p))
-        if not 0.0 < norm < math.inf:
-            raise SkewfibError(f"sphere point must have a nonzero finite norm, got {norm}")
-        return [p / norm]
+        if not finite_vector(p, d, "sphere point").any():
+            raise SkewfibError("sphere point must have a nonzero finite norm, got 0.0")
+        return [unit(p)]
     raw = _stream(args).unit_vectors(args.samples, d)
     return [r for r in raw]
 
@@ -309,7 +305,7 @@ def _sphere_probe(mat: np.ndarray, args) -> int:
         w = np.zeros(d + 2)
         w[0], w[-1] = 0.6, 0.8
         p = np.cos(args.distance) * p_s + np.sin(args.distance) * w
-        angle = max_principal_angle(assign(p / np.linalg.norm(p)).frame, limit.frame)
+        angle = max_principal_angle(assign(unit(p)).frame, limit.frame)
         worst = max(worst, angle)
     ok = worst <= args.threshold
     return _emit_report(

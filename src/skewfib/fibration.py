@@ -49,6 +49,7 @@ from .numeric import (
     real_eigenvalue_mask,
     row_norms,
     spherical_distance,
+    unit,
 )
 
 LINEAR = "linear"
@@ -61,6 +62,8 @@ CHART_SCHEMA = "skewfib-chart-v1"
 T_SAMPLES = 64
 # Distance along the ray at which limiting_direction evaluates the fiber.
 LIMIT_T = 1e8
+# Most rows sample_fibers returns: 120 MiB of points in R^15.
+SAMPLE_MAX_ROWS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,14 +440,6 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     return _solve(c, 1.0, t1, t2, t2, budget, tol)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """v / |v| for a nonzero vector, first scaled by the power of two (an
-    exact scaling) that brings max |v_i| into [1/2, 1), so |v|^2 cannot
-    overflow or underflow."""
-    v = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
-    return v / np.linalg.norm(v)
-
-
 @overflow_is_invalid
 def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     """The fiber through chart point y as an affine plane.
@@ -455,12 +450,12 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     The graph frame F = [I_k; B(y)] has sigma_min >= 1 whatever B(y) is,
     as |F t|^2 = |t|^2 + |B(y) t|^2, so it needs no rank gate, and the
     plane is built without the constructors' checks (grassmann._built).
-    For k = 1 the frame is the closed form v / |v|, v = (1, B(y)), with a
-    positive first entry; _unit scales v by a power of two first, so a
-    steep line whose |v|^2 overflows still gets its unit frame.  For k >= 2
-    it is numeric.oriented_q(F), orthonormalize's frame at any tolerance
-    below 1.  A chart whose B(y) or base overflows raises InvalidInput
-    with numpy's message (numeric.overflow_is_invalid).
+    For k = 1 the frame is the closed form numeric.unit(v), v = (1, B(y)),
+    with a positive first entry, so a steep line whose |v|^2 overflows
+    still gets its unit frame.  For k >= 2 it is numeric.oriented_q(F),
+    orthonormalize's frame at any tolerance below 1.  A chart whose B(y)
+    or base overflows raises InvalidInput with numpy's message
+    (numeric.overflow_is_invalid).
     """
     y = finite_vector(y, c.q)
     return _graph_plane(c, y, c.B(y))
@@ -470,7 +465,7 @@ def _graph_plane(c: Chart, y: np.ndarray, b: np.ndarray) -> AffinePlane:
     """fiber_plane at chart point y, given b = c.B(y)."""
     p = np.concatenate([np.zeros(c.k), y])
     if c.k == 1:
-        frame = _unit(np.concatenate([[1.0], b[:, 0]]))[:, None]
+        frame = unit(np.concatenate([[1.0], b[:, 0]]))[:, None]
     else:
         frame = oriented_q(np.vstack([np.eye(c.k), b]))
     base = p - frame @ (frame.T @ p)
@@ -687,7 +682,7 @@ class ConeProbe:
             # NaN fails this comparison, so N = NaN is rejected too
             if not float(y @ ell) >= self.N:
                 raise InvalidInput(f"probe point at t={t} leaves the cone: not <y, ell> >= N")
-            if spherical_distance(y / np.linalg.norm(y), ell) > self.delta:
+            if spherical_distance(unit(y), ell) > self.delta:
                 raise InvalidInput(f"probe point at t={t} leaves the cone: angle > delta")
 
     def points(self) -> np.ndarray:
@@ -708,7 +703,7 @@ def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None 
     ell = finite_vector(ell, c.n, "ell")
     if not ell.any():
         raise InvalidInput("ell must be nonzero")
-    ell = _unit(ell)
+    ell = unit(ell)
     lt, ly = ell[: c.k], ell[c.k :]
     if float(np.linalg.norm(lt)) <= 1e-12:
         raise InvalidInput("direction lies in the chart plane; no fiber contains it")
@@ -751,7 +746,8 @@ def limiting_direction(
 
     u must be a unit vector in the chart plane (zero parameter part) and v
     orthogonal to u.  Evaluated at s = LIMIT_T with one Richardson step,
-    which cancels the order-1/s error of the plain evaluation.
+    which cancels the order-1/s error of the plain evaluation.  Both
+    normalizations are numeric.unit's, so a steep line does not overflow.
     """
     if c.k != 1:
         raise InvalidInput("limiting directions are defined for line charts (k = 1)")
@@ -766,13 +762,10 @@ def limiting_direction(
 
     def direction(s: float) -> np.ndarray:
         y = fiber_solve(c, v + s * u, tol)
-        d = np.concatenate([[1.0], c.B(y)[:, 0]])
-        return d / np.linalg.norm(d)
+        return unit(np.concatenate([[1.0], c.B(y)[:, 0]]))
 
     d1 = direction(LIMIT_T)
-    d2 = direction(2.0 * LIMIT_T)
-    limit = 2.0 * d2 - d1
-    return limit / np.linalg.norm(limit)
+    return unit(2.0 * direction(2.0 * LIMIT_T) - d1)
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +895,8 @@ def sample_fibers(
     Returns (fiber_ids, grid_indices, points): for each base point, a grid
     of steps**k parameter values over t_range per axis, with the ambient
     point (t, B(y) t + y) for each, all fibers in one stacked product.
-    An empty, non-finite or overflowing stack of points raises InvalidInput.
+    An empty, non-finite or overflowing stack of points, or more than
+    SAMPLE_MAX_ROWS rows, raises InvalidInput before anything is allocated.
     """
     base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
     if base_points.shape[1] != c.q:
@@ -913,6 +907,9 @@ def sample_fibers(
         raise InvalidInput("base points must be finite")
     if steps < 1:
         raise InvalidInput("need steps >= 1")
+    rows = len(base_points) * int(steps) ** c.k
+    if rows > SAMPLE_MAX_ROWS:
+        raise InvalidInput(f"{len(base_points)} x {steps}^{c.k} sample rows exceed {SAMPLE_MAX_ROWS}")
     lo, hi = float(t_range[0]), float(t_range[1])
     if not math.isfinite(hi - lo):
         raise InvalidInput(f"t_range ends and their difference must be finite, got ({lo}, {hi})")

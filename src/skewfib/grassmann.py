@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import Tolerance, finite_vector, orthonormalize, overflow_is_invalid
+from .numeric import Tolerance, finite_vector, orthonormalize, overflow_is_invalid, pow2_scaled, unit
 
 
 def _checked_frame(frame) -> np.ndarray:
@@ -59,13 +59,13 @@ class AffinePlane:
     def __post_init__(self):
         b = finite_vector(self.base, self.direction.n, "base")
         object.__setattr__(self, "base", b)
-        # |F^T b| <= 1e-10 (1 + |b|), both sides divided by s so that no
-        # norm overflows; s is exactly 1.0 when every |b_i| <= 1
-        s = max(1.0, float(np.max(np.abs(b))))
-        unit = b / s
-        overlap = float(np.linalg.norm(self.direction.frame.T @ unit))
-        if not overlap <= 1e-10 * (1.0 / s + float(np.linalg.norm(unit))):
-            raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap * s:.3e}")
+        # |F^T b| <= 1e-10 (1 + |b|), both sides scaled by the 2^-e of
+        # pow2_scaled((b, 1)), so that no norm overflows
+        scaled = pow2_scaled(np.append(b, 1.0))[0]
+        sb, one = scaled[:-1], float(scaled[-1])
+        overlap = float(np.linalg.norm(self.direction.frame.T @ sb))
+        if not overlap <= 1e-10 * (one + float(np.linalg.norm(sb))):
+            raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap / one:.3e}")
 
     @property
     def n(self) -> int:
@@ -129,9 +129,7 @@ def embed_affine(p: AffinePlane) -> OrientedPlane:
     d = p.direction.frame
     k = p.k
     top = np.vstack([d, np.zeros((1, k))])
-    last = np.append(p.base, 1.0)
-    last = last / np.linalg.norm(last)
-    return _built(OrientedPlane, frame=np.column_stack([top, last]))
+    return _built(OrientedPlane, frame=np.column_stack([top, unit(np.append(p.base, 1.0))]))
 
 
 @overflow_is_invalid
@@ -163,11 +161,19 @@ def skew_pair(p: AffinePlane, q: AffinePlane, tol: Tolerance | None = None) -> t
 
 
 def principal_angles(u: OrientedPlane | np.ndarray, w: OrientedPlane | np.ndarray) -> np.ndarray:
-    """Principal angles between two subspaces given by orthonormal frames."""
+    """Principal angles between two subspaces given by orthonormal frames,
+    ascending: atan2(sine, cosine), which keeps full relative accuracy for
+    small angles, where an arccos of the cosines errs by about eps/angle.
+    With fw the narrower frame, the cosines are the singular values of
+    fu^T fw and the sines, in reverse order, those of fw - fu (fu^T fw)."""
     fu = u.frame if isinstance(u, OrientedPlane) else np.asarray(u, dtype=float)
     fw = w.frame if isinstance(w, OrientedPlane) else np.asarray(w, dtype=float)
-    sv = np.linalg.svd(fu.T @ fw, compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
+    if fw.shape[1] > fu.shape[1]:
+        fu, fw = fw, fu
+    m = fu.T @ fw
+    cos = np.linalg.svd(m, compute_uv=False)
+    sin = np.linalg.svd(fw - fu @ m, compute_uv=False)[::-1]
+    return np.arctan2(sin, cos)
 
 
 def max_principal_angle(u, w) -> float:

@@ -193,6 +193,20 @@ def overflow_is_invalid(fn):
     return guarded
 
 
+def pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e) with max |a_i| 2^-e in [1/2, 1), or e = 0 for zeros: an
+    exact scaling, under which a sum of squares cannot overflow."""
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| for a nonzero finite v, scaled by pow2_scaled first: the bits
+    of v / np.linalg.norm(v) wherever that is in range, and no overflow."""
+    v = pow2_scaled(v)[0]
+    return v / np.linalg.norm(v)
+
+
 def finite_vector(v: np.ndarray, size: int, name: str = "point") -> np.ndarray:
     """v as a float vector of the given length with finite entries.
 

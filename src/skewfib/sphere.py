@@ -35,6 +35,7 @@ from .numeric import (
     overflow_is_invalid,
     rank_gate,
     real_eigenvalue_mask,
+    unit,
 )
 
 EQUATOR_EPS = 1e-14
@@ -58,18 +59,14 @@ def central_project(p: np.ndarray) -> np.ndarray:
 
 
 def inverse_project(x: np.ndarray) -> np.ndarray:
-    """Tangent-hyperplane point to the upper hemisphere: (x, 1)/|(x, 1)|.
-
-    v = (x, 1) is divided by max|v| before its norm is taken, so the norm
-    cannot overflow; when every |x_i| <= 1 that divisor is exactly 1.0.
-    A point that is not finite raises InvalidInput.
+    """Tangent-hyperplane point to the upper hemisphere: (x, 1)/|(x, 1)|,
+    normalized by numeric.unit, so the norm cannot overflow.  A point that
+    is not finite raises InvalidInput.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise InvalidInput("tangent-plane point coordinates must be finite")
-    v = np.append(x, 1.0)
-    v /= np.max(np.abs(v))
-    return v / np.linalg.norm(v)
+    return unit(np.append(x, 1.0))
 
 
 def great_sphere_of(p: AffinePlane) -> GreatSphere:

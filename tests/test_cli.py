@@ -361,6 +361,16 @@ def test_sample_circle_and_file_grids(capsys, tmp_path):
     assert code == 0 and data["fibers"] == 3
 
 
+def test_sample_beyond_the_row_limit_is_one_line_error(capsys, tmp_path):
+    path = _write_chart_file(tmp_path, "hopf15")
+    out = tmp_path / "big.csv"
+    code = main(["sample", "--chart", path, "--grid", "random:1:1", "--steps", "100000",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "skewfib: error: 1 x 100000^7 sample rows exceed 1048576\n"
+
+
 def test_sample_bad_grid(capsys, tmp_path):
     path = _write_chart_file(tmp_path, "hopf3")
     code, _ = _run(capsys, ["sample", "--chart", path, "--grid", "lattice:3",
@@ -414,7 +424,7 @@ def test_sphere_assemble(capsys, tmp_path):
         assert abs(np.linalg.norm(row) - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("point, norm", [("0 0 0 0", "0.0"), ("1e308 1e308 0 0", "inf")])
+@pytest.mark.parametrize("point, norm", [("0 0 0 0", "0.0")])
 def test_sphere_assemble_point_without_finite_norm_is_one_line_error(capsys, tmp_path, point, norm):
     mat = _write_matrix_file(tmp_path, J2)
     with warnings.catch_warnings():
@@ -424,6 +434,17 @@ def test_sphere_assemble_point_without_finite_norm_is_one_line_error(capsys, tmp
     assert code == 2
     assert out == ""
     assert err == f"skewfib: error: sphere point must have a nonzero finite norm, got {norm}\n"
+
+
+def test_sphere_assemble_at_a_point_whose_squared_norm_overflows(capsys, tmp_path):
+    """|p|^2 = 2e616 overflows, but unit scales p first, so the point gets
+    the circle of its direction."""
+    mat = _write_matrix_file(tmp_path, J2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, far = _run(capsys, ["sphere", "assemble", "--matrix", mat, "--point", "1e308 1e308 0 0"])
+    assert code == 0
+    assert far == _run(capsys, ["sphere", "assemble", "--matrix", mat, "--point", "1 1 0 0"])[1]
 
 
 def test_sphere_probe(capsys, tmp_path):

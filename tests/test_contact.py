@@ -14,7 +14,7 @@ from skewfib.contact import (
     gluck_yang_matrix,
 )
 from skewfib.errors import InvalidInput
-from skewfib.fibration import Chart, block_rotation, builtin_chart, extend_germ, fiber_solve
+from skewfib.fibration import Chart, builtin_chart, extend_germ, fiber_solve
 from skewfib.numeric import SampleStream, jacobian
 
 RNG_SEED = 31415

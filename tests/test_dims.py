@@ -1,6 +1,5 @@
 """Tests for the admissible-dimension arithmetic (Hurwitz-Radon counts and tables)."""
 
-import numpy as np
 import pytest
 
 from skewfib.dims import (

@@ -1079,6 +1079,20 @@ def test_limiting_direction_closed_form():
             assert err <= 1e-6
 
 
+def test_limiting_direction_of_a_steep_line():
+    """On hopf_line b = 1e160 the direction (1, B(y)) at s = LIMIT_T has a
+    squared norm near 1e336; unit scales it first, so the limit is the
+    closed form's, not an overflow error."""
+    c = builtin_chart("hopf_line", m=1, a=0.0, b=1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = limiting_direction(c, np.array([0.0, 1.0, 0.0]), np.zeros(3))
+        assert np.array_equal(got, [0.0, 0.0, 1.0])
+        # with v_t = 0.5 the closed form C (I + v_t C)^-1 u_q is nearly 2 u_q
+        got = limiting_direction(c, np.array([0.0, 0.6, 0.8]), np.array([0.5, 0.8, -0.6]))
+        assert np.allclose(got, [0.0, 0.6, 0.8], rtol=0.0, atol=1e-15)
+
+
 def test_limiting_direction_validation():
     c = builtin_chart("hopf3")
     u = np.array([0.0, 1.0, 0.0])
@@ -1218,6 +1232,17 @@ def test_sample_fibers_plane_chart():
         sample_fibers(c, np.zeros((1, 4)), t_range=(1.0, -1.0))
     with pytest.raises(InvalidInput, match="need at least one base point"):
         sample_fibers(c, np.zeros((0, 4)))
+
+
+def test_sample_fibers_checks_its_row_count_before_allocating():
+    """The row count len(base_points) * steps^k is a Python int, checked
+    against SAMPLE_MAX_ROWS before the grid exists: 100000^7 rows on hopf15
+    would overflow numpy's array size, 1025 x 1024 rows on a line chart
+    would not."""
+    with pytest.raises(InvalidInput, match=r"^1 x 100000\^7 sample rows exceed 1048576$"):
+        sample_fibers(builtin_chart("hopf15"), np.zeros((1, 8)), steps=100000)
+    with pytest.raises(InvalidInput, match="exceed"):
+        sample_fibers(builtin_chart("hopf3"), np.zeros((1025, 2)), steps=1024)
 
 
 def _sample_fibers_loop(c, base_points, t_range, steps):

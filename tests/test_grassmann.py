@@ -134,6 +134,40 @@ def test_principal_angles_rotation():
         assert abs(angles[0] - theta) <= 1e-10
 
 
+def _pair_at_angle(k, theta, rng):
+    """Frames of two k-planes in R^(2k+1) at principal angles all theta, and
+    a (k+1)-plane containing the first: e_1..e_k (plus e_(2k+1)), and the
+    rotation of e_1..e_k by theta toward e_(k+1)..e_(2k), mixed within the
+    plane by a random orthogonal r and laid out by a signed permutation of
+    the coordinates.  Every frame entry is then exact up to one rounding
+    of cos(theta) r or sin(theta) r."""
+    n = 2 * k + 1
+    r = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    fu, fw = np.zeros((n, k + 1)), np.zeros((n, k))
+    fu[:k, :k], fu[n - 1, k] = np.eye(k), 1.0
+    fw[:k], fw[k : 2 * k] = np.cos(theta) * r, np.sin(theta) * r
+    perm, sign = rng.permutation(n), rng.choice([-1.0, 1.0], (n, 1))
+    return sign * fu[perm], sign * fw[perm]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_principal_angles_keep_relative_accuracy(k):
+    """atan2 of sine and cosine recovers tiny and near-right angles to a few
+    eps relative, where arccos of the cosine reads 1e-12 as 0."""
+    rng = np.random.default_rng(RNG_SEED + k)
+    eps = 2.0**-52
+    for theta in (1e-12, 1e-8, 1e-4, 0.5, np.pi / 2 - 1e-9):
+        for _ in range(20):
+            fu, fw = _pair_at_angle(k, theta, rng)
+            # the wider frame goes first or second: it is the one projected on
+            for angles in (principal_angles(fu[:, :k], fw), principal_angles(fw, fu),
+                           principal_angles(fu, fw)):
+                assert angles.shape == (k,)
+                assert np.all(np.abs(angles - theta) <= 8 * eps * theta)
+            # a dense frame projected on errs by a few eps absolute
+            assert np.all(np.abs(principal_angles(fw, fu[:, :k]) - theta) <= 8 * eps)
+
+
 def test_principal_angles_range_and_zero():
     rng = np.random.default_rng(RNG_SEED)
     p = _random_plane(rng, 7, 3)

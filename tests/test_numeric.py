@@ -27,8 +27,10 @@ from skewfib.numeric import (
     oriented_q,
     orthonormalize,
     overflow_is_invalid,
+    pow2_scaled,
     row_norms,
     spherical_distance,
+    unit,
 )
 
 RNG_SEED = 1234
@@ -362,8 +364,7 @@ _OVERFLOWS = {
     "verify_skew": lambda: verify_skew(_STRETCHED, radius=1e200, samples=8),
     "fiber_solve": lambda: fiber_solve(_HOPF3, np.array([1e200, 1e200, 0.0])),
     "limiting_direction": lambda: limiting_direction(_HOPF3, _E2, np.array([1e300, 0.0, 0.0])),
-    "ConeProbe": lambda: ConeProbe(_E1, (1e200, 1e300)),
-    "skew_pair": lambda: skew_pair(_line([0.0, 1e200, 0.0]), _line([0.0, 0.0, 1e200])),
+    "ConeProbe": lambda: ConeProbe(_E1, (1e308,), base=1e308 * _E1),
     "verify_nondegenerate": lambda: verify_nondegenerate(
         Chart(1, 2, "linear", C=(np.array([[1e308, -1e308], [1e308, 1e308]]),))
     ),
@@ -388,3 +389,40 @@ def test_entry_points_keep_large_finite_results():
     assert verify_skew(_STRETCHED, radius=1e150).margin == float.fromhex("0x1.000051ab53845p-2")
     rep = contact_check(_HOPF3, np.array([1e76, 0.0]))
     assert rep.det_margin == float.fromhex("0x1.fffffffffff19p-1") and rep.is_contact
+    # |y|^2 and |(base, 1)|^2 overflow here, but unit scales before its norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ConeProbe(_E1, (1e200, 1e300)).t_values == (1e200, 1e300)
+        # the two lines are parallel
+        assert skew_pair(_line([0.0, 1e200, 0.0]), _line([0.0, 0.0, 1e200])) == (False, 0.0)
+
+
+def test_pow2_scaled_is_exact():
+    rng = np.random.default_rng(RNG_SEED)
+    for a in [rng.standard_normal((3, 2)) * 10.0 ** rng.uniform(-300, 300), np.array([1.0, -0.5]),
+              np.array([5e-324, 0.0]), np.array([1.7e308])]:
+        scaled, e = pow2_scaled(a)
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+        assert np.array_equal(np.ldexp(scaled, e), a)
+    scaled, e = pow2_scaled(np.zeros(3))
+    assert e == 0 and not scaled.any()
+
+
+def test_unit_is_plain_division_in_range():
+    """Where v / np.linalg.norm(v) computes without overflow (entries from
+    1e-130 to 1e130), the power-of-two scaling changes none of its bits."""
+    rng = np.random.default_rng(RNG_SEED)
+    for size in range(1, 9):
+        vs = rng.standard_normal((250, size)) * 10.0 ** rng.uniform(-130, 130, (250, size))
+        for v in vs:
+            assert np.array_equal(unit(v), v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1.7e308, 1e-300, 5e-324, 3e-320])
+def test_unit_is_finite_and_unit_at_the_ends_of_the_range(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ([0.5, 1.0, -0.75], [1.0, 0.0], [-1.0]):
+            u = unit(scale * np.asarray(v))
+            assert np.isfinite(u).all()
+            assert abs(float(np.linalg.norm(u)) - 1.0) <= 2 * 2.0**-52

@@ -321,10 +321,28 @@ def test_inverse_project_scales_before_the_norm():
         x = np.array(x)
         back = central_project(inverse_project(x))
         assert np.all(np.abs(back - x) <= 1e-15 * np.abs(x))
-    # with every |x_i| <= 1 the divisor max|(x, 1)| is exactly 1.0
-    x = np.array([0.75, -1.0, 1e-3, 0.0])
-    v = np.append(x, 1.0)
-    assert np.array_equal(inverse_project(x), v / np.linalg.norm(v))
+    # in range, the power-of-two scaling keeps the bits of v / |v|
+    for x in ([0.75, -1.0, 1e-3, 0.0], [3e100, -7.5, 1e-200]):
+        v = np.append(x, 1.0)
+        assert np.array_equal(inverse_project(np.array(x)), v / np.linalg.norm(v))
+
+
+def test_great_sphere_of_a_far_fiber():
+    """At |y| = 1e200 both |(1, B(y))|^2 and |(base, 1)|^2 overflow; unit
+    scales first, so the frame is the closed form, the direction
+    (1, B(y)) / |B(y)| and the base column (0, y, 1) / |y|."""
+    c = builtin_chart("hopf3")
+    rng = np.random.default_rng(RNG_SEED)
+    s = 1e200
+    for _ in range(5):
+        y_hat = rng.standard_normal(2)
+        y_hat /= np.linalg.norm(y_hat)
+        frame = great_sphere_of(fiber_plane(c, s * y_hat)).frame
+        b_hat = c.B(y_hat)[:, 0]
+        expected = np.array([np.concatenate([[1.0 / s], b_hat, [0.0]]),
+                             np.concatenate([[0.0], y_hat, [1.0 / s]])]).T
+        # a zero entry may read a rounding residual of the base projection
+        assert np.allclose(frame, expected, rtol=8 * 2.0**-52, atol=2.0**-52 / s)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ both sample modes, and the input-error paths of the sampled verbs:
 - `fiber` at chart points in the germ, ring and linear zones of two
   extensions, one solve through the ring, and a steep line
   (hopf_line b = 1e160) whose graph frame overflows unless scaled;
+- `sphere assemble` at a point whose squared norm overflows, and `sample`
+  on hopf15 at 100,000 steps, a grid of 10^35 rows;
 - `verify skew --mode low-discrepancy` on the zero chart with q = 64,
   whose pairs are drawn in 64 dimensions;
 - `verify skew --seed -1` on hopf7, which the Gram test certifies
@@ -380,6 +382,9 @@ def corpus() -> list[dict]:
     add("verify", "skew", "--chart", "missing.json")
     add("fiber", "--chart", "hopf3.json", "--point", "1,2")
     add("sphere", "assemble", "--matrix", "J2.json", "--point", "0 0 0 0")
+    add("sphere", "assemble", "--matrix", "J2.json", "--point", "1e308 1e308 0 0")
+    add("sample", "--chart", "hopf15.json", "--grid", "random:1:1", "--steps", 100000,
+        "--out", "big.csv")
     return cmds
 
 
