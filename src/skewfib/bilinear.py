@@ -146,11 +146,14 @@ def gram_matrix(mats: np.ndarray) -> np.ndarray:
     |M(t) x|^2 = (t (x) x)^T S (t (x) x) for every t and x.  Each block is
     transposed on its own: averaging the whole A^T A, A = [M_1 ... M_m],
     with its transpose gives A^T A back, which has the same quadratic form
-    on t (x) x but is singular for m >= 2."""
+    on t (x) x but is singular for m >= 2.  The sum is formed in one
+    output and halved in place, the bits of the sum divided by 2."""
     m, q = mats.shape[:2]
     a = mats.transpose(1, 0, 2).reshape(q, m * q)
     g = (a.T @ a).reshape(m, q, m, q)
-    return ((g + g.transpose(0, 3, 2, 1)) / 2).reshape(m * q, m * q)
+    s = np.add(g, g.transpose(0, 3, 2, 1))
+    s *= 0.5
+    return s.reshape(m * q, m * q)
 
 
 def gram_enclosure(
@@ -205,7 +208,9 @@ def gram_enclosure(
 
     blocks = s.reshape(m, q, m, q)
     g = blocks.trace(axis1=1, axis2=3) / q
-    rest = blocks - g[:, None, :, None] * np.eye(q)[:, None]
+    # E = S - G (x) I_q: a copy of S with G taken off each block's diagonal only
+    rest = blocks.copy()
+    np.einsum("iaja->ija", rest)[...] -= g[:, :, None]
     rho = math.sqrt(np.vdot(rest, rest)) * (1 + (m * q) ** 2 * 2.0**-52)
     ev, vec = np.linalg.eigh(g)
     ts = np.concatenate([np.eye(m), vec[:, :1].T])
@@ -332,20 +337,36 @@ def verify_nonsingular(
 ) -> rp.VerificationReport:
     """Search for a singular combination sum_j t_j M_j through decide_pencil,
     whose witness rule is the exact test _two_slots for kp1 = 2 and
-    sigma_min at the Gram test's t for kp1 >= 3."""
+    sigma_min at the Gram test's t for kp1 >= 3 (_nonsingular)."""
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
     sampling = stream.sampling(samples)
-    mats = np.stack(a.mats)
+    return _nonsingular("nonsingular", np.stack(a.mats), samples, sampling, stream, tol)
+
+
+def _nonsingular(
+    check: str,
+    mats: np.ndarray,
+    samples: int,
+    sampling: dict,
+    stream: SampleStream,
+    tol: Tolerance,
+) -> rp.VerificationReport:
+    """verify_nonsingular's verdict on an (m, q, q) stack of finite
+    matrices, reported as check with the sampling record given.  The
+    linear-chart verify_nondegenerate and completion_check decide the
+    stacks their charts hold, already validated, here under their own
+    overflow guard, without a BilinearMap copy."""
+    m = len(mats)
 
     def sample():
-        ts = stream.unit_vectors(samples, a.kp1)
+        ts = stream.unit_vectors(samples, m)
         return pencil_report(
-            "nonsingular", mats[None], ts, sampling, lambda n, s: {"worst_t": ts[s].tolist()}, tol
+            check, mats[None], ts, sampling, lambda n, s: {"worst_t": ts[s].tolist()}, tol
         )
 
     def singular_at(rep, t, hi):
-        if a.kp1 == 2:
+        if m == 2:
             return _two_slots(mats, rep, tol)
         if t is None:
             return rep
@@ -356,5 +377,5 @@ def verify_nonsingular(
         return replace(rep, margin=hi, witnesses=(witness,), details=details)
 
     return decide_pencil(
-        "nonsingular", mats, sampling, lambda t: {"worst_t": t.tolist()}, tol, sample, singular_at
+        check, mats, sampling, lambda t: {"worst_t": t.tolist()}, tol, sample, singular_at
     )

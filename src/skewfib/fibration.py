@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import report as rp
-from .bilinear import BilinearMap, J2, decide_pencil, from_algebra, pencil_report, verify_nonsingular
+from .bilinear import BilinearMap, J2, _nonsingular, decide_pencil, from_algebra, pencil_report
 from .dims import admissible_skew
 from .errors import (
     BlendFailure,
@@ -101,16 +101,20 @@ class Chart:
         if self.kind in (LINEAR, AFFINE):
             if self.C is None or len(self.C) != self.k:
                 raise InvalidInput(f"linear chart needs {self.k} matrices")
-            mats = tuple(np.asarray(m, dtype=float) for m in self.C)
-            for m in mats:
-                if m.shape != (self.q, self.q):
-                    raise InvalidInput(f"chart matrix shape {m.shape} != ({self.q}, {self.q})")
-            cs = np.stack(mats)
+            try:
+                cs = np.array(self.C, dtype=float, order="C")
+                shapes = [cs.shape[1:]]
+            except ValueError:
+                # matrices of several shapes: convert one by one to name the first bad one
+                shapes = [np.asarray(m, dtype=float).shape for m in self.C]
+            bad = [shape for shape in shapes if shape != (self.q, self.q)]
+            if bad:
+                raise InvalidInput(f"chart matrix shape {bad[0]} != ({self.q}, {self.q})")
             if not np.isfinite(cs).all():
                 raise InvalidInput("chart matrices must be finite")
             object.__setattr__(self, "C", cs)
         if self.kind == AFFINE:
-            b0 = np.asarray(self.B0, dtype=float)
+            b0 = np.array(self.B0, dtype=float)
             if b0.shape != (self.q, self.k):
                 raise InvalidInput(f"offset shape {b0.shape} != ({self.q}, {self.k})")
             if not np.isfinite(b0).all():
@@ -476,6 +480,13 @@ def _graph_plane(c: Chart, y: np.ndarray, b: np.ndarray) -> AffinePlane:
 # verification
 
 
+def _pencil(c: Chart) -> np.ndarray:
+    """The (k + 1, q, q) stack (C_1, ..., C_k, I) of a linear or affine chart:
+    the derivative bilinear map that verify_nondegenerate decides, and the
+    pencil whose columns M_j d make verify_skew's pair matrices."""
+    return np.concatenate([c.C, np.eye(c.q)[None]])
+
+
 def _gate_smooth(c: Chart, rep: rp.VerificationReport) -> rp.VerificationReport:
     """A smooth chart's clean sampled report fails when its (k, n) admits no
     skew fibration (dims.admissible_skew, Hurwitz-Radon-Adams), as
@@ -550,7 +561,7 @@ def verify_skew(
 
     if not c.is_linear:
         return _gate_smooth(c, sample())
-    pencil = np.concatenate([c.C, np.eye(c.q)[None]])
+    pencil = _pencil(c)
 
     def singular_at(rep, t, hi):
         if t is None:
@@ -604,11 +615,12 @@ def verify_nondegenerate(
     For k = 1 the condition is that dB_y has no real eigenvalues; this is
     exact for linear charts (dB is constant) and sampled over chart
     points otherwise, with margin the least |Im eigenvalue|.  For k >= 2
-    it builds the pencil (dB_y, identity): a linear chart's constant
-    pencil goes to bilinear.verify_nonsingular, which tries the Gram
-    certificate before sampling samples unit t and gates k + 1 > rho(q),
-    and a smooth chart's pencils at T_SAMPLES unit t per sampled chart
-    point go to bilinear.pencil_report.  On a smooth chart a clean sampled
+    it builds the pencil (dB_y, identity).  A linear chart's constant
+    pencil (C_1, ..., C_k, I) goes, as the chart holds it, to
+    bilinear._nonsingular, verify_nonsingular's verdict without a
+    BilinearMap: it tries the Gram certificate before sampling samples
+    unit t and gates k + 1 > rho(q).  A smooth chart's pencils at
+    T_SAMPLES unit t per sampled chart point go to bilinear.pencil_report.  On a smooth chart a clean sampled
     run fails when (k, n) admits no skew fibration (_gate_smooth).
 
     On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
@@ -626,8 +638,7 @@ def verify_nondegenerate(
         return _spectrum_report(eigenvalues(c.C[0])[None], np.zeros((1, c.q)), None, tol)
 
     if c.is_linear:
-        sub = verify_nonsingular(BilinearMap(c.q, c.k + 1, (*c.C, np.eye(c.q))), samples, stream, tol)
-        return replace(sub, check="nondegenerate", sampling=sampling)
+        return _nonsingular("nondegenerate", _pencil(c), samples, sampling, stream, tol)
 
     pts = stream.ball_points(samples, c.q, radius)
     if c.k == 1:
@@ -670,6 +681,9 @@ class ConeProbe:
             raise InvalidInput("ell must be a unit vector")
         if not (0.0 < self.delta < math.pi / 2):
             raise InvalidInput(f"delta must lie in (0, pi/2), got {self.delta}")
+        # the cone must keep its points off the origin, where unit(y) is 0/0; NaN fails too
+        if not self.N > 0.0:
+            raise InvalidInput(f"cone bound N must be > 0, got {self.N}")
         ts = tuple(float(t) for t in self.t_values)
         if not ts or not all(map(math.isfinite, ts)) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidInput("t_values must be finite, nonempty and increasing")
@@ -679,7 +693,6 @@ class ConeProbe:
         object.__setattr__(self, "base", base)
         for t in ts:
             y = base + t * ell
-            # NaN fails this comparison, so N = NaN is rejected too
             if not float(y @ ell) >= self.N:
                 raise InvalidInput(f"probe point at t={t} leaves the cone: not <y, ell> >= N")
             if spherical_distance(unit(y), ell) > self.delta:
@@ -785,8 +798,10 @@ def _bump(s: float) -> tuple[float, float]:
 
 def _linearization(local: Chart) -> Chart:
     """The affine chart B(0) + dB_0 y of a germ."""
-    zero = np.zeros(local.q)
-    return Chart(local.k, local.q, AFFINE, C=local.dB(zero).transpose(1, 0, 2), B0=local.B(zero))
+    zero = np.zeros((1, local.q))
+    b0 = local._finite(local._b(zero), "B")[0]
+    db = local._finite(local._db(zero), "dB")[0]
+    return Chart(local.k, local.q, AFFINE, C=db.transpose(1, 0, 2), B0=b0)
 
 
 def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:

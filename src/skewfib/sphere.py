@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import report as rp
-from .bilinear import BilinearMap, pencil_report, verify_nonsingular
+from .bilinear import _nonsingular, pencil_report
 from .dims import admissible_sphere
 from .errors import DimensionMismatch, EquatorPoint, InvalidInput, RankDeficient, RealEigenvalue
 from .fibration import Chart, fiber_plane, fiber_solve
@@ -92,9 +92,10 @@ def completion_check(
     k-sphere fibration of S^(2k+1).  A chart whose (k, n) admits no such
     fibration (dims.admissible_sphere) fails first, without sampling; an
     admissible one with n != 2k+1 raises DimensionMismatch.  For linear
-    and affine charts the map is y -> (sum_j t_j C_j) y and the check is
-    bilinear.verify_nonsingular on (C_1, ..., C_k): exact for k = 1, the
-    Gram certificate first for k >= 3; for smooth charts it stacks the
+    and affine charts the map is y -> (sum_j t_j C_j) y, and the chart's
+    own stack (C_1, ..., C_k) goes to bilinear._nonsingular,
+    verify_nonsingular's verdict without a BilinearMap: exact for k = 1,
+    the Gram certificate first for k >= 3.  For smooth charts it stacks the
     pencils sum_j t_j dB_j(y), the Jacobians of y -> B(y)t, over sampled
     (y, t) and leaves the verdict to bilinear.pencil_report.  The
     condition is homogeneous in t, so t and -t are one test: for k = 1,
@@ -109,8 +110,7 @@ def completion_check(
     if c.n != 2 * c.k + 1:
         raise DimensionMismatch(f"need n = 2k+1, got n={c.n} k={c.k}")
     if c.is_linear:
-        sub = verify_nonsingular(BilinearMap(c.q, c.k, c.C), samples, stream, tol)
-        return replace(sub, check="completion")
+        return _nonsingular("completion", c.C, samples, stream.sampling(samples), stream, tol)
     ys = stream.ball_points(samples, c.q, 10.0)
     # B(y)(-t) = -B(y)t has the same singular values, so a line needs one t.
     ts = np.ones((1, 1)) if c.k == 1 else stream.unit_vectors(max(16, samples // 16), c.k)

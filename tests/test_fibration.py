@@ -4,6 +4,7 @@ asymptotic probes, and germ extension."""
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from skewfib.bilinear import (
     from_algebra,
     gram_enclosure,
     hurwitz_radon_family,
+    verify_nonsingular,
 )
 from skewfib.dims import skew_table
 from skewfib.errors import (
@@ -185,6 +187,41 @@ def test_quad_germ_stack_matches_closed_form():
         for y, b, d in zip(ys, ext.B(ys), ext.dB(ys)):
             assert np.array_equal(b, ext.B(y))
             assert np.array_equal(d, ext.dB(y))
+
+
+@pytest.mark.parametrize(
+    "k, q, mats, message",
+    [
+        (1, 2, [np.eye(3)], "chart matrix shape (3, 3) != (2, 2)"),
+        (2, 2, [J2, np.eye(3)], "chart matrix shape (3, 3) != (2, 2)"),
+        (2, 2, [np.eye(3), np.eye(4)], "chart matrix shape (3, 3) != (2, 2)"),
+        (2, 2, [J2, [1.0, 2.0]], "chart matrix shape (2,) != (2, 2)"),
+        (2, 2, [[1.0, 2.0], [3.0, 4.0]], "chart matrix shape (2,) != (2, 2)"),
+        (1, 2, np.zeros((1, 2, 2, 1)), "chart matrix shape (2, 2, 1) != (2, 2)"),
+        (2, 2, [J2], "linear chart needs 2 matrices"),
+        (1, 2, None, "linear chart needs 1 matrices"),
+        (2, 2, [J2, [[np.inf, 0.0], [0.0, 1.0]]], "chart matrices must be finite"),
+    ],
+    ids=["shape", "ragged", "ragged-first", "vector", "vectors", "4d", "count", "none", "inf"],
+)
+def test_chart_constructor_messages(k, q, mats, message):
+    """C is converted by one np.array call, and each bad C keeps the
+    message naming the first matrix of a wrong shape, the count or the
+    non-finite entry."""
+    with pytest.raises(InvalidInput) as exc:
+        Chart(k, q, "linear", C=mats)
+    assert str(exc.value) == message
+
+
+def test_chart_owns_a_copy_of_its_data():
+    """Writing to the caller's arrays after Chart(...) leaves the chart as built."""
+    for mats in ([J2.copy()], J2[None].copy()):
+        b0 = np.array([[1.0], [2.0]])
+        c = Chart(1, 2, "affine", C=mats, B0=b0)
+        mats[0][0, 0] = 5.0
+        b0[0, 0] = 5.0
+        assert np.array_equal(c.C, J2[None]) and c.C.flags.c_contiguous
+        assert np.array_equal(c.B0, [[1.0], [2.0]])
 
 
 def test_chart_rejects_non_finite_entries():
@@ -882,6 +919,43 @@ def test_nondegenerate_zero_chart_k3_fails():
     assert rep.witnesses == ({"t": [1.0, 0.0, 0.0, 0.0], "sigma_min": 0.0},)
 
 
+_NOISE_RNG = np.random.default_rng(RNG_SEED)
+_PENCIL_CHARTS = {
+    "hopf7": builtin_chart("hopf7"),
+    "hopf15": builtin_chart("hopf15"),
+    "hr-8-5": from_bilinear(hurwitz_radon_family(8, 5)),
+    "hr-16-9": from_bilinear(hurwitz_radon_family(16, 9)),
+    "quaternion-3": from_bilinear(from_algebra("quaternion", 3)),
+    "octonion-5": from_bilinear(from_algebra("octonion", 5)),
+    "off-hopf7": builtin_chart("hopf7").with_offset(_NOISE_RNG.uniform(-3.0, 3.0, (4, 3))),
+    "zero-k3": Chart(3, 4, "linear", C=np.zeros((3, 4, 4))),
+    "noisy-hopf7": Chart(
+        3, 4, "linear", C=builtin_chart("hopf7").C + 0.2 * _NOISE_RNG.standard_normal((3, 4, 4))
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", _PENCIL_CHARTS)
+def test_linear_pencil_verdicts_equal_verify_nonsingular(name, seed):
+    """verify_nondegenerate (k >= 2) and completion_check decide a linear
+    chart's own stack, without a BilinearMap: each report is
+    verify_nonsingular's on the same pencil, (C_1, ..., C_k, I) and
+    (C_1, ..., C_k), with only check and sampling replaced.  The Clifford
+    charts close, the zero chart fails and the noisy one is sampled."""
+    c = _PENCIL_CHARTS[name]
+    pencil = BilinearMap(c.q, c.k + 1, (*c.C, np.eye(c.q)))
+    ref = verify_nonsingular(pencil, 300, SampleStream(seed))
+    rep = verify_nondegenerate(c, samples=300, stream=SampleStream(seed))
+    sampling = SampleStream(seed).sampling(300, 10.0)
+    assert rep.to_dict() == replace(ref, check="nondegenerate", sampling=sampling).to_dict()
+    assert rep.verdict == {"zero-k3": "fail", "noisy-hopf7": "evidence-only"}.get(name, "pass")
+    if c.n == 2 * c.k + 1:
+        ref = verify_nonsingular(BilinearMap(c.q, c.k, tuple(c.C)), 300, SampleStream(seed))
+        rep = completion_check(c, samples=300, stream=SampleStream(seed))
+        assert rep.to_dict() == replace(ref, check="completion").to_dict()
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 
@@ -901,6 +975,15 @@ def test_cone_probe_validation():
     with pytest.raises(InvalidInput):
         # base offset so large the first point leaves the cone
         ConeProbe(ell, (1.0, 10.0), base=np.array([0.0, 50.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [0.0, -1.0, math.nan])
+def test_cone_probe_rejects_a_cone_bound_that_is_not_positive(n):
+    """N <= 0 would let a probe point sit at the origin, where unit(y) is
+    0/0; such an N, and NaN, is refused with a message about the cone."""
+    with pytest.raises(InvalidInput) as exc:
+        ConeProbe(np.array([1.0, 0.0, 0.0]), (0.0, 1.0), N=n)
+    assert str(exc.value) == f"cone bound N must be > 0, got {n}"
 
 
 def test_fiber_containing_direction():

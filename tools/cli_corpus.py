@@ -9,7 +9,9 @@ own under a temporary directory (nothing is written anywhere else).  The
 corpus covers every verb on the inputs below, seeds 0 and 7 and
 both sample modes, and the input-error paths of the sampled verbs:
 
-- chart and matrix files of the wrong shape;
+- chart and matrix files of the wrong shape, among them linear charts
+  with a matrix of the wrong shape, the wrong matrix count or an infinite
+  entry, which pass the file reader and stop at the Chart constructor;
 - charts built by the `build` verbs: hopf3/7/15, two hopf_line,
   Glück–Yang, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
   quaternion and octonion maps;
@@ -149,6 +151,11 @@ FILES = {
     "bad-list.json": [1, 2],
     "bad-C-int.json": {"kind": "linear", "k": 1, "q": 2, "C": 5},
     "bad-B0.json": _linear(1, 2, [_J2], {"a": 1}),
+    # well-formed arrays that the Chart constructor rejects: a 3 x 3 matrix
+    # on q = 2, one matrix for k = 2, and an entry that json reads as inf
+    "bad-C-shape.json": _linear(1, 2, [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]),
+    "bad-C-count.json": _linear(2, 2, [_J2]),
+    "bad-C-inf.json": '{"kind": "linear", "k": 1, "q": 2, "C": [[[1e999, 0], [0, 1]]]}',
     "bad-base.json": _builtin(1, 2, "germ_extension", {"blend_r": 0.5, "base": 5}),
     "bad-blend-r.json": _builtin(1, 2, "germ_extension",
                                  {"blend_r": 2.0, "base": _builtin(1, 2, "quad_germ", {})}),
@@ -359,8 +366,9 @@ def corpus() -> list[dict]:
     add("germ", "extend", "--chart", "quad-005.json", "--radius", 0)
     for name in ("bad-C-empty.json", "bad-matrix.json"):
         add("verify", "invariant-planes", "--matrix", name)
-    for name in ("bad-list.json", "bad-C-int.json", "bad-B0.json", "bad-base.json",
-                 "bad-blend-r.json", "bad-no-a.json", "bad-m-inf.json"):
+    for name in ("bad-list.json", "bad-C-int.json", "bad-B0.json", "bad-C-shape.json",
+                 "bad-C-count.json", "bad-C-inf.json", "bad-base.json", "bad-blend-r.json",
+                 "bad-no-a.json", "bad-m-inf.json"):
         add("verify", "skew", "--chart", name)
 
     # tolerance overrides and usage errors
