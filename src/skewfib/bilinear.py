@@ -37,7 +37,7 @@ class BilinearMap:
     mats: tuple
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=float) for m in self.mats)
+        mats = tuple(np.array(m, dtype=float) for m in self.mats)
         object.__setattr__(self, "mats", mats)
         if self.q < 1 or self.kp1 < 1:
             raise InvalidInput(f"need q >= 1 and kp1 >= 1, got q={self.q} kp1={self.kp1}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bilinear, contact, dims, fibration, sphere
 from .errors import BlendFailure, InvalidInput, SkewfibError
-from .numeric import SampleStream, finite_vector, overflow_is_invalid, unit
+from .numeric import SampleStream, finite_vector, norm, overflow_is_invalid, unit
 
 REPORT_SCHEMA = "skewfib-report-v1"
 
@@ -193,13 +193,13 @@ def _cmd_fiber(args) -> int:
     # one B(y) for the plane and the residual
     b = c.B(y)
     plane = fibration._graph_plane(c, y, b)
-    residual = float(np.linalg.norm(y + b @ x[: c.k] - x[c.k :]))
+    residual = norm(y + b @ x[: c.k] - x[c.k :])
     return _emit_report(
         {
             "chart_point": y.tolist(),
             "direction": plane.direction.frame.tolist(),
             "base": plane.base.tolist(),
-            "distance": float(np.linalg.norm(plane.base)),
+            "distance": norm(plane.base),
             "residual": residual,
         },
         True,

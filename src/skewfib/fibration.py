@@ -44,6 +44,7 @@ from .numeric import (
     eigenvalues,
     finite_vector,
     is_singular,
+    norm,
     oriented_q,
     overflow_is_invalid,
     real_eigenvalue_mask,
@@ -398,13 +399,13 @@ def _solve(
         y = np.linalg.solve(mat, rhs)
         # One refinement step guards against loss of accuracy at large |x|.
         y = y + np.linalg.solve(mat, rhs - mat @ y)
-        if float(np.linalg.norm(residual(y))) > budget:
+        if norm(residual(y)) > budget:
             raise NoConvergence(f"linear solve residual above {budget:.3e}")
         return y
 
     y = y0.copy()
     r = residual(y)
-    res = float(np.linalg.norm(r))
+    res = norm(r)
     for _ in range(100):
         if res <= budget:
             return y
@@ -417,7 +418,7 @@ def _solve(
         while lam > 1e-6:
             cand = y + lam * step
             cand_r = residual(cand)
-            cand_res = float(np.linalg.norm(cand_r))
+            cand_res = norm(cand_r)
             if cand_res < res:
                 y, r, res = cand, cand_r, cand_res
                 break
@@ -440,7 +441,7 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     tol = tol or Tolerance.default()
     x = finite_vector(x, c.n)
     t1, t2 = x[: c.k], x[c.k :]
-    budget = 1e-10 * (1.0 + float(np.linalg.norm(x)))
+    budget = 1e-10 * (1.0 + norm(x))
     return _solve(c, 1.0, t1, t2, t2, budget, tol)
 
 
@@ -677,7 +678,7 @@ class ConeProbe:
         ell = np.asarray(self.ell, dtype=float)
         object.__setattr__(self, "ell", ell)
         # NaN fails this comparison, so a non-finite ell is rejected too
-        if not abs(float(np.linalg.norm(ell)) - 1.0) <= 1e-10:
+        if not abs(norm(ell) - 1.0) <= 1e-10:
             raise InvalidInput("ell must be a unit vector")
         if not (0.0 < self.delta < math.pi / 2):
             raise InvalidInput(f"delta must lie in (0, pi/2), got {self.delta}")
@@ -718,9 +719,9 @@ def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None 
         raise InvalidInput("ell must be nonzero")
     ell = unit(ell)
     lt, ly = ell[: c.k], ell[c.k :]
-    if float(np.linalg.norm(lt)) <= 1e-12:
+    if norm(lt) <= 1e-12:
         raise InvalidInput("direction lies in the chart plane; no fiber contains it")
-    budget = 1e-12 * (1.0 + float(np.linalg.norm(ly)))
+    budget = 1e-12 * (1.0 + norm(ly))
     return _solve(c, 0.0, lt, ly, np.zeros(c.q), budget, tol)
 
 
@@ -758,27 +759,31 @@ def limiting_direction(
     """Limit of the fiber direction along v + s u as s grows, for line charts.
 
     u must be a unit vector in the chart plane (zero parameter part) and v
-    orthogonal to u.  Evaluated at s = LIMIT_T with one Richardson step,
-    which cancels the order-1/s error of the plain evaluation.  Both
-    normalizations are numeric.unit's, so a steep line does not overflow.
+    orthogonal to u.  Evaluated at s = LIMIT_T max(1, |v|), InvalidInput if
+    2 s overflows, with one Richardson step against the order-|v|/s error.
+    Both normalizations are numeric.unit's: a steep line does not overflow.
     """
     if c.k != 1:
         raise InvalidInput("limiting directions are defined for line charts (k = 1)")
     u = finite_vector(u, c.n, "u")
     v = finite_vector(v, c.n, "v")
-    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
+    if abs(norm(u) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")
     if float(np.abs(u[: c.k]).max()) > 1e-12:
         raise InvalidInput("u must lie in the chart plane (zero parameter part)")
-    if abs(float(u @ v)) > 1e-10 * (1.0 + float(np.linalg.norm(v))):
+    size = norm(v)
+    if abs(float(u @ v)) > 1e-10 * (1.0 + size):
         raise InvalidInput("v must be orthogonal to u")
+    dist = LIMIT_T * max(1.0, size)
+    if not math.isfinite(2.0 * dist):
+        raise InvalidInput(f"|v| = {size:.3e} is too large: the evaluation distance overflows")
 
     def direction(s: float) -> np.ndarray:
         y = fiber_solve(c, v + s * u, tol)
         return unit(np.concatenate([[1.0], c.B(y)[:, 0]]))
 
-    d1 = direction(LIMIT_T)
-    return unit(2.0 * direction(2.0 * LIMIT_T) - d1)
+    d1 = direction(dist)
+    return unit(2.0 * direction(2.0 * dist) - d1)
 
 
 # ---------------------------------------------------------------------------

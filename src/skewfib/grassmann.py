@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import Tolerance, finite_vector, orthonormalize, overflow_is_invalid, pow2_scaled, unit
+from .numeric import Tolerance, finite_vector, norm, orthonormalize, overflow_is_invalid, unit
 
 
 def _checked_frame(frame) -> np.ndarray:
@@ -51,21 +51,20 @@ class OrientedPlane:
 
 @dataclass(frozen=True)
 class AffinePlane:
-    """Affine k-plane: direction plane plus base point orthogonal to it."""
+    """Affine k-plane: direction plane plus base point orthogonal to it,
+    |F^T b| <= 1e-10 (1 + |b|) by numeric.norm, so only a base whose length
+    is beyond the float range overflows (InvalidInput)."""
 
     direction: OrientedPlane
     base: np.ndarray
 
+    @overflow_is_invalid
     def __post_init__(self):
         b = finite_vector(self.base, self.direction.n, "base")
         object.__setattr__(self, "base", b)
-        # |F^T b| <= 1e-10 (1 + |b|), both sides scaled by the 2^-e of
-        # pow2_scaled((b, 1)), so that no norm overflows
-        scaled = pow2_scaled(np.append(b, 1.0))[0]
-        sb, one = scaled[:-1], float(scaled[-1])
-        overlap = float(np.linalg.norm(self.direction.frame.T @ sb))
-        if not overlap <= 1e-10 * (one + float(np.linalg.norm(sb))):
-            raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap / one:.3e}")
+        overlap = norm(self.direction.frame.T @ b)
+        if not overlap <= 1e-10 * (1.0 + norm(b)):
+            raise InvalidInput(f"base is not orthogonal to direction: |proj|={overlap:.3e}")
 
     @property
     def n(self) -> int:

@@ -207,6 +207,18 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def norm(v: np.ndarray) -> float:
+    """|v|: sqrt(v . v), the bits of np.linalg.norm(v), where v . v is a normal
+    float, else from pow2_scaled(v); never warns, and raises OverflowError
+    only for a |v| beyond the float range."""
+    v = v.ravel()
+    top = max(map(abs, v.tolist()), default=0.0)
+    if top and not 2.0**-500 <= top < 2.0**500:
+        v, e = pow2_scaled(v)
+        return math.ldexp(math.sqrt(v.dot(v)), e)
+    return math.sqrt(v.dot(v))
+
+
 def finite_vector(v: np.ndarray, size: int, name: str = "point") -> np.ndarray:
     """v as a float vector of the given length with finite entries.
 
@@ -429,15 +441,27 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
             out.append(complex(m[comp[0], comp[0]]))
         elif len(comp) == 2:
             i, j = comp
-            half_tr = 0.5 * (m[i, i] + m[j, j])
-            disc = (0.5 * (m[i, i] - m[j, j])) ** 2 + m[i, j] * m[j, i]
+            a, b, c, d = m.item(i, i), m.item(i, j), m.item(j, i), m.item(j, j)
+            # a block with an entry outside [2^-500, 2^500] is scaled by the
+            # 2^-e of pow2_scaled, so that no product overflows or underflows
+            e = 0
+            if not 2.0**-500 <= max(abs(a), abs(b), abs(c), abs(d)) <= 2.0**500:
+                scaled, e = pow2_scaled(np.array([a, b, c, d]))
+                a, b, c, d = scaled.tolist()
+            half_tr = 0.5 * (a + d)
+            disc = (0.5 * (a - d)) ** 2 + b * c
             # sqrt(b*b) rounds to exactly |b|, so pure rotation blocks
             # keep their imaginary parts exact
-            root = float(np.sqrt(abs(disc)))
+            root = math.sqrt(abs(disc))
             if disc >= 0.0:
-                out.extend((complex(half_tr - root), complex(half_tr + root)))
+                pair = [(half_tr - root, 0.0), (half_tr + root, 0.0)]
             else:
-                out.extend((complex(half_tr, -root), complex(half_tr, root)))
+                pair = [(half_tr, -root), (half_tr, root)]
+            if e:
+                # scaled back after the +-: an eigenvalue beyond the float
+                # range raises OverflowError, never comes back as inf
+                pair = [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pair]
+            out.extend(complex(x, y) for x, y in pair)
         else:
             sub = m[np.ix_(comp, comp)]
             try:

@@ -31,6 +31,7 @@ from .numeric import (
     SampleStream,
     Tolerance,
     finite_vector,
+    norm,
     orthonormalize,
     overflow_is_invalid,
     rank_gate,
@@ -315,8 +316,8 @@ def sphere_fiber_direction(
     block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
     w = np.linalg.solve(np.eye(len(z)) + z_t * m, z)
     inverse_form = np.concatenate([[1.0], m @ w, [0.0]])
-    err = float(np.linalg.norm(block - s * inverse_form))
-    if err > 1e-9 * (1.0 + float(np.linalg.norm(block))):
+    err = norm(block - s * inverse_form)
+    if err > 1e-9 * (1.0 + norm(block)):
         raise InvalidInput(f"direction forms disagree by {err:.3e}; matrix is not invariant")
     return block
 
@@ -342,7 +343,7 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     @overflow_is_invalid
     def assign(p: np.ndarray) -> GreatSphere:
         p = finite_vector(p, d + 2, "sphere point")
-        if abs(float(np.linalg.norm(p)) - 1.0) > 1e-12:
+        if abs(norm(p) - 1.0) > 1e-12:
             raise InvalidInput("sphere points must be unit vectors")
         p_t, p_e, p_proj = p[0], p[1:-1], p[-1]
         if abs(p_proj) > EQUATOR_EPS:
@@ -374,6 +375,6 @@ def equator_restriction(
     m = np.asarray(m, dtype=float)
     _invariant_data(m, tol)
     u = finite_vector(u, len(m), "u")
-    if abs(float(np.linalg.norm(u)) - 1.0) > 1e-10:
+    if abs(norm(u) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")
     return GreatSphere(orthonormalize(np.column_stack([u, m @ u]), tol))

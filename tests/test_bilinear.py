@@ -100,6 +100,17 @@ def test_bilinear_map_rejects_non_finite_entries():
             BilinearMap(2, 2, (np.eye(2), np.array([[0.0, bad], [1.0, 0.0]])))
 
 
+def test_bilinear_map_owns_a_copy_of_its_matrices():
+    """Writing NaN to the caller's matrix after BilinearMap(...) leaves the
+    checked map as built, so a verdict never runs on unvalidated data."""
+    m = np.eye(2)
+    a = BilinearMap(2, 1, (m,))
+    m[0, 0] = np.nan
+    assert np.array_equal(a.mats[0], np.eye(2))
+    rep = verify_nonsingular(a)
+    assert rep.ok and rep.details["exact"]
+
+
 def test_hurwitz_radon_relations():
     """M1 = I and the rest are anticommuting orthogonal complex structures."""
     for q, r in [(8, 8), (12, 4), (16, 9), (32, 10)]:

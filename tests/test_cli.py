@@ -297,14 +297,29 @@ def test_fiber_evaluates_b_once_after_the_solve(capsys, tmp_path, monkeypatch):
 
 def test_handlers_are_guarded_when_the_parser_is_built(capsys, tmp_path, monkeypatch):
     """main runs the handler that _build_parser guarded, with no guard of
-    its own per call; overflow still exits 2."""
+    its own per call; overflow still exits 2: here I + t C has entries
+    1e310."""
     hopf = _write_chart_file(tmp_path, "hopf3")
+    steep = _write_chart_file(tmp_path, "hopf_line", m=1, a=0.0, b=1e300)
     cli._build_parser()
     monkeypatch.setattr(cli, "overflow_is_invalid", lambda fn: pytest.fail("guard built per call"))
     code, data = _run_json(capsys, ["fiber", "--chart", hopf, "--point", "0,0,1"])
     assert code == 0 and data["chart_point"] == [0.0, 1.0]
-    code, _ = _run(capsys, ["fiber", "--chart", hopf, "--point", "1e200,1e200,1e200"])
+    code, _ = _run(capsys, ["fiber", "--chart", steep, "--point", "1e10,1,1"])
     assert code == 2
+
+
+def test_fiber_answers_where_only_a_squared_norm_overflows(capsys, tmp_path):
+    """The residual budget, the printed residual and the distance scale
+    before they square, so points whose |x|^2 overflows solve."""
+    hopf = _write_chart_file(tmp_path, "hopf3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = _run_json(capsys, ["fiber", "--chart", hopf, "--point", "1e200,1e200,1e200"])
+        assert code == 0 and data["chart_point"] == [1.0, -1.0]
+        code, data = _run_json(capsys, ["fiber", "--chart", hopf, "--point", "0.5,1e200,-2e200"])
+        assert code == 0 and data["chart_point"] == [0.0, -2e200]
+        assert data["distance"] == 2e200
 
 
 def test_fiber_bad_point_dimension(capsys, tmp_path):
@@ -595,21 +610,23 @@ def test_usage_errors(capsys, tmp_path):
 
 
 HUGE_CHART = '{"kind": "linear", "k": 1, "q": 2, "C": [[[1e308, -1e308], [1e308, 1e308]]]}'
+# its eigenvalues are 0 and 3e308, beyond the float range
+BEYOND_CHART = '{"kind": "linear", "k": 1, "q": 2, "C": [[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]]}'
 
 
 def test_non_finite_report_value_is_input_error(capsys, tmp_path):
     """A value that would overflow to inf ends in an input error with
     nothing on stdout, never in a bare Infinity; a non-finite value that
     reaches a report anyway is refused by the strict JSON writer."""
-    path = tmp_path / "huge.json"
-    path.write_text(HUGE_CHART)
+    path = tmp_path / "beyond.json"
+    path.write_text(BEYOND_CHART)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["verify", "eigen", "--chart", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err == "skewfib: error: overflow encountered in scalar add\n"
+    assert err == "skewfib: error: math range error\n"
     mat = _write_matrix_file(tmp_path, J2)
     code = main(["sphere", "probe", "--matrix", mat, "--samples", "2", "--threshold", "inf"])
     out, err = capsys.readouterr()
@@ -652,23 +669,27 @@ def test_bad_smooth_chart_parameter_is_one_line_error(capsys, tmp_path, name, pa
     assert err == f"skewfib: error: {message}\n"
 
 
+_OVERFLOW = "skewfib: error: overflow encountered in "
+
+
 @pytest.mark.parametrize(
-    "verb",
+    "verb, chart, message",
     [
-        ["sample", "--grid", "random:4:2"],
-        ["contact", "check"],
-        ["verify", "contact"],
-        ["verify", "skew"],
-        ["verify", "nondeg"],
-        ["verify", "eigen"],
+        (["sample", "--grid", "random:4:2"], HUGE_CHART, _OVERFLOW),
+        (["contact", "check"], HUGE_CHART, _OVERFLOW),
+        (["verify", "contact"], HUGE_CHART, _OVERFLOW),
+        (["verify", "skew"], HUGE_CHART, _OVERFLOW),
+        # the eigenvalues of HUGE_CHART are representable; these are not
+        (["verify", "nondeg"], BEYOND_CHART, "skewfib: error: math range error"),
+        (["verify", "eigen"], BEYOND_CHART, "skewfib: error: math range error"),
     ],
     ids=["sample", "contact-check", "verify-contact", "verify-skew", "verify-nondeg", "verify-eigen"],
 )
-def test_overflowing_chart_is_one_line_error(capsys, tmp_path, verb):
+def test_overflowing_chart_is_one_line_error(capsys, tmp_path, verb, chart, message):
     """A finite chart whose products overflow: exit 2, one stderr line,
     no warning, nothing on stdout and no file written."""
     path = tmp_path / "huge.json"
-    path.write_text(HUGE_CHART)
+    path.write_text(chart)
     argv = verb + ["--chart", str(path)]
     if verb[0] == "sample":
         argv += ["--out", str(tmp_path / "fibers.csv")]
@@ -678,9 +699,22 @@ def test_overflowing_chart_is_one_line_error(capsys, tmp_path, verb):
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.startswith("skewfib: error: overflow encountered in ")
+    assert err.startswith(message)
     assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+@pytest.mark.parametrize("verb", ["nondeg", "eigen"])
+def test_chart_with_huge_representable_spectrum_answers(capsys, tmp_path, verb):
+    """The 2 x 2 closed form scales a block beyond 2^500 first, so the
+    spectrum 1e308 +- 1e308 i comes back, with margin 1e308."""
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_CHART)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = _run_json(capsys, ["verify", verb, "--chart", str(path)])
+    assert code == 0 and data["verdict"] == "pass" and data["margin"] == 1e308
+    assert data["details"]["eigenvalues"] == [{"re": 1e308, "im": -1e308}, {"re": 1e308, "im": 1e308}]
 
 
 _HOPF_LINE = '{"kind": "builtin", "k": 1, "q": 2, "builtin": {"name": "hopf_line", "params": %s}}'

@@ -390,6 +390,40 @@ def test_fiber_solve_rejects_non_finite_points():
                 fiber_solve(c, np.array(bad))
 
 
+_HOMOGENEITY_CHARTS = [
+    ("hopf3", {}),
+    ("hopf_line", {"m": 2, "a": 0.5, "b": 2.0}),
+    ("hopf_line", {"m": 2, "a": 0.0, "b": 2.0}),
+    ("hopf15", {}),
+]
+
+
+@pytest.mark.parametrize("name, params", _HOMOGENEITY_CHARTS, ids=["hopf3", "line-m2", "line-m2-skew", "hopf15"])
+def test_fiber_solve_is_homogeneous_in_t2(name, params):
+    """On a linear chart y solves (I + sum t1_j C_j) y = t2, so scaling t2
+    by 2^e scales y by 2^e, bit for bit, for e = +-300, +-600 and +-1000:
+    the residual budgets do not overflow on the way.  Where every C_j is
+    skew, (0, y) is orthogonal to the fiber, so fiber_plane's base is
+    (0, y) up to the rounding of its projection, and scales with y to a
+    few ulps; the fiber through (t1, 2^e t2) is not the dilated fiber, so
+    its frame, and that rounding, differ."""
+    c = builtin_chart(name, **params)
+    skew = all(np.array_equal(m, -m.T) for m in c.C)
+    rng = np.random.default_rng(RNG_SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            t1, t2 = rng.standard_normal(c.k), rng.standard_normal(c.q)
+            y = fiber_solve(c, np.concatenate([t1, t2]))
+            base = fiber_plane(c, y).base
+            for e in (-1000, -600, -300, 300, 600, 1000):
+                ys = fiber_solve(c, np.concatenate([t1, np.ldexp(t2, e)]))
+                assert np.array_equal(ys, np.ldexp(y, e)), e
+                if skew:
+                    got = np.ldexp(fiber_plane(c, ys).base, -e)
+                    assert np.abs(got - base).max() <= 2.0**-50 * np.abs(base).max(), e
+
+
 def test_fiber_plane_through_origin():
     c = builtin_chart("hopf3")
     p = fiber_plane(c, np.zeros(2))
@@ -1174,6 +1208,30 @@ def test_limiting_direction_of_a_steep_line():
         # with v_t = 0.5 the closed form C (I + v_t C)^-1 u_q is nearly 2 u_q
         got = limiting_direction(c, np.array([0.0, 0.6, 0.8]), np.array([0.5, 0.8, -0.6]))
         assert np.allclose(got, [0.0, 0.6, 0.8], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "v", [[0.0, 0.0, 1e8], [0.0, 0.0, 1e12], [1e10, 0.0, 0.0], [1e12, 0.0, 1e12], [-1e11, 0.0, 5e11]],
+    ids=["vy-1e8", "vy-1e12", "vt-1e10", "both-1e12", "mixed"],
+)
+def test_limiting_direction_far_from_the_origin(v):
+    """The evaluation distance grows with |v|, so Richardson's order-|v|/s
+    error stays small for large v: the limit matches the closed form
+    M (I + v_t M)^-1 u_q.  At the fixed distance 1e8 these were off by
+    0.17 to 1."""
+    c = builtin_chart("hopf3")
+    u, v = np.array([0.0, 1.0, 0.0]), np.array(v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = limiting_direction(c, u, v)
+    lim = c.C[0] @ np.linalg.solve(np.eye(2) + v[0] * c.C[0], u[1:])
+    expected = np.concatenate([[0.0], lim / np.linalg.norm(lim)])
+    assert np.abs(got - expected).max() <= 1e-9
+
+
+def test_limiting_direction_names_a_v_too_large_to_evaluate():
+    with pytest.raises(InvalidInput, match=r"\|v\| = 1\.000e\+300 is too large"):
+        limiting_direction(builtin_chart("hopf3"), np.array([0.0, 1.0, 0.0]), np.array([1e300, 0.0, 0.0]))
 
 
 def test_limiting_direction_validation():

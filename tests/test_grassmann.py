@@ -1,5 +1,7 @@
 """Tests for oriented planes, affine planes, graph charts, and skewness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,16 @@ def test_affine_plane_validation():
             AffinePlane(d, np.array([0.0, bad]))
     p = AffinePlane(d, np.array([0.0, 2.0]))
     assert p.n == 2 and p.k == 1
-    # |b|^2 overflows for these bases; the test divides b by max|b_i| first
-    with pytest.raises(InvalidInput, match="not orthogonal"):
-        AffinePlane(d, np.array([1e200, 1e200]))
-    assert AffinePlane(d, np.array([0.0, 1e200])).base[1] == 1e200
+    # |b|^2 overflows for these bases; numeric.norm scales b first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="not orthogonal"):
+            AffinePlane(d, np.array([1e200, 1e200]))
+        assert AffinePlane(d, np.array([0.0, 1e200])).base[1] == 1e200
+        assert AffinePlane(d, np.array([0.0, 1.7e308])).base[1] == 1.7e308
+        # |b| itself is beyond the float range
+        with pytest.raises(InvalidInput, match="math range error"):
+            AffinePlane(OrientedPlane(np.eye(3)[:, :1]), np.array([0.0, 1.5e308, 1.5e308]))
 
 
 def test_plane_from_columns_spans_input():

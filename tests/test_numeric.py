@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skewfib.bilinear import J2
 from skewfib.contact import contact_check, contact_checks, contact_form
 from skewfib.errors import InvalidInput, RankDeficient
 from skewfib.fibration import (
@@ -24,6 +25,7 @@ from skewfib.numeric import (
     Tolerance,
     eigenvalues,
     jacobian,
+    norm,
     oriented_q,
     orthonormalize,
     overflow_is_invalid,
@@ -254,6 +256,54 @@ def test_eigenvalues_real_two_by_two_component():
     assert np.allclose(np.sort(eig.real), np.sort(np.linalg.eigvals(m).real), atol=1e-13)
 
 
+def _closed_form_2x2(a, b, c, d):
+    """The quadratic formula on one 2 x 2 block, unscaled, in numpy scalars."""
+    a, b, c, d = map(np.float64, (a, b, c, d))
+    half_tr = 0.5 * (a + d)
+    disc = (0.5 * (a - d)) ** 2 + b * c
+    root = float(np.sqrt(abs(disc)))
+    if disc >= 0.0:
+        return [complex(half_tr - root), complex(half_tr + root)]
+    return [complex(half_tr, -root), complex(half_tr, root)]
+
+
+def test_eigenvalues_two_by_two_scaling_changes_no_bit_in_range():
+    """Blocks whose entries lie within 2^+-500 take the quadratic formula
+    unscaled; blocks beyond are scaled by a power of two, exactly, so the
+    spectrum of 2^e M is 2^e times that of M, bit for bit."""
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(500):
+        m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-130, 130, (2, 2))
+        assert eigenvalues(m).tolist() == _closed_form_2x2(*m.ravel())
+    for _ in range(500):
+        m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 3, (2, 2))
+        eig = eigenvalues(m)
+        for e in (-1000, -600, -300, 300, 600, 1000):
+            want = np.ldexp(eig.real, e) + 1j * np.ldexp(eig.imag, e)
+            assert np.array_equal(eigenvalues(np.ldexp(m, e)), want), (m, e)
+
+
+@pytest.mark.parametrize("scale", [2.0**1000, 1e308, 2.0**-1000, 1e-300])
+def test_eigenvalues_answer_at_the_ends_of_the_range(scale):
+    """The 2 x 2 closed form neither overflows nor underflows to a wrong
+    spectrum where the eigenvalues are representable."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rot = np.array([[1.0, -1.0], [1.0, 1.0]])
+        assert eigenvalues(scale * rot).tolist() == [complex(scale, -scale), complex(scale, scale)]
+        sym = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert eigenvalues(scale * sym).tolist() == [complex(0.5 * scale), complex(1.5 * scale)]
+
+
+def test_eigenvalue_beyond_the_float_range_raises():
+    """An eigenvalue that is not representable raises OverflowError from
+    the scaled closed form, never comes back as inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            eigenvalues(1.5e308 * np.ones((2, 2)))
+
+
 def test_eigenvalues_similarity_invariant():
     """Conjugating by an orthogonal matrix must not move the spectrum."""
     rng = np.random.default_rng(RNG_SEED)
@@ -362,11 +412,16 @@ _OVERFLOWS = {
     "contact_check": lambda: contact_check(_HOPF3, np.array([1e200, 0.0])),
     "contact_checks": lambda: contact_checks(_HOPF3, np.array([[1e200, 0.0]])),
     "verify_skew": lambda: verify_skew(_STRETCHED, radius=1e200, samples=8),
-    "fiber_solve": lambda: fiber_solve(_HOPF3, np.array([1e200, 1e200, 0.0])),
+    # I + t C has entries 1e310
+    "fiber_solve": lambda: fiber_solve(
+        builtin_chart("hopf_line", m=1, a=0.0, b=1e300), np.array([1e10, 1.0, 1.0])
+    ),
+    # the evaluation distance 1e8 |v| doubled overflows
     "limiting_direction": lambda: limiting_direction(_HOPF3, _E2, np.array([1e300, 0.0, 0.0])),
     "ConeProbe": lambda: ConeProbe(_E1, (1e308,), base=1e308 * _E1),
+    # the eigenvalue 3e308 is beyond the float range
     "verify_nondegenerate": lambda: verify_nondegenerate(
-        Chart(1, 2, "linear", C=(np.array([[1e308, -1e308], [1e308, 1e308]]),))
+        Chart(1, 2, "linear", C=(1.5e308 * np.ones((2, 2)),))
     ),
 }
 
@@ -376,11 +431,29 @@ def test_entry_points_reject_overflowing_input(call):
     """Finite input whose arithmetic overflows is an input error at every
     library entry point, never a warning, a verdict on inf or NaN (such as
     margin 0.0 for a chart whose true margin is positive), a result of
-    zeros or a raw LinAlgError."""
+    zeros or a raw LinAlgError.  The message is numpy's, or math.ldexp's
+    where a power-of-two scaled result is scaled back beyond the range."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidInput, match="overflow"):
+        with pytest.raises(InvalidInput, match="overflow|^math range error$"):
             call()
+
+
+def test_entry_points_answer_where_the_answer_is_representable():
+    """Inputs that once overflowed in a residual budget or an unscaled
+    closed form, although their answers are representable."""
+    huge = np.array([[1e308, -1e308], [1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # (I + t J)^-1 (t, 0) = (t, -t^2) / (1 + t^2)
+        assert fiber_solve(_HOPF3, np.array([1e200, 1e200, 0.0])).tolist() == [1e-200, -1.0]
+        y = fiber_solve(_HOPF3, np.array([0.5, 1.0, -2.0]))
+        big = fiber_solve(_HOPF3, np.array([0.5, 2.0**1000, -(2.0**1001)]))
+        assert np.array_equal(big, np.ldexp(y, 1000))
+        rep = verify_nondegenerate(Chart(1, 2, "linear", C=(huge,)))
+        assert rep.ok and rep.margin == 1e308
+        rep = verify_nondegenerate(Chart(1, 2, "linear", C=(2.0**1000 * J2,)))
+        assert rep.ok and rep.margin == 2.0**1000
 
 
 def test_entry_points_keep_large_finite_results():
@@ -406,6 +479,41 @@ def test_pow2_scaled_is_exact():
         assert np.array_equal(np.ldexp(scaled, e), a)
     scaled, e = pow2_scaled(np.zeros(3))
     assert e == 0 and not scaled.any()
+
+
+def test_norm_is_np_linalg_norm_in_range():
+    """Where v . v is in range (entries from 1e-130 to 1e130), norm gives
+    the bits of np.linalg.norm(v)."""
+    rng = np.random.default_rng(RNG_SEED)
+    for size in range(1, 9):
+        vs = rng.standard_normal((250, size)) * 10.0 ** rng.uniform(-130, 130, (250, size))
+        for v in vs:
+            assert norm(v) == float(np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1.7e308, 2.0**-500, 1e-300, 5e-324, 3e-320])
+def test_norm_is_finite_correct_and_silent_at_the_ends_of_the_range(scale):
+    """Under warnings as errors and with no guard, norm scales where v . v
+    would overflow or underflow: |(0, -s)| = s, and |s (3, 4) / 5| and
+    |s (1, 1) / sqrt(2)| are s to a few roundings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm(np.array([0.0, -scale])) == scale
+        for v in (np.array([0.6, -0.8, 0.0]), np.full(2, math.sqrt(0.5))):
+            got = norm(scale * v)
+            assert math.isfinite(got) and abs(got - scale) <= 2.0**-51 * scale + 2e-323
+
+
+def test_norm_beyond_the_float_range_raises():
+    """A length that is not representable is an OverflowError, never inf,
+    and the guard makes it an input error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            norm(np.array([1.5e308, 1.5e308]))
+        with pytest.raises(InvalidInput):
+            overflow_is_invalid(norm)(np.array([1.5e308, 1.5e308]))
+    assert norm(np.zeros(3)) == 0.0
 
 
 def test_unit_is_plain_division_in_range():

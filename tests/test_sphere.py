@@ -662,7 +662,7 @@ def test_sphere_helpers_overflow_raises_invalid_input():
         with pytest.raises(InvalidInput):
             sphere_fiber_direction(m, np.array([1.0, 2.0]), 1e200)  # s overflows
         with pytest.raises(InvalidInput):
-            sphere_fiber_direction(m, np.array([1e300, 2.0]), 1.0)  # M z overflows
+            sphere_fiber_direction(m, np.array([1e308, 2.0]), 1.0)  # M z overflows
 
 
 def test_sphere_helpers_large_finite_input_unchanged():
@@ -674,6 +674,20 @@ def test_sphere_helpers_large_finite_input_unchanged():
     # J2 has a = 0 and b = 1; the function's own expression, evaluated here
     expected = np.concatenate([[1.0 + 1e50**2], (1e50 * np.eye(2) + J2) @ z, [0.0]])
     assert np.array_equal(d, expected)
+
+
+def test_sphere_fiber_direction_answers_where_only_a_squared_norm_overflows():
+    """The cross-check's norms scale first, so a direction whose squared
+    length overflows still comes back: the function's own expression with
+    a = 1/2 and b = 2, to the rounding of the classified a and b."""
+    m = 0.5 * np.eye(2) + 2.0 * J2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, z_t in (([1e200, 1e200], 0.5), ([1e300, 2.0], 1.0)):
+            z = np.array(z)
+            s = (1.0 + 0.5 * z_t) ** 2 + (2.0 * z_t) ** 2
+            expected = np.concatenate([[s], (z_t * 4.25 * np.eye(2) + m) @ z, [0.0]])
+            assert np.allclose(sphere_fiber_direction(m, z, z_t), expected, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

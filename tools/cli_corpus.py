@@ -32,8 +32,13 @@ both sample modes, and the input-error paths of the sampled verbs:
   samples on two `quad_germ` extensions and on `quad_germ` with
   eps = 1e160, whose entries overflow the screens' bounds;
 - `fiber` at chart points in the germ, ring and linear zones of two
-  extensions, one solve through the ring, and a steep line
-  (hopf_line b = 1e160) whose graph frame overflows unless scaled;
+  extensions, one solve through the ring, a steep line
+  (hopf_line b = 1e160) whose graph frame overflows unless scaled, a
+  hopf3 point whose squared norm overflows, and a solve on hopf_line
+  b = 1e300 whose system matrix overflows;
+- `verify nondeg` and `verify eigen` on C = 2^1000 J2, whose margin is
+  representable, and on C = 1.5e308 [[1, 1], [1, 1]], whose eigenvalue
+  3e308 is not;
 - `sphere assemble` at a point whose squared norm overflows, and `sample`
   on hopf15 at 100,000 steps, a grid of 10^35 rows;
 - `verify skew --mode low-discrepancy` on the zero chart with q = 64,
@@ -117,6 +122,9 @@ FILES = {
         3, 4, [_LI, _LJ, _LK], [[0.5, 0, -1], [0, 0.25, 0], [1, 0, 0], [0, 0, 2]]
     ),
     "huge.json": _linear(1, 2, [[[1e308, -1e308], [1e308, 1e308]]]),
+    # margin 2^1000, and an eigenvalue 3e308 beyond the float range
+    "pow2-1000.json": _linear(1, 2, [[[0.0, -(2.0**1000)], [2.0**1000, 0.0]]]),
+    "beyond.json": _linear(1, 2, [[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]]),
     # no skew chart has k >= q; diag(1, 2) is singular at the Gram test's t only
     "k1-q1.json": _linear(1, 1, [[[2.0]]]),
     "k2-q2.json": _linear(2, 2, [_J2, [[1.0, 0.0], [0.0, -1.0]]]),
@@ -293,6 +301,14 @@ def corpus() -> list[dict]:
     # a steep line whose unscaled |(1, B(y))|^2 overflows
     add("build", "hopf-line", "--m=1", "--a=0", "--b=1e160", "--out", "steep-line.json")
     add("fiber", "--chart", "steep-line.json", "--point", "0,1,0")
+    # a point whose |x|^2 overflows, and a solve whose I + t C overflows
+    add("fiber", "--chart", "hopf3.json", "--point", "0.5,1e200,-2e200")
+    add("build", "hopf-line", "--m=1", "--a=0", "--b=1e300", "--out", "steeper-line.json")
+    add("fiber", "--chart", "steeper-line.json", "--point", "1e10,1,1")
+    # 2 x 2 spectra beyond 2^500: representable, and not
+    for chart in ("pow2-1000.json", "beyond.json"):
+        add("verify", "nondeg", "--chart", chart)
+        add("verify", "eigen", "--chart", chart)
 
     for chart, (k, q) in CHARTS.items():
         for what in ("skew", "nondeg"):
