@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bilinear, contact, dims, fibration, sphere
 from .errors import BlendFailure, InvalidInput, SkewfibError
-from .numeric import SampleStream, finite_vector, norm, overflow_is_invalid, unit
+from .numeric import SampleStream, Tolerance, finite_vector, norm, overflow_is_invalid, unit
 
 REPORT_SCHEMA = "skewfib-report-v1"
 
@@ -189,9 +189,8 @@ def _contact_run(c: fibration.Chart, args) -> int:
 def _cmd_fiber(args) -> int:
     c = _load_chart(args.chart)
     x = _parse_point(args.point, c.n)
-    y = fibration.fiber_solve(c, x)
-    # one B(y) for the plane and the residual
-    b = c.B(y)
+    # the solver's own B(y) makes the plane and the residual
+    y, b = fibration._fiber(c, x, Tolerance.default())
     plane = fibration._graph_plane(c, y, b)
     residual = norm(y + b @ x[: c.k] - x[c.k :])
     return _emit_report(

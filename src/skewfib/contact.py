@@ -126,7 +126,8 @@ def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> li
     dform -= form[:, :, None] * (2.0 * b)[:, None, :] / (s * s)[:, None, None]
     jac = dform @ d @ np.concatenate([-b[:, :, None], np.broadcast_to(eye, d.shape)], axis=2)
     dalpha = jac.mT - jac
-    scales = np.linalg.norm(dalpha, 2, axis=(1, 2))
+    # the largest singular value, as np.linalg.norm(dalpha, 2, axis=(1, 2)) takes it
+    scales = np.linalg.svd(dalpha, compute_uv=False)[:, 0]
     # the orthonormal basis Q of ker alpha (module docstring), one per row
     r = np.sqrt(s)[:, None, None]
     lower = eye - b[:, :, None] * b[:, None, :] / (r * (r + 1.0))

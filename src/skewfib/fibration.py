@@ -40,6 +40,7 @@ from .grassmann import AffinePlane, OrientedPlane, _built, max_principal_angle
 from .numeric import (
     SampleStream,
     Tolerance,
+    _axis_norms,
     eig_screen,
     eigenvalues,
     finite_vector,
@@ -171,8 +172,8 @@ class Chart:
 
     def _finite(self, out: np.ndarray, what: str) -> np.ndarray:
         """out, unless a builtin chart's closures gave a value that is not
-        finite: checked once per public call, not in the per-row _b and _db
-        that extensions nest."""
+        finite: checked once per public call and per evaluation of the
+        fiber solver, not in the per-row _b and _db that extensions nest."""
         if self.kind == BUILTIN and not np.isfinite(out).all():
             raise InvalidInput(f"builtin chart {what}(y) is not finite")
         return out
@@ -376,19 +377,23 @@ def chart_from_dict(data: dict) -> Chart:
 
 def _solve(
     c: Chart, s: float, t: np.ndarray, b: np.ndarray, y0: np.ndarray, budget: float, tol: Tolerance
-) -> np.ndarray:
-    """Chart point y with s y + B(y) t = b (s = 1 or 0) to a residual <= budget.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chart point y with s y + B(y) t = b (s = 1 or 0) to a residual <= budget,
+    and B(y) there, so that no caller evaluates it again.
 
     Linear and affine charts: one direct solve and one refinement step.
     Smooth charts: damped Newton from y0, at most 100 steps.  A singular
     system matrix or Newton Jacobian raises SingularSystem; a residual
-    above the budget raises NoConvergence.
+    above the budget raises NoConvergence.  B and dB are evaluated as
+    Chart.B and Chart.dB do for one point, with one finiteness check each.
     """
     # s y is added, not multiplied: for s = 1 the arithmetic is that of y + B(y) t = b
     eye = np.eye(c.q) if s else 0.0
 
-    def residual(y):
-        return (y if s else 0.0) + c.B(y) @ t - b
+    def evaluate(y):
+        """B(y) and the residual s y + B(y) t - b."""
+        by = c._finite(c._b(y[None]), "B")[0]
+        return by, (y if s else 0.0) + by @ t - b
 
     if c.is_linear:
         mat = eye + sum(t[j] * c.C[j] for j in range(c.k))
@@ -399,17 +404,18 @@ def _solve(
         y = np.linalg.solve(mat, rhs)
         # One refinement step guards against loss of accuracy at large |x|.
         y = y + np.linalg.solve(mat, rhs - mat @ y)
-        if norm(residual(y)) > budget:
+        by, r = evaluate(y)
+        if norm(r) > budget:
             raise NoConvergence(f"linear solve residual above {budget:.3e}")
-        return y
+        return y, by
 
     y = y0.copy()
-    r = residual(y)
+    by, r = evaluate(y)
     res = norm(r)
     for _ in range(100):
         if res <= budget:
-            return y
-        jac = eye + np.einsum("ijl,j->il", c.dB(y), t)
+            return y, by
+        jac = eye + np.einsum("ijl,j->il", c._finite(c._db(y[None]), "dB")[0], t)
         sv = np.linalg.svd(jac, compute_uv=False)
         if is_singular(sv, tol):
             raise SingularSystem(f"Newton Jacobian singular: sigma_min={sv[-1]:.3e}")
@@ -417,16 +423,16 @@ def _solve(
         lam = 1.0
         while lam > 1e-6:
             cand = y + lam * step
-            cand_r = residual(cand)
+            cand_b, cand_r = evaluate(cand)
             cand_res = norm(cand_r)
             if cand_res < res:
-                y, r, res = cand, cand_r, cand_res
+                y, by, r, res = cand, cand_b, cand_r, cand_res
                 break
             lam *= 0.5
         else:
             raise NoConvergence(f"damping stalled at residual {res:.3e}")
     if res <= budget:
-        return y
+        return y, by
     raise NoConvergence(f"no convergence in 100 iterations, residual {res:.3e}")
 
 
@@ -438,11 +444,14 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
     damped Newton iteration (at most 100 steps, started at t2) otherwise.
     The result satisfies |y + B(y) t1 - t2| <= 1e-10 (1 + |x|).
     """
-    tol = tol or Tolerance.default()
+    return _fiber(c, x, tol or Tolerance.default())[0]
+
+
+def _fiber(c: Chart, x: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """fiber_solve's chart point y and B(y) there, unguarded."""
     x = finite_vector(x, c.n)
     t1, t2 = x[: c.k], x[c.k :]
-    budget = 1e-10 * (1.0 + norm(x))
-    return _solve(c, 1.0, t1, t2, t2, budget, tol)
+    return _solve(c, 1.0, t1, t2, t2, 1e-10 * (1.0 + norm(x)), tol)
 
 
 @overflow_is_invalid
@@ -535,11 +544,12 @@ def verify_skew(
     def sample():
         xs, ys = stream.pairs_in_ball(samples, c.q, radius)
         diff = xs - ys
-        norms = np.linalg.norm(diff, axis=1)
+        norms = _axis_norms(diff)
         keep = norms > 1e-12 * radius
-        xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
-        if xs.shape[0] == 0:
-            raise InvalidInput("all sampled pairs were coincident; increase samples or radius")
+        if not keep.all():
+            xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
+            if xs.shape[0] == 0:
+                raise InvalidInput("all sampled pairs were coincident; increase samples or radius")
 
         if c.is_linear:
             stacks = np.empty((diff.shape[0], c.q, c.k + 1))
@@ -713,7 +723,11 @@ def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None 
     needs |ell_t| > 1e-12.  A zero ell raises InvalidInput, a singular
     system SingularSystem, and a missed budget NoConvergence.
     """
-    tol = tol or Tolerance.default()
+    return _containing(c, ell, tol or Tolerance.default())[0]
+
+
+def _containing(c: Chart, ell: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """fiber_containing_direction's chart point y and B(y) there, unguarded."""
     ell = finite_vector(ell, c.n, "ell")
     if not ell.any():
         raise InvalidInput("ell must be nonzero")
@@ -721,8 +735,7 @@ def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None 
     lt, ly = ell[: c.k], ell[c.k :]
     if norm(lt) <= 1e-12:
         raise InvalidInput("direction lies in the chart plane; no fiber contains it")
-    budget = 1e-12 * (1.0 + norm(ly))
-    return _solve(c, 0.0, lt, ly, np.zeros(c.q), budget, tol)
+    return _solve(c, 0.0, lt, ly, np.zeros(c.q), 1e-12 * (1.0 + norm(ly)), tol)
 
 
 @overflow_is_invalid
@@ -739,14 +752,11 @@ def continuity_probe(
     the fiber containing ell; the returned angles quantify the rate.
     """
     tol = tol or Tolerance.default()
-    ell = finite_vector(ell, c.n, "ell")
-    reference = fiber_plane(c, fiber_containing_direction(c, ell, tol)).direction
-    angles = []
-    for pt in probe.points():
-        y = fiber_solve(c, pt, tol)
-        d = fiber_plane(c, y).direction
-        angles.append(max_principal_angle(d, reference))
-    return angles
+    reference = _graph_plane(c, *_containing(c, ell, tol)).direction
+    return [
+        max_principal_angle(_graph_plane(c, *_fiber(c, pt, tol)).direction, reference)
+        for pt in probe.points()
+    ]
 
 
 @overflow_is_invalid
@@ -765,6 +775,7 @@ def limiting_direction(
     """
     if c.k != 1:
         raise InvalidInput("limiting directions are defined for line charts (k = 1)")
+    tol = tol or Tolerance.default()
     u = finite_vector(u, c.n, "u")
     v = finite_vector(v, c.n, "v")
     if abs(norm(u) - 1.0) > 1e-10:
@@ -779,8 +790,8 @@ def limiting_direction(
         raise InvalidInput(f"|v| = {size:.3e} is too large: the evaluation distance overflows")
 
     def direction(s: float) -> np.ndarray:
-        y = fiber_solve(c, v + s * u, tol)
-        return unit(np.concatenate([[1.0], c.B(y)[:, 0]]))
+        by = _fiber(c, v + s * u, tol)[1]
+        return unit(np.concatenate([[1.0], by[:, 0]]))
 
     d1 = direction(dist)
     return unit(2.0 * direction(2.0 * dist) - d1)
@@ -820,22 +831,24 @@ def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
         the ring between, with the bump weight w(s).  Rows with a NaN norm
         count as near, so they come out NaN."""
         s = row_norms(ys) / blend_r
+        # NaN fails this comparison, so a NaN row takes the near path
+        if (s >= 1.0).all():
+            return linear(ys)
         far = s > 0.5
         if not far.any():
             return germ(ys)
         out = linear(ys)
         near = np.flatnonzero(~(s >= 1.0))
-        if len(near):
-            ring = far[near]
-            rows = near[ring]
-            bumps = np.array([_bump(v) for v in s[rows].tolist()]).reshape(-1, 2)
-            loc = germ(ys[near])
-            w = bumps[:, 0].reshape((-1,) + (1,) * (out.ndim - 1))
-            mixed = w * loc[ring] + (1.0 - w) * out[rows]
-            if term is not None:
-                mixed += term(ys[rows], bumps[:, 1])
-            out[near] = loc
-            out[rows] = mixed
+        ring = far[near]
+        rows = near[ring]
+        bumps = np.array([_bump(v) for v in s[rows].tolist()]).reshape(-1, 2)
+        loc = germ(ys[near])
+        w = bumps[:, 0].reshape((-1,) + (1,) * (out.ndim - 1))
+        mixed = w * loc[ring] + (1.0 - w) * out[rows]
+        if term is not None:
+            mixed += term(ys[rows], bumps[:, 1])
+        out[near] = loc
+        out[rows] = mixed
         return out
 
     def slope(ys, dw):

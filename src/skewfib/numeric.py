@@ -101,7 +101,9 @@ class SampleStream:
         self._gen = None
 
     # Each chunk draws `dims` standard normals plus one uniform per point.
-    def _chunk(self, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    def _fill(self, g: np.ndarray, u: np.ndarray) -> None:
+        """Draw one chunk into g, a (_CHUNK, dims) block of rows of a draw
+        buffer, and u, its _CHUNK uniforms."""
         if self._gen is None:
             self._gen = np.random.Generator(np.random.PCG64(self.seed))
             if self.mode == "low-discrepancy":
@@ -109,9 +111,10 @@ class SampleStream:
                 self._phase = self._gen.random(64)
                 self._index = 0
         if self.mode == "pseudo-random":
-            g = self._gen.standard_normal((_CHUNK, dims))
-            u = self._gen.random(_CHUNK)
-            return g, u
+            self._gen.standard_normal(out=g)
+            self._gen.random(out=u)
+            return
+        dims = g.shape[1]
         idx = np.arange(self._index + 1, self._index + _CHUNK + 1, dtype=float)
         self._index += _CHUNK
         ncols = 2 * ((dims + 1) // 2)
@@ -123,10 +126,9 @@ class SampleStream:
         u1 = np.clip(lattice[:, 0:ncols:2], 1e-16, 1 - 1e-16)
         u2 = lattice[:, 1:ncols:2]
         radial = np.sqrt(-2.0 * np.log(u1))
-        g = np.empty((_CHUNK, ncols))
         g[:, 0::2] = radial * np.cos(2 * np.pi * u2)
-        g[:, 1::2] = radial * np.sin(2 * np.pi * u2)
-        return g[:, :dims], lattice[:, ncols]
+        g[:, 1::2] = (radial * np.sin(2 * np.pi * u2))[:, : dims // 2]
+        u[:] = lattice[:, ncols]
 
     @staticmethod
     def _check(count: int, radius: float | None = None) -> None:
@@ -141,15 +143,15 @@ class SampleStream:
         self._check(count)
         if dims < 1:
             raise InvalidInput(f"need dims >= 1, got {dims}")
-        gs, us = [], []
-        for _ in range(-(-count // _CHUNK)):
-            g, u = self._chunk(dims)
-            gs.append(g)
-            us.append(u)
-        g = np.vstack(gs)[:count]
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        size = -(-count // _CHUNK) * _CHUNK
+        g, u = np.empty((size, dims)), np.empty(size)
+        for i in range(0, size, _CHUNK):
+            self._fill(g[i : i + _CHUNK], u[i : i + _CHUNK])
+        g = g[:count]
+        norms = _axis_norms(g)
         norms[norms == 0] = 1.0
-        return g / norms, np.concatenate(us)[:count]
+        g /= norms[:, None]
+        return g, u[:count]
 
     def unit_vectors(self, count: int, dims: int) -> np.ndarray:
         """count unit vectors on the sphere in R^dims, one per row."""
@@ -159,7 +161,8 @@ class SampleStream:
         """count points uniform in the ball of the given radius."""
         self._check(count, radius)
         g, u = self._directions(count, dims)
-        return g * (radius * u[:, None] ** (1.0 / dims))
+        g *= radius * u[:, None] ** (1.0 / dims)
+        return g
 
     def pairs_in_ball(self, count: int, dims: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """count pairs (x, y) of ball points, drawn as consecutive samples."""
@@ -442,6 +445,15 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
         elif len(comp) == 2:
             i, j = comp
             a, b, c, d = m.item(i, i), m.item(i, j), m.item(j, i), m.item(j, j)
+            # the spectrum depends on b and c only through bc, so they are
+            # balanced by an exact power of two first, lest a large b keep a
+            # block whose squares underflow from the scale test below; not
+            # where a balanced entry would turn subnormal and lose bits
+            if b and c:
+                eb, ec = math.frexp(b)[1], math.frexp(c)[1]
+                shift = (eb - ec) // 2
+                if min(eb - shift, ec + shift) >= -1021:
+                    b, c = math.ldexp(b, -shift), math.ldexp(c, shift)
             # a block with an entry outside [2^-500, 2^500] is scaled by the
             # 2^-e of pow2_scaled, so that no product overflows or underflows
             e = 0
@@ -479,6 +491,23 @@ def row_norms(ys: np.ndarray) -> np.ndarray:
     with per-row calls bit for bit (a reduction along axis 1 does not).
     """
     return np.sqrt(np.vecdot(ys, ys))
+
+
+def _axis_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=1) of an (N, p) array, bit for bit.
+
+    Below 8 columns numpy's reduction adds the squares of a row one by one
+    in column order, so summing the squared columns in that order gives its
+    bits without a reduction per row; from 8 columns up it sums pairwise,
+    and numpy is called.  Row i equals the N = 1 call on row i.
+    """
+    if a.shape[1] >= 8:
+        return np.linalg.norm(a, axis=1)
+    sq = a * a
+    out = sq[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out += sq[:, j]
+    return np.sqrt(out, out=out)
 
 
 def jacobian(f, y: np.ndarray) -> np.ndarray:

@@ -272,27 +272,29 @@ def test_fiber_report(capsys, tmp_path):
 
 
 def test_fiber_evaluates_b_once_after_the_solve(capsys, tmp_path, monkeypatch):
-    """On a germ extension, the fiber verb makes one Chart.B call more than
-    loading the chart and a direct fiber_solve at the same point: the plane
-    and the printed residual share one B(y)."""
+    """On a germ extension, the fiber verb evaluates B exactly as loading
+    the chart and a direct fiber_solve at the same point do, and no more:
+    the plane and the printed residual take the B(y) of the solve, with no
+    evaluation after it."""
     ext = builtin_chart("germ_extension", blend_r=0.5, base=builtin_chart("quad_germ", eps=0.2))
     path = tmp_path / "ext.json"
     path.write_text(json.dumps(chart_to_dict(ext)))
     calls = []
-    b = Chart.B
-    monkeypatch.setattr(Chart, "B", lambda self, y: calls.append(1) or b(self, y))
+    b = Chart._b
+    monkeypatch.setattr(Chart, "_b", lambda self, ys: calls.append((self.name, len(ys))) or b(self, ys))
     # near, ring and far zones, and a solve through the ring with t != 0
     for point in ([0.0, 0.1, -0.1], [0.0, 0.3, 0.2], [0.0, -2.0, 1.0], [0.4, 0.35, 0.1]):
         x = np.array(point)
         calls.clear()
         y = fiber_solve(chart_from_dict(json.loads(path.read_text())), x)
-        direct = len(calls)
+        direct = list(calls)
         calls.clear()
         code, data = _run_json(capsys, ["fiber", "--chart", str(path), "--point", ",".join(map(repr, point))])
         assert code == 0
-        assert len(calls) == direct + 1
+        assert ("germ_extension", 1) in direct
+        assert calls == direct
         assert data["chart_point"] == y.tolist()
-        assert data["residual"] == float(np.linalg.norm(y + b(ext, y) @ x[:1] - x[1:]))
+        assert data["residual"] == float(np.linalg.norm(y + ext.B(y) @ x[:1] - x[1:]))
 
 
 def test_handlers_are_guarded_when_the_parser_is_built(capsys, tmp_path, monkeypatch):

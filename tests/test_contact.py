@@ -216,6 +216,28 @@ def test_contact_checks_rows_equal_single_points():
         assert rep.details == {"dalpha_norm": 0.0}
 
 
+def test_dalpha_norm_is_the_largest_singular_value(monkeypatch):
+    """contact_checks takes |d(alpha)|_2 as the first singular value of one
+    batched SVD: the bits of np.linalg.norm(., 2, axis=(1, 2)), which runs
+    the same SVD behind moveaxis and amax.  Pinned on seeded antisymmetric
+    stacks of the sizes q + 1 = 3, 5 and 9, and on the checks' own stacks."""
+    rng = np.random.default_rng(RNG_SEED)
+    for size in (3, 5, 9):
+        a = rng.standard_normal((300, size, size)) * 10.0 ** rng.uniform(-3.0, 3.0, (300, 1, 1))
+        a = a - a.mT
+        assert np.array_equal(np.linalg.svd(a, compute_uv=False)[:, 0], np.linalg.norm(a, 2, axis=(1, 2)))
+    svd = np.linalg.svd
+    for m in (1, 2, 4):
+        c = builtin_chart("hopf_line", m=m, a=0.5, b=1.5)
+        seen = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+        reports = contact_checks(c, rng.uniform(-2.0, 2.0, (20, c.q)))
+        monkeypatch.undo()
+        (dalpha,) = seen
+        want = np.linalg.norm(dalpha, 2, axis=(1, 2)).tolist()
+        assert [r.details["dalpha_norm"] for r in reports] == want
+
+
 def test_contact_check_validation():
     with pytest.raises(InvalidInput):
         contact_check(builtin_chart("hopf7"), np.zeros(4))  # k = 3

@@ -27,6 +27,7 @@ from skewfib.errors import (
     SingularSystem,
 )
 from skewfib.fibration import (
+    LIMIT_T,
     Chart,
     ConeProbe,
     block_rotation,
@@ -1194,6 +1195,28 @@ def test_limiting_direction_closed_form():
             expected /= np.linalg.norm(expected)
             err = min(np.linalg.norm(got - expected), np.linalg.norm(got + expected))
             assert err <= 1e-6
+
+
+def test_limiting_direction_evaluates_nothing_after_its_solves(monkeypatch):
+    """Each of the two fiber directions comes from the B(y) of its solve:
+    limiting_direction evaluates B and dB exactly as fiber_solve at its
+    two points does, on a linear chart and on a germ extension."""
+    calls = []
+    for name in ("_b", "_db"):
+        orig = getattr(Chart, name)
+        monkeypatch.setattr(
+            Chart, name, lambda self, ys, name=name, orig=orig: calls.append(name) or orig(self, ys)
+        )
+    u, v = np.array([0.0, 0.6, 0.8]), np.array([0.5, 0.8, -0.6])
+    dist = LIMIT_T * max(1.0, float(np.linalg.norm(v)))
+    for c in (builtin_chart("hopf3"), extend_germ(builtin_chart("quad_germ", eps=0.2))):
+        calls.clear()
+        limiting_direction(c, u, v)
+        used = list(calls)
+        calls.clear()
+        fiber_solve(c, v + dist * u)
+        fiber_solve(c, v + 2.0 * dist * u)
+        assert used == calls and "_b" in used
 
 
 def test_limiting_direction_of_a_steep_line():

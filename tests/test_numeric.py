@@ -1,6 +1,7 @@
 """Tests for the shared numeric kernel: tolerances, sampling, linear algebra helpers,
 and the overflow guard that every library entry point runs under."""
 
+import hashlib
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from skewfib.grassmann import AffinePlane, OrientedPlane, skew_pair
 from skewfib.numeric import (
     SampleStream,
     Tolerance,
+    _axis_norms,
     eigenvalues,
     jacobian,
     norm,
@@ -119,6 +121,44 @@ def test_sample_stream_builds_its_generator_on_the_first_draw(monkeypatch):
     later = streams["low-discrepancy"].ball_points(100, 4, 2.0)
     fresh = SampleStream(seed=3, mode="low-discrepancy").ball_points(100, 4, 2.0)
     assert np.array_equal(later, fresh)
+
+
+# sha256 prefixes of _golden_draws per mode and dimension (numpy 2.4,
+# x86-64 Linux): a draw that moves by one bit changes its digest
+_GOLDEN_DRAWS = {
+    "pseudo-random": {
+        1: "321cd48d8bdc4349", 2: "3b2449ccf6325070", 3: "e8102bbb4782e580",
+        4: "6773e381580e19eb", 5: "5a83ac0948101e5d", 6: "d94995c3db37d565",
+        7: "dd7d4867199eef37", 8: "4cc25d7a36df047f", 9: "ad8d04848cc86eb3",
+        16: "c3ec9206e27a803d",
+    },
+    "low-discrepancy": {
+        1: "aa8b1d445758343f", 2: "3245ae1fef7f65a1", 3: "b566a06c3b5ce50f",
+        4: "73c913bbc210541b", 5: "bb02a5e2a4b2fc03", 6: "d83806a2199350ab",
+        7: "f28fbae85e98446a", 8: "6d1c8fe8517f475f", 9: "3c930ae9e8bf48d2",
+        16: "d0b7b4f05c5a8f79",
+    },
+}
+
+
+def _golden_draws(mode: str, dims: int) -> str:
+    """Digest of unit_vectors, ball_points and pairs_in_ball at counts 1,
+    255, 256, 257 and 2,000, drawn in turn from one stream per seed 0, 7."""
+    digest = hashlib.sha256()
+    for seed in (0, 7):
+        stream = SampleStream(seed, mode)
+        for count in (1, 255, 256, 257, 2000):
+            for arr in (stream.unit_vectors(count, dims), stream.ball_points(count, dims, 2.5),
+                        *stream.pairs_in_ball(count, dims, 0.75)):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode", SampleStream.MODES)
+def test_sample_stream_golden_draws(mode):
+    """Every draw keeps its bits: both modes, dims 1 to 9 and 16, counts on
+    both sides of a chunk boundary, and draws that continue a stream."""
+    assert {dims: _golden_draws(mode, dims) for dims in _GOLDEN_DRAWS[mode]} == _GOLDEN_DRAWS[mode]
 
 
 def test_sample_stream_rejects_a_negative_seed(monkeypatch):
@@ -283,6 +323,23 @@ def test_eigenvalues_two_by_two_scaling_changes_no_bit_in_range():
             assert np.array_equal(eigenvalues(np.ldexp(m, e)), want), (m, e)
 
 
+@pytest.mark.parametrize(
+    "block",
+    [[[-6.42e-182, -1.74e-133], [-7.74e-260, 1.01e-226]], [[0.0, 1e130], [1e-200, 0.0]]],
+    ids=["tiny-diagonal", "unbalanced-off-diagonal"],
+)
+def test_eigenvalues_balance_the_off_diagonal_pair(block):
+    """b and c enter the spectrum only through bc, so they are balanced by
+    a power of two before the scale test: a large b no longer hides a
+    block whose ((a - d) / 2)^2 underflows (the first block returned the
+    double eigenvalue -3.21e-182), and an unscaled block whose bc is in
+    range keeps its answer (+-1e-35 for the second)."""
+    m = np.array(block)
+    got = np.sort_complex(eigenvalues(m))
+    want = np.sort_complex(np.linalg.eigvals(m).astype(complex))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("scale", [2.0**1000, 1e308, 2.0**-1000, 1e-300])
 def test_eigenvalues_answer_at_the_ends_of_the_range(scale):
     """The 2 x 2 closed form neither overflows nor underflows to a wrong
@@ -346,6 +403,19 @@ def test_row_norms_match_single_vector_norms():
     for p in (2, 3, 8):
         ys = rng.standard_normal((2000, p)) * np.exp(rng.uniform(-5.0, 5.0, (2000, 1)))
         assert np.array_equal(row_norms(ys), [np.linalg.norm(y) for y in ys])
+
+
+def test_axis_norms_match_numpy_bit_for_bit():
+    """_axis_norms gives the bits of np.linalg.norm(a, axis=1) for 1 to 16
+    columns, from column sums below 8 columns and numpy from 8 up, on
+    magnitudes from 1e-130 to 1e130, and row i equals the N = 1 call."""
+    rng = np.random.default_rng(RNG_SEED)
+    for p in range(1, 17):
+        for scale in (1e-130, 1.0, 1e130):
+            a = rng.standard_normal((3000, p)) * scale * np.exp(rng.uniform(-3.0, 3.0, (3000, p)))
+            got = _axis_norms(a)
+            assert np.array_equal(got, np.linalg.norm(a, axis=1)), (p, scale)
+            assert np.array_equal(got[:50], [_axis_norms(a[i : i + 1])[0] for i in range(50)])
 
 
 def test_jacobian_stack_matches_single_rows():

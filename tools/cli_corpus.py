@@ -13,7 +13,7 @@ both sample modes, and the input-error paths of the sampled verbs:
   with a matrix of the wrong shape, the wrong matrix count or an infinite
   entry, which pass the file reader and stop at the Chart constructor;
 - charts built by the `build` verbs: hopf3/7/15, two hopf_line,
-  Glück–Yang, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
+  Glück–Yang m = 2, 3 and 4, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
   quaternion and octonion maps;
 - chart files written here: zero charts (k = 1 and k = 3), a real
   eigenvalue, C = [[0, -4], [0.25, 0]], C = 2I, an ill-conditioned k = 2
@@ -45,6 +45,8 @@ both sample modes, and the input-error paths of the sampled verbs:
   whose pairs are drawn in 64 dimensions;
 - `verify skew --seed -1` on hopf7, which the Gram test certifies
   without a sample, and on Glück–Yang m = 2, which is sampled;
+- `verify skew` at seeds 0 and 7 in both modes on Glück–Yang m = 3 and
+  m = 4, 1,024 sampled pairs in q = 6 and q = 8;
 - `verify skew` at seeds 0 and 7 on `k1-q1.json` (C = [[2]]) and
   `k2-q2.json` (C = (J2, diag(1, -1))), whose pair matrices have more
   columns than rows, on `diag-12.json` (C = diag(1, 2)), singular only
@@ -180,6 +182,8 @@ BUILDS = {
     "line-m1.json": ["build", "hopf-line", "--m", "1", "--a", "0.5", "--b", "1.5"],
     "line-m2.json": ["build", "hopf-line", "--m", "2", "--a=-0.25", "--b", "2"],
     "gy-m2.json": ["build", "gluck-yang", "--m", "2"],
+    "gy-m3.json": ["build", "gluck-yang", "--m", "3"],
+    "gy-m4.json": ["build", "gluck-yang", "--m", "4"],
     "hr-4-3.json": ["build", "bilinear", "--hr", "4", "3"],
     "hr-8-5.json": ["build", "bilinear", "--hr", "8", "5"],
     "hr-16-9.json": ["build", "bilinear", "--hr", "16", "9"],
@@ -265,6 +269,13 @@ def corpus() -> list[dict]:
     add("verify", "skew", "--chart", "zero-q64.json", "--samples", 64, "--mode", "low-discrepancy")
     for chart in ("hopf7.json", "gy-m2.json"):
         add("verify", "skew", "--chart", chart, "--seed", -1)
+
+    # 1,024 sampled pairs in q = 6, whose pair norms numeric._axis_norms
+    # sums by columns, and in q = 8, where it calls numpy
+    for chart in ("gy-m3.json", "gy-m4.json"):
+        for seed in (0, 7):
+            for mode in ("pseudo-random", "low-discrepancy"):
+                add("verify", "skew", "--chart", chart, "--seed", seed, "--mode", mode)
 
     # charts that no sampled pair used to refute: k >= q, the Gram test's
     # singular t, and a k = 2, q = 3 pencil whose singular set sampling misses
