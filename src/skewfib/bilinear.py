@@ -20,8 +20,8 @@ from . import report as rp
 from .dims import rho
 from .errors import InvalidInput
 from .numeric import (
-    SampleStream, Tolerance, eigenvalues, is_singular, overflow_is_invalid, pow2_scaled,
-    real_eigenvalue_mask, unit,
+    SampleStream, Tolerance, eigenvalues, finite_array, is_singular, overflow_is_invalid,
+    pow2_scaled, real_eigenvalue_mask, unit,
 )
 
 # 2 x 2 generators: one complex structure and two anticommuting reflections.
@@ -37,17 +37,15 @@ class BilinearMap:
     mats: tuple
 
     def __post_init__(self):
-        mats = tuple(np.array(m, dtype=float) for m in self.mats)
-        object.__setattr__(self, "mats", mats)
         if self.q < 1 or self.kp1 < 1:
             raise InvalidInput(f"need q >= 1 and kp1 >= 1, got q={self.q} kp1={self.kp1}")
-        if len(mats) != self.kp1:
-            raise InvalidInput(f"expected {self.kp1} matrices, got {len(mats)}")
-        for m in mats:
-            if m.shape != (self.q, self.q):
-                raise InvalidInput(f"matrix shape {m.shape} != ({self.q}, {self.q})")
-            if not np.isfinite(m).all():
-                raise InvalidInput("bilinear map matrices must be finite")
+        if len(self.mats) != self.kp1:
+            raise InvalidInput(f"expected {self.kp1} matrices, got {len(self.mats)}")
+        # the map keeps copies of its own, whatever the caller does with mats
+        mats = tuple(
+            finite_array(m, (self.q, self.q), "bilinear map matrix").copy() for m in self.mats
+        )
+        object.__setattr__(self, "mats", mats)
 
 
 def _conj(x: np.ndarray) -> np.ndarray:

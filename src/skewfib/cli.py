@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bilinear, contact, dims, fibration, sphere
 from .errors import BlendFailure, InvalidInput, SkewfibError
-from .numeric import SampleStream, Tolerance, finite_vector, norm, overflow_is_invalid, unit
+from .numeric import SampleStream, Tolerance, finite_array, norm, overflow_is_invalid, unit
 
 REPORT_SCHEMA = "skewfib-report-v1"
 
@@ -257,7 +257,7 @@ def _sphere_points(mat: np.ndarray, args) -> list[np.ndarray]:
         p = _parse_point(args.point, d)
         if args.point.strip() == "0":
             p[-1] = 1.0  # the origin shorthand means the north pole here
-        if not finite_vector(p, d, "sphere point").any():
+        if not finite_array(p, (d,), "sphere point coordinates").any():
             raise SkewfibError("sphere point must have a nonzero finite norm, got 0.0")
         return [unit(p)]
     raw = _stream(args).unit_vectors(args.samples, d)

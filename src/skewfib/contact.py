@@ -39,7 +39,7 @@ import numpy as np
 from .bilinear import J2
 from .errors import InvalidInput
 from .fibration import Chart
-from .numeric import Tolerance, finite_vector, overflow_is_invalid, real_eigenvalue_mask
+from .numeric import Tolerance, finite_array, overflow_is_invalid, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,17 @@ def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
     The form annihilates the hyperplane orthogonal to the fiber
     direction (1, B(y)); coefficients are (1, B(y)) / (1 + |B(y)|^2),
     parameter component first.  An (N, q) stack of points gives an
-    (N, q + 1) stack of forms.  A non-finite point, or one whose form
-    overflows, raises InvalidInput.
+    (N, q + 1) stack of forms.  A y that is not a finite (q,) or (N, q)
+    array (numeric.finite_array), or one whose form overflows, raises
+    InvalidInput.
     """
     if c.k != 1:
         raise InvalidInput("the contact form is defined for line charts (k = 1)")
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
-        raise InvalidInput("point coordinates must be finite")
+    try:
+        stack = np.ndim(y) == 2
+    except ValueError:  # ragged, so not an array of numbers
+        stack = False
+    y = finite_array(y, (None, c.q) if stack else (c.q,), "point coordinates")
     b = c.B(y)[..., 0]
     one = np.ones(b.shape[:-1] + (1,))
     return np.concatenate([one, b], axis=-1) / (1.0 + np.vecdot(b, b))[..., None]
@@ -110,11 +113,7 @@ def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> li
     tol = tol or Tolerance.default()
     _check_line_chart(c)
     m_half = c.q // 2
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 2 or ys.shape[1] != c.q:
-        raise InvalidInput(f"point stack shape {ys.shape} != (N, {c.q})")
-    if not np.isfinite(ys).all():
-        raise InvalidInput("point coordinates must be finite")
+    ys = finite_array(ys, (None, c.q), "point coordinates")
     eye = np.eye(c.q)
 
     b = c.B(ys)[:, :, 0]
@@ -150,7 +149,7 @@ def contact_check(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> Cont
     """Contact test at the chart-plane point y: the N = 1 case of
     contact_checks."""
     _check_line_chart(c)
-    return contact_checks(c, finite_vector(y, c.q)[None], tol)[0]
+    return contact_checks(c, finite_array(y, (c.q,), "point coordinates")[None], tol)[0]
 
 
 def gluck_yang_matrix(m: int) -> np.ndarray:

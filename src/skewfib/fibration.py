@@ -43,7 +43,7 @@ from .numeric import (
     _axis_norms,
     eig_screen,
     eigenvalues,
-    finite_vector,
+    finite_array,
     is_singular,
     norm,
     oriented_q,
@@ -104,24 +104,23 @@ class Chart:
             if self.C is None or len(self.C) != self.k:
                 raise InvalidInput(f"linear chart needs {self.k} matrices")
             try:
-                cs = np.array(self.C, dtype=float, order="C")
-                shapes = [cs.shape[1:]]
-            except ValueError:
-                # matrices of several shapes: convert one by one to name the first bad one
-                shapes = [np.asarray(m, dtype=float).shape for m in self.C]
-            bad = [shape for shape in shapes if shape != (self.q, self.q)]
-            if bad:
-                raise InvalidInput(f"chart matrix shape {bad[0]} != ({self.q}, {self.q})")
-            if not np.isfinite(cs).all():
-                raise InvalidInput("chart matrices must be finite")
-            object.__setattr__(self, "C", cs)
+                cs = finite_array(self.C, (self.k, self.q, self.q), "chart matrices")
+            except InvalidInput:
+                # name the first matrix of a wrong shape; k (q, q) arrays keep
+                # the message of their non-numeric or non-finite entries
+                for m in self.C:
+                    try:
+                        regular = np.shape(m) == (self.q, self.q)
+                    except ValueError:  # a ragged matrix
+                        regular = False
+                    if not regular:
+                        finite_array(m, (self.q, self.q), "chart matrix")
+                raise
+            # the chart keeps a C-order copy of its own, whatever the caller does with C
+            object.__setattr__(self, "C", cs.copy())
         if self.kind == AFFINE:
-            b0 = np.array(self.B0, dtype=float)
-            if b0.shape != (self.q, self.k):
-                raise InvalidInput(f"offset shape {b0.shape} != ({self.q}, {self.k})")
-            if not np.isfinite(b0).all():
-                raise InvalidInput("chart offset must be finite")
-            object.__setattr__(self, "B0", b0)
+            b0 = finite_array(self.B0, (self.q, self.k), "chart offset")
+            object.__setattr__(self, "B0", b0.copy())
         if self.kind == BUILTIN and (self.b_func is None or self.db_func is None):
             raise InvalidInput("builtin chart needs evaluation functions for B and dB")
 
@@ -449,7 +448,7 @@ def fiber_solve(c: Chart, x: np.ndarray, tol: Tolerance | None = None) -> np.nda
 
 def _fiber(c: Chart, x: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """fiber_solve's chart point y and B(y) there, unguarded."""
-    x = finite_vector(x, c.n)
+    x = finite_array(x, (c.n,), "point coordinates")
     t1, t2 = x[: c.k], x[c.k :]
     return _solve(c, 1.0, t1, t2, t2, 1e-10 * (1.0 + norm(x)), tol)
 
@@ -471,7 +470,7 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     or base overflows raises InvalidInput with numpy's message
     (numeric.overflow_is_invalid).
     """
-    y = finite_vector(y, c.q)
+    y = finite_array(y, (c.q,), "point coordinates")
     return _graph_plane(c, y, c.B(y))
 
 
@@ -685,9 +684,8 @@ class ConeProbe:
 
     @overflow_is_invalid
     def __post_init__(self):
-        ell = np.asarray(self.ell, dtype=float)
+        ell = finite_array(self.ell, (None,), "ell coordinates")
         object.__setattr__(self, "ell", ell)
-        # NaN fails this comparison, so a non-finite ell is rejected too
         if not abs(norm(ell) - 1.0) <= 1e-10:
             raise InvalidInput("ell must be a unit vector")
         if not (0.0 < self.delta < math.pi / 2):
@@ -700,7 +698,7 @@ class ConeProbe:
             raise InvalidInput("t_values must be finite, nonempty and increasing")
         object.__setattr__(self, "t_values", ts)
         base = np.zeros_like(ell) if self.base is None else self.base
-        base = finite_vector(base, ell.size, "base")
+        base = finite_array(base, ell.shape, "base coordinates")
         object.__setattr__(self, "base", base)
         for t in ts:
             y = base + t * ell
@@ -728,7 +726,7 @@ def fiber_containing_direction(c: Chart, ell: np.ndarray, tol: Tolerance | None 
 
 def _containing(c: Chart, ell: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """fiber_containing_direction's chart point y and B(y) there, unguarded."""
-    ell = finite_vector(ell, c.n, "ell")
+    ell = finite_array(ell, (c.n,), "ell coordinates")
     if not ell.any():
         raise InvalidInput("ell must be nonzero")
     ell = unit(ell)
@@ -776,8 +774,8 @@ def limiting_direction(
     if c.k != 1:
         raise InvalidInput("limiting directions are defined for line charts (k = 1)")
     tol = tol or Tolerance.default()
-    u = finite_vector(u, c.n, "u")
-    v = finite_vector(v, c.n, "v")
+    u = finite_array(u, (c.n,), "u coordinates")
+    v = finite_array(v, (c.n,), "v coordinates")
     if abs(norm(u) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")
     if float(np.abs(u[: c.k]).max()) > 1e-12:
@@ -928,16 +926,13 @@ def sample_fibers(
     Returns (fiber_ids, grid_indices, points): for each base point, a grid
     of steps**k parameter values over t_range per axis, with the ambient
     point (t, B(y) t + y) for each, all fibers in one stacked product.
-    An empty, non-finite or overflowing stack of points, or more than
-    SAMPLE_MAX_ROWS rows, raises InvalidInput before anything is allocated.
+    base_points is an (N, q) stack (numeric.finite_array); one that is
+    not, an empty or overflowing stack, or more than SAMPLE_MAX_ROWS
+    rows raises InvalidInput before anything is allocated.
     """
-    base_points = np.atleast_2d(np.asarray(base_points, dtype=float))
-    if base_points.shape[1] != c.q:
-        raise InvalidInput(f"base points must have {c.q} columns")
+    base_points = finite_array(base_points, (None, c.q), "base points")
     if not len(base_points):
         raise InvalidInput("need at least one base point")
-    if not np.isfinite(base_points).all():
-        raise InvalidInput("base points must be finite")
     if steps < 1:
         raise InvalidInput("need steps >= 1")
     rows = len(base_points) * int(steps) ** c.k

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numeric import Tolerance, finite_vector, norm, orthonormalize, overflow_is_invalid, unit
+from .numeric import Tolerance, finite_array, norm, orthonormalize, overflow_is_invalid, unit
 
 
 def _checked_frame(frame) -> np.ndarray:
     """The frame as a float array, which must be orthonormal n x k, 1 <= k <= n."""
-    f = np.asarray(frame, dtype=float)
-    if f.ndim != 2 or not (1 <= f.shape[1] <= f.shape[0]):
+    f = finite_array(frame, (None, None), "frame")
+    if not 1 <= f.shape[1] <= f.shape[0]:
         raise InvalidInput(f"bad frame shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise InvalidInput("frame entries must be finite")
     gram = f.T @ f
     # NaN, from a product that overflows, fails this comparison
     if not np.max(np.abs(gram - np.eye(f.shape[1]))) <= 1e-12:
@@ -60,7 +58,7 @@ class AffinePlane:
 
     @overflow_is_invalid
     def __post_init__(self):
-        b = finite_vector(self.base, self.direction.n, "base")
+        b = finite_array(self.base, (self.direction.n,), "base coordinates")
         object.__setattr__(self, "base", b)
         overlap = norm(self.direction.frame.T @ b)
         if not overlap <= 1e-10 * (1.0 + norm(b)):

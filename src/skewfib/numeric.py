@@ -222,19 +222,33 @@ def norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def finite_vector(v: np.ndarray, size: int, name: str = "point") -> np.ndarray:
-    """v as a float vector of the given length with finite entries.
+def finite_array(a, shape: tuple, name: str) -> np.ndarray:
+    """a as a float array of the given shape (a None matches any length)
+    with finite entries; a itself when it already is one.
 
-    Inputs are checked where they enter, so that NaN or inf never reaches
-    LAPACK or comes back as a silent result.  The test runs on a Python
-    list: for one point it costs a fraction of np.isfinite(v).all().
+    The one input rule: every array from a caller is checked where it
+    enters, so that non-numeric input is InvalidInput naming the argument,
+    never a raw numpy exception, and NaN or inf never reaches LAPACK.  A
+    vector is tested on a Python list, a fraction of np.isfinite's cost
+    for one point: 0 * sum is 0 exactly when the sum is finite, so only a
+    non-finite entry, or an overflowing sum, is tested entry by entry.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (size,):
-        raise InvalidInput(f"{name} shape {v.shape} != ({size},)")
-    if not all(map(math.isfinite, v.tolist())):
-        raise InvalidInput(f"{name} coordinates must be finite")
-    return v
+    try:
+        a = np.asarray(a, float)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be an array of numbers") from None
+    if a.shape != shape and (
+        a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape))
+    ):
+        raise InvalidInput(f"{name} shape {a.shape} != {str(shape).replace('None', 'N')}")
+    if a.ndim == 1:
+        vals = a.tolist()
+        finite = 0.0 * sum(vals) == 0.0 or all(map(math.isfinite, vals))
+    else:
+        finite = np.isfinite(a).all()
+    if not finite:
+        raise InvalidInput(f"{name} must be finite")
+    return a
 
 
 def is_singular(sv: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -244,8 +258,10 @@ def is_singular(sv: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def real_eigenvalue_mask(eig: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Which eigenvalues count as real: |Im| <= rel * (1 + |lambda|)."""
-    return np.abs(eig.imag) <= tol.rel * (1.0 + np.abs(eig))
+    """Which eigenvalues count as real: |Im| <= rel * (1 + |lambda|), formed
+    as 2 (rel (1/2 + |lambda / 2|)): the plain formula's bits wherever it is
+    finite, and finite for a lambda whose modulus alone overflows."""
+    return np.abs(eig.imag) <= 2.0 * (tol.rel * (0.5 + np.abs(0.5 * eig)))
 
 
 # Slack of the closed-form screens below, relative to a sample's scale

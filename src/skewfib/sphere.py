@@ -30,7 +30,7 @@ from .grassmann import AffinePlane, GreatSphere, _built, embed_affine
 from .numeric import (
     SampleStream,
     Tolerance,
-    finite_vector,
+    finite_array,
     norm,
     orthonormalize,
     overflow_is_invalid,
@@ -47,13 +47,12 @@ def central_project(p: np.ndarray) -> np.ndarray:
     """Sphere point to tangent hyperplane: (x_1..x_n)/x_(n+1).
 
     Defined on either open hemisphere (antipodal points land together).
-    A point that is not finite, or whose image overflows, raises
-    InvalidInput.
+    A point that is not a finite vector, has fewer than two coordinates
+    or has an image that overflows raises InvalidInput.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 2:
+    p = finite_array(p, (None,), "sphere point coordinates")
+    if p.size < 2:
         raise InvalidInput("need a vector with at least two coordinates")
-    p = finite_vector(p, p.size, "sphere point")
     if abs(p[-1]) <= EQUATOR_EPS:
         raise EquatorPoint(f"last coordinate {p[-1]:.3e} is on the equator")
     return p[:-1] / p[-1]
@@ -62,11 +61,9 @@ def central_project(p: np.ndarray) -> np.ndarray:
 def inverse_project(x: np.ndarray) -> np.ndarray:
     """Tangent-hyperplane point to the upper hemisphere: (x, 1)/|(x, 1)|,
     normalized by numeric.unit, so the norm cannot overflow.  A point that
-    is not finite raises InvalidInput.
+    is not a finite vector raises InvalidInput.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise InvalidInput("tangent-plane point coordinates must be finite")
+    x = finite_array(x, (None,), "tangent-plane point coordinates")
     return unit(np.append(x, 1.0))
 
 
@@ -155,11 +152,10 @@ def plane_residual(m: np.ndarray, u: np.ndarray) -> float:
     A matrix that is not square or not finite, a u that is not a finite
     vector of its size, or arithmetic that overflows raises InvalidInput.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = finite_array(m, (None, None), "matrix")
+    if m.shape[0] != m.shape[1]:
         raise InvalidInput(f"need a square matrix, got shape {m.shape}")
-    _check_finite(m)
-    u = finite_vector(u, len(m), "u")
+    u = finite_array(u, (len(m),), "u coordinates")
     return float(_plane_residuals(m, u[None, :])[0])
 
 
@@ -225,27 +221,22 @@ def invariant_on_planes(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    m = np.asarray(m, dtype=float)
+    m = finite_array(m, (None, None), "matrix")
     is_invariant, a, b = _classify(m, tol)
     us = stream.unit_vectors(samples, m.shape[0])
     max_residual = float(_plane_residuals(m, us, tol).max())
     return PlaneInvariantReport(is_invariant, a, b, max_residual)
 
 
-def _check_finite(m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
-        raise InvalidInput("matrix entries must be finite")
-
-
 def _classify(m: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
     """Exact part of the invariant-on-planes test: (is_invariant, a, b)
     from the spectrum and the identity (M - aI)^2 + b^2 I = 0.
 
-    The shape and finiteness checks run on every call; the rest is
-    memoized on the matrix's bytes and the tolerance (_classified)."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
+    m is a finite float matrix (numeric.finite_array, in the callers); its
+    shape check runs on every call, the rest is memoized on the matrix's
+    bytes and the tolerance (_classified)."""
+    if m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
         raise InvalidInput(f"need a nonempty even square matrix, got shape {m.shape}")
-    _check_finite(m)
     return _classified(m.tobytes(), m.shape[0], tol)
 
 
@@ -307,9 +298,9 @@ def sphere_fiber_direction(
     Arithmetic that overflows raises InvalidInput.
     """
     tol = tol or Tolerance.default()
-    m = np.asarray(m, dtype=float)
+    m = finite_array(m, (None, None), "matrix")
     a, b = _invariant_data(m, tol)
-    z = finite_vector(z, len(m), "z")
+    z = finite_array(z, (len(m),), "z coordinates")
     if not math.isfinite(z_t):
         raise InvalidInput(f"z_t must be finite, got {z_t}")
     s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
@@ -335,14 +326,14 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     invariant-on-planes matrix; returns the assignment as a callable.
     """
     tol = tol or Tolerance.default()
-    m = np.asarray(m, dtype=float)
+    m = finite_array(m, (None, None), "matrix")
     _invariant_data(m, tol)
     d = m.shape[0]
     chart = Chart(1, d, "linear", C=(m,))
 
     @overflow_is_invalid
     def assign(p: np.ndarray) -> GreatSphere:
-        p = finite_vector(p, d + 2, "sphere point")
+        p = finite_array(p, (d + 2,), "sphere point coordinates")
         if abs(norm(p) - 1.0) > 1e-12:
             raise InvalidInput("sphere points must be unit vectors")
         p_t, p_e, p_proj = p[0], p[1:-1], p[-1]
@@ -372,9 +363,9 @@ def equator_restriction(
     value, tolerance), memoized for at most 32 matrices.
     """
     tol = tol or Tolerance.default()
-    m = np.asarray(m, dtype=float)
+    m = finite_array(m, (None, None), "matrix")
     _invariant_data(m, tol)
-    u = finite_vector(u, len(m), "u")
+    u = finite_array(u, (len(m),), "u coordinates")
     if abs(norm(u) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")
     return GreatSphere(orthonormalize(np.column_stack([u, m @ u]), tol))

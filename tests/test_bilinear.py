@@ -162,6 +162,15 @@ def test_verify_nonsingular_exact_pair_failure():
     assert rep.witnesses[0]["eigenvalue"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_verify_nonsingular_exact_pair_with_singular_last_slot():
+    """M_2 = 0 is singular, so the pencil (I, 0) fails at t = (0, 1) before
+    inv(M_2) M_1 is formed."""
+    rep = verify_nonsingular(BilinearMap(2, 2, (np.eye(2), np.zeros((2, 2)))))
+    assert rep.verdict == "fail" and rep.margin == 0.0
+    assert rep.witnesses == ({"t": [0.0, 1.0]},)
+    assert rep.details["exact"] is True
+
+
 def test_verify_nonsingular_exact_pair_pass():
     rep = verify_nonsingular(from_algebra("complex", 2))
     assert rep.verdict == "pass"

@@ -20,6 +20,7 @@ import pytest
 import skewfib
 from skewfib import cli
 from skewfib.cli import main
+from skewfib.contact import gluck_yang_matrix
 from skewfib.fibration import Chart, builtin_chart, chart_from_dict, chart_to_dict, fiber_solve
 
 J2 = [[0.0, -1.0], [1.0, 0.0]]
@@ -112,6 +113,14 @@ def test_build_bilinear_hr(capsys):
 def test_build_bilinear_needs_a_source(capsys):
     code, _ = _run(capsys, ["build", "bilinear"])
     assert code == 2
+
+
+def test_build_gluck_yang(capsys):
+    code, data = _run_json(capsys, ["build", "gluck-yang", "--m", "2"])
+    assert code == 0
+    c = chart_from_dict(data)
+    assert (c.k, c.q, c.kind, c.name) == (1, 4, "linear", "gluck_yang")
+    assert np.array_equal(c.C, gluck_yang_matrix(2)[None])
 
 
 def test_build_from_json_round_trip(capsys, tmp_path):
@@ -230,6 +239,16 @@ def test_verify_invariant_planes(capsys, tmp_path):
     real = _write_matrix_file(tmp_path, np.diag([1.0, 2.0]), "real.json")
     code, _ = _run(capsys, ["verify", "invariant-planes", "--matrix", real])
     assert code == 2  # real eigenvalues are an input error, not a failed check
+
+
+def test_verify_invariant_planes_reads_the_first_matrix_of_a_chart_file(capsys, tmp_path):
+    """A chart file given as --matrix stands for its first chart matrix."""
+    chart = _write_chart_file(tmp_path, "hopf_line", m=2, a=0.5, b=-1.5)
+    mat = _write_matrix_file(tmp_path, builtin_chart("hopf_line", m=2, a=0.5, b=-1.5).C[0])
+    argv = ["verify", "invariant-planes", "--samples", "20", "--matrix"]
+    code, out = _run(capsys, argv + [chart])
+    assert code == 0 and json.loads(out)["a"] == 0.5
+    assert (code, out) == _run(capsys, argv + [mat])
 
 
 def test_verify_invariant_planes_zero_samples_is_input_error(capsys, tmp_path):
@@ -464,6 +483,19 @@ def test_sphere_assemble_at_a_point_whose_squared_norm_overflows(capsys, tmp_pat
     assert far == _run(capsys, ["sphere", "assemble", "--matrix", mat, "--point", "1 1 0 0"])[1]
 
 
+def test_sphere_assemble_at_sampled_points(capsys, tmp_path):
+    """Without --point the circles go through --samples points drawn from
+    the seeded stream, one frame of S^3 per point."""
+    mat = _write_matrix_file(tmp_path, J2)
+    argv = ["sphere", "assemble", "--matrix", mat, "--samples", "3", "--seed", "7"]
+    code, data = _run_json(capsys, argv)
+    assert code == 0 and data["written"] is None
+    frames = np.array(data["circles"])
+    assert frames.shape == (3, 4, 2)
+    assert np.allclose(frames.transpose(0, 2, 1) @ frames, np.eye(2), atol=1e-12)
+    assert _run_json(capsys, argv) == (code, data)
+
+
 def test_sphere_probe(capsys, tmp_path):
     mat = _write_matrix_file(tmp_path, np.kron(np.eye(2), np.asarray(J2)), "J4.json")
     code, data = _run_json(
@@ -498,6 +530,16 @@ def test_contact_points_file(capsys, tmp_path):
     code, data = _run_json(capsys, ["contact", "check", "--chart", path, "--points", str(pts)])
     assert code == 0
     assert len(data["results"]) == 2
+
+
+def test_contact_points_file_without_points_is_one_line_error(capsys, tmp_path):
+    path = _write_chart_file(tmp_path, "hopf3")
+    pts = tmp_path / "pts.txt"
+    pts.write_text("# chart points\n\n   # none yet\n")
+    code = main(["contact", "check", "--chart", path, "--points", str(pts)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"skewfib: error: no points found in {pts}\n"
 
 
 def test_contact_check_zero_chart(capsys, tmp_path):
@@ -613,6 +655,7 @@ def test_usage_errors(capsys, tmp_path):
 
 HUGE_CHART = '{"kind": "linear", "k": 1, "q": 2, "C": [[[1e308, -1e308], [1e308, 1e308]]]}'
 # its eigenvalues are 0 and 3e308, beyond the float range
+ROT_BEYOND_CHART = '{"kind": "linear", "k": 1, "q": 2, "C": [[[1.5e308, -1.5e308], [1.5e308, 1.5e308]]]}'
 BEYOND_CHART = '{"kind": "linear", "k": 1, "q": 2, "C": [[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]]}'
 
 
@@ -717,6 +760,19 @@ def test_chart_with_huge_representable_spectrum_answers(capsys, tmp_path, verb):
         code, data = _run_json(capsys, ["verify", verb, "--chart", str(path)])
     assert code == 0 and data["verdict"] == "pass" and data["margin"] == 1e308
     assert data["details"]["eigenvalues"] == [{"re": 1e308, "im": -1e308}, {"re": 1e308, "im": 1e308}]
+
+
+@pytest.mark.parametrize("verb", ["nondeg", "eigen"])
+def test_chart_whose_eigenvalue_modulus_overflows_passes(capsys, tmp_path, verb):
+    """1.5e308 +- 1.5e308 i: the parts are finite, |lambda| is not, and the
+    real-eigenvalue test is formed so that it does not overflow."""
+    path = tmp_path / "rot.json"
+    path.write_text(ROT_BEYOND_CHART)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, data = _run_json(capsys, ["verify", verb, "--chart", str(path)])
+    assert code == 0 and data["verdict"] == "pass" and data["margin"] == 1.5e308
+    assert data["witnesses"] == []
 
 
 _HOPF_LINE = '{"kind": "builtin", "k": 1, "q": 2, "builtin": {"name": "hopf_line", "params": %s}}'

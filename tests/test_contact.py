@@ -245,7 +245,7 @@ def test_contact_check_validation():
     with pytest.raises(InvalidInput):
         contact_check(c, np.zeros(3))  # wrong point shape
     for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))):
-        with pytest.raises(InvalidInput, match="point stack shape"):
+        with pytest.raises(InvalidInput, match=r"^point coordinates shape \(.*\) != \(N, 2\)$"):
             contact_checks(c, bad)
     odd = Chart(1, 3, "linear", C=(np.eye(3),))
     with pytest.raises(InvalidInput):

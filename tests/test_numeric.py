@@ -8,33 +8,48 @@ import warnings
 import numpy as np
 import pytest
 
-from skewfib.bilinear import J2
+from skewfib.bilinear import J2, BilinearMap
 from skewfib.contact import contact_check, contact_checks, contact_form
 from skewfib.errors import InvalidInput, RankDeficient
 from skewfib.fibration import (
     Chart,
     ConeProbe,
     builtin_chart,
+    continuity_probe,
+    fiber_containing_direction,
+    fiber_plane,
     fiber_solve,
     limiting_direction,
+    sample_fibers,
     verify_nondegenerate,
     verify_skew,
 )
-from skewfib.grassmann import AffinePlane, OrientedPlane, skew_pair
+from skewfib.grassmann import AffinePlane, GreatSphere, OrientedPlane, skew_pair
 from skewfib.numeric import (
     SampleStream,
     Tolerance,
     _axis_norms,
     eigenvalues,
+    finite_array,
     jacobian,
     norm,
     oriented_q,
     orthonormalize,
     overflow_is_invalid,
     pow2_scaled,
+    real_eigenvalue_mask,
     row_norms,
     spherical_distance,
     unit,
+)
+from skewfib.sphere import (
+    assemble_great_circles,
+    central_project,
+    equator_restriction,
+    invariant_on_planes,
+    inverse_project,
+    plane_residual,
+    sphere_fiber_direction,
 )
 
 RNG_SEED = 1234
@@ -538,6 +553,129 @@ def test_entry_points_keep_large_finite_results():
         assert ConeProbe(_E1, (1e200, 1e300)).t_values == (1e200, 1e300)
         # the two lines are parallel
         assert skew_pair(_line([0.0, 1e200, 0.0]), _line([0.0, 0.0, 1e200])) == (False, 0.0)
+
+
+def test_finite_array_converts_and_checks_shape_and_entries():
+    v = np.array([0.5, -1.0, 2.0])
+    assert finite_array(v, (3,), "v") is v
+    assert finite_array([1, 2], (2,), "v").dtype == float
+    stack = finite_array([[1, 2], [3, 4], [5, 6]], (None, 2), "points")
+    assert stack.shape == (3, 2) and stack.dtype == float
+    assert finite_array(np.zeros((0, 2)), (None, 2), "points").shape == (0, 2)
+    assert finite_array(np.eye(3), (None, None), "m").shape == (3, 3)
+    # finite entries whose sum overflows
+    big = [1.7e308, 1.7e308, -1.7e308]
+    assert finite_array(big, (3,), "v").tolist() == big
+    bad = [
+        ([1.0, 2.0], (3,), "v shape (2,) != (3,)"),
+        (np.zeros((2, 3)), (None, 2), "points shape (2, 3) != (N, 2)"),
+        (np.zeros(2), (None, 2), "points shape (2,) != (N, 2)"),
+        (5.0, (None,), "x shape () != (N,)"),
+        (np.zeros((1, 2, 2)), (None, None), "m shape (1, 2, 2) != (N, N)"),
+        ([1.0, np.nan], (2,), "v must be finite"),
+        ([np.inf, -np.inf], (2,), "v must be finite"),
+        ([1.7e308, 1.7e308, np.nan], (3,), "v must be finite"),
+        ([[1.0, 0.0], [np.inf, 1.0]], (2, 2), "m must be finite"),
+        (np.full((300, 2), -np.inf), (None, 2), "points must be finite"),
+        (["a", 1.0], (2,), "v must be an array of numbers"),
+        ([[1.0, 2.0], [3.0]], (None, 2), "points must be an array of numbers"),
+        (1j, (None,), "x must be an array of numbers"),
+        (None, (2,), "v shape () != (2,)"),
+    ]
+    for a, shape, message in bad:
+        name = message.split(" ")[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput) as exc:
+                finite_array(a, shape, name)
+        assert str(exc.value) == message
+
+
+_M2 = J2.tolist()
+_WORDS2 = ["a", 1.0]
+_WORDS3 = ["a", 1.0, 0.0]
+_MATRIX_WORDS = [["a", -1.0], [1.0, 0.0]]
+_PROBE = ConeProbe(_E1, (1e2,))
+_NON_NUMERIC = {
+    "fiber_solve": lambda: fiber_solve(_HOPF3, _WORDS3),
+    "fiber_plane": lambda: fiber_plane(_HOPF3, _WORDS2),
+    "fiber_containing_direction": lambda: fiber_containing_direction(_HOPF3, _WORDS3),
+    "continuity_probe": lambda: continuity_probe(_HOPF3, _WORDS3, _PROBE),
+    "limiting_direction-u": lambda: limiting_direction(_HOPF3, _WORDS3, np.zeros(3)),
+    "limiting_direction-v": lambda: limiting_direction(_HOPF3, _E2, _WORDS3),
+    "ConeProbe-ell": lambda: ConeProbe(_WORDS3, (1e2,)),
+    "ConeProbe-base": lambda: ConeProbe(_E1, (1e2,), base=_WORDS3),
+    "Chart-C": lambda: Chart(1, 2, "linear", C=[_MATRIX_WORDS]),
+    "Chart-C-ragged": lambda: Chart(2, 2, "linear", C=[_M2, [[0.0, 1.0], [1.0]]]),
+    "Chart-B0": lambda: Chart(1, 2, "affine", C=[_M2], B0=[["a"], [0.0]]),
+    "sample_fibers": lambda: sample_fibers(_HOPF3, [_WORDS2]),
+    "BilinearMap": lambda: BilinearMap(2, 2, (_M2, _MATRIX_WORDS)),
+    "OrientedPlane": lambda: OrientedPlane([["a"], [0.0]]),
+    "GreatSphere": lambda: GreatSphere([["a"], [0.0]]),
+    "AffinePlane": lambda: AffinePlane(OrientedPlane(np.eye(3)[:, :1]), _WORDS3),
+    "contact_form": lambda: contact_form(_HOPF3, _WORDS2),
+    "contact_form-ragged": lambda: contact_form(_HOPF3, [[0.0, 1.0], [1.0]]),
+    "contact_check": lambda: contact_check(_HOPF3, _WORDS2),
+    "contact_checks": lambda: contact_checks(_HOPF3, [_WORDS2]),
+    "central_project": lambda: central_project(_WORDS2),
+    "inverse_project": lambda: inverse_project(_WORDS2),
+    "plane_residual-m": lambda: plane_residual(_MATRIX_WORDS, [1.0, 0.0]),
+    "plane_residual-u": lambda: plane_residual(_M2, _WORDS2),
+    "invariant_on_planes": lambda: invariant_on_planes(_MATRIX_WORDS),
+    "sphere_fiber_direction-m": lambda: sphere_fiber_direction(_MATRIX_WORDS, [1.0, 0.0], 0.5),
+    "sphere_fiber_direction-z": lambda: sphere_fiber_direction(_M2, _WORDS2, 0.5),
+    "assemble_great_circles": lambda: assemble_great_circles(_MATRIX_WORDS),
+    "assemble_great_circles-point": lambda: assemble_great_circles(_M2)(["a", 0.0, 0.0, 1.0]),
+    "equator_restriction-m": lambda: equator_restriction(_MATRIX_WORDS, [1.0, 0.0]),
+    "equator_restriction-u": lambda: equator_restriction(_M2, _WORDS2),
+}
+
+
+@pytest.mark.parametrize("call", _NON_NUMERIC.values(), ids=_NON_NUMERIC.keys())
+def test_entry_points_reject_non_numeric_arrays(call):
+    """An array that numpy cannot convert to float, a word among numbers or
+    a ragged nest of lists, is an input error that names the argument at
+    every library entry point, never numpy's raw ValueError or TypeError."""
+    with pytest.raises(InvalidInput, match=r"^\w.* must be an array of numbers$"):
+        call()
+
+
+def test_inverse_project_checks_the_shape_of_its_point():
+    """A matrix is not a tangent-plane point: it once came back as the unit
+    vector of its flattened entries and a 1."""
+    with pytest.raises(InvalidInput, match=r"^tangent-plane point coordinates shape \(2, 2\) != \(N,\)$"):
+        inverse_project(np.ones((2, 2)))
+    assert inverse_project(np.zeros(0)).tolist() == [1.0]
+
+
+def test_real_eigenvalue_mask_decides_as_the_plain_formula_in_range():
+    """Where rel (1 + |lambda|) is finite the mask's bound has its bits, so
+    every decision is the plain formula's, spectra at the threshold included."""
+    rng = np.random.default_rng(RNG_SEED)
+    n = 200_000
+    re = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    for tol in (Tolerance(), Tolerance(rel=1e-10), Tolerance(rel=0.3)):
+        bound = tol.rel * (1.0 + np.abs(re))
+        for im in (
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+            bound * (1.0 + rng.uniform(-1e-15, 1e-15, n)),
+            np.zeros(n),
+        ):
+            eig = re + 1j * im
+            want = np.abs(im) <= tol.rel * (1.0 + np.abs(eig))
+            assert np.array_equal(real_eigenvalue_mask(eig, tol), want)
+
+
+def test_real_eigenvalue_mask_where_the_modulus_is_beyond_the_range():
+    """1.5e308 +- 1.5e308 i has finite parts, but |lambda| overflows: the
+    plain formula's bound is inf and calls the pair real."""
+    eig = np.array([1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j, 1.7e308 + 0j, -1.7e308 + 1e300j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert real_eigenvalue_mask(eig, Tolerance()).tolist() == [False, False, True, True]
+    rot = 1.5e308 * np.array([[1.0, -1.0], [1.0, 1.0]])
+    rep = verify_nondegenerate(Chart(1, 2, "linear", C=(rot,)))
+    assert rep.verdict == "pass" and rep.margin == 1.5e308 and rep.witnesses == ()
 
 
 def test_pow2_scaled_is_exact():

@@ -39,6 +39,10 @@ both sample modes, and the input-error paths of the sampled verbs:
 - `verify nondeg` and `verify eigen` on C = 2^1000 J2, whose margin is
   representable, and on C = 1.5e308 [[1, 1], [1, 1]], whose eigenvalue
   3e308 is not;
+- `verify nondeg`, `verify eigen` and `verify skew` on the chart file, and
+  `verify invariant-planes` on the matrix file and the chart file, of
+  C = 1.5e308 [[1, -1], [1, 1]], whose eigenvalues 1.5e308 +- 1.5e308 i
+  have finite parts and a modulus beyond the float range;
 - `sphere assemble` at a point whose squared norm overflows, and `sample`
   on hopf15 at 100,000 steps, a grid of 10^35 rows;
 - `verify skew --mode low-discrepancy` on the zero chart with q = 64,
@@ -91,6 +95,7 @@ _LI = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 _LJ = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
 _LK = [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 _J2 = [[0.0, -1.0], [1.0, 0.0]]
+_ROT_BEYOND = [[1.5e308, -1.5e308], [1.5e308, 1.5e308]]
 _ZERO4 = [[0.0] * 4 for _ in range(4)]
 
 
@@ -127,6 +132,9 @@ FILES = {
     # margin 2^1000, and an eigenvalue 3e308 beyond the float range
     "pow2-1000.json": _linear(1, 2, [[[0.0, -(2.0**1000)], [2.0**1000, 0.0]]]),
     "beyond.json": _linear(1, 2, [[[1.5e308, 1.5e308], [1.5e308, 1.5e308]]]),
+    # eigenvalues 1.5e308 +- 1.5e308 i: finite parts, a modulus beyond the range
+    "rot-beyond.json": _linear(1, 2, [_ROT_BEYOND]),
+    "rot-beyond-matrix.json": {"matrix": _ROT_BEYOND},
     # no skew chart has k >= q; diag(1, 2) is singular at the Gram test's t only
     "k1-q1.json": _linear(1, 1, [[[2.0]]]),
     "k2-q2.json": _linear(2, 2, [_J2, [[1.0, 0.0], [0.0, -1.0]]]),
@@ -316,10 +324,14 @@ def corpus() -> list[dict]:
     add("fiber", "--chart", "hopf3.json", "--point", "0.5,1e200,-2e200")
     add("build", "hopf-line", "--m=1", "--a=0", "--b=1e300", "--out", "steeper-line.json")
     add("fiber", "--chart", "steeper-line.json", "--point", "1e10,1,1")
-    # 2 x 2 spectra beyond 2^500: representable, and not
-    for chart in ("pow2-1000.json", "beyond.json"):
+    # 2 x 2 spectra beyond 2^500: representable, and not, and one whose
+    # parts are representable but whose modulus is not
+    for chart in ("pow2-1000.json", "beyond.json", "rot-beyond.json"):
         add("verify", "nondeg", "--chart", chart)
         add("verify", "eigen", "--chart", chart)
+    add("verify", "skew", "--chart", "rot-beyond.json")
+    for mat in ("rot-beyond-matrix.json", "rot-beyond.json"):
+        add("verify", "invariant-planes", "--matrix", mat)
 
     for chart, (k, q) in CHARTS.items():
         for what in ("skew", "nondeg"):
