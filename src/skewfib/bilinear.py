@@ -39,8 +39,9 @@ class BilinearMap:
     def __post_init__(self):
         if self.q < 1 or self.kp1 < 1:
             raise InvalidInput(f"need q >= 1 and kp1 >= 1, got q={self.q} kp1={self.kp1}")
-        if len(self.mats) != self.kp1:
-            raise InvalidInput(f"expected {self.kp1} matrices, got {len(self.mats)}")
+        count = len(self.mats) if hasattr(self.mats, "__len__") else type(self.mats).__name__
+        if count != self.kp1:
+            raise InvalidInput(f"expected {self.kp1} matrices, got {count}")
         # the map keeps copies of its own, whatever the caller does with mats
         mats = tuple(
             finite_array(m, (self.q, self.q), "bilinear map matrix").copy() for m in self.mats

@@ -72,16 +72,10 @@ def contact_form(c: Chart, y: np.ndarray) -> np.ndarray:
     direction (1, B(y)); coefficients are (1, B(y)) / (1 + |B(y)|^2),
     parameter component first.  An (N, q) stack of points gives an
     (N, q + 1) stack of forms.  A y that is not a finite (q,) or (N, q)
-    array (numeric.finite_array), or one whose form overflows, raises
-    InvalidInput.
+    array (Chart.B), or one whose form overflows, raises InvalidInput.
     """
     if c.k != 1:
         raise InvalidInput("the contact form is defined for line charts (k = 1)")
-    try:
-        stack = np.ndim(y) == 2
-    except ValueError:  # ragged, so not an array of numbers
-        stack = False
-    y = finite_array(y, (None, c.q) if stack else (c.q,), "point coordinates")
     b = c.B(y)[..., 0]
     one = np.ones(b.shape[:-1] + (1,))
     return np.concatenate([one, b], axis=-1) / (1.0 + np.vecdot(b, b))[..., None]

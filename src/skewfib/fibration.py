@@ -40,7 +40,6 @@ from .grassmann import AffinePlane, OrientedPlane, _built, max_principal_angle
 from .numeric import (
     SampleStream,
     Tolerance,
-    _axis_norms,
     eig_screen,
     eigenvalues,
     finite_array,
@@ -101,7 +100,7 @@ class Chart:
         if self.kind not in (LINEAR, AFFINE, BUILTIN):
             raise InvalidInput(f"unknown chart kind {self.kind!r}")
         if self.kind in (LINEAR, AFFINE):
-            if self.C is None or len(self.C) != self.k:
+            if not (hasattr(self.C, "__len__") and len(self.C) == self.k):
                 raise InvalidInput(f"linear chart needs {self.k} matrices")
             try:
                 cs = finite_array(self.C, (self.k, self.q, self.q), "chart matrices")
@@ -139,16 +138,10 @@ class Chart:
             raise InvalidInput("offsets only apply to linear charts")
         return Chart(self.k, self.q, AFFINE, C=self.C, B0=b0, name=self.name, params=self.params)
 
-    def _points(self, y: np.ndarray) -> np.ndarray:
-        """Chart points as an (N, q) stack; one point is N = 1."""
-        if y.ndim > 2 or y.shape[-1:] != (self.q,):
-            raise InvalidInput(f"chart point shape {y.shape} != ({self.q},) or (N, {self.q})")
-        return y.reshape(-1, self.q)
-
     def B(self, y: np.ndarray) -> np.ndarray:
         """The q x k matrix B(y), or an (N, q, k) stack for (N, q) points."""
-        y = np.asarray(y, dtype=float)
-        out = self._finite(self._b(self._points(y)), "B")
+        y = finite_array(y, (self.q,), "point coordinates", stack=True)
+        out = self._finite(self._b(y.reshape(-1, self.q)), "B")
         return out if y.ndim == 2 else out[0]
 
     def _b(self, ys: np.ndarray) -> np.ndarray:
@@ -165,15 +158,16 @@ class Chart:
     def dB(self, y: np.ndarray) -> np.ndarray:
         """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l,
         or an (N, q, k, q) stack for (N, q) points."""
-        y = np.asarray(y, dtype=float)
-        out = self._finite(self._db(self._points(y)), "dB")
+        y = finite_array(y, (self.q,), "point coordinates", stack=True)
+        out = self._finite(self._db(y.reshape(-1, self.q)), "dB")
         return out if y.ndim == 2 else out[0]
 
     def _finite(self, out: np.ndarray, what: str) -> np.ndarray:
         """out, unless a builtin chart's closures gave a value that is not
         finite: checked once per public call and per evaluation of the
-        fiber solver, not in the per-row _b and _db that extensions nest."""
-        if self.kind == BUILTIN and not np.isfinite(out).all():
+        fiber solver, not in the per-row _b and _db that extensions nest
+        (by np.count_nonzero, cheaper than ndarray.all on one point)."""
+        if self.kind == BUILTIN and np.count_nonzero(np.isfinite(out)) != out.size:
             raise InvalidInput(f"builtin chart {what}(y) is not finite")
         return out
 
@@ -543,7 +537,7 @@ def verify_skew(
     def sample():
         xs, ys = stream.pairs_in_ball(samples, c.q, radius)
         diff = xs - ys
-        norms = _axis_norms(diff)
+        norms = row_norms(diff)
         keep = norms > 1e-12 * radius
         if not keep.all():
             xs, ys, diff, norms = xs[keep], ys[keep], diff[keep], norms[keep]
@@ -825,15 +819,17 @@ def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
 
     def blend(ys, germ, linear, term=None):
         """germ on the rows of an (N, q) stack with s = |y| / blend_r <= 1/2,
-        linear on s >= 1, and w germ + (1 - w) linear + term(y, dw/ds) on
-        the ring between, with the bump weight w(s).  Rows with a NaN norm
-        count as near, so they come out NaN."""
-        s = row_norms(ys) / blend_r
-        # NaN fails this comparison, so a NaN row takes the near path
-        if (s >= 1.0).all():
+        linear on s >= 1, and w germ + (1 - w) linear + term(y, dw/ds, |y|)
+        on the ring between, with the bump weight w(s).  Rows with a NaN
+        norm count as near, so they come out NaN."""
+        norms = row_norms(ys)
+        s = norms / blend_r
+        # NaN fails this comparison, so a NaN row takes the near path;
+        # np.count_nonzero costs less than ndarray.all or any on one row
+        if np.count_nonzero(s >= 1.0) == len(s):
             return linear(ys)
         far = s > 0.5
-        if not far.any():
+        if not np.count_nonzero(far):
             return germ(ys)
         out = linear(ys)
         near = np.flatnonzero(~(s >= 1.0))
@@ -844,14 +840,14 @@ def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
         w = bumps[:, 0].reshape((-1,) + (1,) * (out.ndim - 1))
         mixed = w * loc[ring] + (1.0 - w) * out[rows]
         if term is not None:
-            mixed += term(ys[rows], bumps[:, 1])
+            mixed += term(ys[rows], bumps[:, 1], norms[rows])
         out[near] = loc
         out[rows] = mixed
         return out
 
-    def slope(ys, dw):
+    def slope(ys, dw, norms):
         # (B_germ - B_lin) (x) grad w, with grad w = w'(s) y / (|y| blend_r)
-        grad = (dw / (row_norms(ys) * blend_r))[:, None] * ys
+        grad = (dw / (norms * blend_r))[:, None] * ys
         return (local._b(ys) - lin._b(ys))[..., None] * grad[:, None, None, :]
 
     return Chart(

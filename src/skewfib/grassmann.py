@@ -87,8 +87,9 @@ class GreatSphere:
         return self.frame.shape[1] - 1
 
     def points(self, params: np.ndarray) -> np.ndarray:
-        """Map unit parameter vectors (rows) to sphere points."""
-        return np.asarray(params, dtype=float) @ self.frame.T
+        """Map a unit parameter vector, or a stack of them (rows), to sphere
+        points; a non-finite one raises InvalidInput (numeric.finite_array)."""
+        return finite_array(params, (self.k + 1,), "sphere parameters", stack=True) @ self.frame.T
 
 
 def _built(cls, **fields):

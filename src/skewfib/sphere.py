@@ -36,6 +36,7 @@ from .numeric import (
     overflow_is_invalid,
     rank_gate,
     real_eigenvalue_mask,
+    row_norms,
     unit,
 )
 
@@ -178,8 +179,8 @@ def _plane_residuals(
 
     which does not cancel as sqrt(det) / sigma_max formed from the
     entries would.  A zero u is rejected before any division.  The
-    stacked matmuls and the row-wise vecdots reproduce the arithmetic of
-    a single u, so row i equals plane_residual(m, us[i]) bit for bit.
+    stacked matmuls, row-wise vecdots and row_norms reproduce a single
+    u's arithmetic, so row i equals plane_residual(m, us[i]) bit for bit.
     """
     tol = tol or Tolerance.default()
     mu = np.matmul(m, us[:, :, None])
@@ -198,7 +199,7 @@ def _plane_residuals(
     rank_gate(np.sqrt(uu) * np.sqrt(pp) / smax, tol)
     r = w - (np.vecdot(us, w) / uu)[:, None] * us
     r -= (np.vecdot(p, r) / pp)[:, None] * p
-    return np.sqrt(np.vecdot(r, r))
+    return row_norms(r)
 
 
 @overflow_is_invalid

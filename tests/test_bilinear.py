@@ -92,6 +92,11 @@ def test_bilinear_map_validation():
         BilinearMap(2, 1, (np.eye(3),))  # wrong shape
     with pytest.raises(InvalidInput):
         BilinearMap(0, 1, ())
+    # a number has no length: once a raw TypeError from len()
+    with pytest.raises(InvalidInput, match=r"^expected 1 matrices, got int$"):
+        BilinearMap(2, 1, 5)
+    with pytest.raises(InvalidInput, match=r"^expected 2 matrices, got 1$"):
+        BilinearMap(2, 2, (np.eye(2),))
 
 
 def test_bilinear_map_rejects_non_finite_entries():

@@ -201,9 +201,11 @@ def test_quad_germ_stack_matches_closed_form():
         (1, 2, np.zeros((1, 2, 2, 1)), "chart matrix shape (2, 2, 1) != (2, 2)"),
         (2, 2, [J2], "linear chart needs 2 matrices"),
         (1, 2, None, "linear chart needs 1 matrices"),
+        (1, 2, 5, "linear chart needs 1 matrices"),
+        (0, 2, [], "need k >= 1 and q >= 1, got k=0 q=2"),
         (2, 2, [J2, [[np.inf, 0.0], [0.0, 1.0]]], "chart matrices must be finite"),
     ],
-    ids=["shape", "ragged", "ragged-first", "vector", "vectors", "4d", "count", "none", "inf"],
+    ids=["shape", "ragged", "ragged-first", "vector", "vectors", "4d", "count", "none", "number", "k0", "inf"],
 )
 def test_chart_constructor_messages(k, q, mats, message):
     """C is converted by one np.array call, and each bad C keeps the

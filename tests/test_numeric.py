@@ -8,14 +8,17 @@ import warnings
 import numpy as np
 import pytest
 
-from skewfib.bilinear import J2, BilinearMap
+from skewfib.bilinear import J2, BilinearMap, hurwitz_radon_family, verify_nonsingular
 from skewfib.contact import contact_check, contact_checks, contact_form
+from skewfib.dims import skew_period, skew_table
 from skewfib.errors import InvalidInput, RankDeficient
 from skewfib.fibration import (
     Chart,
     ConeProbe,
     builtin_chart,
+    chart_from_dict,
     continuity_probe,
+    extend_germ,
     fiber_containing_direction,
     fiber_plane,
     fiber_solve,
@@ -24,11 +27,12 @@ from skewfib.fibration import (
     verify_nondegenerate,
     verify_skew,
 )
-from skewfib.grassmann import AffinePlane, GreatSphere, OrientedPlane, skew_pair
+from skewfib.grassmann import (
+    AffinePlane, GreatSphere, OrientedPlane, intersection_dim, plane_from_columns, skew_pair,
+)
 from skewfib.numeric import (
     SampleStream,
     Tolerance,
-    _axis_norms,
     eigenvalues,
     finite_array,
     jacobian,
@@ -45,6 +49,7 @@ from skewfib.numeric import (
 from skewfib.sphere import (
     assemble_great_circles,
     central_project,
+    completion_check,
     equator_restriction,
     invariant_on_planes,
     inverse_project,
@@ -231,8 +236,34 @@ def test_sample_stream_checks_every_count_and_radius():
         stream.sampling(0)
     with pytest.raises(InvalidInput, match="sampling radius"):
         stream.sampling(5, 0.0)
+    for count in (np.nan, np.inf, 2.5, 3.0):
+        with pytest.raises(InvalidInput, match=r"^need an integer sample count, got "):
+            stream.sampling(count)
+    assert stream.sampling(np.int64(3))["count"] == 3
     # a rejected request draws nothing, so the stream stays where it was
     assert np.array_equal(stream.unit_vectors(4, 3), SampleStream(seed=0).unit_vectors(4, 3))
+
+
+_COUNTED = {
+    "verify_skew": lambda n: verify_skew(builtin_chart("hopf3"), samples=n),
+    "verify_skew-sampled": lambda n: verify_skew(builtin_chart("gluck_yang", m=2), samples=n),
+    "verify_nondegenerate": lambda n: verify_nondegenerate(builtin_chart("hopf3"), samples=n),
+    "verify_nondegenerate-smooth": lambda n: verify_nondegenerate(builtin_chart("quad_germ"), samples=n),
+    "completion_check": lambda n: completion_check(builtin_chart("hopf3"), samples=n),
+    "verify_nonsingular": lambda n: verify_nonsingular(BilinearMap(2, 2, (np.eye(2), J2)), samples=n),
+    "invariant_on_planes": lambda n: invariant_on_planes(J2, samples=n),
+    "extend_germ": lambda n: extend_germ(builtin_chart("quad_germ"), samples=n),
+}
+
+
+@pytest.mark.parametrize("count", [np.nan, np.inf, 2.5])
+@pytest.mark.parametrize("call", _COUNTED.values(), ids=_COUNTED.keys())
+def test_sample_counts_must_be_integers(call, count):
+    """A count that is not an integer is an input error at every sampled
+    entry point: NaN passed the count < 1 test, so an exact verdict came
+    back with a NaN count, and a sampled one raised a raw TypeError."""
+    with pytest.raises(InvalidInput, match=r"^need an integer sample count, got "):
+        call(count)
 
 
 def test_orthonormalize_plain_cases():
@@ -413,24 +444,21 @@ def test_jacobian_rows_are_outputs():
     assert jac.shape == (3, 2)
 
 
-def test_row_norms_match_single_vector_norms():
-    rng = np.random.default_rng(RNG_SEED)
-    for p in (2, 3, 8):
-        ys = rng.standard_normal((2000, p)) * np.exp(rng.uniform(-5.0, 5.0, (2000, 1)))
-        assert np.array_equal(row_norms(ys), [np.linalg.norm(y) for y in ys])
-
-
-def test_axis_norms_match_numpy_bit_for_bit():
-    """_axis_norms gives the bits of np.linalg.norm(a, axis=1) for 1 to 16
-    columns, from column sums below 8 columns and numpy from 8 up, on
-    magnitudes from 1e-130 to 1e130, and row i equals the N = 1 call."""
+def test_row_norms_match_numpy_bit_for_bit():
+    """row_norms gives the bits of np.linalg.norm(a, axis=1) for 1 to 16
+    columns, by one reduction below 16 rows and from 8 columns up and by
+    column sums otherwise, on magnitudes from 1e-130 to 1e130; row i
+    equals the N = 1 call, on 1 row and on both sides of the 16-row cut."""
     rng = np.random.default_rng(RNG_SEED)
     for p in range(1, 17):
         for scale in (1e-130, 1.0, 1e130):
             a = rng.standard_normal((3000, p)) * scale * np.exp(rng.uniform(-3.0, 3.0, (3000, p)))
-            got = _axis_norms(a)
-            assert np.array_equal(got, np.linalg.norm(a, axis=1)), (p, scale)
-            assert np.array_equal(got[:50], [_axis_norms(a[i : i + 1])[0] for i in range(50)])
+            single = [row_norms(a[i : i + 1])[0] for i in range(50)]
+            assert single == np.linalg.norm(a[:50], axis=1).tolist(), (p, scale)
+            for rows in (15, 16, 17, 3000):
+                got = row_norms(a[:rows])
+                assert np.array_equal(got, np.linalg.norm(a[:rows], axis=1)), (p, scale, rows)
+                assert got[:15].tolist() == single[:15], (p, scale, rows)
 
 
 def test_jacobian_stack_matches_single_rows():
@@ -608,10 +636,15 @@ _NON_NUMERIC = {
     "Chart-C": lambda: Chart(1, 2, "linear", C=[_MATRIX_WORDS]),
     "Chart-C-ragged": lambda: Chart(2, 2, "linear", C=[_M2, [[0.0, 1.0], [1.0]]]),
     "Chart-B0": lambda: Chart(1, 2, "affine", C=[_M2], B0=[["a"], [0.0]]),
+    "Chart.B": lambda: _HOPF3.B(_WORDS2),
+    "Chart.B-stack": lambda: _HOPF3.B([_WORDS2]),
+    "Chart.dB": lambda: _HOPF3.dB(_WORDS2),
+    "Chart.dB-ragged": lambda: _HOPF3.dB([[0.0, 1.0], [1.0]]),
     "sample_fibers": lambda: sample_fibers(_HOPF3, [_WORDS2]),
     "BilinearMap": lambda: BilinearMap(2, 2, (_M2, _MATRIX_WORDS)),
     "OrientedPlane": lambda: OrientedPlane([["a"], [0.0]]),
     "GreatSphere": lambda: GreatSphere([["a"], [0.0]]),
+    "GreatSphere.points": lambda: GreatSphere(np.eye(3)[:, :2]).points([_WORDS2]),
     "AffinePlane": lambda: AffinePlane(OrientedPlane(np.eye(3)[:, :1]), _WORDS3),
     "contact_form": lambda: contact_form(_HOPF3, _WORDS2),
     "contact_form-ragged": lambda: contact_form(_HOPF3, [[0.0, 1.0], [1.0]]),
@@ -638,6 +671,71 @@ def test_entry_points_reject_non_numeric_arrays(call):
     every library entry point, never numpy's raw ValueError or TypeError."""
     with pytest.raises(InvalidInput, match=r"^\w.* must be an array of numbers$"):
         call()
+
+
+_CIRCLE = GreatSphere(np.eye(3)[:, :2])
+_POINT_STACK_CALLS = {
+    "Chart.B": (_HOPF3.B, _HOPF3.B([0.5, 1.0])),
+    "Chart.B-smooth": (builtin_chart("quad_germ").B, builtin_chart("quad_germ").B([0.5, 1.0])),
+    "Chart.dB": (_HOPF3.dB, _HOPF3.dB([0.5, 1.0])),
+    "GreatSphere.points": (_CIRCLE.points, np.array([0.5, 1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("call, good", _POINT_STACK_CALLS.values(), ids=_POINT_STACK_CALLS.keys())
+def test_point_or_stack_methods_check_their_points(call, good):
+    """Chart.B, Chart.dB and GreatSphere.points take one point or a stack of
+    points, with the finite_array rule: NaN and inf raise InvalidInput
+    without a warning, where NaN once came back as NaN and inf warned from
+    matmul, and a wrong shape names the expected one."""
+    for bad in ([np.nan, 0.0], [np.inf, 1.0], [[0.5, 1.0], [1.0, -np.inf]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"^\w.* must be finite$"):
+                call(bad)
+    for bad in ([1.0, 2.0, 3.0], [[[0.5, 1.0]]]):
+        with pytest.raises(InvalidInput, match=r"^\w.* shape \(.*\) != \(2,\)$"):
+            call(bad)
+    with pytest.raises(InvalidInput, match=r"^\w.* shape \(1, 3\) != \(N, 2\)$"):
+        call([[1.0, 2.0, 3.0]])
+    # one point is row 0 of the one-row stack
+    assert np.array_equal(call([0.5, 1.0]), good)
+    assert np.array_equal(call([[0.5, 1.0], [0.5, 1.0]]), np.stack([good, good]))
+
+
+_GUARDS = {
+    "central_project": (lambda: central_project([1.0]), InvalidInput,
+                        "need a vector with at least two coordinates"),
+    "orthonormalize-vector": (lambda: orthonormalize(np.ones(3)), InvalidInput,
+                              "orthonormalize expects n x k frames with k >= 1"),
+    "orthonormalize-wide": (lambda: orthonormalize(np.ones((2, 3))), RankDeficient,
+                            "frame of shape (2, 3) cannot have independent columns"),
+    "eigenvalues": (lambda: eigenvalues(np.ones((2, 3))), InvalidInput,
+                    "eigenvalues expects a square matrix"),
+    "intersection_dim": (
+        lambda: intersection_dim(plane_from_columns(np.eye(3)[:, :1]), plane_from_columns(np.eye(4)[:, :1])),
+        InvalidInput, "planes live in different ambient dimensions",
+    ),
+    "sample_fibers": (lambda: sample_fibers(_HOPF3, np.zeros((1, 2)), steps=0), InvalidInput,
+                      "need steps >= 1"),
+    "Chart-kind": (lambda: Chart(1, 2, "spectral"), InvalidInput, "unknown chart kind 'spectral'"),
+    "chart_from_dict": (lambda: chart_from_dict({"k": 1, "q": 2}), InvalidInput,
+                        "chart data missing key 'kind'"),
+    "unit_vectors": (lambda: SampleStream().unit_vectors(4, 0), InvalidInput, "need dims >= 1, got 0"),
+    "hurwitz_radon_family": (lambda: hurwitz_radon_family(0, 1), InvalidInput,
+                             "need q >= 1 and r >= 1, got q=0 r=1"),
+    "skew_period": (lambda: skew_period(-1), InvalidInput, "need k >= 0, got -1"),
+    "skew_table": (lambda: skew_table(2), InvalidInput, "need n_max >= 3, got 2"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", _GUARDS.values(), ids=_GUARDS.keys())
+def test_argument_guards_raise_library_errors(call, error, message):
+    """Argument checks across the library, one row each, with the error
+    class and message each raises."""
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_inverse_project_checks_the_shape_of_its_point():

@@ -278,8 +278,8 @@ def corpus() -> list[dict]:
     for chart in ("hopf7.json", "gy-m2.json"):
         add("verify", "skew", "--chart", chart, "--seed", -1)
 
-    # 1,024 sampled pairs in q = 6, whose pair norms numeric._axis_norms
-    # sums by columns, and in q = 8, where it calls numpy
+    # 1,024 sampled pairs in q = 6, whose pair norms numeric.row_norms
+    # sums by columns, and in q = 8, where it reduces each row as numpy does
     for chart in ("gy-m3.json", "gy-m4.json"):
         for seed in (0, 7):
             for mode in ("pseudo-random", "low-discrepancy"):
