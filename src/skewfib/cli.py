@@ -41,8 +41,16 @@ def _emit_report(payload: dict, ok: bool) -> int:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in the file at path, its bytes decoded once as strict
+    UTF-8.  Line ends are translated as a text-mode read translates them,
+    so an error message counts characters as it always did, and a UTF-8 BOM
+    or bytes that are not UTF-8 fail as json.load on a text-mode file
+    fails (ValueError, exit 2)."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
 
 
 def _load_chart(path: str) -> fibration.Chart:

@@ -99,19 +99,35 @@ def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> li
     jac = (d alpha / d b) D N^T, and d(alpha) = jac^T - jac; its 2-norm is
     the scale of det_margin.  The restricted determinant is
     det(Q^T d(alpha) Q) for the closed-form basis Q of the module
-    docstring.  One Chart.B and one Chart.dB call cover the stack, and
-    row i of the result equals contact_check at row i, bit for bit.  A row where d(alpha) = 0 has
-    margin 0 and is not contact.  The check is as exact as the chart's dB,
-    which every chart gives in closed form.
+    docstring.  The points are checked once (numeric.finite_array), then
+    one evaluation of B and one of dB cover the stack, and row i of the
+    result equals contact_check at row i, bit for bit.  A row where
+    d(alpha) = 0 has margin 0 and is not contact.  The check is as exact
+    as the chart's dB, which every chart gives in closed form.
     """
     tol = tol or Tolerance.default()
     _check_line_chart(c)
+    return _contact_checks(c, finite_array(ys, (None, c.q), "point coordinates"), tol)
+
+
+@overflow_is_invalid
+def contact_check(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> ContactReport:
+    """Contact test at the chart-plane point y: the N = 1 case of
+    contact_checks."""
+    _check_line_chart(c)
+    y = finite_array(y, (c.q,), "point coordinates")
+    return _contact_checks(c, y[None], tol or Tolerance.default())[0]
+
+
+def _contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance) -> list[ContactReport]:
+    """contact_checks on an (N, q) stack of points that the caller has
+    checked, unguarded: B and dB are evaluated once each on the stack
+    (Chart._values, Chart._derivatives), as fibration._solve does."""
     m_half = c.q // 2
-    ys = finite_array(ys, (None, c.q), "point coordinates")
     eye = np.eye(c.q)
 
-    b = c.B(ys)[:, :, 0]
-    d = c.dB(ys)[:, :, 0, :]
+    b = c._values(ys)[:, :, 0]
+    d = c._derivatives(ys)[:, :, 0, :]
     s = 1.0 + np.vecdot(b, b)
     form = np.concatenate([np.ones((len(ys), 1)), b], axis=1)
     # d alpha / d b for alpha = (1, b) / s, then the chain rule through b(y(x))
@@ -137,13 +153,6 @@ def contact_checks(c: Chart, ys: np.ndarray, tol: Tolerance | None = None) -> li
         details = {"dalpha_norm": scale, "restricted_det": det}
         reports.append(ContactReport(y, det_margin, det_margin > threshold, details))
     return reports
-
-
-def contact_check(c: Chart, y: np.ndarray, tol: Tolerance | None = None) -> ContactReport:
-    """Contact test at the chart-plane point y: the N = 1 case of
-    contact_checks."""
-    _check_line_chart(c)
-    return contact_checks(c, finite_array(y, (c.q,), "point coordinates")[None], tol)[0]
 
 
 def gluck_yang_matrix(m: int) -> np.ndarray:

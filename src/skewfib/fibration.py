@@ -22,6 +22,7 @@ Coordinates: fiber parameters first, chart plane last.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -81,6 +82,12 @@ class Chart:
     builtin chart needs both, since dB is never guessed from B.  C holds
     the linear part of a linear or affine chart as one (k, q, q) array;
     the constructor takes any sequence of k matrices of shape (q, q).
+
+    The constructor checks its fields and keeps C-order copies of C and B0
+    of its own, whatever the caller does with the arrays it passed.  A
+    chart that the library builds from arrays it computed, checked and
+    owns itself, such as a germ's linearization, skips both
+    (grassmann._built).
     """
 
     k: int
@@ -115,7 +122,6 @@ class Chart:
                     if not regular:
                         finite_array(m, (self.q, self.q), "chart matrix")
                 raise
-            # the chart keeps a C-order copy of its own, whatever the caller does with C
             object.__setattr__(self, "C", cs.copy())
         if self.kind == AFFINE:
             b0 = finite_array(self.B0, (self.q, self.k), "chart offset")
@@ -141,7 +147,7 @@ class Chart:
     def B(self, y: np.ndarray) -> np.ndarray:
         """The q x k matrix B(y), or an (N, q, k) stack for (N, q) points."""
         y = finite_array(y, (self.q,), "point coordinates", stack=True)
-        out = self._finite(self._b(y.reshape(-1, self.q)), "B")
+        out = self._values(y.reshape(-1, self.q))
         return out if y.ndim == 2 else out[0]
 
     def _b(self, ys: np.ndarray) -> np.ndarray:
@@ -159,14 +165,24 @@ class Chart:
         """Derivative of B at y as a (q, k, q) tensor T[i, j, l] = dB_ij/dy_l,
         or an (N, q, k, q) stack for (N, q) points."""
         y = finite_array(y, (self.q,), "point coordinates", stack=True)
-        out = self._finite(self._db(y.reshape(-1, self.q)), "dB")
+        out = self._derivatives(y.reshape(-1, self.q))
         return out if y.ndim == 2 else out[0]
+
+    def _values(self, ys: np.ndarray) -> np.ndarray:
+        """B on an (N, q) stack of points that need no input check (checked
+        by the caller, or drawn by the library), with one finiteness check."""
+        return self._finite(self._b(ys), "B")
+
+    def _derivatives(self, ys: np.ndarray) -> np.ndarray:
+        """dB on an (N, q) stack of points that need no input check, with
+        one finiteness check."""
+        return self._finite(self._db(ys), "dB")
 
     def _finite(self, out: np.ndarray, what: str) -> np.ndarray:
         """out, unless a builtin chart's closures gave a value that is not
-        finite: checked once per public call and per evaluation of the
-        fiber solver, not in the per-row _b and _db that extensions nest
-        (by np.count_nonzero, cheaper than ndarray.all on one point)."""
+        finite: checked once per _values or _derivatives call, not in the
+        per-row _b and _db that extensions nest (by np.count_nonzero,
+        cheaper than ndarray.all on one point)."""
         if self.kind == BUILTIN and np.count_nonzero(np.isfinite(out)) != out.size:
             raise InvalidInput(f"builtin chart {what}(y) is not finite")
         return out
@@ -378,18 +394,27 @@ def _solve(
     Smooth charts: damped Newton from y0, at most 100 steps.  A singular
     system matrix or Newton Jacobian raises SingularSystem; a residual
     above the budget raises NoConvergence.  B and dB are evaluated as
-    Chart.B and Chart.dB do for one point, with one finiteness check each.
+    Chart.B and Chart.dB do for one point, without the input check
+    (Chart._values, Chart._derivatives).
+    The linear system matrix s I + sum_j t_j C_j adds the products t_j C_j
+    in place, in j order, as Python's sum over j does; the two differ only
+    in the sign of a zero sum, which adding s I (or 0.0) clears.  (One
+    np.add.reduce over the stack would pair the products up where the
+    matrices are 1 x 1 and k >= 8.)
     """
     # s y is added, not multiplied: for s = 1 the arithmetic is that of y + B(y) t = b
     eye = np.eye(c.q) if s else 0.0
 
     def evaluate(y):
         """B(y) and the residual s y + B(y) t - b."""
-        by = c._finite(c._b(y[None]), "B")[0]
+        by = c._values(y[None])[0]
         return by, (y if s else 0.0) + by @ t - b
 
     if c.is_linear:
-        mat = eye + sum(t[j] * c.C[j] for j in range(c.k))
+        mat = t[0] * c.C[0]
+        for j in range(1, c.k):
+            mat += t[j] * c.C[j]
+        mat = eye + mat
         rhs = b - (c.B0 @ t if c.kind == AFFINE else 0.0)
         sv = np.linalg.svd(mat, compute_uv=False)
         if is_singular(sv, tol):
@@ -408,7 +433,7 @@ def _solve(
     for _ in range(100):
         if res <= budget:
             return y, by
-        jac = eye + np.einsum("ijl,j->il", c._finite(c._db(y[None]), "dB")[0], t)
+        jac = eye + np.einsum("ijl,j->il", c._derivatives(y[None])[0], t)
         sv = np.linalg.svd(jac, compute_uv=False)
         if is_singular(sv, tol):
             raise SingularSystem(f"Newton Jacobian singular: sigma_min={sv[-1]:.3e}")
@@ -457,6 +482,8 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     The graph frame F = [I_k; B(y)] has sigma_min >= 1 whatever B(y) is,
     as |F t|^2 = |t|^2 + |B(y) t|^2, so it needs no rank gate, and the
     plane is built without the constructors' checks (grassmann._built).
+    y is checked once (numeric.finite_array) and B evaluated without a
+    second input check (Chart._values).
     For k = 1 the frame is the closed form numeric.unit(v), v = (1, B(y)),
     with a positive first entry, so a steep line whose |v|^2 overflows
     still gets its unit frame.  For k >= 2 it is numeric.oriented_q(F),
@@ -465,7 +492,7 @@ def fiber_plane(c: Chart, y: np.ndarray) -> AffinePlane:
     (numeric.overflow_is_invalid).
     """
     y = finite_array(y, (c.q,), "point coordinates")
-    return _graph_plane(c, y, c.B(y))
+    return _graph_plane(c, y, c._values(y[None])[0])
 
 
 def _graph_plane(c: Chart, y: np.ndarray, b: np.ndarray) -> AffinePlane:
@@ -518,8 +545,10 @@ def verify_skew(
     Pairs with |x - y| <= 1e-12 radius count as coincident and are
     dropped, so the pairs tested do not depend on the chart's scale.
     When k = 1, report.sampled_report sends only the pairs that can hold
-    the least margin to LAPACK.  On a smooth chart a clean sampled run
-    fails when (k, n) admits no skew fibration (_gate_smooth).
+    the least margin to LAPACK.  On a smooth chart B is evaluated once on
+    both ends of every pair, without the input check that drawn points do
+    not need (Chart._values), and a clean sampled run fails
+    when (k, n) admits no skew fibration (_gate_smooth).
 
     On a linear or affine chart B(x) - B(y) = B_lin(d) with d = x - y, and
     the columns of [B_lin(d) | d] are M_j d for the pencil M = (C_1, ...,
@@ -530,7 +559,14 @@ def verify_skew(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    if samples < 2:
+    # an integer count below 2 is named before the radius, the order that the
+    # CLI's stderr lines keep; sampling() names any other bad count, such as
+    # the string "8", or radius
+    try:
+        few = operator.index(samples) < 2
+    except TypeError:
+        few = False
+    if few:
         raise InvalidInput(f"need samples >= 2, got {samples}")
     sampling = stream.sampling(samples, radius)
 
@@ -550,8 +586,9 @@ def verify_skew(
                 stacks[:, :, j] = diff @ c.C[j].T
             stacks[:, :, c.k] = diff
         else:
-            # one B call on both stacks: rows are independent, bit for bit
-            bs = c.B(np.concatenate([xs, ys]))
+            # one evaluation of both stacks of drawn points, which need no
+            # input check: rows are independent, bit for bit
+            bs = c._values(np.concatenate([xs, ys]))
             stacks = np.concatenate([bs[: len(xs)] - bs[len(xs) :], diff[:, :, None]], axis=2)
         return rp.sampled_report(
             "skew",
@@ -623,9 +660,11 @@ def verify_nondegenerate(
     pencil (C_1, ..., C_k, I) goes, as the chart holds it, to
     bilinear._nonsingular, verify_nonsingular's verdict without a
     BilinearMap: it tries the Gram certificate before sampling samples
-    unit t and gates k + 1 > rho(q).  A smooth chart's pencils at
-    T_SAMPLES unit t per sampled chart point go to bilinear.pencil_report.  On a smooth chart a clean sampled
-    run fails when (k, n) admits no skew fibration (_gate_smooth).
+    unit t and gates k + 1 > rho(q).  A smooth chart's dB is evaluated
+    once on the drawn chart points, without the input check
+    (Chart._derivatives), and its pencils at T_SAMPLES unit t per point go to
+    bilinear.pencil_report.  On a smooth chart a clean sampled run fails
+    when (k, n) admits no skew fibration (_gate_smooth).
 
     On smooth charts with k = 1 and q = 2, numeric.eig_screen first bounds
     |Im lambda| of every dB_y in closed form, widened by the rounding slack
@@ -645,8 +684,10 @@ def verify_nondegenerate(
         return _nonsingular("nondegenerate", _pencil(c), samples, sampling, stream, tol)
 
     pts = stream.ball_points(samples, c.q, radius)
+    # the drawn points need no input check
+    dbs = c._derivatives(pts)
     if c.k == 1:
-        mats = c.dB(pts)[:, :, 0, :]
+        mats = dbs[:, :, 0, :]
         return _gate_smooth(c, rp.candidates_first(
             eig_screen(mats, tol),
             lambda rows: _spectrum_report(np.linalg.eigvals(mats[rows]), pts[rows], sampling, tol),
@@ -654,7 +695,7 @@ def verify_nondegenerate(
 
     ts = stream.unit_vectors(T_SAMPLES, c.k + 1)
     eye = np.broadcast_to(np.eye(c.q), (len(pts), 1, c.q, c.q))
-    slots = np.concatenate([c.dB(pts).transpose(0, 2, 1, 3), eye], axis=1)
+    slots = np.concatenate([dbs.transpose(0, 2, 1, 3), eye], axis=1)
     return _gate_smooth(c, pencil_report(
         "nondegenerate", slots, ts, sampling,
         lambda n, s: {"exact": False, "worst_point": pts[n].tolist()}, tol, pts,
@@ -805,11 +846,16 @@ def _bump(s: float) -> tuple[float, float]:
 
 
 def _linearization(local: Chart) -> Chart:
-    """The affine chart B(0) + dB_0 y of a germ."""
+    """The affine chart B(0) + dB_0 y of a germ: its arrays come from the
+    germ's own evaluation at 0, checked finite, so the chart owns
+    C-contiguous copies of them without the constructor's checks
+    (grassmann._built); its other fields keep their defaults."""
     zero = np.zeros((1, local.q))
-    b0 = local._finite(local._b(zero), "B")[0]
-    db = local._finite(local._db(zero), "dB")[0]
-    return Chart(local.k, local.q, AFFINE, C=db.transpose(1, 0, 2), B0=b0)
+    b0 = local._values(zero)[0]
+    db = local._derivatives(zero)[0]
+    return _built(
+        Chart, k=local.k, q=local.q, kind=AFFINE, C=db.transpose(1, 0, 2).copy(), B0=b0.copy()
+    )
 
 
 def _make_extension(local: Chart, lin: Chart, blend_r: float) -> Chart:
@@ -921,7 +967,8 @@ def sample_fibers(
 
     Returns (fiber_ids, grid_indices, points): for each base point, a grid
     of steps**k parameter values over t_range per axis, with the ambient
-    point (t, B(y) t + y) for each, all fibers in one stacked product.
+    point (t, B(y) t + y) for each, all fibers in one stacked product,
+    from one evaluation of B on the checked stack (Chart._values).
     base_points is an (N, q) stack (numeric.finite_array); one that is
     not, an empty or overflowing stack, or more than SAMPLE_MAX_ROWS
     rows raises InvalidInput before anything is allocated.
@@ -943,7 +990,8 @@ def sample_fibers(
     idx = np.indices((steps,) * c.k).reshape(c.k, -1).T
     tgrid = axis[idx]
     count, size = len(base_points), len(tgrid)
-    planes = np.matmul(tgrid, c.B(base_points).transpose(0, 2, 1)) + base_points[:, None, :]
+    bs = c._values(base_points)
+    planes = np.matmul(tgrid, bs.transpose(0, 2, 1)) + base_points[:, None, :]
     points = np.concatenate([np.broadcast_to(tgrid, (count, size, c.k)), planes], axis=2)
     points = points.reshape(count * size, c.n)
     return np.repeat(np.arange(count), size), np.tile(idx, (count, 1)), points

@@ -93,16 +93,19 @@ class GreatSphere:
 
 
 def _built(cls, **fields):
-    """An OrientedPlane, AffinePlane or GreatSphere from fields that the
-    library computed itself, without the public constructor's checks.
+    """An OrientedPlane, AffinePlane, GreatSphere or fibration.Chart from
+    fields that the library computed itself, without the public
+    constructor's checks.  A field not passed reads its class default.
 
     Callers pass float arrays that hold by construction what the checks
     test: frames that are the Q factor of a QR decomposition
     (numeric.oriented_q) or orthonormal columns laid out by hand, and
     base points projected off their direction.  Such a frame is
     orthonormal to a few ulps, far inside the constructors' 1e-12, so a
-    second check only costs time.  Frames and points from a caller still
-    go through the public constructors.
+    second check only costs time.  A chart gets arrays it alone holds, as
+    its constructor's copies would be (fibration._linearization).  Frames,
+    points and charts from a caller still go through the public
+    constructors.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():

@@ -132,9 +132,16 @@ class SampleStream:
         u[:] = lattice[:, ncols]
 
     @staticmethod
-    def _check(count: int, radius: float | None = None) -> None:
-        if radius is not None and not (math.isfinite(radius) and radius > 0.0):
-            raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
+    def _check(count: int, radius: float | None = None, ball: bool = False) -> None:
+        # radius None means a search without a ball, which a draw from a ball
+        # (ball=True) cannot be
+        if ball or radius is not None:
+            try:
+                ok = math.isfinite(radius) and radius > 0.0
+            except TypeError:  # not a real number, such as None or the string "1"
+                raise InvalidInput(f"need a finite sampling radius > 0, got {radius!r}") from None
+            if not ok:
+                raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
         try:
             operator.index(count)
         except TypeError:
@@ -164,14 +171,14 @@ class SampleStream:
 
     def ball_points(self, count: int, dims: int, radius: float) -> np.ndarray:
         """count points uniform in the ball of the given radius."""
-        self._check(count, radius)
+        self._check(count, radius, ball=True)
         g, u = self._directions(count, dims)
         g *= radius * u[:, None] ** (1.0 / dims)
         return g
 
     def pairs_in_ball(self, count: int, dims: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """count pairs (x, y) of ball points, drawn as consecutive samples."""
-        self._check(count, radius)
+        self._check(count, radius, ball=True)
         pts = self.ball_points(2 * count, dims, radius)
         return pts[0::2], pts[1::2]
 

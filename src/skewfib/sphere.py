@@ -96,7 +96,9 @@ def completion_check(
     verify_nonsingular's verdict without a BilinearMap: exact for k = 1,
     the Gram certificate first for k >= 3.  For smooth charts it stacks the
     pencils sum_j t_j dB_j(y), the Jacobians of y -> B(y)t, over sampled
-    (y, t) and leaves the verdict to bilinear.pencil_report.  The
+    (y, t), dB evaluated once on the drawn points without Chart.dB's input
+    check (Chart._derivatives), and leaves the verdict to
+    bilinear.pencil_report.  The
     condition is homogeneous in t, so t and -t are one test: for k = 1,
     where every unit t is +-1, only t = 1 is tested, one Jacobian per
     sampled chart point y.
@@ -113,8 +115,10 @@ def completion_check(
     ys = stream.ball_points(samples, c.q, 10.0)
     # B(y)(-t) = -B(y)t has the same singular values, so a line needs one t.
     ts = np.ones((1, 1)) if c.k == 1 else stream.unit_vectors(max(16, samples // 16), c.k)
+    # the drawn points need no input check
+    dbs = c._derivatives(ys)
     return pencil_report(
-        "completion", c.dB(ys).transpose(0, 2, 1, 3), ts, stream.sampling(samples, 10.0),
+        "completion", dbs.transpose(0, 2, 1, 3), ts, stream.sampling(samples, 10.0),
         lambda n, s: {"exact": False}, tol, ys,
     )
 

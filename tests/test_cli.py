@@ -817,6 +817,56 @@ def test_malformed_file_is_one_line_error(capsys, tmp_path, what, text, message)
     assert err == f"skewfib: error: {message.format(path)}\n"
 
 
+_HOPF3_TEXT = json.dumps(
+    {"schema": "skewfib-chart-v1", "k": 1, "q": 2, "kind": "linear", "C": [[[0.0, -1.0], [1.0, 0.0]]]},
+    indent=1,
+)
+_LATE = json.dumps({"kind": "linear", "k": 1, "q": 2, "C": [[[0.0, -1.0], [1.0, 0.0]]],
+                    "pad": "x" * 10000}).encode()
+# (chart file bytes, exit code, stderr) as a text-mode UTF-8 read gave them
+_ENCODED = {
+    "utf8-bom": (b"\xef\xbb\xbf" + _HOPF3_TEXT.encode(), 2,
+                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "utf16": (_HOPF3_TEXT.encode("utf-16"), 2,
+              "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "utf16-le": (_HOPF3_TEXT.encode("utf-16-le"), 2,
+                 "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "invalid-utf8": (_HOPF3_TEXT.encode().replace(b'"linear"', b'"lin\xffear"'), 2,
+                     "'utf-8' codec can't decode byte 0xff in position 64: invalid start byte"),
+    "invalid-utf8-after-8k": (_LATE[:-3] + b"\xff" + _LATE[-3:], 2,
+                              f"'utf-8' codec can't decode byte 0xff in position {len(_LATE) - 3}: "
+                              "invalid start byte"),
+    "truncated-utf8": (_HOPF3_TEXT.encode() + b"\xe2\x82", 2,
+                       "'utf-8' codec can't decode bytes in position 146-147: unexpected end of data"),
+    "crlf": (_HOPF3_TEXT.replace("\n", "\r\n").encode(), 0, ""),
+    "cr": (_HOPF3_TEXT.replace("\n", "\r").encode(), 0, ""),
+    # the character offsets count each line end as one character
+    "crlf-bad-json": (_HOPF3_TEXT.replace('"kind"', '"kind" "oops",').replace("\n", "\r\n").encode(),
+                      2, "Expecting ':' delimiter: line 5 column 9 (char 59)"),
+    "crlf-in-string": (_HOPF3_TEXT.replace('"linear"', '"lin\r\near"').replace("\n", "\r\n").encode(),
+                       2, "Invalid control character at: line 5 column 14 (char 64)"),
+}
+
+
+@pytest.mark.parametrize("raw, code, message", _ENCODED.values(), ids=_ENCODED.keys())
+def test_chart_file_encodings(capsys, tmp_path, raw, code, message):
+    """Chart files are decoded once as strict UTF-8, with line ends
+    translated as a text-mode read translates them: a BOM, UTF-16 and
+    bytes that are not UTF-8 are one-line input errors, messages count
+    characters as before, and CR or CRLF line ends read as LF ones."""
+    path = tmp_path / "chart.json"
+    path.write_bytes(raw)
+    got = main(["verify", "eigen", "--chart", str(path)])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"skewfib: error: {message}\n")
+    else:
+        path.write_text(_HOPF3_TEXT)
+        assert main(["verify", "eigen", "--chart", str(path)]) == 0
+        assert (out, err) == (capsys.readouterr().out, "")
+
+
 _ZERO = "need samples >= 1, got 0"
 _RADIUS = "need a finite sampling radius > 0, got {}"
 

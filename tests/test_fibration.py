@@ -4,7 +4,7 @@ asymptotic probes, and germ extension."""
 import math
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -1076,16 +1076,86 @@ def test_fiber_containing_direction_does_not_depend_on_length():
 
 
 def test_smooth_verify_skew_evaluates_b_once(monkeypatch):
-    """The smooth pair stack evaluates B once on both ends of every pair,
-    one Chart.B call per sampled run."""
+    """The smooth pair stack evaluates B once on both ends of every pair:
+    one call of the chart's evaluator Chart._b per sampled run (made
+    through Chart._values), on 2 * pairs_tested rows, and none of the
+    public Chart.B, whose input check the drawn points do not need.  (The extension's blend calls _b
+    on the germ and its linearization, other charts, not counted here.)"""
     ext = extend_germ(builtin_chart("quad_germ", eps=0.2))
-    calls = []
-    b = Chart.B
-    monkeypatch.setattr(Chart, "B", lambda self, y: calls.append(len(y)) or b(self, y))
+    calls, public = [], []
+    b, b_public = Chart._b, Chart.B
+    monkeypatch.setattr(
+        Chart, "_b", lambda self, ys: (self is ext and calls.append(len(ys))) or b(self, ys)
+    )
+    monkeypatch.setattr(Chart, "B", lambda self, y: public.append(len(y)) or b_public(self, y))
     for seed in (0, 7):
         calls.clear()
         rep = verify_skew(ext, samples=256, stream=SampleStream(seed))
         assert calls == [2 * rep.details["pairs_tested"]]
+    assert public == []
+
+
+def _bits(a):
+    """The float64 bits of an array, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("germ", [
+    builtin_chart("quad_germ", eps=0.3),
+    Chart(2, 3, "builtin",
+          b_func=lambda ys: np.stack([np.sin(ys), np.cos(ys) - 0.5], axis=2),
+          db_func=lambda ys: np.stack([np.cos(ys)[:, :, None] * np.eye(3),
+                                       -np.sin(ys)[:, :, None] * np.eye(3)], axis=2)),
+], ids=["quad_germ", "k2-q3"])
+def test_linearization_equals_the_constructed_chart(germ):
+    """The germ's linearization, built without the constructor's checks,
+    is the chart Chart(k, q, "affine", C=..., B0=...) would build: every
+    field equal, bit for bit, and C and B0 C-contiguous arrays of its own."""
+    lin = fibration._linearization(germ)
+    zero = np.zeros((1, germ.q))
+    ref = Chart(germ.k, germ.q, "affine", C=germ._db(zero)[0].transpose(1, 0, 2),
+                B0=germ._b(zero)[0])
+    for f in fields(Chart):
+        mine, want = getattr(lin, f.name), getattr(ref, f.name)
+        if isinstance(want, np.ndarray):
+            assert mine.dtype == want.dtype and mine.shape == want.shape
+            assert np.array_equal(_bits(mine), _bits(want))
+            assert mine.flags.c_contiguous and mine.flags.owndata
+        else:
+            assert mine == want, f.name
+
+
+def test_linear_system_matrix_is_the_sum_over_j(monkeypatch):
+    """_solve forms s I + sum_j t_j C_j by adding in place; its bits are
+    those of the generator sum eye + sum(t[j] * C[j] for j), signed zeros
+    included, for s = 1 (fiber_solve) and s = 0 (fiber_containing_direction),
+    on random charts with k <= 10, q <= 16 and entries 0.0 and -0.0.
+    q = 1 with k >= 8 is where one np.add.reduce over the stack differs."""
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.copy()) or svd(a, **kw))
+    rng = np.random.default_rng(RNG_SEED)
+    tol = Tolerance()
+    zeros = np.array([0.0, -0.0])
+    shapes = [(8, 1), (10, 1)] + [(int(rng.integers(1, 11)), int(rng.integers(1, 17)))
+                                  for _ in range(300)]
+    for k, q in shapes:
+        cs = rng.standard_normal((k, q, q))
+        cs[rng.random(cs.shape) < 0.3] = 0.0
+        cs[rng.random(cs.shape) < 0.3] = -0.0
+        cs[rng.random(cs.shape) < 0.1] *= 1e-300
+        t = rng.standard_normal(k)
+        t[rng.random(k) < 0.3] = rng.choice(zeros)
+        c = Chart(k, q, "affine" if rng.random() < 0.5 else "linear", C=cs,
+                  B0=rng.standard_normal((q, k)))
+        for s in (1.0, 0.0):
+            seen.clear()
+            try:
+                fibration._solve(c, s, t, np.ones(q), np.zeros(q), math.inf, tol)
+            except (SingularSystem, NoConvergence):
+                pass
+            want = (np.eye(q) if s else 0.0) + sum(t[j] * c.C[j] for j in range(k))
+            assert np.array_equal(_bits(seen[0]), _bits(want))
 
 
 def test_fiber_containing_direction_singular_system():

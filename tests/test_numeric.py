@@ -82,6 +82,31 @@ def test_tolerance_env_override(monkeypatch):
         Tolerance.default()
 
 
+def test_tolerance_default_follows_the_environment_at_every_call(monkeypatch):
+    """SKEWFIB_TOL is read at every call: a change within one process
+    takes effect at the next call, a value seen before gives the same
+    tolerance again, and a value that does not parse, or parses to a bad
+    tolerance, raises at every call."""
+    for raw, want in [("1e-3", (1e-3, 1e-12)), ("1e-4,1e-10", (1e-4, 1e-10)),
+                      ("1e-3", (1e-3, 1e-12)), (" 2e-5 , 3e-9 ", (2e-5, 3e-9))]:
+        monkeypatch.setenv("SKEWFIB_TOL", raw)
+        for _ in range(2):
+            tol = Tolerance.default()
+            assert (tol.rel, tol.abs) == want
+    monkeypatch.setenv("SKEWFIB_TOL", "")
+    assert Tolerance.default() == Tolerance()
+    monkeypatch.delenv("SKEWFIB_TOL")
+    assert Tolerance.default() == Tolerance()
+    for bad, message in [("banana", "cannot parse"), ("1,2,3", "cannot parse"),
+                         ("inf", "must be finite"), ("-1e-3", "must be positive")]:
+        monkeypatch.setenv("SKEWFIB_TOL", bad)
+        for _ in range(3):
+            with pytest.raises(InvalidInput, match=message):
+                Tolerance.default()
+        monkeypatch.setenv("SKEWFIB_TOL", "1e-6")
+        assert Tolerance.default().rel == 1e-6
+
+
 def test_tolerance_rejects_bad_values():
     with pytest.raises(InvalidInput):
         Tolerance(rel=-1e-9, abs=1e-12)
@@ -256,14 +281,48 @@ _COUNTED = {
 }
 
 
-@pytest.mark.parametrize("count", [np.nan, np.inf, 2.5])
+@pytest.mark.parametrize("count", [np.nan, np.inf, 2.5, "8"])
 @pytest.mark.parametrize("call", _COUNTED.values(), ids=_COUNTED.keys())
 def test_sample_counts_must_be_integers(call, count):
     """A count that is not an integer is an input error at every sampled
     entry point: NaN passed the count < 1 test, so an exact verdict came
-    back with a NaN count, and a sampled one raised a raw TypeError."""
+    back with a NaN count, and a sampled one raised a raw TypeError, as
+    verify_skew did for the string "8", which it compared with 2."""
     with pytest.raises(InvalidInput, match=r"^need an integer sample count, got "):
         call(count)
+
+
+_RADIUS_TAKING = {
+    "verify_skew": lambda r: verify_skew(builtin_chart("hopf3"), radius=r),
+    "verify_skew-sampled": lambda r: verify_skew(builtin_chart("gluck_yang", m=2), radius=r),
+    "verify_nondegenerate": lambda r: verify_nondegenerate(builtin_chart("hopf3"), radius=r),
+    "verify_nondegenerate-smooth": lambda r: verify_nondegenerate(builtin_chart("quad_germ"), radius=r),
+    "ball_points": lambda r: SampleStream().ball_points(4, 2, r),
+    "pairs_in_ball": lambda r: SampleStream().pairs_in_ball(4, 2, r),
+    "sampling": lambda r: SampleStream().sampling(4, r),
+}
+_DRAWS_A_BALL = ("verify_skew-sampled", "verify_nondegenerate-smooth", "ball_points", "pairs_in_ball")
+
+
+@pytest.mark.parametrize("radius", ["1", [1.0], 1j, -1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("call", _RADIUS_TAKING.values(), ids=_RADIUS_TAKING.keys())
+def test_sampling_radii_must_be_finite_positive_reals(call, radius):
+    """A radius that is not a finite real number > 0 is an input error at
+    every entry point that takes one: the string "1" once raised Python's
+    raw TypeError from math.isfinite."""
+    with pytest.raises(InvalidInput, match=r"^need a finite sampling radius > 0, got "):
+        call(radius)
+
+
+@pytest.mark.parametrize("call", [_RADIUS_TAKING[k] for k in _DRAWS_A_BALL], ids=_DRAWS_A_BALL)
+def test_a_ball_needs_a_radius(call):
+    """radius=None is a search without a ball, such as a Gram-certified
+    verdict that draws no point, but a draw from a ball refuses it: it
+    once reached the draw and raised a raw TypeError."""
+    with pytest.raises(InvalidInput, match=r"^need a finite sampling radius > 0, got None$"):
+        call(None)
+    assert "radius" not in SampleStream().sampling(4)
+    assert "radius" not in verify_skew(builtin_chart("hopf3"), radius=None).sampling
 
 
 def test_orthonormalize_plain_cases():
