@@ -30,11 +30,13 @@ _P2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _Q2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearMap:
+    """kp1 checked (q, q) matrices M_j, held as one (kp1, q, q) array of its own, as Chart holds C."""
+
     q: int
     kp1: int
-    mats: tuple
+    mats: np.ndarray
 
     def __post_init__(self):
         if self.q < 1 or self.kp1 < 1:
@@ -42,11 +44,8 @@ class BilinearMap:
         count = len(self.mats) if hasattr(self.mats, "__len__") else type(self.mats).__name__
         if count != self.kp1:
             raise InvalidInput(f"expected {self.kp1} matrices, got {count}")
-        # the map keeps copies of its own, whatever the caller does with mats
-        mats = tuple(
-            finite_array(m, (self.q, self.q), "bilinear map matrix").copy() for m in self.mats
-        )
-        object.__setattr__(self, "mats", mats)
+        mats = [finite_array(m, (self.q, self.q), "bilinear map matrix") for m in self.mats]
+        object.__setattr__(self, "mats", np.stack(mats))
 
 
 def _conj(x: np.ndarray) -> np.ndarray:
@@ -340,7 +339,7 @@ def verify_nonsingular(
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
     sampling = stream.sampling(samples)
-    return _nonsingular("nonsingular", np.stack(a.mats), samples, sampling, stream, tol)
+    return _nonsingular("nonsingular", a.mats, samples, sampling, stream, tol)
 
 
 def _nonsingular(

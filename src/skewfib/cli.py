@@ -155,13 +155,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    c = _load_chart(args.chart) if args.chart else None
     if args.what == "contact":
-        return _contact_run(c, args)
+        return _contact_run(args)
     if args.what == "invariant-planes":
         mat = _load_matrix(args.matrix)
         rep = sphere.invariant_on_planes(mat, samples=args.samples, stream=_stream(args))
         return _emit_report(rep.to_dict(), rep.is_invariant)
+    c = _load_chart(args.chart)
     if args.what == "skew":
         rep = fibration.verify_skew(c, radius=args.radius, samples=args.samples, stream=_stream(args))
     elif args.what == "nondeg":
@@ -175,7 +175,8 @@ def _cmd_verify(args) -> int:
     return _emit_report(rep.to_dict(), rep.ok)
 
 
-def _contact_run(c: fibration.Chart, args) -> int:
+def _contact_run(args) -> int:
+    c = _load_chart(args.chart)
     if args.point is not None:
         points = _parse_point(args.point, c.q)[None]
     elif args.points:
@@ -327,10 +328,6 @@ def _sphere_probe(mat: np.ndarray, args) -> int:
     )
 
 
-def _cmd_contact(args) -> int:
-    return _contact_run(_load_chart(args.chart), args)
-
-
 def _cmd_germ(args) -> int:
     c = _load_chart(args.chart)
     try:
@@ -411,7 +408,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--matrix", required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(chart=None)
 
     p_fiber = sub.add_parser("fiber", help="solve the fiber through a point")
     p_fiber.add_argument("--chart", required=True)
@@ -449,7 +445,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--threshold", type=float, default=1e-3)
 
     p_contact = sub.add_parser("contact", help="contact-structure checks")
-    p_contact.set_defaults(handler=overflow_is_invalid(_cmd_contact))
+    p_contact.set_defaults(handler=overflow_is_invalid(_contact_run))
     contact_sub = p_contact.add_subparsers(dest="what", required=True)
     p = contact_sub.add_parser("check")
     _add_contact_args(p)

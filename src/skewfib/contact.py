@@ -39,7 +39,7 @@ import numpy as np
 from .bilinear import J2
 from .errors import InvalidInput
 from .fibration import Chart
-from .numeric import Tolerance, finite_array, overflow_is_invalid, real_eigenvalue_mask
+from .numeric import Tolerance, as_integer, finite_array, overflow_is_invalid, real_eigenvalue_mask
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def gluck_yang_matrix(m: int) -> np.ndarray:
     are +-i/2, so the fibration is nondegenerate, yet M - M^T is
     singular and the orthogonal plane field fails the contact condition.
     """
-    m = int(m)
+    m = as_integer(m, "need an integer m")
     if m < 2:
         raise InvalidInput(f"need m >= 2, got {m}")
     d = -0.5 * J2

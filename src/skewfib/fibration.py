@@ -41,6 +41,8 @@ from .grassmann import AffinePlane, OrientedPlane, _built, max_principal_angle
 from .numeric import (
     SampleStream,
     Tolerance,
+    as_integer,
+    as_real,
     eig_screen,
     eigenvalues,
     finite_array,
@@ -137,12 +139,6 @@ class Chart:
     def is_linear(self) -> bool:
         """Linear or affine: B depends (affinely) linearly on y."""
         return self.kind in (LINEAR, AFFINE)
-
-    def with_offset(self, b0: np.ndarray) -> "Chart":
-        """Affine chart with the same linear part and the given offset."""
-        if not self.is_linear:
-            raise InvalidInput("offsets only apply to linear charts")
-        return Chart(self.k, self.q, AFFINE, C=self.C, B0=b0, name=self.name, params=self.params)
 
     def B(self, y: np.ndarray) -> np.ndarray:
         """The q x k matrix B(y), or an (N, q, k) stack for (N, q) points."""
@@ -245,15 +241,17 @@ def _quad_germ_chart(eps: float) -> Chart:
     )
 
 
-def _number(fields: dict, key: str, what: str, convert=float):
-    """fields[key] converted by convert, or InvalidInput naming the field
-    when it is missing or holds no number."""
+def _number(fields: dict, key: str, what: str, integer: bool = False):
+    """fields[key] as a float, or with integer=True as an int (numeric.as_integer:
+    2 and 2.0 alike), or InvalidInput naming the field when it is missing,
+    holds no number or holds a number that is not an integer."""
     if key not in fields:
         raise InvalidInput(f"{what} missing key {key!r}")
     try:
-        return convert(fields[key])
+        value = float(fields[key])
     except (TypeError, ValueError):
         raise InvalidInput(f"{what} key {key!r} must hold a number, got {fields[key]!r}") from None
+    return as_integer(value, f"{what} key {key!r} must hold an integer") if integer else value
 
 
 def _array(data: dict, key: str, ndim: int) -> np.ndarray:
@@ -286,7 +284,7 @@ def builtin_chart(name: str, **params) -> Chart:
     if name == "hopf15":
         return replace(from_bilinear(from_algebra("octonion", 8)), name="hopf15", params={})
     if name == "hopf_line":
-        m = _number(params, "m", "hopf_line parameters", int)
+        m = _number(params, "m", "hopf_line parameters", integer=True)
         a = _number(params, "a", "hopf_line parameters")
         b = _number(params, "b", "hopf_line parameters")
         for key, v in (("a", a), ("b", b)):
@@ -301,7 +299,7 @@ def builtin_chart(name: str, **params) -> Chart:
     if name == "gluck_yang":
         from .contact import gluck_yang_matrix
 
-        m = _number(params, "m", "gluck_yang parameters", int)
+        m = _number(params, "m", "gluck_yang parameters", integer=True)
         return Chart(
             1, 2 * m, LINEAR, C=(gluck_yang_matrix(m),), name="gluck_yang", params={"m": m}
         )
@@ -333,22 +331,20 @@ def builtin_chart(name: str, **params) -> Chart:
 
 
 def chart_to_dict(c: Chart) -> dict:
+    """The chart's file layout, with one builtin record; a germ extension nests its base's."""
     out: dict = {"schema": CHART_SCHEMA, "k": c.k, "q": c.q, "kind": c.kind}
     if c.is_linear:
         out["C"] = [m.tolist() for m in c.C]
         if c.kind == AFFINE:
             out["B0"] = c.B0.tolist()
-        if c.name:
-            out["builtin"] = {"name": c.name, "params": c.params or {}}
-        return out
-    if c.name == "germ_extension":
-        base = chart_to_dict(c.params["base"])
-        out["builtin"] = {"name": c.name, "params": {"blend_r": c.params["blend_r"], "base": base}}
-        return out
+    elif not c.name:
+        raise InvalidInput("cannot serialize an anonymous smooth chart")
     if c.name:
-        out["builtin"] = {"name": c.name, "params": c.params or {}}
-        return out
-    raise InvalidInput("cannot serialize an anonymous smooth chart")
+        params = c.params or {}
+        if c.kind == BUILTIN and c.name == "germ_extension":
+            params = {**params, "base": chart_to_dict(params["base"])}
+        out["builtin"] = {"name": c.name, "params": params}
+    return out
 
 
 def chart_from_dict(data: dict) -> Chart:
@@ -360,7 +356,7 @@ def chart_from_dict(data: dict) -> Chart:
     if "kind" not in data:
         raise InvalidInput("chart data missing key 'kind'")
     kind = data["kind"]
-    k, q = _number(data, "k", "chart data", int), _number(data, "q", "chart data", int)
+    k, q = (_number(data, key, "chart data", integer=True) for key in ("k", "q"))
     meta = data.get("builtin") or {}
     if not (isinstance(meta, dict) and isinstance(meta.get("params") or {}, dict)):
         raise InvalidInput("chart data key 'builtin' must hold an object with an object 'params'")
@@ -723,12 +719,12 @@ class ConeProbe:
         object.__setattr__(self, "ell", ell)
         if not abs(norm(ell) - 1.0) <= 1e-10:
             raise InvalidInput("ell must be a unit vector")
-        if not (0.0 < self.delta < math.pi / 2):
+        if not (0.0 < as_real(self.delta, "delta must lie in (0, pi/2)") < math.pi / 2):
             raise InvalidInput(f"delta must lie in (0, pi/2), got {self.delta}")
         # the cone must keep its points off the origin, where unit(y) is 0/0; NaN fails too
-        if not self.N > 0.0:
+        if not as_real(self.N, "cone bound N must be > 0") > 0.0:
             raise InvalidInput(f"cone bound N must be > 0, got {self.N}")
-        ts = tuple(float(t) for t in self.t_values)
+        ts = tuple(as_real(t, "t_values must be real numbers") for t in self.t_values)
         if not ts or not all(map(math.isfinite, ts)) or any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidInput("t_values must be finite, nonempty and increasing")
         object.__setattr__(self, "t_values", ts)
@@ -929,10 +925,9 @@ def extend_germ(
     if local.is_linear:
         # Already globally defined and equal to its own linearization.
         return local
-    if not (0.0 < blend_r <= local.domain_radius):
-        raise InvalidInput(
-            f"need 0 < blend_r <= domain radius {local.domain_radius}, got {blend_r}"
-        )
+    bound = f"need 0 < blend_r <= domain radius {local.domain_radius}"
+    if not (0.0 < as_real(blend_r, bound) <= local.domain_radius):
+        raise InvalidInput(f"{bound}, got {blend_r}")
     lin = _linearization(local)
     origin = verify_nondegenerate(lin, samples=512, stream=SampleStream(seed), tol=tol)
     if not origin.ok:
@@ -976,12 +971,13 @@ def sample_fibers(
     base_points = finite_array(base_points, (None, c.q), "base points")
     if not len(base_points):
         raise InvalidInput("need at least one base point")
+    steps = as_integer(steps, "need an integer number of steps")
     if steps < 1:
         raise InvalidInput("need steps >= 1")
-    rows = len(base_points) * int(steps) ** c.k
+    rows = len(base_points) * steps**c.k
     if rows > SAMPLE_MAX_ROWS:
         raise InvalidInput(f"{len(base_points)} x {steps}^{c.k} sample rows exceed {SAMPLE_MAX_ROWS}")
-    lo, hi = float(t_range[0]), float(t_range[1])
+    lo, hi = (as_real(t_range[i], "t_range ends must be real numbers") for i in (0, 1))
     if not math.isfinite(hi - lo):
         raise InvalidInput(f"t_range ends and their difference must be finite, got ({lo}, {hi})")
     if hi <= lo:

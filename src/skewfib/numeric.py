@@ -34,6 +34,8 @@ class Tolerance:
     abs: float = DEFAULT_ABS
 
     def __post_init__(self):
+        as_real(self.rel, "tolerance rel must be a real number")
+        as_real(self.abs, "tolerance abs must be a real number")
         # NaN fails both comparisons, so it is rejected here too
         if not (self.rel > 0.0 and self.abs > 0.0):
             raise InvalidInput(f"tolerances must be positive, got rel={self.rel} abs={self.abs}")
@@ -94,7 +96,7 @@ class SampleStream:
     def __init__(self, seed: int = 0, mode: str = "pseudo-random"):
         if mode not in self.MODES:
             raise InvalidInput(f"unknown sample mode {mode!r}; expected one of {self.MODES}")
-        self.seed = int(seed)
+        self.seed = as_integer(seed, "need an integer seed")
         if self.seed < 0:
             raise InvalidInput(f"need a seed >= 0, got {self.seed}")
         self.mode = mode
@@ -136,11 +138,8 @@ class SampleStream:
         # radius None means a search without a ball, which a draw from a ball
         # (ball=True) cannot be
         if ball or radius is not None:
-            try:
-                ok = math.isfinite(radius) and radius > 0.0
-            except TypeError:  # not a real number, such as None or the string "1"
-                raise InvalidInput(f"need a finite sampling radius > 0, got {radius!r}") from None
-            if not ok:
+            r = as_real(radius, "need a finite sampling radius > 0")
+            if not (math.isfinite(r) and r > 0.0):
                 raise InvalidInput(f"need a finite sampling radius > 0, got {radius}")
         try:
             operator.index(count)
@@ -188,6 +187,34 @@ class SampleStream:
         self._check(count, radius)
         ball = {} if radius is None else {"radius": radius}
         return {"seed": self.seed, "mode": self.mode, "count": count, **ball}
+
+
+def as_integer(value, message: str) -> int:
+    """value as an int when it equals one: 2, 2.0 and np.int64(2) alike,
+    since JSON may write an integer either way.  Anything else (2.5, NaN,
+    a string, None) raises InvalidInput(f"{message}, got {value!r}"); an
+    infinity raises InvalidInput with int's own message."""
+    try:
+        out = int(value)
+    except OverflowError as exc:
+        raise InvalidInput(str(exc)) from None
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out != value:
+        raise InvalidInput(f"{message}, got {value!r}")
+    return out
+
+
+def as_real(value, message: str) -> float:
+    """value as a float when it is a real number, anything math.isfinite
+    takes: an int, a float or a numpy scalar.  Anything else (a string,
+    None) raises InvalidInput(f"{message}, got {value!r}").  Finiteness and
+    range are the caller's test, with its own message."""
+    try:
+        math.isfinite(value)
+    except TypeError:
+        raise InvalidInput(f"{message}, got {value!r}") from None
+    return float(value)
 
 
 def overflow_is_invalid(fn):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .grassmann import AffinePlane, GreatSphere, _built, embed_affine
 from .numeric import (
     SampleStream,
     Tolerance,
+    as_real,
     finite_array,
     norm,
     orthonormalize,
@@ -142,12 +143,7 @@ class PlaneInvariantReport:
     max_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "is_invariant": self.is_invariant,
-            "a": self.a,
-            "b": self.b,
-            "max_residual": self.max_residual,
-        }
+        return asdict(self)
 
 
 @overflow_is_invalid
@@ -226,23 +222,23 @@ def invariant_on_planes(
     """
     tol = tol or Tolerance.default()
     stream = stream or SampleStream()
-    m = finite_array(m, (None, None), "matrix")
-    is_invariant, a, b = _classify(m, tol)
+    m, is_invariant, a, b = _classify(m, tol)
     us = stream.unit_vectors(samples, m.shape[0])
     max_residual = float(_plane_residuals(m, us, tol).max())
     return PlaneInvariantReport(is_invariant, a, b, max_residual)
 
 
-def _classify(m: np.ndarray, tol: Tolerance) -> tuple[bool, float, float]:
-    """Exact part of the invariant-on-planes test: (is_invariant, a, b)
-    from the spectrum and the identity (M - aI)^2 + b^2 I = 0.
-
-    m is a finite float matrix (numeric.finite_array, in the callers); its
-    shape check runs on every call, the rest is memoized on the matrix's
-    bytes and the tolerance (_classified)."""
+def _classify(m, tol: Tolerance) -> tuple[np.ndarray, bool, float, float]:
+    """(m, is_invariant, a, b): the caller's matrix as a finite float array
+    and the exact part of the invariant-on-planes test, from the spectrum
+    and the identity (M - aI)^2 + b^2 I = 0.  The one entry of all four
+    entry points: the input and shape checks run on every call, in that
+    order; the rest is memoized on the matrix's bytes and the tolerance
+    (_classified)."""
+    m = finite_array(m, (None, None), "matrix")
     if m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
         raise InvalidInput(f"need a nonempty even square matrix, got shape {m.shape}")
-    return _classified(m.tobytes(), m.shape[0], tol)
+    return (m, *_classified(m.tobytes(), m.shape[0], tol))
 
 
 @functools.lru_cache(maxsize=32)
@@ -281,11 +277,12 @@ def _classified(raw: bytes, d: int, tol: Tolerance) -> tuple[bool, float, float]
     return spectrum_ok and poly_ok, a, b
 
 
-def _invariant_data(m: np.ndarray, tol: Tolerance) -> tuple[float, float]:
-    is_invariant, a, b = _classify(m, tol)
+def _invariant_data(m, tol: Tolerance) -> tuple[np.ndarray, float, float]:
+    """_classify's (m, a, b); the one InvalidInput for a matrix not invariant on planes."""
+    m, is_invariant, a, b = _classify(m, tol)
     if not is_invariant:
         raise InvalidInput("matrix is not invariant on planes")
-    return a, b
+    return m, a, b
 
 
 @overflow_is_invalid
@@ -298,15 +295,13 @@ def sphere_fiber_direction(
     s = (1 + z_t a)^2 + z_t^2 b^2, cross-checked against the
     matrix-inverse form (1, M (I + z_t M)^{-1} z, 0) scaled by s; the
     two agree to 1e-9 relative whenever M is invariant on planes.  M is
-    classified once per (matrix value, tolerance), memoized for at most
-    32 matrices, so repeated queries on one M skip its spectrum.
-    Arithmetic that overflows raises InvalidInput.
+    checked and classified by _classify, so repeated queries on one M skip
+    its spectrum.  Arithmetic that overflows raises InvalidInput.
     """
     tol = tol or Tolerance.default()
-    m = finite_array(m, (None, None), "matrix")
-    a, b = _invariant_data(m, tol)
+    m, a, b = _invariant_data(m, tol)
     z = finite_array(z, (len(m),), "z coordinates")
-    if not math.isfinite(z_t):
+    if not math.isfinite(as_real(z_t, "z_t must be finite")):
         raise InvalidInput(f"z_t must be finite, got {z_t}")
     s = (1.0 + z_t * a) ** 2 + (z_t * b) ** 2
     block = np.concatenate([[s], (z_t * (a * a + b * b) * np.eye(len(z)) + m) @ z, [0.0]])
@@ -331,8 +326,7 @@ def assemble_great_circles(m: np.ndarray, tol: Tolerance | None = None):
     invariant-on-planes matrix; returns the assignment as a callable.
     """
     tol = tol or Tolerance.default()
-    m = finite_array(m, (None, None), "matrix")
-    _invariant_data(m, tol)
+    m = _invariant_data(m, tol)[0]
     d = m.shape[0]
     chart = Chart(1, d, "linear", C=(m,))
 
@@ -364,12 +358,10 @@ def equator_restriction(
 
     For any invariant-on-planes M this is the plane span{u, Ju}, so the
     equatorial restriction is always the standard Hopf fibration; the
-    orientation follows the sign of b.  M is classified once per (matrix
-    value, tolerance), memoized for at most 32 matrices.
+    orientation follows the sign of b.  M is checked and classified by _classify.
     """
     tol = tol or Tolerance.default()
-    m = finite_array(m, (None, None), "matrix")
-    _invariant_data(m, tol)
+    m = _invariant_data(m, tol)[0]
     u = finite_array(u, (len(m),), "u coordinates")
     if abs(norm(u) - 1.0) > 1e-10:
         raise InvalidInput("u must be a unit vector")

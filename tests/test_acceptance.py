@@ -309,8 +309,8 @@ def test_criterion_11_completion_checks(capsys):
             assert np.max(np.abs(sv - 1.0)) <= 1e-12
         rep = completion_check(c)
         assert rep.ok and abs(rep.margin - 1.0) <= 1e-9
-        shifted = c.with_offset(np.array([[1.0, 0.5, 0.0], [0.0, -2.0, 1.0],
-                                          [3.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+        shifted = Chart(3, 4, "affine", C=c.C, B0=np.array([[1.0, 0.5, 0.0], [0.0, -2.0, 1.0],
+                                                            [3.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
         rep = completion_check(shifted)
         assert rep.ok and abs(rep.margin - 1.0) <= 1e-9
         plane_chart = from_bilinear(hurwitz_radon_family(4, 3))

@@ -437,3 +437,17 @@ def test_gram_pieces_equal_the_broadcast_formulas(monkeypatch):
         seen.clear()
         gram_enclosure(mats)
         assert seen == [vdot(rest, rest)], (m, q)
+
+
+def test_bilinear_map_owns_one_stacked_array():
+    """A map holds its matrices as one C-contiguous (kp1, q, q) array of its
+    own, as Chart holds C: a later change to the caller's list or matrices
+    does not reach it."""
+    mats = [np.eye(2), J2.copy()]
+    a = BilinearMap(2, 2, mats)
+    assert type(a.mats) is np.ndarray and a.mats.shape == (2, 2, 2)
+    assert a.mats.flags.c_contiguous and a.mats.flags.owndata
+    mats[1][0, 0] = 5.0
+    mats.append(np.eye(2))
+    assert np.array_equal(a.mats, np.stack([np.eye(2), J2]))
+    assert verify_nonsingular(a).margin == 1.0

@@ -793,13 +793,20 @@ _MALFORMED = [
      "germ_extension parameters key 'base' must hold a chart, got int"),
     ("skew", _HOPF_LINE % '{"m": 1, "b": 1}', "hopf_line parameters missing key 'a'"),
     ("skew", _HOPF_LINE % '{"m": 1e999, "a": 0, "b": 1}', "cannot convert float infinity to integer"),
+    ("skew", _HOPF_LINE % '{"m": 2.5, "a": 0, "b": 1}',
+     "hopf_line parameters key 'm' must hold an integer, got 2.5"),
+    ("skew", '{"kind": "builtin", "k": 1, "q": 4, "builtin": {"name": "gluck_yang", "params": {"m": 2.9}}}',
+     "gluck_yang parameters key 'm' must hold an integer, got 2.9"),
+    ("skew", '{"kind": "linear", "k": 1.5, "q": 2, "C": [[[0, -1], [1, 0]]]}',
+     "chart data key 'k' must hold an integer, got 1.5"),
 ]
 
 
 @pytest.mark.parametrize(
     "what, text, message", _MALFORMED,
     ids=["matrix-C-empty", "matrix-dict", "chart-list", "chart-C-int", "chart-B0-dict", "chart-k-list",
-         "chart-builtin-int", "germ-base-int", "hopf-line-no-a", "hopf-line-m-inf"],
+         "chart-builtin-int", "germ-base-int", "hopf-line-no-a", "hopf-line-m-inf", "hopf-line-m-half",
+         "gluck-yang-m-float", "chart-k-float"],
 )
 def test_malformed_file_is_one_line_error(capsys, tmp_path, what, text, message):
     """A chart or matrix file of the wrong shape is an input error that
@@ -938,7 +945,7 @@ def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
     hopf = _write_chart_file(tmp_path, "hopf3")
     mat = _write_matrix_file(tmp_path, np.kron(np.eye(2), np.asarray(J2)), "J4.json")
     calls = [
-        ["verify", "invariant-planes", "--matrix", mat, "--samples", "20"],  # sets chart=None
+        ["verify", "invariant-planes", "--matrix", mat, "--samples", "20"],
         ["verify", "skew", "--chart", hopf, "--samples", "32"],
         ["--help"],
         ["verify", "skew", "--chart", hopf, "--samples", "many"],
@@ -1001,6 +1008,22 @@ _LEAF_ARGVS = [
 ]
 
 
+def test_build_from_json_rejects_a_non_integer_m(capsys, tmp_path):
+    """m = 2.9 in a chart file was truncated to 2 and the chart written;
+    it is an input error now, and nothing is written.  m = 2.0, as JSON
+    may write 2, builds the m = 2 chart."""
+    text = '{"kind": "builtin", "k": 1, "q": 4, "builtin": {"name": "gluck_yang", "params": {"m": %s}}}'
+    path, out = tmp_path / "gy.json", tmp_path / "out.json"
+    path.write_text(text % "2.9")
+    assert main(["build", "from-json", "--in", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "skewfib: error: gluck_yang parameters key 'm' must hold an integer, got 2.9\n"
+    assert not out.exists()
+    path.write_text(text % "2.0")
+    assert main(["build", "from-json", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == chart_to_dict(builtin_chart("gluck_yang", m=2))
+
+
 def test_leaf_table_has_one_entry_per_command():
     leaves = cli._build_parser()[1]
     assert len(leaves) == len(_LEAF_ARGVS) == 20
@@ -1011,7 +1034,7 @@ def test_leaf_table_has_one_entry_per_command():
 def test_leaf_path_gives_the_tree_namespace(argv):
     """The leaf parser, run into the values the tree sets above it, gives
     the namespace of the whole tree: handler, verb, the sub-verb's dest
-    and every default, chart=None of verify invariant-planes included."""
+    and every default, the verb's handler on each of its leaves included."""
     tree = cli._build_parser()[0]
     assert vars(cli._parse(argv)) == vars(tree.parse_args(argv))
 

@@ -171,7 +171,7 @@ def test_contact_check_matches_newton_reference():
     offset = np.array([[0.3], [-0.2], [0.1], [0.4]])
     charts = [
         builtin_chart("hopf_line", m=2, a=0.5, b=1.5),
-        builtin_chart("gluck_yang", m=2).with_offset(offset),
+        Chart(1, 4, "affine", C=builtin_chart("gluck_yang", m=2).C, B0=offset),
         extend_germ(builtin_chart("quad_germ", eps=0.2)),
     ]
     for c in charts:
@@ -198,7 +198,8 @@ def test_contact_checks_rows_equal_single_points():
     offset = np.array([[0.3], [-0.2], [0.1], [0.4]])
     cases = [
         (builtin_chart("hopf_line", m=3, a=0.5, b=1.5), rng.uniform(-2.0, 2.0, (10, 6))),
-        (builtin_chart("gluck_yang", m=2).with_offset(offset), rng.uniform(-2.0, 2.0, (10, 4))),
+        (Chart(1, 4, "affine", C=builtin_chart("gluck_yang", m=2).C, B0=offset),
+         rng.uniform(-2.0, 2.0, (10, 4))),
         (ext, dirs * zones[:, None]),
         (zero, rng.uniform(-2.0, 2.0, (5, 2))),
     ]

@@ -130,17 +130,6 @@ def test_hopf_line_rejects_non_finite_parameters():
                     builtin_chart("hopf_line", **params)
 
 
-def test_with_offset():
-    c = builtin_chart("hopf3")
-    shifted = c.with_offset(np.array([[1.0], [2.0]]))
-    assert shifted.kind == "affine"
-    y = np.array([0.5, -0.25])
-    assert np.allclose(shifted.B(y), c.B(y) + [[1.0], [2.0]], atol=1e-14)
-    germ = builtin_chart("quad_germ")
-    with pytest.raises(InvalidInput):
-        germ.with_offset(np.zeros((2, 1)))
-
-
 def test_chart_derivative_tensor():
     c = builtin_chart("hopf7")
     y = np.array([0.3, -0.2, 0.5, 0.1])
@@ -233,7 +222,7 @@ def test_chart_rejects_non_finite_entries():
     with pytest.raises(InvalidInput):
         Chart(1, 2, "linear", C=([[0.0, -np.inf], [1.0, 0.0]],))
     with pytest.raises(InvalidInput):
-        builtin_chart("hopf3").with_offset(np.array([[np.nan], [0.0]]))
+        Chart(1, 2, "affine", C=builtin_chart("hopf3").C, B0=np.array([[np.nan], [0.0]]))
 
 
 def test_builtin_chart_values_must_be_finite():
@@ -258,7 +247,7 @@ def _stack_charts():
     return [
         builtin_chart("hopf3"),
         builtin_chart("hopf7"),
-        builtin_chart("hopf7").with_offset(np.arange(12.0).reshape(4, 3) / 7.0),
+        Chart(3, 4, "affine", C=builtin_chart("hopf7").C, B0=np.arange(12.0).reshape(4, 3) / 7.0),
         builtin_chart("quad_germ", eps=-0.3),
         builtin_chart("germ_extension", base=germ, blend_r=0.5),
         extend_germ(germ),
@@ -821,7 +810,8 @@ _CERTIFIED = {
        for q, r in ((4, 4), (8, 5), (8, 8), (16, 9))},
     **{f"{alg}-{kp1}": (from_bilinear(from_algebra(alg, kp1)), 1.0)
        for alg, kp1 in (("complex", 2), ("quaternion", 3), ("octonion", 5))},
-    **{f"off-{name}": (builtin_chart(name).with_offset(_B0_RNG.uniform(-3.0, 3.0, (q, k))), 1.0)
+    **{f"off-{name}": (Chart(k, q, "affine", C=builtin_chart(name).C,
+                             B0=_B0_RNG.uniform(-3.0, 3.0, (q, k))), 1.0)
        for name, k, q in (("hopf3", 1, 2), ("hopf7", 3, 4), ("hopf15", 7, 8))},
     **{f"line-m{m}": (builtin_chart("hopf_line", m=m, a=a, b=b), _hopf_line_skew_margin(a, b))
        for m, a, b in ((1, 0.0, 0.5), (2, 0.5, 1.5), (3, -1.9, 0.51))},
@@ -964,7 +954,8 @@ _PENCIL_CHARTS = {
     "hr-16-9": from_bilinear(hurwitz_radon_family(16, 9)),
     "quaternion-3": from_bilinear(from_algebra("quaternion", 3)),
     "octonion-5": from_bilinear(from_algebra("octonion", 5)),
-    "off-hopf7": builtin_chart("hopf7").with_offset(_NOISE_RNG.uniform(-3.0, 3.0, (4, 3))),
+    "off-hopf7": Chart(3, 4, "affine", C=builtin_chart("hopf7").C,
+                       B0=_NOISE_RNG.uniform(-3.0, 3.0, (4, 3))),
     "zero-k3": Chart(3, 4, "linear", C=np.zeros((3, 4, 4))),
     "noisy-hopf7": Chart(
         3, 4, "linear", C=builtin_chart("hopf7").C + 0.2 * _NOISE_RNG.standard_normal((3, 4, 4))
@@ -1506,7 +1497,7 @@ def _sample_fibers_loop(c, base_points, t_range, steps):
         builtin_chart("hopf15"),
         builtin_chart("hopf_line", m=2, a=0.5, b=1.5),
         from_bilinear(hurwitz_radon_family(8, 5)),
-        builtin_chart("hopf7").with_offset(np.arange(12.0).reshape(4, 3) / 7.0),
+        Chart(3, 4, "affine", C=builtin_chart("hopf7").C, B0=np.arange(12.0).reshape(4, 3) / 7.0),
         extend_germ(builtin_chart("quad_germ", eps=0.2), samples=200),
     ],
     ids=["hopf3", "hopf7", "hopf15", "hopf_line", "hr-8-5", "affine-hopf7", "extension"],
@@ -1535,7 +1526,7 @@ def test_chart_json_round_trip_linear():
 
 
 def test_chart_json_round_trip_affine():
-    c = builtin_chart("hopf3").with_offset(np.array([[1.5], [-2.0]]))
+    c = Chart(1, 2, "affine", C=builtin_chart("hopf3").C, B0=np.array([[1.5], [-2.0]]))
     back = chart_from_dict(chart_to_dict(c))
     y = np.array([0.7, 0.1])
     assert np.array_equal(back.B(y), c.B(y))
@@ -1548,6 +1539,33 @@ def test_chart_json_round_trip_extension():
     for _ in range(50):
         y = rng.uniform(-3.0, 3.0, 2)
         assert np.array_equal(back.B(y), ext.B(y))
+
+
+def _builtin_dict(k, q, name, params):
+    return {"schema": "skewfib-chart-v1", "k": k, "q": q, "kind": "builtin",
+            "builtin": {"name": name, "params": params}}
+
+
+_QUAD_DICT = _builtin_dict(1, 2, "quad_germ", {"eps": 0.2})
+_EXT_DICT = _builtin_dict(1, 2, "germ_extension", {"blend_r": 0.5, "base": _QUAD_DICT})
+_CHART_DICTS = {
+    **{name: chart_to_dict(builtin_chart(name)) for name in ("hopf3", "hopf7", "hopf15")},
+    "hopf_line": chart_to_dict(builtin_chart("hopf_line", m=2, a=0.5, b=1.5)),
+    "gluck_yang": chart_to_dict(builtin_chart("gluck_yang", m=3)),
+    "quad_germ": _QUAD_DICT,
+    "affine": {"schema": "skewfib-chart-v1", "k": 1, "q": 2, "kind": "affine",
+               "C": [[[0.0, -1.0], [1.0, 0.0]]], "B0": [[1.5], [-2.0]]},
+    "germ_extension": _EXT_DICT,
+    "extension-of-extension": _builtin_dict(1, 2, "germ_extension", {"blend_r": 0.25, "base": _EXT_DICT}),
+}
+
+
+@pytest.mark.parametrize("data", _CHART_DICTS.values(), ids=_CHART_DICTS)
+def test_chart_to_dict_inverts_chart_from_dict(data):
+    """Every chart layout comes back as it was read: the arrays of a linear
+    or affine chart, and one builtin record, in which an extension nests
+    its base's layout, an extension's included."""
+    assert chart_to_dict(chart_from_dict(data)) == data
 
 
 def test_chart_from_dict_errors():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from skewfib.bilinear import J2, BilinearMap, hurwitz_radon_family, verify_nonsingular
-from skewfib.contact import contact_check, contact_checks, contact_form
+from skewfib.contact import contact_check, contact_checks, contact_form, gluck_yang_matrix
 from skewfib.dims import skew_period, skew_table
 from skewfib.errors import InvalidInput, RankDeficient
 from skewfib.fibration import (
@@ -785,6 +785,33 @@ _GUARDS = {
                              "need q >= 1 and r >= 1, got q=0 r=1"),
     "skew_period": (lambda: skew_period(-1), InvalidInput, "need k >= 0, got -1"),
     "skew_table": (lambda: skew_table(2), InvalidInput, "need n_max >= 3, got 2"),
+    # real arguments that are not real numbers
+    "sphere_fiber_direction-z_t-str": (lambda: sphere_fiber_direction(J2, [1.0, 0.0], "1"), InvalidInput,
+                                       "z_t must be finite, got '1'"),
+    "sphere_fiber_direction-z_t-None": (lambda: sphere_fiber_direction(J2, [1.0, 0.0], None), InvalidInput,
+                                        "z_t must be finite, got None"),
+    "sample_fibers-t_range": (lambda: sample_fibers(_HOPF3, np.zeros((1, 2)), t_range=("a", 1)),
+                              InvalidInput, "t_range ends must be real numbers, got 'a'"),
+    "extend_germ-blend_r": (lambda: extend_germ(builtin_chart("quad_germ"), blend_r="0.5"), InvalidInput,
+                            "need 0 < blend_r <= domain radius 1.0, got '0.5'"),
+    "ConeProbe-N": (lambda: ConeProbe(_E1[:2], (1.0, 2.0), N="x"), InvalidInput,
+                    "cone bound N must be > 0, got 'x'"),
+    "ConeProbe-delta": (lambda: ConeProbe(_E1[:2], (1.0, 2.0), delta=None), InvalidInput,
+                        "delta must lie in (0, pi/2), got None"),
+    "ConeProbe-t_values": (lambda: ConeProbe(_E1[:2], ("a",)), InvalidInput,
+                           "t_values must be real numbers, got 'a'"),
+    "Tolerance-rel": (lambda: Tolerance(rel="a"), InvalidInput, "tolerance rel must be a real number, got 'a'"),
+    # integer arguments that are not integers
+    "builtin_chart-m": (lambda: builtin_chart("hopf_line", m=2.5, a=0, b=1), InvalidInput,
+                        "hopf_line parameters key 'm' must hold an integer, got 2.5"),
+    "chart_from_dict-k": (lambda: chart_from_dict({"kind": "linear", "k": 1.5, "q": 2, "C": [_M2]}),
+                          InvalidInput, "chart data key 'k' must hold an integer, got 1.5"),
+    "gluck_yang_matrix": (lambda: gluck_yang_matrix(2.9), InvalidInput, "need an integer m, got 2.9"),
+    "SampleStream-seed": (lambda: SampleStream(2.5), InvalidInput, "need an integer seed, got 2.5"),
+    "SampleStream-seed-str": (lambda: SampleStream("x"), InvalidInput, "need an integer seed, got 'x'"),
+    "SampleStream-seed-nan": (lambda: SampleStream(float("nan")), InvalidInput, "need an integer seed, got nan"),
+    "sample_fibers-steps": (lambda: sample_fibers(_HOPF3, np.zeros((1, 2)), steps=2.5), InvalidInput,
+                            "need an integer number of steps, got 2.5"),
 }
 
 
@@ -795,6 +822,20 @@ def test_argument_guards_raise_library_errors(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_integer_arguments_take_integral_floats():
+    """An integer argument may be written as a float, as JSON may write it:
+    2.0 gives what 2 gives, as an int, wherever the library reads one."""
+    assert builtin_chart("hopf_line", m=2.0, a=0, b=1).params["m"] == 2
+    assert type(builtin_chart("gluck_yang", m=np.float64(2.0)).params["m"]) is int
+    assert np.array_equal(gluck_yang_matrix(3.0), gluck_yang_matrix(3))
+    assert chart_from_dict({"kind": "linear", "k": 1.0, "q": 2.0, "C": [_M2]}).q == 2
+    seed = SampleStream(np.float64(7.0)).seed
+    assert seed == 7 and type(seed) is int
+    pts = np.array([[0.5, -1.0]])
+    for got, want in zip(sample_fibers(_HOPF3, pts, steps=3.0), sample_fibers(_HOPF3, pts, steps=3)):
+        assert np.array_equal(got, want)
 
 
 def test_inverse_project_checks_the_shape_of_its_point():

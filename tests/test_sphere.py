@@ -132,7 +132,7 @@ def test_completion_hopf7():
 
 
 def test_completion_ignores_affine_offset():
-    c = builtin_chart("hopf3").with_offset(np.array([[5.0], [-3.0]]))
+    c = Chart(1, 2, "affine", C=builtin_chart("hopf3").C, B0=np.array([[5.0], [-3.0]]))
     rep = completion_check(c)
     assert rep.ok and rep.margin == pytest.approx(1.0, abs=1e-12)
 
@@ -582,6 +582,8 @@ def test_invariant_report_serialization():
     assert data["is_invariant"] is True
     assert data["a"] == pytest.approx(2.0)
     assert data["b"] == pytest.approx(3.0)
+    assert list(data) == ["is_invariant", "a", "b", "max_residual"]
+    assert data["max_residual"] == rep.max_residual
 
 
 def _near_invariant():
@@ -879,3 +881,36 @@ def test_sphere_helpers_reject_non_finite_input():
 def test_equator_restriction_needs_unit_vector():
     with pytest.raises(InvalidInput):
         equator_restriction(J2, np.array([2.0, 0.0]))
+
+
+_PLANE_ENTRIES = {
+    "invariant_on_planes": lambda m: invariant_on_planes(m, samples=8),
+    "sphere_fiber_direction": lambda m: sphere_fiber_direction(m, np.eye(len(m))[0], 0.5),
+    "assemble_great_circles": assemble_great_circles,
+    "equator_restriction": lambda m: equator_restriction(m, np.eye(len(m))[0]),
+}
+_BAD_MATRICES = {
+    "non-numeric": ([["a", -1.0], [1.0, 0.0]], InvalidInput, "matrix must be an array of numbers"),
+    "non-finite": ([[0.0, -np.inf], [1.0, 0.0]], InvalidInput, "matrix must be finite"),
+    "3x3": (np.eye(3), InvalidInput, "need a nonempty even square matrix, got shape (3, 3)"),
+    "2x3": (np.ones((2, 3)), InvalidInput, "need a nonempty even square matrix, got shape (2, 3)"),
+    "real-eigenvalue": ([[1.0, 0.0], [0.0, 2.0]], RealEigenvalue, "real eigenvalue 1"),
+    # rotation blocks of speeds 1 and 2: no real eigenvalue, but two pairs
+    "non-invariant": (np.kron(np.diag([1.0, 2.0]), J2), InvalidInput, "matrix is not invariant on planes"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_MATRICES, ids=_BAD_MATRICES)
+@pytest.mark.parametrize("entry", _PLANE_ENTRIES, ids=_PLANE_ENTRIES)
+def test_plane_entry_points_check_their_matrix_in_one_order(entry, bad):
+    """The four invariant-on-planes entry points run one matrix check, in
+    one order: the input rule, the even square shape, the real-eigenvalue
+    test, then invariance, which invariant_on_planes reports and the other
+    three require."""
+    m, error, message = _BAD_MATRICES[bad]
+    if bad == "non-invariant" and entry == "invariant_on_planes":
+        assert not invariant_on_planes(m, samples=8).is_invariant
+        return
+    with pytest.raises(error) as exc:
+        _PLANE_ENTRIES[entry](m)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -11,7 +11,10 @@ both sample modes, and the input-error paths of the sampled verbs:
 
 - chart and matrix files of the wrong shape, among them linear charts
   with a matrix of the wrong shape, the wrong matrix count or an infinite
-  entry, which pass the file reader and stop at the Chart constructor;
+  entry, which pass the file reader and stop at the Chart constructor,
+  and a `hopf_line` chart with m = 2.5 and a Glück–Yang one with m = 2.9,
+  which `build from-json` and `verify skew` reject, since m must be an
+  integer;
 - charts built by the `build` verbs: hopf3/7/15, two hopf_line,
   Glück–Yang m = 2, 3 and 4, Hurwitz–Radon HR(4,3), HR(8,5), HR(16,9) and the complex,
   quaternion and octonion maps;
@@ -180,6 +183,9 @@ FILES = {
     "bad-no-a.json": _builtin(1, 2, "hopf_line", {"m": 1, "b": 1}),
     "bad-m-inf.json": '{"kind": "builtin", "k": 1, "q": 2, '
                       '"builtin": {"name": "hopf_line", "params": {"m": 1e999, "a": 0, "b": 1}}}',
+    # integer parameters that are not integers
+    "bad-m-half.json": _builtin(1, 4, "hopf_line", {"m": 2.5, "a": 0, "b": 1}),
+    "bad-gy-m.json": _builtin(1, 4, "gluck_yang", {"m": 2.9}),
 }
 
 # Charts built through the CLI, by output file.
@@ -408,6 +414,9 @@ def corpus() -> list[dict]:
     for name in ("bad-list.json", "bad-C-int.json", "bad-B0.json", "bad-C-shape.json",
                  "bad-C-count.json", "bad-C-inf.json", "bad-base.json", "bad-blend-r.json",
                  "bad-no-a.json", "bad-m-inf.json"):
+        add("verify", "skew", "--chart", name)
+    for name in ("bad-m-half.json", "bad-gy-m.json"):
+        add("build", "from-json", "--in", name)
         add("verify", "skew", "--chart", name)
 
     # tolerance overrides and usage errors
